@@ -33,7 +33,7 @@ y = rng.standard_normal(N) / (1.0 + np.arange(N)) ** 2
 
 path = sample_path(p.qspec, 1, h, 11)
 ctx = StepContext(p, grid, opspec, h)
-w = theta_weights(path.step(0), p.qspec, grid, gsq=ctx.gsq, G=ctx.G)
+w = theta_weights(path.step(0), p.qspec, grid, G=ctx.G)
 
 # free constants; the studies elsewhere default to all ones
 c = np.array([1.0, 0.7, -1.3, 0.9, 1.1, 0.6, -0.8])

@@ -4,7 +4,7 @@ semilinear SPDEs with multiplicative Nemytskii noise on (0, 1).
 The pieces, bottom up:
 
 * :mod:`spderk.spectral`   -- sine eigenbasis, transforms, diagonal operator actions
-* :mod:`spderk.qwiener`    -- Q-Wiener sampling, mixed integrals, coarsening, theta weights
+* :mod:`spderk.qwiener`    -- Q-Wiener sampling, mixed integrals, coarsening, noise fields
 * :mod:`spderk.nemytskii`  -- problem definitions and pointwise f/b evaluation
 * :mod:`spderk.schemes`    -- one-step integrators (tableau engine, closed form, baselines)
 * :mod:`spderk.experiments`-- Monte-Carlo convergence studies and order fitting

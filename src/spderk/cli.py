@@ -31,6 +31,7 @@ from .errors import ConfigError, SpderkError, StudyError
 from .experiments import (
     ErrorTable,
     StudyConfig,
+    field_type_error,
     fit_order,
     order_summary,
     run_study,
@@ -60,44 +61,45 @@ ORDER_BANDS = {
 }
 
 
+def _where(source, text, key):
+    """source, with the line the key first appears on when text is known."""
+    if text is not None:
+        m = re.search(r'"%s"' % re.escape(key), text)
+        if m:
+            return "%s: line %d" % (source, text.count("\n", 0, m.start()) + 1)
+    return source
+
+
 def config_from_dict(data, source="<config>", text=None):
     """Build a StudyConfig from a parsed JSON object.
 
-    Unknown keys are rejected; when the original text is supplied the
-    diagnostic carries the line the key first appears on.
+    Unknown keys and values of the wrong type are rejected with a
+    ConfigError naming the key; when the original text is supplied the
+    diagnostic carries the line the key first appears on.  No value is
+    coerced (3.7 is not a count, "exe" is not a list of schemes).
     """
     if not isinstance(data, dict):
         raise ConfigError("%s: top level must be an object" % source)
     for key in data:
         if key not in _CONFIG_KEYS:
-            where = source
-            if text is not None:
-                m = re.search(r'"%s"' % re.escape(key), text)
-                if m:
-                    where = "%s: line %d" % (source, text.count("\n", 0, m.start()) + 1)
             raise ConfigError("%s: unknown key %r (allowed: %s)"
-                              % (where, key, ", ".join(_CONFIG_KEYS)))
+                              % (_where(source, text, key), key, ", ".join(_CONFIG_KEYS)))
     if "problem" not in data:
         raise ConfigError("%s: missing required key 'problem'" % source)
 
-    kwargs = {"problem": data["problem"]}
-    for key in ("N", "K", "realizations", "seed"):
-        if data.get(key) is not None:
-            kwargs[key] = int(data[key])
-    if data.get("T") is not None:
-        kwargs["T"] = float(data["T"])
-    if data.get("M_list") is not None:
-        kwargs["M_list"] = tuple(int(M) for M in data["M_list"])
-    if data.get("schemes") is not None:
-        kwargs["schemes"] = tuple(data["schemes"])
-    if data.get("reference") is not None:
-        kwargs["reference"] = data["reference"]
-    if data.get("out_dir") is not None:
-        kwargs["out_dir"] = str(data["out_dir"])
-    try:
-        return StudyConfig(**kwargs)
-    except TypeError as e:
-        raise ConfigError("%s: %s" % (source, e)) from e
+    kwargs = {}
+    for key in _CONFIG_KEYS:
+        value = data.get(key)
+        if value is None and key != "problem":
+            continue
+        why = field_type_error(key, value)
+        if why:
+            raise ConfigError("%s: key %r %s" % (_where(source, text, key), key, why))
+        kwargs[key] = value
+    for key in ("M_list", "schemes"):
+        if key in kwargs:
+            kwargs[key] = tuple(kwargs[key])
+    return StudyConfig(**kwargs)
 
 
 def load_config(path):

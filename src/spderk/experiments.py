@@ -18,13 +18,13 @@ import math
 import multiprocessing
 import os
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DivergenceError, StudyError
 from .nemytskii import BUILTIN_PROBLEMS, builtin_problem
-from .qwiener import coarsen, sample_path
+from .qwiener import coarsen, noise_fields, noise_matrix, sample_path
 from .schemes import StepContext, resolve_scheme, solve
 from .spectral import LinearOperatorSpec, SineBasisGrid
 
@@ -35,6 +35,7 @@ __all__ = [
     "ErrorTable",
     "CSV_HEADER",
     "default_config",
+    "field_type_error",
     "exact_solution_example1",
     "rms_error",
     "fit_order",
@@ -58,6 +59,44 @@ class ReferenceSpec:
     M: int = None
 
 
+def _is_int(v):
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v):
+    return (isinstance(v, (int, float, np.integer, np.floating))
+            and not isinstance(v, bool))
+
+
+def field_type_error(key, value):
+    """Why `value` cannot be the StudyConfig field `key` (a phrase such as
+    "must be an integer, got 3.7"), or None if its type is right.
+    Nothing is coerced: 3.7 is not an integer and "exe" is not a list."""
+    if key in ("N", "realizations", "seed"):
+        ok, want = _is_int(value), "an integer"
+    elif key == "K":
+        ok, want = value is None or _is_int(value), "an integer or null"
+    elif key == "T":
+        ok, want = _is_real(value), "a number"
+    elif key == "M_list":
+        ok = isinstance(value, (list, tuple)) and all(_is_int(M) for M in value)
+        want = "a list of integers"
+    elif key == "schemes":
+        ok, want = isinstance(value, (list, tuple)), "a list of scheme entries"
+    elif key == "reference":
+        ref = asdict(value) if isinstance(value, ReferenceSpec) else value
+        ok = value is None or (isinstance(ref, dict)
+                               and isinstance(ref.get("mode"), str)
+                               and (ref.get("M") is None or _is_int(ref["M"])))
+        want = 'an object {"mode": name, "M": integer or null}'
+    elif key in ("problem", "out_dir"):
+        ok = isinstance(value, str) or (key == "out_dir" and value is None)
+        want = "a string"
+    else:
+        return None
+    return None if ok else "must be %s, got %r" % (want, value)
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     problem: str
@@ -74,13 +113,19 @@ class StudyConfig:
 
     def validated(self):
         """Canonical copy with defaults resolved; raises ConfigError."""
+        for fld in fields(self):
+            why = field_type_error(fld.name, getattr(self, fld.name))
+            if why:
+                raise ConfigError("%s %s" % (fld.name, why))
         if self.problem not in BUILTIN_PROBLEMS:
             raise ConfigError(
                 "unknown problem %r (have: %s)"
                 % (self.problem, ", ".join(sorted(BUILTIN_PROBLEMS)))
             )
-        if self.N < 1 or not float(self.T) > 0:
-            raise ConfigError("need N >= 1 and T > 0")
+        if self.N < 1:
+            raise ConfigError("N must be >= 1")
+        if not 0 < float(self.T) < math.inf:
+            raise ConfigError("T must be finite and > 0")
         if self.realizations < 1:
             raise ConfigError("realizations must be >= 1")
         if self.seed < 0:
@@ -300,19 +345,23 @@ class _StudyState:
         self.opspec = LinearOperatorSpec(self.problem.kappa, cfg.N)
         ref = cfg.reference
         self.fine_M = ref.M if ref.mode == "ewp" else max(cfg.M_list)
-        self.h_fine = cfg.T / self.fine_M
         step_Ms = set(cfg.M_list)
         if ref.mode == "ewp":
             step_Ms.add(self.fine_M)
+        self.G = noise_matrix(self.problem.qspec, self.grid)
         self.ctxs = {
-            M: StepContext(self.problem, self.grid, self.opspec, cfg.T / M)
+            M: StepContext(self.problem, self.grid, self.opspec, cfg.T, M, G=self.G)
             for M in step_Ms
         }
 
     def realization(self, r):
-        """Squared terminal errors, shape (schemes, M_list); NaN = flagged."""
+        """Squared terminal errors, shape (schemes, M_list); NaN = flagged.
+
+        Each coarse level's noise fields are assembled once and shared by
+        all schemes; the fine reference assembles its fields step by step.
+        """
         cfg = self.cfg
-        fine = sample_path(self.problem.qspec, self.fine_M, self.h_fine,
+        fine = sample_path(self.problem.qspec, self.fine_M, self.ctxs[self.fine_M].h,
                            cfg.seed, r)
         out = np.full((len(cfg.schemes), len(cfg.M_list)), np.nan)
         try:
@@ -327,13 +376,13 @@ class _StudyState:
             return out
         for jM, M in enumerate(cfg.M_list):
             path = coarsen(fine, self.fine_M // M)
-            assert path.lineage == fine.lineage, "coarsening broke path lineage"
+            tables = noise_fields(path, self.G)
             for iS, sel in enumerate(cfg.schemes):
                 try:
                     with np.errstate(over="ignore", invalid="ignore"):
                         approx = solve(self.problem, sel, path, cfg.N,
                                        strict_table=cfg.strict_table,
-                                       ctx=self.ctxs[M])[-1]
+                                       ctx=self.ctxs[M], fields=tables)[-1]
                 except DivergenceError:
                     continue
                 d = approx - truth

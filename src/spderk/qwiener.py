@@ -15,10 +15,16 @@ uses the triangular factor of that matrix directly:
 Paths are sampled once at the finest resolution of a study and coarsened
 exactly (additivity of the mixed integral), so all step sizes see the
 same underlying Brownian data.
+
+On the grid a step's noise is two fields, the increment dW = G dB and
+its time integral Iw = G I (G[p, j] = sqrt(eta_j) e~_j(x_p)).  They are
+the only random data the steppers read: theta_weights builds them for
+one step, noise_fields for every step of a path at once.
 """
 
 import hashlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +41,7 @@ __all__ = [
     "gsq_field",
     "noise_matrix",
     "theta_weights",
+    "noise_fields",
     "dump_path",
 ]
 
@@ -227,65 +234,47 @@ def noise_matrix(q, grid):
     return basis * np.sqrt(q.mode_eigenvalues)
 
 
-@dataclass(frozen=True)
-class RandomWeights:
-    """The scheme's random weight fields for one step, all on the grid.
+class RandomWeights(NamedTuple):
+    """The noise fields of one step on the grid: dW = G dB and Iw = G I.
 
-    theta0_* weight drift contributions, theta1_* diffusion contributions
-    and theta2_1 the generator term; theta0_1 is the scalar h.
+    Every stepper reads these two fields together with the context's h
+    and gsq; the tableau engine derives its theta weights from them (see
+    schemes.theta_fields).  h records the step size the fields were
+    built for.
     """
 
-    theta0_1: float
-    theta0_2: np.ndarray
-    theta0_3: np.ndarray
-    theta1_1: np.ndarray
-    theta1_2: np.ndarray
-    theta1_3: np.ndarray
-    theta1_4: np.ndarray
-    theta1_5: np.ndarray
-    theta2_1: np.ndarray
+    h: float
+    dW: np.ndarray
+    Iw: np.ndarray
 
 
-def theta_weights(step, q, grid, gsq=None, G=None):
-    """Assemble the random weight fields from one WienerStep.
+def theta_weights(step, q, grid, G=None):
+    """Assemble the noise fields of one WienerStep on the grid:
 
-    With dW(x) = sum_j sqrt(eta_j) dB_j e~_j(x) and Iw(x) the same sum over
-    the mixed integrals:
+        dW(x) = sum_j sqrt(eta_j) dB_j e~_j(x),   Iw(x) the same sum over
+        the mixed integrals I_j.
 
-        theta0_1 = h                 theta1_1 = dW
-        theta0_2 = Iw / h            theta1_2 = Iw / h
-        theta0_3 = h * gsq           theta1_3 = gsq - dW^2 / h
-        theta2_1 = Iw - (h/2) dW     theta1_4 = (Iw * gsq - dW^3 / 3) / h
-                                     theta1_5 = dW * gsq - dW^3 / (3h)
-
-    gsq and G may be passed in to avoid rebuilding them per step.
+    G may be passed in to avoid rebuilding it per step.
     """
-    if gsq is None:
-        gsq = gsq_field(q, grid)
     if G is None:
         G = noise_matrix(q, grid)
     if step.dB.shape != (q.K,):
         raise DimensionError("step has %d modes, QSpec has %d" % (len(step.dB), q.K))
-    h = step.h
-    dW = G @ step.dB
-    Iw = G @ step.I
-    w = RandomWeights(
-        theta0_1=h,
-        theta0_2=Iw / h,
-        theta0_3=h * gsq,
-        theta1_1=dW,
-        theta1_2=Iw / h,
-        theta1_3=gsq - dW**2 / h,
-        theta1_4=(Iw * gsq - dW**3 / 3.0) / h,
-        theta1_5=dW * gsq - dW**3 / (3.0 * h),
-        theta2_1=Iw - (h / 2.0) * dW,
-    )
-    # defining identities (cheap; stripped under python -O)
-    assert np.allclose(w.theta1_3, gsq - w.theta1_1**2 / h, rtol=1e-12, atol=1e-12)
-    assert np.allclose(
-        w.theta2_1, w.theta0_2 * h - (h / 2.0) * w.theta1_1, rtol=1e-12, atol=1e-12
-    )
-    return w
+    return RandomWeights(step.h, G @ step.dB, G @ step.I)
+
+
+def noise_fields(path, G):
+    """(dW, Iw) tables of shape (M, n_nodes) for a whole path; row m
+    holds the fields of step m, assembled exactly as theta_weights
+    would (one G @ dB[m] product per row, so both agree to the bit).
+    Build once per path and share across the schemes that run on it.
+    """
+    dW = np.empty((path.M, G.shape[0]))
+    Iw = np.empty_like(dW)
+    for m in range(path.M):
+        dW[m] = G @ path.dB[m]
+        Iw[m] = G @ path.I[m]
+    return dW, Iw
 
 
 def dump_path(path, fh):

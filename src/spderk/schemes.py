@@ -17,6 +17,11 @@ Contents:
   baselines (`baseline_step`);
 * a driver (`solve`) running any stepper along a NoisePath.
 
+The only random input of a step is the pair of noise fields (dW, Iw)
+on the grid (qwiener.RandomWeights); every stepper reads them with the
+context's h and gsq, and the tableau engine derives its theta weights
+from them (`theta_fields`).
+
 Every stepper advances Y via the split form
 
     Y+ = P_N e^{Ah/2} ( e^{Ah/2} Y + [assembled increment] )
@@ -34,7 +39,7 @@ import numpy as np
 
 from .errors import DimensionError, DivergenceError
 from .nemytskii import eval_coeff
-from .qwiener import gsq_field, noise_matrix, theta_weights
+from .qwiener import RandomWeights, gsq_field, noise_matrix, theta_weights
 from .spectral import (
     LinearOperatorSpec,
     SineBasisGrid,
@@ -48,6 +53,7 @@ __all__ = [
     "EvalCounters",
     "StepContext",
     "erkm15_tableau",
+    "theta_fields",
     "erkm_step",
     "erkm15_closed_form_step",
     "hatted_coefficients",
@@ -123,6 +129,43 @@ class ButcherTableau:
         if self.gamma.shape != (s,):
             raise DimensionError("gamma must be length s")
         self.s = s
+        self._compile()
+
+    def _compile(self):
+        """Nonzero structure for erkm_step, fixed per tableau.
+
+        A stage K_j^0 is built only if some drift coefficient or alpha
+        weight references f(K_j^0), K_j^1 only if some diffusion
+        coefficient, beta or gamma weight references b(K_j^1); each
+        stage keeps the (j, a, b_h, b_sqrt_h) entries of its row that
+        are not all zero, and each weight row its nonzero (j, weight).
+        """
+        drift_cols = (self.A01 != 0.0) | (self.A11 != 0.0)
+        diff_cols = ((self.B01 != 0.0) | (self.B02 != 0.0)
+                     | (self.B11 != 0.0) | (self.B12 != 0.0))
+        self.f_needed = drift_cols.any(axis=0) | (self.alpha != 0.0).any(axis=0)
+        self.b_needed = (diff_cols.any(axis=0) | (self.beta != 0.0).any(axis=0)
+                         | (self.gamma != 0.0))
+        self.drift_needed = drift_cols.any(axis=0)
+
+        def stage_terms(A, B1, B2):
+            return tuple(
+                tuple((j, float(A[i, j]), float(B1[i, j]), float(B2[i, j]))
+                      for j in range(i) if A[i, j] or B1[i, j] or B2[i, j])
+                for i in range(self.s)
+            )
+
+        def weight_rows(W):
+            return tuple(
+                tuple((int(j), float(row[j])) for j in np.nonzero(row)[0])
+                for row in W
+            )
+
+        self.stage0_terms = stage_terms(self.A01, self.B01, self.B02)
+        self.stage1_terms = stage_terms(self.A11, self.B11, self.B12)
+        self.alpha_terms = weight_rows(self.alpha)
+        self.beta_terms = weight_rows(self.beta)
+        (self.gamma_terms,) = weight_rows(self.gamma[None, :])
 
 
 def erkm15_tableau(c, strict_table=False):
@@ -190,15 +233,20 @@ def erkm15_tableau(c, strict_table=False):
 class StepContext:
     """Everything a stepper needs for one step, owned by one worker.
 
-    Holds the problem, grid, diagonal operator data precomputed for the
-    step size h, the current state y (spectral) and the step's random
-    weights, plus the evaluation counters.  Reused across the steps of a
-    trajectory via set_state().
+    Built for M uniform steps over a time span T: the step size
+    h = T / M is derived here and nowhere else, and solve() matches a
+    context to a path by the integer step count.  With the default M=1,
+    T is the step size itself.  Holds the problem, grid, diagonal
+    operator data precomputed for h, gsq, the current state y (spectral)
+    and the step's noise fields, plus the evaluation counters.  Reused
+    across the steps of a trajectory via set_state().
     """
 
-    def __init__(self, problem, grid, opspec, h, gsq=None, G=None):
-        if h <= 0:
-            raise ValueError("h must be positive")
+    def __init__(self, problem, grid, opspec, T, M=1, gsq=None, G=None):
+        if not T > 0:
+            raise ValueError("T must be positive")
+        if not isinstance(M, (int, np.integer)) or M < 1:
+            raise ValueError("M must be a positive integer")
         if opspec.N != grid.N:
             raise DimensionError("operator and grid mode counts differ")
         if problem.N != grid.N:
@@ -206,7 +254,9 @@ class StepContext:
         self.problem = problem
         self.grid = grid
         self.opspec = opspec
-        self.h = float(h)
+        self.T = float(T)
+        self.M = int(M)
+        self.h = h = self.T / self.M
         self.gsq = gsq_field(problem.qspec, grid) if gsq is None else gsq
         self.G = noise_matrix(problem.qspec, grid) if G is None else G
         self.E_h = diagonal_factor("semigroup", opspec, t=h)
@@ -220,10 +270,9 @@ class StepContext:
         self._y_phys = None
 
     def set_state(self, y, weights):
-        if weights.theta0_1 != self.h:
-            raise ValueError("weights were built for h=%g, context has h=%g"
-                             % (weights.theta0_1, self.h))
-        if weights.theta1_1.shape != (self.grid.n_nodes,):
+        """Load the state y (spectral) and the step's RandomWeights; the
+        steppers take h from the context, not from the weights."""
+        if weights.dW.shape != (self.grid.n_nodes,):
             raise DimensionError("weights do not match the grid")
         self.y = np.asarray(y, dtype=float)
         self.weights = weights
@@ -246,77 +295,82 @@ class StepContext:
         return to_physical(self.neg_lam * y_spec, self.grid)
 
 
+def theta_fields(w, h, gsq):
+    """The tableau engine's random weights, from one step's noise fields:
+
+        theta0_1 = h                 theta1_1 = dW
+        theta0_2 = Iw / h            theta1_2 = Iw / h
+        theta0_3 = h * gsq           theta1_3 = gsq - dW^2 / h
+        theta2_1 = Iw - (h/2) dW     theta1_4 = (Iw * gsq - dW^3 / 3) / h
+                                     theta1_5 = dW * gsq - dW^3 / (3h)
+
+    Returns (theta0, theta1, theta2_1) with theta0 = (theta0_1..theta0_3)
+    and theta1 = (theta1_1..theta1_5).
+    """
+    dW, Iw = w.dW, w.Iw
+    Iw_h = Iw / h
+    dW3 = dW**3
+    theta0 = (h, Iw_h, h * gsq)
+    theta1 = (
+        dW,
+        Iw_h,
+        gsq - dW**2 / h,
+        (Iw * gsq - dW3 / 3.0) / h,
+        dW * gsq - dW3 / (3.0 * h),
+    )
+    return theta0, theta1, Iw - (h / 2.0) * dW
+
+
 def erkm_step(tab, ctx):
     """One step of the generic explicit tableau engine.
 
-    Stages are materialized lazily: K_j^0 only if some drift coefficient
-    or alpha weight references f(K_j^0), K_j^1 only if some diffusion
-    coefficient, beta or gamma weight references b(K_j^1).  With the
-    ERKM1.5 tableau this performs exactly 5 f- and 6 b-evaluations.
+    Stages are materialized lazily, following the nonzero structure the
+    tableau compiled once (ButcherTableau._compile).  With the ERKM1.5
+    tableau this performs exactly 5 f- and 6 b-evaluations.  The theta
+    weights come from theta_fields on the context's h and gsq.
     """
-    s = tab.s
     h = ctx.h
     sqh = math.sqrt(h)
-    w = ctx.weights
     y_phys = ctx.y_phys
-
-    drift_cols = (tab.A01 != 0.0) | (tab.A11 != 0.0)
-    diff_cols = (
-        (tab.B01 != 0.0) | (tab.B02 != 0.0) | (tab.B11 != 0.0) | (tab.B12 != 0.0)
-    )
-    f_needed = drift_cols.any(axis=0) | (tab.alpha != 0.0).any(axis=0)
-    b_needed = diff_cols.any(axis=0) | (tab.beta != 0.0).any(axis=0) | (
-        tab.gamma != 0.0
-    )
 
     fvals = {}   # j -> f(., K_j^0)
     bvals = {}   # j -> b(., K_j^1)
     drift = {}   # j -> A K_j^0 + f(., K_j^0), physical
 
-    def build_stage(i, arow, b1row, b2row):
+    def build_stage(terms):
         K = y_phys
-        for j in range(i):
-            if arow[j] != 0.0:
-                K = K + arow[j] * h * drift[j]
-            blend = b1row[j] * h + b2row[j] * sqh
+        for j, a, b1, b2 in terms:
+            if a != 0.0:
+                K = K + a * h * drift[j]
+            blend = b1 * h + b2 * sqh
             if blend != 0.0:
                 K = K + blend * bvals[j]
         return K
 
-    for i in range(s):
-        if f_needed[i]:
-            K0 = build_stage(i, tab.A01[i], tab.B01[i], tab.B02[i])
+    for i in range(tab.s):
+        if tab.f_needed[i]:
+            K0 = build_stage(tab.stage0_terms[i])
             fvals[i] = ctx.eval("f", K0)
-            if drift_cols[:, i].any():
+            if tab.drift_needed[i]:
                 spec = ctx.y if i == 0 else to_spectral(K0, ctx.grid)
                 drift[i] = to_physical(ctx.neg_lam * spec, ctx.grid) + fvals[i]
-        if b_needed[i]:
-            K1 = build_stage(i, tab.A11[i], tab.B11[i], tab.B12[i])
+        if tab.b_needed[i]:
+            K1 = build_stage(tab.stage1_terms[i])
             bvals[i] = ctx.eval("b", K1)
 
-    theta0 = (None, w.theta0_2, w.theta0_3)  # theta0_1 is the scalar h
-    theta1 = (w.theta1_1, w.theta1_2, w.theta1_3, w.theta1_4, w.theta1_5)
+    theta0, theta1, theta2_1 = theta_fields(ctx.weights, h, ctx.gsq)
     P = np.zeros(ctx.grid.n_nodes)
-    for k in range(3):
-        row = tab.alpha[k]
-        idx = np.nonzero(row)[0]
-        if idx.size == 0:
-            continue
-        U = sum(row[j] * fvals[j] for j in idx)
-        P = P + (U * h if k == 0 else U * theta0[k])
-    for k in range(5):
-        row = tab.beta[k]
-        idx = np.nonzero(row)[0]
-        if idx.size == 0:
-            continue
-        V = sum(row[j] * bvals[j] for j in idx)
-        P = P + V * theta1[k]
+    for terms, theta in zip(tab.alpha_terms, theta0):
+        if terms:
+            P = P + sum(a * fvals[j] for j, a in terms) * theta
+    for terms, theta in zip(tab.beta_terms, theta1):
+        if terms:
+            P = P + sum(b * bvals[j] for j, b in terms) * theta
 
     bracket = to_spectral(P, ctx.grid)
-    gidx = np.nonzero(tab.gamma)[0]
-    if gidx.size:
-        Gm = sum(tab.gamma[j] * bvals[j] for j in gidx)
-        bracket = bracket + ctx.neg_lam * to_spectral(Gm * w.theta2_1, ctx.grid)
+    if tab.gamma_terms:
+        Gm = sum(g * bvals[j] for j, g in tab.gamma_terms)
+        bracket = bracket + ctx.neg_lam * to_spectral(Gm * theta2_1, ctx.grid)
     return ctx.E_h2 * (ctx.E_h2 * ctx.y + bracket)
 
 
@@ -356,8 +410,8 @@ def erkm15_closed_form_step(chat, ctx):
     w = ctx.weights
     yp = ctx.y_phys
     gsq = ctx.gsq
-    dW = w.theta1_1
-    Iw = w.theta0_2 * h
+    dW = w.dW
+    Iw = w.Iw
 
     fY = ctx.eval("f", yp)
     bY = ctx.eval("b", yp)
@@ -392,7 +446,7 @@ def erkm15_closed_form_step(chat, ctx):
         - (h / (2.0 * g8)) * (b_nest - bY) * gsq * dW
     )
     bracket = to_spectral(S, ctx.grid) + ctx.neg_lam * to_spectral(
-        bY * w.theta2_1, ctx.grid
+        bY * (Iw - (h / 2.0) * dW), ctx.grid
     )
     return ctx.E_h2 * (ctx.E_h2 * ctx.y + bracket)
 
@@ -409,8 +463,8 @@ def ewp_step(ctx):
     w = ctx.weights
     yp = ctx.y_phys
     gsq = ctx.gsq
-    dW = w.theta1_1
-    Iw = w.theta0_2 * h
+    dW = w.dW
+    Iw = w.Iw
 
     fY = ctx.eval("f", yp, needed_by="ewp")
     f_y = ctx.eval("f_y", yp, needed_by="ewp")
@@ -435,7 +489,7 @@ def ewp_step(ctx):
         - 0.5 * h * b_y**2 * bY * gsq * dW
     )
     bracket = to_spectral(S, ctx.grid) + ctx.neg_lam * to_spectral(
-        bY * w.theta2_1, ctx.grid
+        bY * (Iw - (h / 2.0) * dW), ctx.grid
     )
     return ctx.E_h2 * (ctx.E_h2 * ctx.y + bracket)
 
@@ -452,7 +506,7 @@ def baseline_step(kind, ctx, variant="phi1"):
     h = ctx.h
     w = ctx.weights
     yp = ctx.y_phys
-    dW = w.theta1_1
+    dW = w.dW
     fY = ctx.eval("f", yp)
     bY = ctx.eval("b", yp)
     if kind == "lie":
@@ -519,32 +573,48 @@ def resolve_scheme(scheme, strict_table=False):
     return label, fn
 
 
-def solve(problem, scheme, path, N, strict_table=False, ctx=None):
+def solve(problem, scheme, path, N, strict_table=False, ctx=None, fields=None):
     """Run a stepper along a noise path; returns the (M+1, N) trajectory.
 
     Y_0 is the problem's (already projected) initial coefficient vector.
     Any non-finite coefficient aborts with a DivergenceError naming the
     scheme, step and mode.  A prebuilt StepContext may be passed to
-    amortize setup across solves with the same (problem, N, h).
+    amortize setup across solves with the same (problem, N, T, M); it
+    must have the path's step count M.  fields, the path's (dW, Iw)
+    tables from qwiener.noise_fields, may be passed to share them across
+    schemes; without them each step's fields are assembled on the fly
+    by theta_weights, so no whole-path table is held.
     """
     label, stepfn = resolve_scheme(scheme, strict_table=strict_table)
+    M = path.M
     if ctx is None:
         grid = SineBasisGrid(N)
         opspec = LinearOperatorSpec(problem.kappa, N)
-        ctx = StepContext(problem, grid, opspec, path.h)
-    if ctx.h != path.h:
-        raise ValueError("context h=%g does not match path h=%g" % (ctx.h, path.h))
+        ctx = StepContext(problem, grid, opspec, path.h * M, M)
+    if ctx.M != M:
+        raise ValueError("context M=%d does not match path M=%d" % (ctx.M, M))
+    if not math.isclose(path.h * M, ctx.T, rel_tol=1e-9):
+        raise ValueError("context T=%g does not match path T=%g"
+                         % (ctx.T, path.h * M))
     if problem.N != N:
         raise DimensionError("problem built for N=%d, solve called with N=%d"
                              % (problem.N, N))
     q = problem.qspec
     if q.K != path.K:
         raise DimensionError("path has %d noise modes, problem %d" % (path.K, q.K))
-    M = path.M
+    if fields is not None:
+        dW, Iw = fields
+        if dW.shape != (M, ctx.grid.n_nodes) or Iw.shape != dW.shape:
+            raise DimensionError("noise field tables must have shape (%d, %d)"
+                                 % (M, ctx.grid.n_nodes))
+    h = ctx.h
     traj = np.empty((M + 1, N))
     traj[0] = problem.initial_coeffs
     for m in range(M):
-        wts = theta_weights(path.step(m), q, ctx.grid, gsq=ctx.gsq, G=ctx.G)
+        if fields is None:
+            wts = theta_weights(path.step(m), q, ctx.grid, G=ctx.G)
+        else:
+            wts = RandomWeights(h, dW[m], Iw[m])
         ctx.set_state(traj[m], wts)
         y_next = stepfn(ctx)
         bad = ~np.isfinite(y_next)

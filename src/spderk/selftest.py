@@ -104,7 +104,7 @@ def _scheme_equivalence():
     for h in (0.1, 0.01):
         ctx = StepContext(p, grid, opspec, h)
         path = sample_path(p.qspec, 1, h, 13)
-        w = theta_weights(path.step(0), p.qspec, grid, gsq=ctx.gsq, G=ctx.G)
+        w = theta_weights(path.step(0), p.qspec, grid, G=ctx.G)
         y = rng.standard_normal(16) / (1 + np.arange(16.0)) ** 2
         c = rng.uniform(0.2, 2.0, 7)
         ctx.set_state(y, w)
@@ -119,7 +119,7 @@ def _eval_counts():
     grid = SineBasisGrid(8)
     ctx = StepContext(p, grid, LinearOperatorSpec(p.kappa, 8), 0.1)
     path = sample_path(p.qspec, 1, 0.1, 2)
-    w = theta_weights(path.step(0), p.qspec, grid, gsq=ctx.gsq, G=ctx.G)
+    w = theta_weights(path.step(0), p.qspec, grid, G=ctx.G)
     ctx.set_state(np.zeros(8), w)
     erkm_step(erkm15_tableau(np.ones(7)), ctx)
     assert (ctx.counters.f, ctx.counters.b) == (5, 6)

@@ -114,7 +114,7 @@ def test_a3_tableau_closed_form_equivalence():
             c = np.where(np.abs(c) < 0.05, rng.uniform(-2.0, 2.0, 7), c)
         ctx = StepContext(p, grid, opspec, h)
         path = sample_path(p.qspec, 1, h, 7000, realization=trial)
-        w = theta_weights(path.step(0), p.qspec, grid, gsq=ctx.gsq, G=ctx.G)
+        w = theta_weights(path.step(0), p.qspec, grid, G=ctx.G)
         y = rng.standard_normal(16) / (1.0 + np.arange(16.0)) ** 2
         ctx.set_state(y, w)
         a = erkm_step(erkm15_tableau(c), ctx)
@@ -196,7 +196,7 @@ def test_a7_evaluation_counts():
     ok = True
     y = p.initial_coeffs
     for m in range(3):
-        w = theta_weights(path.step(m), p.qspec, grid, gsq=ctx.gsq, G=ctx.G)
+        w = theta_weights(path.step(m), p.qspec, grid, G=ctx.G)
         ctx.set_state(y, w)
         before = ctx.counters.copy()
         y = erkm_step(tab, ctx)

@@ -111,6 +111,35 @@ def test_config_diagnostics(tmp_path):
         load_config(str(tmp_path / "missing.json"))
 
 
+@pytest.mark.parametrize(
+    "key, value, phrase",
+    [
+        ("N", "abc", "integer"),
+        ("N", 3.7, "integer"),
+        ("realizations", True, "integer"),
+        ("T", "x", "number"),
+        ("M_list", [8, 16.5], "list of integers"),
+        ("schemes", "exe", "list of scheme entries"),
+        ("reference", {"mode": "ewp", "M": "big"}, "reference"),
+        ("out_dir", 3, "string"),
+    ],
+)
+def test_config_type_errors(tmp_path, key, value, phrase):
+    cfg_path = _write_config(tmp_path, **{key: value})
+    text = cfg_path.read_text()
+    line = text[:text.index('"%s"' % key)].count("\n") + 1
+    with pytest.raises(ConfigError) as exc:
+        load_config(str(cfg_path))
+    msg = str(exc.value)
+    assert repr(key) in msg and phrase in msg and "line %d" % line in msg
+    code, _, err = _run(["study", str(cfg_path)])
+    assert code == 1 and err.startswith("config error:") and "Traceback" not in err
+
+    # without the text the diagnostic still names the key
+    with pytest.raises(ConfigError, match=repr(key)):
+        config_from_dict(dict(problem="example1", **{key: value}))
+
+
 def test_usage_errors():
     code, _, _ = _run(["frobnicate"])
     assert code == 1

@@ -221,6 +221,30 @@ def test_config_rejections(kw):
         StudyConfig(**base).validated()
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(N="abc"),
+        dict(N=3.7),
+        dict(T="x"),
+        dict(T=float("inf")),
+        dict(K=2.0),
+        dict(M_list=(4, 8.0)),
+        dict(schemes="exe"),
+        dict(reference={"mode": "ewp", "M": "big"}),
+        dict(reference=ReferenceSpec("ewp", 16.5)),
+        dict(problem=None),
+    ],
+)
+def test_config_type_rejections(kw):
+    base = dict(problem="example1", N=8, M_list=(4, 8), realizations=2,
+                schemes=("exe",), reference=None, seed=0)
+    base.update(kw)
+    key = next(iter(kw))
+    with pytest.raises(ConfigError, match="^%s " % key):
+        StudyConfig(**base).validated()
+
+
 def test_config_reference_dict_coercion():
     cfg = StudyConfig("example2", N=8, M_list=(4,), realizations=1,
                       schemes=("exe",), reference={"mode": "ewp", "M": 8})
@@ -238,6 +262,16 @@ def test_run_study_single_row():
     row = table.rows[0]
     assert (row.scheme, row.M, row.h, row.flagged) == ("erkm15", 4, 0.25, 0)
     assert row.rms_error > 0
+
+
+def test_run_study_non_dyadic_step_sizes():
+    # T = 0.3 over M = 3, 9, 27 under an 81-step reference: a coarsened
+    # path's h differs from T / M by an ulp, which must not matter
+    cfg = StudyConfig("example2", N=8, T=0.3, M_list=(3, 9, 27), realizations=2,
+                      reference=ReferenceSpec("ewp", 81))
+    table = run_study(cfg)
+    assert len(table.rows) == len(cfg.schemes) * 3
+    assert all(r.flagged == 0 and r.rms_error > 0 for r in table.rows)
 
 
 def test_run_study_deterministic_and_worker_independent():

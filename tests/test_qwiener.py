@@ -15,11 +15,13 @@ from spderk.qwiener import (
     coarsen,
     dump_path,
     gsq_field,
+    noise_fields,
     noise_matrix,
     sample_path,
     sample_step,
     theta_weights,
 )
+from spderk.schemes import theta_fields
 from spderk.spectral import SineBasisGrid
 
 
@@ -191,12 +193,15 @@ def test_theta_zero_noise():
     q = QSpec(2, [0.5, 0.25])
     gsq = gsq_field(q, grid)
     step = WienerStep(dB=np.zeros(2), I=np.zeros(2), h=0.5)
-    w = theta_weights(step, q, grid, gsq=gsq)
-    assert np.all(w.theta1_1 == 0.0)
-    assert np.array_equal(w.theta1_3, gsq)
-    assert np.all(w.theta2_1 == 0.0)
-    assert w.theta0_1 == 0.5
-    assert np.array_equal(w.theta0_3, 0.5 * gsq)
+    w = theta_weights(step, q, grid)
+    assert w.h == 0.5
+    assert np.all(w.dW == 0.0) and np.all(w.Iw == 0.0)
+    theta0, theta1, theta2_1 = theta_fields(w, w.h, gsq)
+    assert np.all(theta1[0] == 0.0)
+    assert np.array_equal(theta1[2], gsq)
+    assert np.all(theta2_1 == 0.0)
+    assert theta0[0] == 0.5
+    assert np.array_equal(theta0[2], 0.5 * gsq)
 
 
 def test_theta2_vanishes_for_balanced_sample():
@@ -205,8 +210,52 @@ def test_theta2_vanishes_for_balanced_sample():
     q = scalar_q()
     step = WienerStep(dB=np.array([1.0]), I=np.array([0.5]), h=1.0)
     w = theta_weights(step, q, grid)
-    assert np.all(w.theta2_1 == 0.0)
-    assert np.all(w.theta1_1 == 1.0)
+    _, _, theta2_1 = theta_fields(w, w.h, gsq_field(q, grid))
+    assert np.all(theta2_1 == 0.0)
+    assert np.all(w.dW == 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**20),
+    K=st.integers(1, 6),
+    N=st.integers(2, 16),
+    h=st.floats(1e-3, 1.0),
+)
+def test_theta_identities_against_mode_sums(seed, K, N, h):
+    # the tableau engine's theta1_3 and theta2_1, built from theta_weights'
+    # fields, against the same quantities summed mode by mode
+    rng = np.random.default_rng(seed)
+    eta = rng.uniform(0.0, 2.0, K)
+    q = QSpec(K, eta)
+    grid = SineBasisGrid(N)
+    step = sample_step(rng, q, h)
+    w = theta_weights(step, q, grid)
+    _, theta1, theta2_1 = theta_fields(w, h, gsq_field(q, grid))
+
+    modes = np.sqrt(2.0) * np.sin(np.pi * np.outer(grid.nodes, np.arange(1, K + 1)))
+    dW = sum(np.sqrt(eta[j]) * step.dB[j] * modes[:, j] for j in range(K))
+    Iw = sum(np.sqrt(eta[j]) * step.I[j] * modes[:, j] for j in range(K))
+    gsq = sum(eta[j] * modes[:, j] ** 2 for j in range(K))
+    expect13 = gsq - dW**2 / h
+    expect21 = Iw - (h / 2.0) * dW
+    scale13 = 1.0 + gsq + dW**2 / h
+    scale21 = 1.0 + np.abs(Iw) + h * np.abs(dW)
+    assert np.all(np.abs(theta1[2] - expect13) <= 1e-12 * scale13)
+    assert np.all(np.abs(theta2_1 - expect21) <= 1e-12 * scale21)
+
+
+def test_noise_fields_rows_equal_theta_weights():
+    # the shared whole-path tables are bit-identical to per-step assembly
+    q = QSpec(5, [1.0, 0.5, 0.25, 0.125, 0.0625])
+    grid = SineBasisGrid(12)
+    G = noise_matrix(q, grid)
+    path = sample_path(q, 16, 1 / 16, base_seed=3)
+    dW, Iw = noise_fields(path, G)
+    assert dW.shape == Iw.shape == (16, grid.n_nodes)
+    for m in range(path.M):
+        w = theta_weights(path.step(m), q, grid, G=G)
+        assert np.array_equal(dW[m], w.dW) and np.array_equal(Iw[m], w.Iw)
 
 
 def test_theta_mode_mismatch_rejected():

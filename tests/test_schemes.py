@@ -11,11 +11,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from spderk.errors import CapabilityError, DimensionError, DivergenceError
 from spderk.nemytskii import ProblemSpec, builtin_problem
-from spderk.qwiener import NoisePath, QSpec, sample_path, theta_weights
+from spderk.qwiener import (
+    NoisePath,
+    QSpec,
+    coarsen,
+    noise_fields,
+    sample_path,
+    theta_weights,
+)
 from spderk.schemes import (
     ButcherTableau,
     StepContext,
@@ -66,7 +73,7 @@ def _context_for(p, h, seed=0, realization=0, M=1):
     ctx = StepContext(p, grid, opspec, h)
     path = sample_path(p.qspec, M, h, seed, realization)
     wlist = [
-        theta_weights(path.step(m), p.qspec, grid, gsq=ctx.gsq, G=ctx.G)
+        theta_weights(path.step(m), p.qspec, grid, G=ctx.G)
         for m in range(M)
     ]
     return ctx, wlist
@@ -258,7 +265,7 @@ def test_dfmm_difference_quotient_linear_noise():
     got = baseline_step("dfmm", ctx)
 
     yp = ctx.y_phys
-    dW = w.theta1_1
+    dW = w.dW
     incr = yp * dW + 0.5 * yp * (dW**2 - h * ctx.gsq)
     expected = ctx.E_h * (y + to_spectral(incr, ctx.grid))
     np.testing.assert_allclose(got, expected, rtol=1e-13)
@@ -280,7 +287,7 @@ def test_scalar_ito_taylor_oracle(scheme):
     for trial in range(5):
         h = rng.uniform(0.05, 0.5)
         ctx, (w,) = _context_for(p, h, seed=trial, M=1)
-        dW = float(w.theta1_1[0])
+        dW = float(w.dW[0])
         ctx.set_state(np.array([0.7]), w)
         got = sel(ctx)
         factor = 1.0 + dW + 0.5 * (dW**2 - h)
@@ -299,7 +306,7 @@ def test_zero_noise_degeneracy_linear_b():
     opspec = LinearOperatorSpec(p.kappa, N)
     ctx = StepContext(p, grid, opspec, h)
     zero = NoisePath(np.zeros((1, 1)), np.zeros((1, 1)), h, 0)
-    w = theta_weights(zero.step(0), p.qspec, grid, gsq=ctx.gsq, G=ctx.G)
+    w = theta_weights(zero.step(0), p.qspec, grid, G=ctx.G)
     y = _decaying_state(N, 11)
 
     ctx.set_state(y, w)
@@ -392,10 +399,65 @@ def test_context_guards():
     grid = SineBasisGrid(6)
     opspec = LinearOperatorSpec(p.kappa, 6)
     ctx = StepContext(p, grid, opspec, 0.1)
-    path = sample_path(p.qspec, 1, 0.2, 0)
-    w = theta_weights(path.step(0), p.qspec, grid)
-    with pytest.raises(ValueError, match="h="):
+    assert (ctx.T, ctx.M, ctx.h) == (0.1, 1, 0.1)
+    with pytest.raises(ValueError, match="positive integer"):
+        StepContext(p, grid, opspec, 1.0, 2.5)
+    with pytest.raises(ValueError, match="T must be positive"):
+        StepContext(p, grid, opspec, 0.0)
+    # weights assembled on another grid are rejected
+    path = sample_path(p.qspec, 1, 0.1, 0)
+    w = theta_weights(path.step(0), p.qspec, SineBasisGrid(4))
+    with pytest.raises(DimensionError):
         ctx.set_state(np.zeros(6), w)
+    # contexts match paths by step count, then by time span
     path2 = sample_path(p.qspec, 2, 0.1, 0)
     with pytest.raises(ValueError, match="does not match path"):
         solve(p, "exe", path2, 6, ctx=StepContext(p, grid, opspec, 0.05))
+    with pytest.raises(ValueError, match="does not match path"):
+        solve(p, "exe", path2, 6, ctx=StepContext(p, grid, opspec, 0.4, 2))
+    with pytest.raises(DimensionError, match="tables"):
+        solve(p, "exe", path2, 6, ctx=StepContext(p, grid, opspec, 0.2, 2),
+              fields=(np.zeros((1, grid.n_nodes)), np.zeros((1, grid.n_nodes))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    T=st.floats(0.01, 10.0),
+    base=st.integers(1, 7),
+    factors=st.lists(st.integers(2, 5), min_size=1, max_size=3),
+)
+def test_coarsened_paths_match_contexts_by_step_count(T, base, factors):
+    # a path coarsened from T / M_fine can carry an h an ulp away from
+    # T / M; contexts built from (T, M) must accept it all the same
+    Ms = [base]
+    for f in factors:
+        Ms.append(Ms[-1] * f)
+    assume(Ms[-1] <= 2000)
+    p = builtin_problem("example2", 4)
+    grid = SineBasisGrid(4)
+    opspec = LinearOperatorSpec(p.kappa, 4)
+    fine = sample_path(p.qspec, Ms[-1], T / Ms[-1], 1)
+    for M in Ms:
+        path = coarsen(fine, Ms[-1] // M)
+        ctx = StepContext(p, grid, opspec, T, M)
+        traj = solve(p, "exe", path, 4, ctx=ctx)
+        assert traj.shape == (M + 1, 4) and np.all(np.isfinite(traj))
+
+
+@pytest.mark.parametrize("scheme", ["lie", "exe", "dfmm", "ewp", "erkm15"])
+def test_shared_tables_match_stepping_by_hand(scheme):
+    # solve with whole-path noise tables against theta_weights + set_state
+    N, M = 16, 8
+    p = builtin_problem("example3", N)
+    grid = SineBasisGrid(N)
+    ctx = StepContext(p, grid, LinearOperatorSpec(p.kappa, N), 0.5, M)
+    path = sample_path(p.qspec, M, 0.5 / M, 29, realization=2)
+    traj = solve(p, scheme, path, N, ctx=ctx, fields=noise_fields(path, ctx.G))
+
+    step = resolve_scheme(scheme)[1]
+    y = p.initial_coeffs
+    for m in range(M):
+        ctx.set_state(y, theta_weights(path.step(m), p.qspec, grid, G=ctx.G))
+        y = step(ctx)
+        scale = np.abs(y).max()
+        assert np.abs(traj[m + 1] - y).max() <= 1e-12 * scale
