@@ -38,4 +38,6 @@ coarse = coarsen(path, 4)
 print("\ncoarse steps:", coarse.M, " h =", coarse.h)
 print("sum of fine dB == coarse dB:",
       np.allclose(path.dB.sum(axis=0), coarse.dB.sum(axis=0)))
-print("lineage tag carried over:", coarse.lineage == path.lineage)
+print("coarse I from the fine path's data:",
+      np.allclose(coarse.I[0], path.I[:4].sum(axis=0)
+                  + path.h * (3 - np.arange(4)) @ path.dB[:4]))

@@ -3,10 +3,12 @@
 Subcommands:
 
 * ``study <config>``  -- run a Monte-Carlo convergence study, write the
-  error table (CSV) and a metadata file, print fitted orders;
+  error table (CSV) and a metadata file, print fitted orders and the
+  local slopes between adjacent step sizes;
 * ``path <config>``   -- dump one sampled driving path as delimited text;
 * ``selftest``        -- run the per-module invariant checks;
-* ``order <table>``   -- refit convergence orders from an existing table.
+* ``order <table>``   -- refit convergence orders (and local slopes) from an
+  existing table.
 
 Configs are JSON objects with keys problem, N, K, T, M_list,
 realizations, schemes, reference, seed, out_dir; missing keys fall back
@@ -33,6 +35,7 @@ from .experiments import (
     StudyConfig,
     field_type_error,
     fit_order,
+    local_slopes,
     order_summary,
     run_study,
 )
@@ -178,6 +181,16 @@ def check_order_bands(cfg, table):
     return breaches
 
 
+def _print_orders(summary, table, out):
+    """Each scheme's fitted order, and below it the local slope between
+    every adjacent pair of step sizes."""
+    for scheme, slope, residual in summary:
+        print("%s: fitted order %.3f (residual %.2e)" % (scheme, slope, residual),
+              file=out)
+        print("  local slopes: %s" % ", ".join(
+            "M=%d-%d %.3f" % pair for pair in local_slopes(table, scheme)), file=out)
+
+
 def _cmd_study(args, out, err):
     cfg = _apply_env(load_config(args.config))
     if args.strict_table1:
@@ -207,9 +220,7 @@ def _cmd_study(args, out, err):
 
     print("wrote %s" % table_path, file=out)
     print("wrote %s" % meta_path, file=out)
-    for scheme, slope, residual in order_summary(table):
-        print("%s: fitted order %.3f (residual %.2e)" % (scheme, slope, residual),
-              file=out)
+    _print_orders(order_summary(table), table, out)
     if args.assert_orders:
         breaches = check_order_bands(cfg, table)
         if breaches:
@@ -249,9 +260,7 @@ def _cmd_order(args, out, err):
     if not summary:
         print("no scheme has enough rows to fit an order", file=err)
         return 1
-    for scheme, slope, residual in summary:
-        print("%s: fitted order %.3f (residual %.2e)" % (scheme, slope, residual),
-              file=out)
+    _print_orders(summary, table, out)
     return 0
 
 

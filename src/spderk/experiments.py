@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, DivergenceError, StudyError
 from .nemytskii import BUILTIN_PROBLEMS, builtin_problem
-from .qwiener import coarsen, noise_fields, noise_matrix, sample_path
+from .qwiener import CHUNK_STEPS, coarsen, noise_fields, noise_matrix, sample_path
 from .schemes import StepContext, resolve_scheme, solve
 from .spectral import LinearOperatorSpec, SineBasisGrid
 
@@ -39,6 +39,7 @@ __all__ = [
     "exact_solution_example1",
     "rms_error",
     "fit_order",
+    "local_slopes",
     "order_summary",
     "run_study",
 ]
@@ -320,6 +321,22 @@ def fit_order(table, scheme):
     return float(coeffs[0]), residual
 
 
+def local_slopes(table, scheme):
+    """[(M_i, M_{i+1}, slope)] for each adjacent pair of usable rows in
+    increasing M, slope = log(e_i / e_{i+1}) / log(h_i / h_{i+1}).
+
+    Beside the global fit these show whether the fit is taken in the
+    asymptotic regime: a pre-asymptotic window has drifting slopes.
+    Rows with nonpositive or non-finite errors are skipped, as in
+    fit_order.
+    """
+    rows = sorted((r for r in table.rows_for(scheme)
+                   if r.rms_error > 0 and math.isfinite(r.rms_error)),
+                  key=lambda r: r.M)
+    return [(a.M, b.M, math.log(a.rms_error / b.rms_error) / math.log(a.h / b.h))
+            for a, b in zip(rows, rows[1:])]
+
+
 def order_summary(table):
     """[(scheme, slope, residual)] for every scheme with a fittable set
     of rows; schemes without one are silently skipped."""
@@ -336,7 +353,10 @@ def order_summary(table):
 
 
 class _StudyState:
-    """Per-worker immutable study machinery (problem, contexts)."""
+    """Per-worker study machinery (problem, contexts) and the buffers
+    every realization reuses: one fine path's (2, fine_M, K) arrays and
+    one (2, min(fine_M, CHUNK_STEPS), n_nodes) noise-field table that
+    all contexts share."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -349,20 +369,25 @@ class _StudyState:
         if ref.mode == "ewp":
             step_Ms.add(self.fine_M)
         self.G = noise_matrix(self.problem.qspec, self.grid)
+        self.fine_arrays = np.empty((2, self.fine_M, self.problem.qspec.K))
+        self.tables = np.empty((2, min(self.fine_M, CHUNK_STEPS), self.grid.n_nodes))
         self.ctxs = {
-            M: StepContext(self.problem, self.grid, self.opspec, cfg.T, M, G=self.G)
+            M: StepContext(self.problem, self.grid, self.opspec, cfg.T, M, G=self.G,
+                           tables=self.tables)
             for M in step_Ms
         }
 
     def realization(self, r):
         """Squared terminal errors, shape (schemes, M_list); NaN = flagged.
 
-        Each coarse level's noise fields are assembled once and shared by
-        all schemes; the fine reference assembles its fields step by step.
+        The fine path is sampled into the study's own arrays.  The fine
+        reference streams its noise fields through the shared table; each
+        coarse level of at most CHUNK_STEPS steps fills the table once and
+        all schemes read it (longer levels stream like the reference).
         """
         cfg = self.cfg
         fine = sample_path(self.problem.qspec, self.fine_M, self.ctxs[self.fine_M].h,
-                           cfg.seed, r)
+                           cfg.seed, r, out=self.fine_arrays)
         out = np.full((len(cfg.schemes), len(cfg.M_list)), np.nan)
         try:
             if cfg.reference.mode == "exact":
@@ -371,18 +396,18 @@ class _StudyState:
             else:
                 with np.errstate(over="ignore", invalid="ignore"):
                     truth = solve(self.problem, "ewp", fine, cfg.N,
-                                  ctx=self.ctxs[self.fine_M])[-1]
+                                  ctx=self.ctxs[self.fine_M])
         except DivergenceError:
             return out
         for jM, M in enumerate(cfg.M_list):
             path = coarsen(fine, self.fine_M // M)
-            tables = noise_fields(path, self.G)
+            tables = noise_fields(path, self.G, out=self.tables) if M <= CHUNK_STEPS else None
             for iS, sel in enumerate(cfg.schemes):
                 try:
                     with np.errstate(over="ignore", invalid="ignore"):
                         approx = solve(self.problem, sel, path, cfg.N,
                                        strict_table=cfg.strict_table,
-                                       ctx=self.ctxs[M], fields=tables)[-1]
+                                       ctx=self.ctxs[M], fields=tables)
                 except DivergenceError:
                     continue
                 d = approx - truth

@@ -19,10 +19,11 @@ same underlying Brownian data.
 On the grid a step's noise is two fields, the increment dW = G dB and
 its time integral Iw = G I (G[p, j] = sqrt(eta_j) e~_j(x_p)).  They are
 the only random data the steppers read: theta_weights builds them for
-one step, noise_fields for every step of a path at once.
+one step, noise_fields for a chunk of at most CHUNK_STEPS consecutive
+steps.  Sampling draws its normals in chunks of the same size, so no
+whole-path temporary is ever built.
 """
 
-import hashlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,7 +44,12 @@ __all__ = [
     "theta_weights",
     "noise_fields",
     "dump_path",
+    "CHUNK_STEPS",
 ]
+
+# steps per chunk of normals drawn by sample_path and per noise-field
+# table built by noise_fields; bounds their buffers for any path length
+CHUNK_STEPS = 512
 
 
 class QSpec:
@@ -89,12 +95,12 @@ class WienerStep:
 class NoisePath:
     """M WienerSteps of uniform h and K, stored as (M, K) arrays.
 
-    lineage identifies the finest-resolution sample a path descends from
-    (a digest of the raw arrays); coarsen() preserves it, which lets the
-    study driver assert that truth and approximations share randomness.
+    base_seed and realization name the stream the finest-resolution
+    sample was drawn from; coarsen() carries them over, since a coarse
+    path is a function of the fine path's data.
     """
 
-    def __init__(self, dB, I, h, base_seed, realization=0, lineage=None):
+    def __init__(self, dB, I, h, base_seed, realization=0):
         dB = np.asarray(dB, dtype=float)
         I = np.asarray(I, dtype=float)
         if dB.ndim != 2 or dB.shape != I.shape:
@@ -106,12 +112,6 @@ class NoisePath:
         self.h = float(h)
         self.base_seed = base_seed
         self.realization = realization
-        if lineage is None:
-            dig = hashlib.blake2b(digest_size=16)
-            dig.update(dB.tobytes())
-            dig.update(I.tobytes())
-            lineage = dig.hexdigest()
-        self.lineage = lineage
 
     @property
     def M(self):
@@ -132,12 +132,15 @@ class NoisePath:
             yield self.step(m)
 
 
-def _joint_pair(z, h):
-    # triangular factor of [[h, h^2/2], [h^2/2, h^3/3]]
+def _joint_pair(z, h, dB, I):
+    # triangular factor of [[h, h^2/2], [h^2/2, h^3/3]] applied to the
+    # normals z[..., 0:2], written into dB and I; z[..., 1] is overwritten
     root = h**1.5
-    dB = np.sqrt(h) * z[..., 0]
-    I = (root / 2.0) * z[..., 0] + (root / (2.0 * np.sqrt(3.0))) * z[..., 1]
-    return dB, I
+    np.multiply(np.sqrt(h), z[..., 0], out=dB)
+    np.multiply(root / 2.0, z[..., 0], out=I)
+    z1 = z[..., 1]
+    np.multiply(root / (2.0 * np.sqrt(3.0)), z1, out=z1)
+    I += z1
 
 
 def sample_step(rng_stream, q, h):
@@ -145,18 +148,23 @@ def sample_step(rng_stream, q, h):
     if h <= 0:
         raise ValueError("h must be positive")
     z = rng_stream.standard_normal((q.K, 2))
-    dB, I = _joint_pair(z, h)
+    dB, I = np.empty(q.K), np.empty(q.K)
+    _joint_pair(z, h, dB, I)
     return WienerStep(dB=dB, I=I, h=float(h))
 
 
-def sample_path(q, M, h, base_seed, realization=0):
+def sample_path(q, M, h, base_seed, realization=0, out=None):
     """Sample a full path of M steps.
 
     Randomness is keyed by (base_seed, realization) into a counter-based
     Philox stream, and all (step, mode) normals are drawn in one fixed
     C-order layout, so the result is bit-identical no matter how many
-    workers run or in which order realizations complete.  Chunked draws
-    from the same stream produce the same numbers (see sample_step).
+    workers run or in which order realizations complete.  The normals
+    are drawn CHUNK_STEPS steps at a time and scaled in place into the
+    path's arrays; chunked draws from the same stream produce the same
+    numbers as one draw (see sample_step).  out, a (2, M, K) array,
+    receives dB and I in place of new arrays, so a study can reuse one
+    pair of path arrays across its realizations.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -164,10 +172,20 @@ def sample_path(q, M, h, base_seed, realization=0):
         raise ValueError("h must be positive")
     if base_seed < 0 or realization < 0:
         raise ValueError("base_seed and realization must be nonnegative")
+    if out is None:
+        out = np.empty((2, M, q.K))
+    elif out.shape != (2, M, q.K):
+        raise DimensionError("out must have shape (2, %d, %d), got %r"
+                             % (M, q.K, out.shape))
+    dB, I = out
     seq = np.random.SeedSequence([int(base_seed), int(realization)])
     rng = np.random.Generator(np.random.Philox(seq))
-    z = rng.standard_normal((M, q.K, 2))
-    dB, I = _joint_pair(z, h)
+    z = np.empty((min(M, CHUNK_STEPS), q.K, 2))
+    for m0 in range(0, M, CHUNK_STEPS):
+        m1 = min(m0 + CHUNK_STEPS, M)
+        zc = z[:m1 - m0]
+        rng.standard_normal(out=zc)
+        _joint_pair(zc, h, dB[m0:m1], I[m0:m1])
     return NoisePath(dB, I, h, base_seed=base_seed, realization=realization)
 
 
@@ -181,7 +199,8 @@ def coarsen(path, factor):
 
     because the substep-i increment enters int(W_s - W_{t_a}) ds over the
     whole remaining time t_b - t_{i+1}.  Exact in the sense that no new
-    randomness is introduced.
+    randomness is introduced: the coarse path's dB and I are functions
+    of the fine path's, which is what couples a study's step sizes.
     """
     if not isinstance(factor, (int, np.integer)) or factor < 1:
         raise ValueError("factor must be a positive integer")
@@ -203,7 +222,6 @@ def coarsen(path, factor):
         path.h * factor,
         base_seed=path.base_seed,
         realization=path.realization,
-        lineage=path.lineage,
     )
 
 
@@ -263,17 +281,28 @@ def theta_weights(step, q, grid, G=None):
     return RandomWeights(step.h, G @ step.dB, G @ step.I)
 
 
-def noise_fields(path, G):
-    """(dW, Iw) tables of shape (M, n_nodes) for a whole path; row m
-    holds the fields of step m, assembled exactly as theta_weights
-    would (one G @ dB[m] product per row, so both agree to the bit).
-    Build once per path and share across the schemes that run on it.
+def noise_fields(path, G, m0=0, out=None):
+    """(dW, Iw) tables of the steps m0 .. m1-1 of a path, where
+    m1 = min(m0 + CHUNK_STEPS, M); row i holds the fields of step m0 + i.
+
+    Each table is one stacked product, a G @ dB[m] matrix-vector product
+    per row, so the rows equal theta_weights' to the bit (one matrix-
+    matrix product would differ in the last bits).  out, a
+    (2, >= m1 - m0, n_nodes) array, receives the tables in place of new
+    arrays; the returned tables are then views of it.
     """
-    dW = np.empty((path.M, G.shape[0]))
-    Iw = np.empty_like(dW)
-    for m in range(path.M):
-        dW[m] = G @ path.dB[m]
-        Iw[m] = G @ path.I[m]
+    if not 0 <= m0 < path.M:
+        raise ValueError("m0=%d is not a step of a %d-step path" % (m0, path.M))
+    m1 = min(m0 + CHUNK_STEPS, path.M)
+    n = m1 - m0
+    if out is None:
+        out = np.empty((2, n, G.shape[0]))
+    elif out.ndim != 3 or out.shape[0] != 2 or out.shape[1] < n or out.shape[2] != G.shape[0]:
+        raise DimensionError("out must have shape (2, >=%d, %d), got %r"
+                             % (n, G.shape[0], out.shape))
+    dW, Iw = out[0, :n], out[1, :n]
+    np.matmul(G, path.dB[m0:m1, :, None], out=dW[:, :, None])
+    np.matmul(G, path.I[m0:m1, :, None], out=Iw[:, :, None])
     return dW, Iw
 
 

@@ -15,12 +15,15 @@ Contents:
   based order-1.5 baseline;
 * linear-implicit Euler, exponential Euler and derivative-free Milstein
   baselines (`baseline_step`);
-* a driver (`solve`) running any stepper along a NoisePath.
+* a driver (`solve`) running any stepper along a NoisePath to its
+  terminal state.
 
 The only random input of a step is the pair of noise fields (dW, Iw)
 on the grid (qwiener.RandomWeights); every stepper reads them with the
 context's h and gsq, and the tableau engine derives its theta weights
-from them (`theta_fields`).
+from them (`theta_fields`).  solve reads them row by row from tables of
+at most qwiener.CHUNK_STEPS steps (qwiener.noise_fields), so it holds
+the current state and one table, never the trajectory.
 
 Every stepper advances Y via the split form
 
@@ -39,7 +42,14 @@ import numpy as np
 
 from .errors import DimensionError, DivergenceError
 from .nemytskii import eval_coeff
-from .qwiener import RandomWeights, gsq_field, noise_matrix, theta_weights
+from .qwiener import (
+    CHUNK_STEPS,
+    RandomWeights,
+    gsq_field,
+    noise_fields,
+    noise_matrix,
+    theta_weights,  # noqa: F401 - bench/tracing.py wraps it as schemes.theta_weights
+)
 from .spectral import (
     LinearOperatorSpec,
     SineBasisGrid,
@@ -239,10 +249,13 @@ class StepContext:
     T is the step size itself.  Holds the problem, grid, diagonal
     operator data precomputed for h, gsq, the current state y (spectral)
     and the step's noise fields, plus the evaluation counters.  Reused
-    across the steps of a trajectory via set_state().
+    across the steps of a trajectory via set_state().  tables is the
+    (2, min(M, CHUNK_STEPS), n_nodes) buffer solve fills with noise
+    fields chunk by chunk; contexts may share one buffer of at least
+    that many rows.
     """
 
-    def __init__(self, problem, grid, opspec, T, M=1, gsq=None, G=None):
+    def __init__(self, problem, grid, opspec, T, M=1, gsq=None, G=None, tables=None):
         if not T > 0:
             raise ValueError("T must be positive")
         if not isinstance(M, (int, np.integer)) or M < 1:
@@ -259,6 +272,14 @@ class StepContext:
         self.h = h = self.T / self.M
         self.gsq = gsq_field(problem.qspec, grid) if gsq is None else gsq
         self.G = noise_matrix(problem.qspec, grid) if G is None else G
+        rows = min(self.M, CHUNK_STEPS)
+        if tables is None:
+            tables = np.empty((2, rows, grid.n_nodes))
+        elif tables.ndim != 3 or tables.shape[0] != 2 or tables.shape[1] < rows \
+                or tables.shape[2] != grid.n_nodes:
+            raise DimensionError("tables must have shape (2, >=%d, %d), got %r"
+                                 % (rows, grid.n_nodes, tables.shape))
+        self.tables = tables
         self.E_h = diagonal_factor("semigroup", opspec, t=h)
         self.E_h2 = diagonal_factor("semigroup", opspec, t=h / 2.0)
         self.neg_lam = diagonal_factor("generator", opspec)
@@ -473,20 +494,23 @@ def ewp_step(ctx):
     b_y = ctx.eval("b_y", yp, needed_by="ewp")
     b_yy = ctx.eval("b_yy", yp, needed_by="ewp")
     D = ctx.a_phys() + fY
+    bY2 = bY**2
+    b_y2 = b_y**2
+    dW3 = dW**3
 
     S = (
         h * fY
         + 0.5 * h * h * f_y * D
         + f_y * bY * Iw
-        + 0.25 * h * h * f_yy * bY**2 * gsq
+        + 0.25 * h * h * f_yy * bY2 * gsq
         + bY * dW
         + b_y * D * (h * dW - Iw)
         + 0.5 * b_y * bY * dW**2
-        + (1.0 / 6.0) * b_yy * bY**2 * dW**3
-        + (1.0 / 6.0) * b_y**2 * bY * dW**3
+        + (1.0 / 6.0) * b_yy * bY2 * dW3
+        + (1.0 / 6.0) * b_y2 * bY * dW3
         - 0.5 * h * b_y * bY * gsq
-        - 0.5 * b_yy * bY**2 * gsq * Iw
-        - 0.5 * h * b_y**2 * bY * gsq * dW
+        - 0.5 * b_yy * bY2 * gsq * Iw
+        - 0.5 * h * b_y2 * bY * gsq * dW
     )
     bracket = to_spectral(S, ctx.grid) + ctx.neg_lam * to_spectral(
         bY * (Iw - (h / 2.0) * dW), ctx.grid
@@ -574,16 +598,19 @@ def resolve_scheme(scheme, strict_table=False):
 
 
 def solve(problem, scheme, path, N, strict_table=False, ctx=None, fields=None):
-    """Run a stepper along a noise path; returns the (M+1, N) trajectory.
+    """Run a stepper along a noise path; returns the terminal (N,) state.
 
-    Y_0 is the problem's (already projected) initial coefficient vector.
-    Any non-finite coefficient aborts with a DivergenceError naming the
-    scheme, step and mode.  A prebuilt StepContext may be passed to
-    amortize setup across solves with the same (problem, N, T, M); it
-    must have the path's step count M.  fields, the path's (dW, Iw)
-    tables from qwiener.noise_fields, may be passed to share them across
-    schemes; without them each step's fields are assembled on the fly
-    by theta_weights, so no whole-path table is held.
+    Y_0 is the problem's (already projected) initial coefficient vector;
+    only the current state is kept.  Any non-finite coefficient aborts
+    with a DivergenceError naming the scheme, step and mode.  A prebuilt
+    StepContext may be passed to amortize setup across solves with the
+    same (problem, N, T, M); it must have the path's step count M.
+
+    Each step's noise fields are read from tables of at most CHUNK_STEPS
+    steps, filled chunk by chunk into the context's buffer by
+    qwiener.noise_fields.  fields, the (dW, Iw) tables of all M steps of
+    a path with M <= CHUNK_STEPS as noise_fields returns them, may be
+    passed instead, so that several schemes share one table.
     """
     label, stepfn = resolve_scheme(scheme, strict_table=strict_table)
     M = path.M
@@ -604,21 +631,18 @@ def solve(problem, scheme, path, N, strict_table=False, ctx=None, fields=None):
         raise DimensionError("path has %d noise modes, problem %d" % (path.K, q.K))
     if fields is not None:
         dW, Iw = fields
-        if dW.shape != (M, ctx.grid.n_nodes) or Iw.shape != dW.shape:
-            raise DimensionError("noise field tables must have shape (%d, %d)"
-                                 % (M, ctx.grid.n_nodes))
+        if M > CHUNK_STEPS or dW.shape != (M, ctx.grid.n_nodes) or Iw.shape != dW.shape:
+            raise DimensionError("noise field tables must have shape (%d, %d),"
+                                 " at most %d steps" % (M, ctx.grid.n_nodes, CHUNK_STEPS))
     h = ctx.h
-    traj = np.empty((M + 1, N))
-    traj[0] = problem.initial_coeffs
-    for m in range(M):
+    y = problem.initial_coeffs
+    for m0 in range(0, M, CHUNK_STEPS):
         if fields is None:
-            wts = theta_weights(path.step(m), q, ctx.grid, G=ctx.G)
-        else:
-            wts = RandomWeights(h, dW[m], Iw[m])
-        ctx.set_state(traj[m], wts)
-        y_next = stepfn(ctx)
-        bad = ~np.isfinite(y_next)
-        if bad.any():
-            raise DivergenceError(label, m, int(np.nonzero(bad)[0][0]))
-        traj[m + 1] = y_next
-    return traj
+            dW, Iw = noise_fields(path, ctx.G, m0, out=ctx.tables)
+        for i in range(dW.shape[0]):
+            ctx.set_state(y, RandomWeights(h, dW[i], Iw[i]))
+            y = stepfn(ctx)
+            bad = ~np.isfinite(y)
+            if bad.any():
+                raise DivergenceError(label, m0 + i, int(np.nonzero(bad)[0][0]))
+    return y

@@ -135,10 +135,10 @@ def _semigroup_decay():
     p = ProblemSpec(0.05, zero, zero, np.ones(8) / (1 + np.arange(8.0)) ** 2, q,
                     f_y=zero, f_yy=zero, b_y=zero, b_yy=zero)
     path = sample_path(q, 16, 1.0 / 16, 0)
-    traj = solve(p, "erkm15", path, 8)
+    y = solve(p, "erkm15", path, 8)
     lam = LinearOperatorSpec(0.05, 8).eigenvalues
     expected = np.exp(-lam) * p.initial_coeffs
-    np.testing.assert_allclose(traj[-1], expected, rtol=1e-12)
+    np.testing.assert_allclose(y, expected, rtol=1e-12)
 
 
 def _study_self_consistency():

@@ -170,6 +170,46 @@ def test_order_subcommand(tmp_path):
     assert code == 1 and "header" in err
 
 
+def _kinked_table(scheme):
+    # slope 1 from M=4 to 8, slope 2 from 8 to 16
+    return ErrorTable((ErrorRow(scheme, 4, 0.25, 1.0, 0.0, 0),
+                       ErrorRow(scheme, 8, 0.125, 0.5, 0.0, 0),
+                       ErrorRow(scheme, 16, 0.0625, 0.125, 0.0, 0)))
+
+
+def test_order_subcommand_prints_local_slopes(tmp_path):
+    table_path = tmp_path / "t.csv"
+    with open(table_path, "w") as fh:
+        _kinked_table("exe").write_csv(fh)
+    code, out, _ = _run(["order", str(table_path)])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("exe: fitted order 1.500")
+    assert lines[1] == "  local slopes: M=4-8 1.000, M=8-16 2.000"
+
+
+def test_study_prints_local_slopes_beside_fit(tmp_path, monkeypatch):
+    cfg_path = _write_config(tmp_path, schemes=["exe"])
+    monkeypatch.setattr(cli, "run_study", lambda cfg, workers=None: _kinked_table("exe"))
+    code, out, err = _run(["study", str(cfg_path)])
+    assert code == 0, err
+    assert "exe: fitted order 1.500" in out
+    assert "  local slopes: M=4-8 1.000, M=8-16 2.000" in out
+    # the slopes go to the terminal only; the table file is the plain CSV
+    buf = io.StringIO()
+    _kinked_table("exe").write_csv(buf)
+    assert (tmp_path / "out" / "example1_errors.csv").read_text() == buf.getvalue()
+
+
+def test_study_local_slopes_for_every_scheme(tmp_path):
+    cfg_path = _write_config(tmp_path)
+    code, out, err = _run(["study", str(cfg_path), "--workers", "1"])
+    assert code == 0, err
+    slopes = [ln for ln in out.splitlines() if ln.startswith("  local slopes: ")]
+    assert len(slopes) == 2  # erkm15 and exe, M = 4, 8, 16
+    assert all(ln.count("M=") == 2 for ln in slopes)
+
+
 def test_path_subcommand(tmp_path):
     cfg_path = _write_config(tmp_path, M_list=[4], schemes=["exe"])
     code, out, err = _run(["path", str(cfg_path)])

@@ -3,6 +3,7 @@ small end-to-end runs exercising the coupled-path protocol."""
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from spderk.errors import ConfigError, StudyError
 from spderk.experiments import (
     CSV_HEADER,
+    _StudyState,
     ErrorRow,
     ErrorTable,
     ReferenceSpec,
@@ -18,6 +20,7 @@ from spderk.experiments import (
     default_config,
     exact_solution_example1,
     fit_order,
+    local_slopes,
     order_summary,
     rms_error,
     run_study,
@@ -143,6 +146,22 @@ def test_fit_order_needs_three_rows():
         fit_order(t, "x")
     with pytest.raises(ValueError, match="no rows"):
         fit_order(t, "y")
+
+
+def test_local_slopes_of_adjacent_rows():
+    # a power law with a kink: slope 1 from M=4 to 16, slope 2 after;
+    # the flagged (NaN) row is skipped and its neighbours are paired
+    rows = (
+        ErrorRow("x", 4, 0.25, 1.0, 0.0, 0),
+        ErrorRow("x", 8, 0.125, 0.5, 0.0, 0),
+        ErrorRow("x", 16, 0.0625, 0.25, 0.0, 0),
+        ErrorRow("x", 32, 0.03125, float("nan"), float("nan"), 3),
+        ErrorRow("x", 64, 0.015625, 0.25 / 16.0, 0.0, 0),
+    )
+    got = local_slopes(ErrorTable(rows), "x")
+    assert [(a, b) for a, b, _ in got] == [(4, 8), (8, 16), (16, 64)]
+    assert [round(s, 12) for _, _, s in got] == [1.0, 1.0, 2.0]
+    assert local_slopes(ErrorTable(rows[:1]), "x") == []
 
 
 def test_order_summary_skips_unfittable():
@@ -314,3 +333,24 @@ def test_run_study_flags_divergent_reference(monkeypatch):
                       schemes=("exe",), reference=ReferenceSpec("ewp", 8), seed=0)
     with pytest.raises(StudyError, match="flagged"):
         run_study(cfg)
+
+
+def test_realization_memory_is_bounded_by_the_fine_path():
+    # one ex3-shaped realization (K = 64, fine ewp reference at M = 4096):
+    # besides the study's own fine-path arrays (4.19 MB) it holds one
+    # noise-field table (0.5 MB), coarsen's transposed copy of dB (half a
+    # fine path) and step temporaries: 4.06 MB measured with numpy 2.4,
+    # against 7.1 MB with a whole-path normal draw, whole-path noise
+    # tables and a trajectory
+    cfg = StudyConfig("example3", N=64, M_list=(8, 16, 32, 64, 128, 256),
+                      realizations=1, reference=ReferenceSpec("ewp", 4096), seed=0)
+    fine_bytes = 2 * 4096 * 64 * 8
+    tracemalloc.start()
+    try:
+        state = _StudyState(cfg.validated())
+        sq = state.realization(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(sq))
+    assert peak <= fine_bytes + 4.5e6, peak

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from spderk.errors import DimensionError
 from spderk.qwiener import (
+    CHUNK_STEPS,
     NoisePath,
     QSpec,
     WienerStep,
@@ -72,7 +73,6 @@ def test_sample_path_is_reproducible():
     p1 = sample_path(q, M=16, h=1 / 16, base_seed=42, realization=3)
     p2 = sample_path(q, M=16, h=1 / 16, base_seed=42, realization=3)
     assert np.array_equal(p1.dB, p2.dB) and np.array_equal(p1.I, p2.I)
-    assert p1.lineage == p2.lineage
     p3 = sample_path(q, M=16, h=1 / 16, base_seed=42, realization=4)
     assert not np.array_equal(p1.dB, p3.dB)
 
@@ -89,6 +89,32 @@ def test_sample_path_equals_chunked_sample_step():
         s = sample_step(rng, q, h)
         assert np.array_equal(s.dB, path.dB[m])
         assert np.array_equal(s.I, path.I[m])
+
+
+def test_sample_path_chunked_draw_equals_one_draw():
+    # M is not a multiple of the draw chunk: the last chunk is partial
+    q = QSpec(3, [1.0, 0.5, 0.25])
+    M = 2 * CHUNK_STEPS + 37
+    h = 1.0 / M
+    path = sample_path(q, M, h, base_seed=5, realization=2)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([5, 2])))
+    z = rng.standard_normal((M, q.K, 2))
+    root = h**1.5
+    dB = np.sqrt(h) * z[..., 0]
+    I = (root / 2.0) * z[..., 0] + (root / (2.0 * np.sqrt(3.0))) * z[..., 1]
+    assert path.M == M
+    assert np.array_equal(path.dB, dB) and np.array_equal(path.I, I)
+
+
+def test_sample_path_into_reused_arrays():
+    q = QSpec(2, [1.0, 0.5])
+    out = np.full((2, 40, 2), np.nan)
+    fresh = sample_path(q, 40, 0.025, base_seed=9, realization=1)
+    again = sample_path(q, 40, 0.025, base_seed=9, realization=1, out=out)
+    assert np.shares_memory(again.dB, out) and np.shares_memory(again.I, out)
+    assert np.array_equal(again.dB, fresh.dB) and np.array_equal(again.I, fresh.I)
+    with pytest.raises(DimensionError, match="out"):
+        sample_path(q, 41, 0.025, base_seed=9, out=out)
 
 
 def test_coarsen_two_substeps_frozen():
@@ -141,7 +167,13 @@ def test_coarsen_composition(seed):
     one_level = coarsen(p, 4)
     assert np.max(np.abs(two_level.I - one_level.I)) <= 1e-14
     assert np.max(np.abs(two_level.dB - one_level.dB)) <= 1e-14
-    assert two_level.lineage == one_level.lineage == p.lineage
+    # the coarse data follow from the fine path, interval by interval
+    assert np.max(np.abs(one_level.dB - p.dB.reshape(8, 4, 2).sum(axis=1))) <= 1e-14
+    for c in range(8):
+        seg = slice(4 * c, 4 * c + 4)
+        oracle = coarse_mixed_integral_oracle(p.dB[seg], p.I[seg], p.h)
+        assert np.max(np.abs(one_level.I[c] - oracle)) <= 1e-14
+    assert (one_level.base_seed, one_level.realization) == (p.base_seed, p.realization)
 
 
 def test_qspec_validation():
@@ -256,6 +288,28 @@ def test_noise_fields_rows_equal_theta_weights():
     for m in range(path.M):
         w = theta_weights(path.step(m), q, grid, G=G)
         assert np.array_equal(dW[m], w.dW) and np.array_equal(Iw[m], w.Iw)
+
+
+def test_noise_fields_chunks_cover_a_long_path():
+    # tables of at most CHUNK_STEPS steps, row i of the chunk at m0 being
+    # step m0 + i, bit-identical to per-step assembly, in a reused buffer
+    q = QSpec(3, [1.0, 0.5, 0.25])
+    grid = SineBasisGrid(6)
+    G = noise_matrix(q, grid)
+    M = 2 * CHUNK_STEPS + 3
+    path = sample_path(q, M, 1.0 / M, base_seed=8)
+    buf = np.empty((2, CHUNK_STEPS, grid.n_nodes))
+    for m0, n in ((0, CHUNK_STEPS), (CHUNK_STEPS, CHUNK_STEPS), (2 * CHUNK_STEPS, 3)):
+        dW, Iw = noise_fields(path, G, m0, out=buf)
+        assert dW.shape == Iw.shape == (n, grid.n_nodes)
+        assert np.shares_memory(dW, buf) and np.shares_memory(Iw, buf)
+        for i in (0, n // 2, n - 1):
+            w = theta_weights(path.step(m0 + i), q, grid, G=G)
+            assert np.array_equal(dW[i], w.dW) and np.array_equal(Iw[i], w.Iw)
+    with pytest.raises(ValueError, match="m0"):
+        noise_fields(path, G, M)
+    with pytest.raises(DimensionError, match="out"):
+        noise_fields(path, G, 0, out=np.empty((2, 4, grid.n_nodes)))
 
 
 def test_theta_mode_mismatch_rejected():

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 from spderk.errors import CapabilityError, DimensionError, DivergenceError
 from spderk.nemytskii import ProblemSpec, builtin_problem
 from spderk.qwiener import (
+    CHUNK_STEPS,
     NoisePath,
     QSpec,
     coarsen,
@@ -24,6 +25,7 @@ from spderk.qwiener import (
     theta_weights,
 )
 from spderk.schemes import (
+    SCHEME_NAMES,
     ButcherTableau,
     StepContext,
     baseline_step,
@@ -207,8 +209,11 @@ def test_deterministic_exactness():
     expected = np.exp(-np.outer(times, lam)) * p.initial_coeffs
     for scheme in ("erkm15", "erkm-closed", "ewp", "exe", "dfmm",
                    {"name": "exe", "variant": "group"}):
-        traj = solve(p, scheme, path, N)
-        np.testing.assert_allclose(traj, expected, rtol=1e-12, atol=0.0)
+        # solve returns the terminal state: run it on every prefix of the path
+        for m in range(1, M + 1):
+            prefix = NoisePath(path.dB[:m], path.I[:m], h, base_seed=0)
+            y = solve(p, scheme, prefix, N)
+            np.testing.assert_allclose(y, expected[m], rtol=1e-12, atol=0.0)
 
 
 def test_lie_resolvent_pin():
@@ -216,8 +221,8 @@ def test_lie_resolvent_pin():
     p = _silent_problem(N, kappa=0.9, with_derivs=False)
     path = sample_path(p.qspec, 1, h, 0)
     lam = LinearOperatorSpec(p.kappa, N).eigenvalues
-    traj = solve(p, "lie", path, N)
-    np.testing.assert_allclose(traj[1], p.initial_coeffs / (1.0 + h * lam), rtol=1e-15)
+    y = solve(p, "lie", path, N)
+    np.testing.assert_allclose(y, p.initial_coeffs / (1.0 + h * lam), rtol=1e-15)
 
 
 def test_lie_one_step_formula():
@@ -232,8 +237,8 @@ def test_lie_one_step_formula():
     F = to_spectral(np.ones(grid.n_nodes), grid)
     y0 = p.initial_coeffs
     expected = (y0 + h * F + dB * y0) / (1.0 + h * lam)
-    traj = solve(p, "lie", path, N)
-    np.testing.assert_allclose(traj[1], expected, rtol=1e-13)
+    y = solve(p, "lie", path, N)
+    np.testing.assert_allclose(y, expected, rtol=1e-13)
 
 
 def test_exe_constant_forcing_is_exact():
@@ -248,10 +253,10 @@ def test_exe_constant_forcing_is_exact():
     F = to_spectral(np.ones(grid.n_nodes), grid)
     exact = np.exp(-lam * h) * p.initial_coeffs + (-np.expm1(-lam * h)) / lam * F
 
-    traj = solve(p, "exe", path, N)
-    np.testing.assert_allclose(traj[1], exact, rtol=1e-13)
+    y = solve(p, "exe", path, N)
+    np.testing.assert_allclose(y, exact, rtol=1e-13)
     group = solve(p, {"name": "exe", "variant": "group"}, path, N)
-    assert np.abs(group[1] - exact).max() > 1e-6
+    assert np.abs(group - exact).max() > 1e-6
 
 
 def test_dfmm_difference_quotient_linear_noise():
@@ -341,11 +346,17 @@ def test_ewp_requires_derivative_maps():
 def test_solve_determinism_and_layout():
     p = builtin_problem("example2", 12)
     path = sample_path(p.qspec, 6, 0.05, 42, realization=3)
+    y0 = p.initial_coeffs.copy()
     a = solve(p, "erkm15", path, 12)
     b = solve(p, "erkm15", path, 12)
-    assert a.shape == (7, 12)
+    assert a.shape == (12,)
     np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(a[0], p.initial_coeffs)
+    # the run starts from the initial coefficients and leaves them intact
+    np.testing.assert_array_equal(p.initial_coeffs, y0)
+    first = solve(p, "erkm15", NoisePath(path.dB[:1], path.I[:1], path.h, 42), 12)
+    ctx, (w,) = _context_for(p, path.h, seed=42, realization=3)
+    ctx.set_state(y0, w)
+    np.testing.assert_array_equal(first, resolve_scheme("erkm15")[1](ctx))
     assert np.all(np.isfinite(a))
 
 
@@ -418,6 +429,10 @@ def test_context_guards():
     with pytest.raises(DimensionError, match="tables"):
         solve(p, "exe", path2, 6, ctx=StepContext(p, grid, opspec, 0.2, 2),
               fields=(np.zeros((1, grid.n_nodes)), np.zeros((1, grid.n_nodes))))
+    # a shared noise-field buffer must hold a chunk of the context's steps
+    with pytest.raises(DimensionError, match="tables"):
+        StepContext(p, grid, opspec, 0.2, 2, tables=np.empty((2, 1, grid.n_nodes)))
+    StepContext(p, grid, opspec, 0.2, 2, tables=np.empty((2, 3, grid.n_nodes)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -440,24 +455,42 @@ def test_coarsened_paths_match_contexts_by_step_count(T, base, factors):
     for M in Ms:
         path = coarsen(fine, Ms[-1] // M)
         ctx = StepContext(p, grid, opspec, T, M)
-        traj = solve(p, "exe", path, 4, ctx=ctx)
-        assert traj.shape == (M + 1, 4) and np.all(np.isfinite(traj))
+        y = solve(p, "exe", path, 4, ctx=ctx)
+        assert y.shape == (4,) and np.all(np.isfinite(y))
+
+
+def _step_by_hand(p, scheme, path, ctx):
+    """Terminal state of scheme on path, one theta_weights + set_state per step."""
+    step = resolve_scheme(scheme)[1]
+    y = p.initial_coeffs
+    for m in range(path.M):
+        ctx.set_state(y, theta_weights(path.step(m), p.qspec, ctx.grid, G=ctx.G))
+        y = step(ctx)
+    return y
 
 
 @pytest.mark.parametrize("scheme", ["lie", "exe", "dfmm", "ewp", "erkm15"])
 def test_shared_tables_match_stepping_by_hand(scheme):
-    # solve with whole-path noise tables against theta_weights + set_state
+    # solve with a path's shared noise tables against theta_weights + set_state
     N, M = 16, 8
     p = builtin_problem("example3", N)
     grid = SineBasisGrid(N)
     ctx = StepContext(p, grid, LinearOperatorSpec(p.kappa, N), 0.5, M)
     path = sample_path(p.qspec, M, 0.5 / M, 29, realization=2)
-    traj = solve(p, scheme, path, N, ctx=ctx, fields=noise_fields(path, ctx.G))
+    y = solve(p, scheme, path, N, ctx=ctx, fields=noise_fields(path, ctx.G))
+    assert np.array_equal(y, _step_by_hand(p, scheme, path, ctx))
 
-    step = resolve_scheme(scheme)[1]
-    y = p.initial_coeffs
-    for m in range(M):
-        ctx.set_state(y, theta_weights(path.step(m), p.qspec, grid, G=ctx.G))
-        y = step(ctx)
-        scale = np.abs(y).max()
-        assert np.abs(traj[m + 1] - y).max() <= 1e-12 * scale
+
+@pytest.mark.parametrize("scheme", SCHEME_NAMES)
+def test_solve_streams_chunks_like_stepping_by_hand(scheme):
+    # paths just below, at, above and well past one noise-field chunk;
+    # the streamed tables are bit-identical to per-step assembly
+    N = 16
+    p = builtin_problem("example3", N)
+    grid = SineBasisGrid(N)
+    opspec = LinearOperatorSpec(p.kappa, N)
+    for M in (CHUNK_STEPS - 1, CHUNK_STEPS, CHUNK_STEPS + 1, 2 * CHUNK_STEPS + 3):
+        ctx = StepContext(p, grid, opspec, 0.5, M)
+        path = sample_path(p.qspec, M, 0.5 / M, 31, realization=M)
+        y = solve(p, scheme, path, N, ctx=ctx)
+        assert np.array_equal(y, _step_by_hand(p, scheme, path, ctx)), M
