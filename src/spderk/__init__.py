@@ -50,7 +50,6 @@ from .experiments import (
     ErrorTable,
     ReferenceSpec,
     StudyConfig,
-    default_config,
     fit_order,
     rms_error,
     run_study,

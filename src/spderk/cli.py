@@ -10,10 +10,10 @@ Subcommands:
 * ``order <table>``   -- refit convergence orders (and local slopes) from an
   existing table.
 
-Configs are JSON objects with keys problem, N, K, T, M_list,
-realizations, schemes, reference, seed, out_dir; missing keys fall back
-to the desk-scale defaults, unknown keys are rejected with the offending
-line number.  SPDERK_SEED and SPDERK_OUT_DIR override the config.
+Configs are JSON objects whose keys are the fields of
+experiments.StudyConfig; missing keys fall back to its desk-scale
+defaults, unknown keys are rejected with the offending line number.
+SPDERK_SEED and SPDERK_OUT_DIR override the config.
 
 Exit codes: 0 success, 1 usage/config error, 2 study or check failure.
 """
@@ -24,7 +24,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -45,8 +45,7 @@ from .selftest import run_selftests
 
 __all__ = ["load_config", "config_from_dict", "config_to_dict", "run_cli", "main"]
 
-_CONFIG_KEYS = ("problem", "N", "K", "T", "M_list", "realizations",
-                "schemes", "reference", "seed", "out_dir")
+_CONFIG_KEYS = tuple(fld.name for fld in fields(StudyConfig))
 
 # acceptance bands for --assert-orders, keyed by problem and scheme name
 ORDER_BANDS = {
@@ -120,21 +119,10 @@ def load_config(path):
 
 
 def config_to_dict(cfg):
-    """JSON-ready echo of a config; load_config on the result yields an
-    equivalent StudyConfig."""
-    ref = cfg.reference
-    return {
-        "problem": cfg.problem,
-        "N": cfg.N,
-        "K": cfg.K,
-        "T": cfg.T,
-        "M_list": list(cfg.M_list),
-        "realizations": cfg.realizations,
-        "schemes": [dict(s) if isinstance(s, dict) else s for s in cfg.schemes],
-        "reference": None if ref is None else {"mode": ref.mode, "M": ref.M},
-        "seed": cfg.seed,
-        "out_dir": cfg.out_dir,
-    }
+    """JSON-ready echo of a config, one key per StudyConfig field (the
+    reference as a {"mode", "M"} object); load_config on the result
+    yields an equivalent StudyConfig."""
+    return asdict(cfg)
 
 
 def _apply_env(cfg):
@@ -156,7 +144,7 @@ def _scheme_names_and_labels(cfg):
     pairs = []
     for sel in cfg.schemes:
         name = sel["name"] if isinstance(sel, dict) else sel
-        pairs.append((name, resolve_scheme(sel, cfg.strict_table)[0]))
+        pairs.append((name, resolve_scheme(sel)[0]))
     return pairs
 
 
@@ -192,10 +180,7 @@ def _print_orders(summary, table, out):
 
 
 def _cmd_study(args, out, err):
-    cfg = _apply_env(load_config(args.config))
-    if args.strict_table1:
-        cfg = replace(cfg, strict_table=True)
-    cfg = cfg.validated()
+    cfg = _apply_env(load_config(args.config)).validated()
     table = run_study(cfg, workers=args.workers)
 
     out_dir = cfg.out_dir or "."
@@ -207,7 +192,6 @@ def _cmd_study(args, out, err):
     meta = {
         "config": config_to_dict(cfg),
         "seed": cfg.seed,
-        "strict_table": cfg.strict_table,
         "versions": {
             "spderk": __version__,
             "numpy": np.__version__,
@@ -232,6 +216,8 @@ def _cmd_study(args, out, err):
 
 
 def _cmd_path(args, out, err):
+    if args.realization < 0:
+        raise ConfigError("--realization must be >= 0, got %d" % args.realization)
     cfg = _apply_env(load_config(args.config)).validated()
     M = max(cfg.M_list)
     problem = builtin_problem(cfg.problem, cfg.N, cfg.K)
@@ -275,13 +261,10 @@ def _build_parser():
     p_study = sub.add_parser("study", help="run a convergence study")
     p_study.add_argument("config", help="JSON config file")
     p_study.add_argument("--workers", type=int, default=None,
-                         help="worker processes (default: available cores)")
+                         help="worker processes, at least 1 (default: available cores)")
     p_study.add_argument("--assert-orders", action="store_true",
                          help="fail (exit 2) if fitted orders leave the "
                               "acceptance bands")
-    p_study.add_argument("--strict-table1", action="store_true",
-                         help="use the 1/(4 c3) second-difference weights "
-                              "(audit mode, exact only at c3 = 1)")
 
     p_path = sub.add_parser("path", help="dump one sampled driving path")
     p_path.add_argument("config", help="JSON config file")

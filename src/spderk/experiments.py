@@ -34,7 +34,6 @@ __all__ = [
     "ErrorRow",
     "ErrorTable",
     "CSV_HEADER",
-    "default_config",
     "field_type_error",
     "exact_solution_example1",
     "rms_error",
@@ -54,7 +53,7 @@ DESK_M_REF = 4096
 @dataclass(frozen=True)
 class ReferenceSpec:
     """Truth provider: mode 'exact' (closed-form solution fed the fine
-    path's terminal Brownian value) or 'ewp' at M steps."""
+    path's terminal Brownian value; takes no M) or 'ewp' at M steps."""
 
     mode: str
     M: int = None
@@ -87,6 +86,7 @@ def field_type_error(key, value):
     elif key == "reference":
         ref = asdict(value) if isinstance(value, ReferenceSpec) else value
         ok = value is None or (isinstance(ref, dict)
+                               and set(ref) <= {"mode", "M"}
                                and isinstance(ref.get("mode"), str)
                                and (ref.get("M") is None or _is_int(ref["M"])))
         want = 'an object {"mode": name, "M": integer or null}'
@@ -110,7 +110,6 @@ class StudyConfig:
     reference: ReferenceSpec = None
     seed: int = 0
     out_dir: str = None
-    strict_table: bool = False
 
     def validated(self):
         """Canonical copy with defaults resolved; raises ConfigError."""
@@ -125,6 +124,8 @@ class StudyConfig:
             )
         if self.N < 1:
             raise ConfigError("N must be >= 1")
+        if self.K is not None and self.K < 1:
+            raise ConfigError("K must be >= 1 (or null for the problem's default)")
         if not 0 < float(self.T) < math.inf:
             raise ConfigError("T must be finite and > 0")
         if self.realizations < 1:
@@ -154,13 +155,15 @@ class StudyConfig:
             ref = (ReferenceSpec("exact") if probe.exact is not None
                    else ReferenceSpec("ewp", DESK_M_REF))
         elif isinstance(ref, dict):
-            ref = ReferenceSpec(ref.get("mode"), ref.get("M"))
+            ref = ReferenceSpec(**ref)
         if ref.mode == "exact":
+            if ref.M is not None:
+                raise ConfigError("reference M=%r is only read in mode 'ewp';"
+                                  " an exact reference takes none" % (ref.M,))
             if probe.exact is None:
                 raise ConfigError("problem %r has no exact solution" % self.problem)
             if probe.qspec.K != 1:
                 raise ConfigError("exact reference needs a single noise mode")
-            ref = ReferenceSpec("exact", None)
         elif ref.mode == "ewp":
             M_ref = DESK_M_REF if ref.M is None else int(ref.M)
             if M_ref < fine or M_ref % fine:
@@ -178,7 +181,7 @@ class StudyConfig:
         labels = []
         for sel in schemes:
             try:
-                labels.append(resolve_scheme(sel, self.strict_table)[0])
+                labels.append(resolve_scheme(sel)[0])
             except (ValueError, KeyError, TypeError, DimensionError) as e:
                 raise ConfigError("bad scheme entry %r: %s" % (sel, e)) from e
         if len(set(labels)) != len(labels):
@@ -189,14 +192,6 @@ class StudyConfig:
 
         return replace(self, M_list=M_list, reference=ref, schemes=schemes,
                        T=float(self.T))
-
-
-def default_config(problem, **overrides):
-    """Desk-scale StudyConfig for a built-in problem (validated)."""
-    base = dict(problem=problem, N=64, T=1.0, M_list=DESK_M_LIST,
-                realizations=200, schemes=DEFAULT_SCHEMES, seed=0)
-    base.update(overrides)
-    return StudyConfig(**base).validated()
 
 
 @dataclass(frozen=True)
@@ -406,7 +401,6 @@ class _StudyState:
                 try:
                     with np.errstate(over="ignore", invalid="ignore"):
                         approx = solve(self.problem, sel, path, cfg.N,
-                                       strict_table=cfg.strict_table,
                                        ctx=self.ctxs[M], fields=tables)
                 except DivergenceError:
                     continue
@@ -430,16 +424,20 @@ def _pool_task(r):
 def run_study(cfg, workers=1):
     """Run the configured study; returns an ErrorTable.
 
+    workers is a positive count of processes, or None for all cores.
     Results are reduced in realization-index order and are bit-identical
-    for any worker count.  Raises StudyError if more than 1% of the
-    realizations of any (scheme, M) cell were flagged (reference or
-    scheme divergence).
+    for any worker count.  Raises ConfigError for a bad config or worker
+    count, and StudyError if more than 1% of the realizations of any
+    (scheme, M) cell were flagged (reference or scheme divergence).
     """
-    cfg = cfg.validated()
-    R = cfg.realizations
     if workers is None:
         workers = os.cpu_count() or 1
-    workers = max(1, min(int(workers), R))
+    elif not _is_int(workers) or workers < 1:
+        raise ConfigError("workers must be a positive integer or None, got %r"
+                          % (workers,))
+    cfg = cfg.validated()
+    R = cfg.realizations
+    workers = min(workers, R)
 
     sq = np.empty((R, len(cfg.schemes), len(cfg.M_list)))
     if workers == 1:
@@ -454,7 +452,7 @@ def run_study(cfg, workers=1):
             for r, res in enumerate(pool.imap(_pool_task, range(R), chunk)):
                 sq[r] = res
 
-    labels = [resolve_scheme(s, cfg.strict_table)[0] for s in cfg.schemes]
+    labels = [resolve_scheme(s)[0] for s in cfg.schemes]
     rows = []
     bad = []
     for iS, label in enumerate(labels):

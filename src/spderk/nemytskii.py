@@ -13,6 +13,12 @@ Pointwise maps receive (x, y) as arrays of node coordinates and state
 values and must be pure, reentrant and vectorized; derivative maps f_y,
 f_yy, b_y, b_yy (with respect to y) are optional and only required by the
 Wagner-Platen stepper.
+
+Nemytskii noise satisfies the commutativity condition of the
+derivative-free Milstein scheme (schemes.baseline_step, 'dfmm') by
+construction: both sides of (B'(v)(B(v) u)) u~ = (B'(v)(B(v) u~)) u are
+the pointwise product b_y(x, v) b(x, v) u u~, which does not depend on
+the order of u and u~.  Nothing needs to check it at run time.
 """
 
 import numpy as np
@@ -23,7 +29,6 @@ from .qwiener import QSpec
 __all__ = [
     "ProblemSpec",
     "eval_coeff",
-    "check_commutativity",
     "builtin_problem",
     "BUILTIN_PROBLEMS",
 ]
@@ -44,8 +49,6 @@ class ProblemSpec:
     exact : optional closed-form solution, called as exact(t, beta_t) and
         returning spectral coefficients; beta_t is the driving scalar
         Brownian value (only meaningful for single-mode noise).
-    expected_order : optional strong temporal order metadata (no runtime
-        role; echoed into study outputs).
     name : label used in error messages and tables.
     """
 
@@ -61,7 +64,6 @@ class ProblemSpec:
         b_y=None,
         b_yy=None,
         exact=None,
-        expected_order=None,
         name="custom",
     ):
         if not kappa > 0:
@@ -80,7 +82,6 @@ class ProblemSpec:
             raise TypeError("qspec must be a QSpec")
         self.qspec = qspec
         self.exact = exact
-        self.expected_order = expected_order
         self.name = name
         if exact is not None:
             at_zero = np.asarray(exact(0.0, 0.0), dtype=float)
@@ -90,9 +91,6 @@ class ProblemSpec:
     @property
     def N(self):
         return len(self.initial_coeffs)
-
-    def has(self, which):
-        return getattr(self, which) is not None
 
     def __repr__(self):
         return "ProblemSpec(%r, kappa=%g, N=%d)" % (self.name, self.kappa, self.N)
@@ -117,23 +115,6 @@ def eval_coeff(which, p, v, grid, needed_by=None):
     if out.shape != x.shape:
         out = np.broadcast_to(out, x.shape).astype(float)
     return out
-
-
-def _commutativity_residual(p, v, vt, u, ut, grid):
-    # both sides of (B'(v)(B(vt) u)) ut = (B'(v)(B(vt) ut)) u collapse to
-    # b_y(v) b(vt) u ut pointwise; evaluate them in a shared canonical
-    # order so the residual is exactly zero (float multiplication is
-    # commutative, association is kept fixed)
-    core = eval_coeff("b_y", p, v, grid) * eval_coeff("b", p, vt, grid)
-    lhs = core * (np.asarray(u) * np.asarray(ut))
-    rhs = core * (np.asarray(ut) * np.asarray(u))
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-def check_commutativity(p, v, vt, u, ut, grid):
-    """Structural self-test of the commutativity condition; True for any
-    Nemytskii diffusion, with residual exactly 0."""
-    return _commutativity_residual(p, v, vt, u, ut, grid) == 0.0
 
 
 def _zero(x, y):
@@ -185,7 +166,6 @@ def _example1(N, K):
         initial_coeffs=init,
         qspec=QSpec(1, [1.0], mode_kind="scalar_constant"),
         exact=exact,
-        expected_order=1.5,
         name="example1",
     )
 
@@ -207,7 +187,6 @@ def _example2(N, K):
         b_yy=_zero,
         initial_coeffs=init,
         qspec=QSpec(K, eta),
-        expected_order=1.5,
         name="example2",
     )
 
@@ -229,7 +208,6 @@ def _example3(N, K):
         b_yy=_neg_cos,
         initial_coeffs=init,
         qspec=QSpec(K, j**-3.0),
-        expected_order=1.5,
         name="example3",
     )
 

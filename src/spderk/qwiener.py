@@ -64,13 +64,13 @@ class QSpec:
     def __init__(self, K, mode_eigenvalues, mode_kind="sine_basis"):
         if mode_kind not in ("sine_basis", "scalar_constant"):
             raise ValueError("unknown mode_kind %r" % (mode_kind,))
+        if K < 1:
+            raise ValueError("K must be >= 1")
         eta = np.asarray(mode_eigenvalues, dtype=float)
         if eta.shape != (K,):
             raise DimensionError(
                 "mode_eigenvalues: expected shape (%d,), got %r" % (K, eta.shape)
             )
-        if K < 1:
-            raise ValueError("K must be >= 1")
         if mode_kind == "scalar_constant" and K != 1:
             raise ValueError("scalar_constant noise implies K = 1")
         if np.any(eta < 0) or not np.all(np.isfinite(eta)):
@@ -93,14 +93,9 @@ class WienerStep:
 
 
 class NoisePath:
-    """M WienerSteps of uniform h and K, stored as (M, K) arrays.
+    """M WienerSteps of uniform h and K, stored as (M, K) arrays."""
 
-    base_seed and realization name the stream the finest-resolution
-    sample was drawn from; coarsen() carries them over, since a coarse
-    path is a function of the fine path's data.
-    """
-
-    def __init__(self, dB, I, h, base_seed, realization=0):
+    def __init__(self, dB, I, h):
         dB = np.asarray(dB, dtype=float)
         I = np.asarray(I, dtype=float)
         if dB.ndim != 2 or dB.shape != I.shape:
@@ -110,8 +105,6 @@ class NoisePath:
         self.dB = dB
         self.I = I
         self.h = float(h)
-        self.base_seed = base_seed
-        self.realization = realization
 
     @property
     def M(self):
@@ -121,15 +114,8 @@ class NoisePath:
     def K(self):
         return self.dB.shape[1]
 
-    def __len__(self):
-        return self.M
-
     def step(self, m):
         return WienerStep(dB=self.dB[m], I=self.I[m], h=self.h)
-
-    def steps(self):
-        for m in range(self.M):
-            yield self.step(m)
 
 
 def _joint_pair(z, h, dB, I):
@@ -186,7 +172,7 @@ def sample_path(q, M, h, base_seed, realization=0, out=None):
         zc = z[:m1 - m0]
         rng.standard_normal(out=zc)
         _joint_pair(zc, h, dB[m0:m1], I[m0:m1])
-    return NoisePath(dB, I, h, base_seed=base_seed, realization=realization)
+    return NoisePath(dB, I, h)
 
 
 def coarsen(path, factor):
@@ -216,13 +202,7 @@ def coarsen(path, factor):
     tail = path.h * (factor - 1.0 - np.arange(factor))
     dBc = dBg.sum(axis=1)
     Ic = Ig.sum(axis=1) + np.tensordot(dBg, tail, axes=([1], [0]))
-    return NoisePath(
-        dBc,
-        Ic,
-        path.h * factor,
-        base_seed=path.base_seed,
-        realization=path.realization,
-    )
+    return NoisePath(dBc, Ic, path.h * factor)
 
 
 def gsq_field(q, grid):
@@ -257,11 +237,9 @@ class RandomWeights(NamedTuple):
 
     Every stepper reads these two fields together with the context's h
     and gsq; the tableau engine derives its theta weights from them (see
-    schemes.theta_fields).  h records the step size the fields were
-    built for.
+    schemes.theta_fields).
     """
 
-    h: float
     dW: np.ndarray
     Iw: np.ndarray
 
@@ -278,7 +256,7 @@ def theta_weights(step, q, grid, G=None):
         G = noise_matrix(q, grid)
     if step.dB.shape != (q.K,):
         raise DimensionError("step has %d modes, QSpec has %d" % (len(step.dB), q.K))
-    return RandomWeights(step.h, G @ step.dB, G @ step.I)
+    return RandomWeights(G @ step.dB, G @ step.I)
 
 
 def noise_fields(path, G, m0=0, out=None):

@@ -178,15 +178,15 @@ class ButcherTableau:
         (self.gamma_terms,) = weight_rows(self.gamma[None, :])
 
 
-def erkm15_tableau(c, strict_table=False):
+def erkm15_tableau(c):
     """The six-stage ERKM1.5 tableau for coefficients c = (c_1..c_7).
 
     All coefficients must be nonzero.  The alpha^(3) stage-4/5 entries
     are 1/(4 c_3^2); the consistency of the second-difference drift term
     forces the square (its stage-1 entry is -1/(2 c_3^2), and the term
     must assemble to a clean second difference for every c_3).  The
-    variant with 1/(4 c_3) entries, which agrees only at c_3 = 1, is
-    available for audit via strict_table=True.
+    published table prints 1/(4 c_3) there, an erratum: that row sums
+    to zero, as consistency requires, only at c_3 = 1.
     """
     c = np.asarray(c, dtype=float)
     if c.shape != (7,):
@@ -218,9 +218,8 @@ def erkm15_tableau(c, strict_table=False):
     alpha[1, 0] = -1.0 / c2
     alpha[1, 2] = 1.0 / c2
     alpha[2, 0] = -1.0 / (2.0 * c3**2)
-    quad = c3 if strict_table else c3**2
-    alpha[2, 3] = 1.0 / (4.0 * quad)
-    alpha[2, 4] = 1.0 / (4.0 * quad)
+    alpha[2, 3] = 1.0 / (4.0 * c3**2)
+    alpha[2, 4] = 1.0 / (4.0 * c3**2)
 
     beta = np.zeros((5, s))
     beta[0, 0] = 1.0 - 1.0 / c4
@@ -255,7 +254,7 @@ class StepContext:
     that many rows.
     """
 
-    def __init__(self, problem, grid, opspec, T, M=1, gsq=None, G=None, tables=None):
+    def __init__(self, problem, grid, opspec, T, M=1, G=None, tables=None):
         if not T > 0:
             raise ValueError("T must be positive")
         if not isinstance(M, (int, np.integer)) or M < 1:
@@ -270,7 +269,7 @@ class StepContext:
         self.T = float(T)
         self.M = int(M)
         self.h = h = self.T / self.M
-        self.gsq = gsq_field(problem.qspec, grid) if gsq is None else gsq
+        self.gsq = gsq_field(problem.qspec, grid)
         self.G = noise_matrix(problem.qspec, grid) if G is None else G
         rows = min(self.M, CHUNK_STEPS)
         if tables is None:
@@ -291,8 +290,7 @@ class StepContext:
         self._y_phys = None
 
     def set_state(self, y, weights):
-        """Load the state y (spectral) and the step's RandomWeights; the
-        steppers take h from the context, not from the weights."""
+        """Load the state y (spectral) and the step's RandomWeights."""
         if weights.dW.shape != (self.grid.n_nodes,):
             raise DimensionError("weights do not match the grid")
         self.y = np.asarray(y, dtype=float)
@@ -310,10 +308,9 @@ class StepContext:
         setattr(self.counters, which, getattr(self.counters, which) + 1)
         return out
 
-    def a_phys(self, y_spec=None):
+    def a_phys(self):
         """Physical field of A y."""
-        y_spec = self.y if y_spec is None else y_spec
-        return to_physical(self.neg_lam * y_spec, self.grid)
+        return to_physical(self.neg_lam * self.y, self.grid)
 
 
 def theta_fields(w, h, gsq):
@@ -518,14 +515,16 @@ def ewp_step(ctx):
     return ctx.E_h2 * (ctx.E_h2 * ctx.y + bracket)
 
 
-def baseline_step(kind, ctx, variant="phi1"):
+def baseline_step(kind, ctx):
     """Euler/Milstein-type baselines.
 
     lie:  Y+ = (I - hA)^(-1) (Y + h f(Y) + b(Y) dW)
     exe:  Y+ = e^{Ah} Y + h phi1(hA) f(Y) + e^{Ah}(b(Y) dW)
-          (variant="group": Y+ = e^{Ah}(Y + h f(Y) + b(Y) dW))
     dfmm: Y+ = e^{Ah}(Y + h f(Y) + b(Y) dW
                + (b(Y + sqrt(h) b(Y)) - b(Y)) (dW^2 - h sum g_j^2) / (2 sqrt(h)))
+
+    dfmm needs commutative noise, which Nemytskii noise always is (see
+    spderk.nemytskii).
     """
     h = ctx.h
     w = ctx.weights
@@ -537,15 +536,11 @@ def baseline_step(kind, ctx, variant="phi1"):
         incr = to_spectral(h * fY + bY * dW, ctx.grid)
         return ctx.resolvent * (ctx.y + incr)
     if kind == "exe":
-        if variant == "phi1":
-            return (
-                ctx.E_h * ctx.y
-                + h * ctx.phi1 * to_spectral(fY, ctx.grid)
-                + ctx.E_h * to_spectral(bY * dW, ctx.grid)
-            )
-        if variant == "group":
-            return ctx.E_h * (ctx.y + to_spectral(h * fY + bY * dW, ctx.grid))
-        raise ValueError("unknown exe variant %r" % (variant,))
+        return (
+            ctx.E_h * ctx.y
+            + h * ctx.phi1 * to_spectral(fY, ctx.grid)
+            + ctx.E_h * to_spectral(bY * dW, ctx.grid)
+        )
     if kind == "dfmm":
         sqh = math.sqrt(h)
         b_shift = ctx.eval("b", yp + sqh * bY)
@@ -554,13 +549,14 @@ def baseline_step(kind, ctx, variant="phi1"):
     raise ValueError("unknown baseline kind %r" % (kind,))
 
 
-def resolve_scheme(scheme, strict_table=False):
+def resolve_scheme(scheme):
     """Normalize a scheme selector to (label, step_function).
 
-    Accepts a plain name from SCHEME_NAMES, a (name, params) pair, or a
-    dict with a 'name' key.  Parameters: 'c' (7 coefficients) for erkm15;
-    'c' with 7 entries (mapped per step size) or 8 entries (fixed c^) for
-    erkm-closed; 'variant' for exe.
+    Accepts the two forms a JSON config can hold: a plain name from
+    SCHEME_NAMES, or a dict with a 'name' key, an optional 'label' and
+    the scheme's parameters.  Parameters: 'c' (7 coefficients) for
+    erkm15; 'c' with 7 entries (mapped per step size) or 8 entries
+    (fixed c^) for erkm-closed.
     """
     params = {}
     if isinstance(scheme, str):
@@ -568,15 +564,13 @@ def resolve_scheme(scheme, strict_table=False):
     elif isinstance(scheme, dict):
         params = dict(scheme)
         name = params.pop("name")
-    elif isinstance(scheme, (tuple, list)) and len(scheme) == 2:
-        name, params = scheme[0], dict(scheme[1])
     else:
         raise ValueError("unrecognized scheme selector %r" % (scheme,))
     label = params.pop("label", name)
 
     if name == "erkm15":
         c = np.asarray(params.pop("c", np.ones(7)), dtype=float)
-        tab = erkm15_tableau(c, strict_table=strict_table)
+        tab = erkm15_tableau(c)
         fn = partial(erkm_step, tab)
     elif name == "erkm-closed":
         c = np.asarray(params.pop("c", np.ones(7)), dtype=float)
@@ -589,7 +583,7 @@ def resolve_scheme(scheme, strict_table=False):
     elif name == "ewp":
         fn = ewp_step
     elif name in ("exe", "lie", "dfmm"):
-        fn = partial(baseline_step, name, variant=params.pop("variant", "phi1"))
+        fn = partial(baseline_step, name)
     else:
         raise ValueError("unknown scheme %r (have: %s)" % (name, ", ".join(SCHEME_NAMES)))
     if params:
@@ -597,7 +591,7 @@ def resolve_scheme(scheme, strict_table=False):
     return label, fn
 
 
-def solve(problem, scheme, path, N, strict_table=False, ctx=None, fields=None):
+def solve(problem, scheme, path, N, ctx=None, fields=None):
     """Run a stepper along a noise path; returns the terminal (N,) state.
 
     Y_0 is the problem's (already projected) initial coefficient vector;
@@ -612,7 +606,7 @@ def solve(problem, scheme, path, N, strict_table=False, ctx=None, fields=None):
     a path with M <= CHUNK_STEPS as noise_fields returns them, may be
     passed instead, so that several schemes share one table.
     """
-    label, stepfn = resolve_scheme(scheme, strict_table=strict_table)
+    label, stepfn = resolve_scheme(scheme)
     M = path.M
     if ctx is None:
         grid = SineBasisGrid(N)
@@ -634,13 +628,12 @@ def solve(problem, scheme, path, N, strict_table=False, ctx=None, fields=None):
         if M > CHUNK_STEPS or dW.shape != (M, ctx.grid.n_nodes) or Iw.shape != dW.shape:
             raise DimensionError("noise field tables must have shape (%d, %d),"
                                  " at most %d steps" % (M, ctx.grid.n_nodes, CHUNK_STEPS))
-    h = ctx.h
     y = problem.initial_coeffs
     for m0 in range(0, M, CHUNK_STEPS):
         if fields is None:
             dW, Iw = noise_fields(path, ctx.G, m0, out=ctx.tables)
         for i in range(dW.shape[0]):
-            ctx.set_state(y, RandomWeights(h, dW[i], Iw[i]))
+            ctx.set_state(y, RandomWeights(dW[i], Iw[i]))
             y = stepfn(ctx)
             bad = ~np.isfinite(y)
             if bad.any():

@@ -2,8 +2,6 @@
 the command line (`spderk selftest`).  Each check raises on failure and
 finishes in well under a second."""
 
-import math
-
 import numpy as np
 
 from .experiments import (
@@ -14,7 +12,7 @@ from .experiments import (
     fit_order,
     run_study,
 )
-from .nemytskii import builtin_problem, check_commutativity
+from .nemytskii import builtin_problem
 from .qwiener import QSpec, coarsen, sample_path, theta_weights
 from .schemes import (
     StepContext,
@@ -88,14 +86,6 @@ def _derivative_maps():
     assert np.abs(fd - eval_coeff("b_y", p, v, grid)).max() <= 1e-6
 
 
-def _commutativity():
-    p = builtin_problem("example3", 8)
-    grid = SineBasisGrid(8)
-    rng = np.random.default_rng(5)
-    v, vt, u, ut = rng.standard_normal((4, grid.n_nodes))
-    assert check_commutativity(p, v, vt, u, ut, grid)
-
-
 def _scheme_equivalence():
     p = builtin_problem("example3", 16)
     grid = SineBasisGrid(16)
@@ -164,7 +154,6 @@ SELFTESTS = (
     ("qwiener.joint_covariance", _joint_covariance),
     ("qwiener.coarsen_composition", _coarsen_composition),
     ("nemytskii.derivative_maps", _derivative_maps),
-    ("nemytskii.commutativity", _commutativity),
     ("schemes.tableau_equivalence", _scheme_equivalence),
     ("schemes.eval_counts", _eval_counts),
     ("schemes.semigroup_decay", _semigroup_decay),

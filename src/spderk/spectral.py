@@ -38,28 +38,19 @@ class SineBasisGrid:
     Parameters
     ----------
     N : int
-        Number of retained modes.
-    oversample : int, optional
-        Integer refinement of the evaluation grid.  The default 1 puts
-        exactly N interior nodes x_p = p/(N+1); oversample=q uses
-        q*(N+1)-1 nodes.  Round trips stay exact either way because the
-        fine transform is truncated back to N modes.
+        Number of retained modes, and of interior nodes x_p = p/(N+1).
 
     Attributes
     ----------
-    N : number of modes; ``mode_count`` is an alias.
+    N : number of modes.
     nodes : strictly increasing interior nodes in (0, 1).
-    n_nodes : number of collocation nodes (== N for oversample=1).
+    n_nodes : number of collocation nodes (== N).
     """
 
-    def __init__(self, N, oversample=1):
+    def __init__(self, N):
         if not isinstance(N, (int, np.integer)) or N < 1:
             raise ValueError("N must be a positive integer, got %r" % (N,))
-        if not isinstance(oversample, (int, np.integer)) or oversample < 1:
-            raise ValueError("oversample must be a positive integer")
-        self.N = int(N)
-        self.oversample = int(oversample)
-        self.n_nodes = self.oversample * (self.N + 1) - 1
+        self.N = self.n_nodes = int(N)
         self.nodes = np.arange(1, self.n_nodes + 1) / (self.n_nodes + 1.0)
         # synthesis matrix S[p, k-1] = sqrt(2) sin(k pi x_p) and its exact
         # inverse T = sqrt(2)/(n+1) * sin(k pi x_p); orthogonality of the
@@ -68,40 +59,28 @@ class SineBasisGrid:
         self._synth = np.sqrt(2.0) * np.sin(karg)
         self._anal = (np.sqrt(2.0) / (self.n_nodes + 1.0)) * np.sin(karg).T
 
-    @property
-    def mode_count(self):
-        return self.N
-
     def __repr__(self):
-        return "SineBasisGrid(N=%d, oversample=%d)" % (self.N, self.oversample)
+        return "SineBasisGrid(N=%d)" % self.N
 
 
 class LinearOperatorSpec:
     """The diagonal model of A = kappa * Laplacian with Dirichlet conditions.
 
     Eigenpairs are -A e_k = lambda_k e_k with lambda_k = kappa pi^2 k^2,
-    so the spectrum is strictly positive and increasing.  ``eta`` is the
-    shift used by fractional powers and the H_r norms; it defaults to 0,
-    which is safe because no lambda_k vanishes.
+    so the spectrum is strictly positive and increasing, and powers of
+    -A need no shift.
     """
 
-    def __init__(self, kappa, N, eta=0.0):
+    def __init__(self, kappa, N):
         if not kappa > 0:
             raise ValueError("kappa must be positive")
-        if eta < 0:
-            raise ValueError("eta must be nonnegative")
         self.kappa = float(kappa)
-        self.eta = float(eta)
         self.N = int(N)
         k = np.arange(1, self.N + 1, dtype=float)
         self.eigenvalues = self.kappa * np.pi**2 * k**2
 
     def __repr__(self):
-        return "LinearOperatorSpec(kappa=%g, N=%d, eta=%g)" % (
-            self.kappa,
-            self.N,
-            self.eta,
-        )
+        return "LinearOperatorSpec(kappa=%g, N=%d)" % (self.kappa, self.N)
 
 
 def _check_len(field, expect, what):
@@ -133,18 +112,16 @@ def to_spectral(field, grid):
     return grid._anal @ field
 
 
-def diagonal_factor(kind, op, t=None, h=None, r=None):
+def diagonal_factor(kind, op, t=None, h=None):
     """Per-mode multiplier array for a diagonal function of A.
 
     kind is one of 'semigroup' (needs t >= 0), 'generator',
-    'resolvent' (needs h > 0), 'phi1' (needs h > 0) or
-    'fractional_power' (needs r).  Factors:
+    'resolvent' (needs h > 0) or 'phi1' (needs h > 0).  Factors:
 
         semigroup        exp(-lambda_k t)
         generator        -lambda_k
         resolvent        (1 + h lambda_k)^(-1)      i.e. (I - hA)^(-1)
         phi1             (1 - exp(-h lambda_k)) / (h lambda_k)
-        fractional_power (eta + lambda_k)^r
     """
     lam = op.eigenvalues
     if kind == "semigroup":
@@ -163,25 +140,21 @@ def diagonal_factor(kind, op, t=None, h=None, r=None):
         z = h * lam
         # -expm1(-z)/z is accurate down to z -> 0 (limit 1)
         return -np.expm1(-z) / z
-    if kind == "fractional_power":
-        if r is None:
-            raise ValueError("fractional_power needs r")
-        return (op.eta + lam) ** float(r)
     raise ValueError("unknown diagonal kind %r" % (kind,))
 
 
-def apply_diagonal(kind, op, field, t=None, h=None, r=None):
+def apply_diagonal(kind, op, field, t=None, h=None):
     """Apply a diagonal function of A to a spectral field (see diagonal_factor)."""
     field = _check_len(field, op.N, "apply_diagonal")
-    return diagonal_factor(kind, op, t=t, h=h, r=r) * field
+    return diagonal_factor(kind, op, t=t, h=h) * field
 
 
 def h_r_norm(op, r, field):
-    """Interpolation-space norm ||(eta - A)^r v|| = (sum (eta+lambda_k)^(2r) a_k^2)^(1/2).
+    """Interpolation-space norm ||(-A)^r v|| = (sum lambda_k^(2r) a_k^2)^(1/2).
 
     r = 0 reduces to the H norm, which by Parseval is the plain l2 norm
     of the coefficients (identical arithmetic, not just close).
     """
     field = _check_len(field, op.N, "h_r_norm")
-    w = (op.eta + op.eigenvalues) ** float(r)
+    w = op.eigenvalues ** float(r)
     return float(np.sqrt(np.sum((w * field) ** 2)))

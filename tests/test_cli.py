@@ -4,6 +4,7 @@ output files, environment overrides, order refitting."""
 import io
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -61,6 +62,8 @@ def test_study_end_to_end(tmp_path):
     meta = json.loads(meta_file.read_text())
     echoed = config_from_dict(meta["config"]).validated()
     assert echoed == load_config(str(cfg_path)).validated()
+    assert set(meta) == {"config", "seed", "versions"}
+    assert list(meta["config"]) == sorted(fld.name for fld in fields(StudyConfig))
     assert meta["seed"] == 5
     assert "numpy" in meta["versions"]
 
@@ -138,6 +141,28 @@ def test_config_type_errors(tmp_path, key, value, phrase):
     # without the text the diagnostic still names the key
     with pytest.raises(ConfigError, match=repr(key)):
         config_from_dict(dict(problem="example1", **{key: value}))
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_study_rejects_bad_worker_counts(tmp_path, workers):
+    cfg_path = _write_config(tmp_path)
+    code, out, err = _run(["study", str(cfg_path), "--workers", workers])
+    assert code == 1 and "workers must be a positive integer" in err
+    assert out == "" and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, phrase",
+    [
+        (dict(K=-3), "K must be >= 1"),
+        (dict(reference={"mode": "exact", "M": 999}), "exact reference takes none"),
+    ],
+)
+def test_study_rejects_bad_values_as_config_errors(tmp_path, overrides, phrase):
+    cfg_path = _write_config(tmp_path, **overrides)
+    code, out, err = _run(["study", str(cfg_path)])
+    assert code == 1 and err.startswith("config error:") and phrase in err
+    assert out == ""
 
 
 def test_usage_errors():
@@ -219,6 +244,8 @@ def test_path_subcommand(tmp_path):
     assert len(lines) == 1 + 4  # M=4 steps, K=1 mode
     code2, out2, _ = _run(["path", str(cfg_path), "--realization", "1"])
     assert code2 == 0 and out2 != out
+    code3, out3, err3 = _run(["path", str(cfg_path), "--realization", "-1"])
+    assert code3 == 1 and out3 == "" and "--realization must be >= 0" in err3
 
 
 def test_selftest_subcommand():

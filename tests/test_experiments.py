@@ -17,7 +17,6 @@ from spderk.experiments import (
     ErrorTable,
     ReferenceSpec,
     StudyConfig,
-    default_config,
     exact_solution_example1,
     fit_order,
     local_slopes,
@@ -206,10 +205,12 @@ def test_table_validation():
 
 
 def test_config_defaults():
-    cfg = default_config("example1", realizations=10)
+    cfg = StudyConfig("example1", realizations=10).validated()
     assert cfg.reference == ReferenceSpec("exact", None)
     assert cfg.M_list == (8, 16, 32, 64, 128, 256, 512)
-    cfg2 = default_config("example2", realizations=10)
+    assert (cfg.N, cfg.T, cfg.seed) == (64, 1.0, 0)
+    assert cfg.schemes == ("lie", "exe", "dfmm", "ewp", "erkm15")
+    cfg2 = StudyConfig("example2", realizations=10).validated()
     assert cfg2.reference == ReferenceSpec("ewp", 4096)
 
 
@@ -230,6 +231,8 @@ def test_config_defaults():
         dict(seed=-1),
         dict(problem="example1", K=4),
         dict(N=0),
+        dict(problem="example2", K=-3),
+        dict(reference={"mode": "exact", "M": 999}),
     ],
 )
 def test_config_rejections(kw):
@@ -253,6 +256,7 @@ def test_config_rejections(kw):
         dict(reference={"mode": "ewp", "M": "big"}),
         dict(reference=ReferenceSpec("ewp", 16.5)),
         dict(problem=None),
+        dict(reference={"mode": "ewp", "M": 16, "m": 8}),
     ],
 )
 def test_config_type_rejections(kw):
@@ -262,6 +266,18 @@ def test_config_type_rejections(kw):
     key = next(iter(kw))
     with pytest.raises(ConfigError, match="^%s " % key):
         StudyConfig(**base).validated()
+
+
+@pytest.mark.parametrize("workers", [0, -2, 1.5, True])
+def test_run_study_rejects_bad_worker_counts(workers):
+    cfg = StudyConfig("example1", N=4, M_list=(4,), realizations=1, schemes=("exe",))
+    with pytest.raises(ConfigError, match="^workers must be a positive integer"):
+        run_study(cfg, workers=workers)
+
+
+def test_run_study_workers_none_means_all_cores():
+    cfg = StudyConfig("example1", N=4, M_list=(4,), realizations=1, schemes=("exe",))
+    assert run_study(cfg, workers=None) == run_study(cfg, workers=1)
 
 
 def test_config_reference_dict_coercion():

@@ -7,9 +7,7 @@ from spderk.errors import CapabilityError
 from spderk.nemytskii import (
     ProblemSpec,
     builtin_problem,
-    check_commutativity,
     eval_coeff,
-    _commutativity_residual,
 )
 from spderk.qwiener import QSpec
 from spderk.spectral import SineBasisGrid
@@ -147,19 +145,6 @@ def test_custom_derivative_against_fd():
     y = np.random.default_rng(1).uniform(-2, 2, size=8)
     fd = central_difference(p.f, grid.nodes, y)
     assert np.allclose(fd, eval_coeff("f_y", p, y, grid), rtol=1e-8, atol=1e-8)
-
-
-@pytest.mark.parametrize("name", ["example1", "example3"])
-def test_commutativity_structural(name):
-    p = builtin_problem(name, N=12)
-    grid = SineBasisGrid(12)
-    rng = np.random.default_rng(3)
-    v, vt, u, ut = rng.standard_normal((4, 12))
-    assert check_commutativity(p, v, vt, u, ut, grid)
-    # residual is exactly zero, and the swapped computation is bitwise equal
-    r1 = _commutativity_residual(p, v, vt, u, ut, grid)
-    r2 = _commutativity_residual(p, v, vt, ut, u, grid)
-    assert r1 == 0.0 and r1 == r2
 
 
 def test_exact_must_match_initial():

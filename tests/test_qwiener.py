@@ -120,7 +120,7 @@ def test_sample_path_into_reused_arrays():
 def test_coarsen_two_substeps_frozen():
     # (dB, I) = (1, 0) twice at h=1: increments add, first dB drifts for
     # the remaining 1 time unit
-    p = NoisePath([[1.0], [1.0]], [[0.0], [0.0]], h=1.0, base_seed=0)
+    p = NoisePath([[1.0], [1.0]], [[0.0], [0.0]], h=1.0)
     c = coarsen(p, 2)
     assert c.M == 1 and c.h == 2.0
     assert c.dB[0, 0] == 2.0 and c.I[0, 0] == 1.0
@@ -173,7 +173,6 @@ def test_coarsen_composition(seed):
         seg = slice(4 * c, 4 * c + 4)
         oracle = coarse_mixed_integral_oracle(p.dB[seg], p.I[seg], p.h)
         assert np.max(np.abs(one_level.I[c] - oracle)) <= 1e-14
-    assert (one_level.base_seed, one_level.realization) == (p.base_seed, p.realization)
 
 
 def test_qspec_validation():
@@ -183,6 +182,8 @@ def test_qspec_validation():
         QSpec(2, [1.0, -1.0])
     with pytest.raises(DimensionError):
         QSpec(3, [1.0, 1.0])
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        QSpec(-3, [])
     with pytest.raises(ValueError):
         QSpec(1, [1.0], mode_kind="white")
 
@@ -226,9 +227,8 @@ def test_theta_zero_noise():
     gsq = gsq_field(q, grid)
     step = WienerStep(dB=np.zeros(2), I=np.zeros(2), h=0.5)
     w = theta_weights(step, q, grid)
-    assert w.h == 0.5
     assert np.all(w.dW == 0.0) and np.all(w.Iw == 0.0)
-    theta0, theta1, theta2_1 = theta_fields(w, w.h, gsq)
+    theta0, theta1, theta2_1 = theta_fields(w, step.h, gsq)
     assert np.all(theta1[0] == 0.0)
     assert np.array_equal(theta1[2], gsq)
     assert np.all(theta2_1 == 0.0)
@@ -242,7 +242,7 @@ def test_theta2_vanishes_for_balanced_sample():
     q = scalar_q()
     step = WienerStep(dB=np.array([1.0]), I=np.array([0.5]), h=1.0)
     w = theta_weights(step, q, grid)
-    _, _, theta2_1 = theta_fields(w, w.h, gsq_field(q, grid))
+    _, _, theta2_1 = theta_fields(w, step.h, gsq_field(q, grid))
     assert np.all(theta2_1 == 0.0)
     assert np.all(w.dW == 1.0)
 
@@ -369,6 +369,6 @@ def test_dump_path_format():
 
 def test_noisepath_validation():
     with pytest.raises(DimensionError):
-        NoisePath(np.zeros((3, 2)), np.zeros((2, 2)), 0.1, base_seed=0)
+        NoisePath(np.zeros((3, 2)), np.zeros((2, 2)), 0.1)
     with pytest.raises(ValueError):
-        NoisePath(np.zeros((3, 2)), np.zeros((3, 2)), 0.0, base_seed=0)
+        NoisePath(np.zeros((3, 2)), np.zeros((3, 2)), 0.0)

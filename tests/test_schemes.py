@@ -119,15 +119,18 @@ def test_tableau_row_sums():
 
 
 def test_strict_table_variant_breaks_second_difference_row():
-    # the published stage-4/5 alpha^(3) entries read 1/(4 c3); the row
-    # then sums to zero only at c3 = 1.
+    # the published table prints the stage-4/5 alpha^(3) entries as
+    # 1/(4 c3); that row sums to zero only at c3 = 1, which is why
+    # erkm15_tableau uses 1/(4 c3^2)
+    def published_row(c3):
+        return np.array([-1.0 / (2.0 * c3**2), 0, 0, 1.0 / (4.0 * c3),
+                         1.0 / (4.0 * c3), 0])
+
     c = np.ones(7)
     c[2] = 1.6
-    strict = erkm15_tableau(c, strict_table=True)
-    assert abs(strict.alpha[2].sum()) > 0.05
+    assert abs(published_row(1.6).sum()) > 0.05
     assert abs(erkm15_tableau(c).alpha[2].sum()) < 1e-15
-    same = erkm15_tableau(np.ones(7), strict_table=True)
-    np.testing.assert_array_equal(same.alpha, erkm15_tableau(np.ones(7)).alpha)
+    np.testing.assert_array_equal(published_row(1.0), erkm15_tableau(np.ones(7)).alpha[2])
 
 
 def test_tableau_validation():
@@ -207,11 +210,10 @@ def test_deterministic_exactness():
     lam = LinearOperatorSpec(p.kappa, N).eigenvalues
     times = h * np.arange(M + 1)
     expected = np.exp(-np.outer(times, lam)) * p.initial_coeffs
-    for scheme in ("erkm15", "erkm-closed", "ewp", "exe", "dfmm",
-                   {"name": "exe", "variant": "group"}):
+    for scheme in ("erkm15", "erkm-closed", "ewp", "exe", "dfmm"):
         # solve returns the terminal state: run it on every prefix of the path
         for m in range(1, M + 1):
-            prefix = NoisePath(path.dB[:m], path.I[:m], h, base_seed=0)
+            prefix = NoisePath(path.dB[:m], path.I[:m], h)
             y = solve(p, scheme, prefix, N)
             np.testing.assert_allclose(y, expected[m], rtol=1e-12, atol=0.0)
 
@@ -243,7 +245,7 @@ def test_lie_one_step_formula():
 
 def test_exe_constant_forcing_is_exact():
     # with b = 0 and constant f the mild solution is available in closed
-    # form; the phi1 variant reproduces it, the group variant does not
+    # form, and the phi1 weighting of the drift reproduces it
     N, h = 12, 0.3
     q = QSpec(1, np.array([0.0]), "scalar_constant")
     p = ProblemSpec(0.8, _one, _zero, _decaying_state(N, 4), q)
@@ -255,8 +257,9 @@ def test_exe_constant_forcing_is_exact():
 
     y = solve(p, "exe", path, N)
     np.testing.assert_allclose(y, exact, rtol=1e-13)
-    group = solve(p, {"name": "exe", "variant": "group"}, path, N)
-    assert np.abs(group - exact).max() > 1e-6
+    # drift weighted by e^{Ah} instead of h phi1(hA) misses it
+    grouped = np.exp(-lam * h) * (p.initial_coeffs + h * F)
+    assert np.abs(grouped - exact).max() > 1e-6
 
 
 def test_dfmm_difference_quotient_linear_noise():
@@ -310,7 +313,7 @@ def test_zero_noise_degeneracy_linear_b():
     grid = SineBasisGrid(N)
     opspec = LinearOperatorSpec(p.kappa, N)
     ctx = StepContext(p, grid, opspec, h)
-    zero = NoisePath(np.zeros((1, 1)), np.zeros((1, 1)), h, 0)
+    zero = NoisePath(np.zeros((1, 1)), np.zeros((1, 1)), h)
     w = theta_weights(zero.step(0), p.qspec, grid, G=ctx.G)
     y = _decaying_state(N, 11)
 
@@ -353,7 +356,7 @@ def test_solve_determinism_and_layout():
     np.testing.assert_array_equal(a, b)
     # the run starts from the initial coefficients and leaves them intact
     np.testing.assert_array_equal(p.initial_coeffs, y0)
-    first = solve(p, "erkm15", NoisePath(path.dB[:1], path.I[:1], path.h, 42), 12)
+    first = solve(p, "erkm15", NoisePath(path.dB[:1], path.I[:1], path.h), 12)
     ctx, (w,) = _context_for(p, path.h, seed=42, realization=3)
     ctx.set_state(y0, w)
     np.testing.assert_array_equal(first, resolve_scheme("erkm15")[1](ctx))
@@ -381,8 +384,12 @@ def test_resolve_scheme_forms():
     label, _ = resolve_scheme({"name": "erkm15", "c": list(np.full(7, 0.5)),
                                "label": "rk-half"})
     assert label == "rk-half"
-    label, _ = resolve_scheme(("exe", {"variant": "group"}))
-    assert label == "exe"
+    assert resolve_scheme({"name": "exe"})[0] == "exe"
+    # only the two forms a JSON config can hold are accepted
+    with pytest.raises(ValueError, match="unrecognized"):
+        resolve_scheme(("exe", {}))
+    with pytest.raises(ValueError, match="unused"):
+        resolve_scheme({"name": "exe", "variant": "group"})
     with pytest.raises(ValueError, match="unknown scheme"):
         resolve_scheme("milstein")
     with pytest.raises(ValueError, match="unused"):

@@ -27,7 +27,7 @@ def dense_synthesis(coeffs, nodes):
 
 def test_grid_nodes_interior_and_increasing():
     g = SineBasisGrid(17)
-    assert g.n_nodes == g.N == g.mode_count == 17
+    assert g.n_nodes == g.N == 17
     assert np.all(np.diff(g.nodes) > 0)
     assert g.nodes[0] > 0 and g.nodes[-1] < 1
     assert np.allclose(g.nodes, np.arange(1, 18) / 18.0)
@@ -73,13 +73,6 @@ def test_round_trip_identity(n, seed):
     assert np.allclose(back, a, rtol=1e-12, atol=1e-12)
 
 
-def test_round_trip_oversampled():
-    g = SineBasisGrid(20, oversample=3)
-    assert g.n_nodes == 3 * 21 - 1
-    a = np.random.default_rng(3).standard_normal(20)
-    assert np.allclose(to_spectral(to_physical(a, g), g), a, rtol=1e-12)
-
-
 def test_length_mismatch_rejected():
     g = SineBasisGrid(5)
     with pytest.raises(DimensionError):
@@ -98,8 +91,6 @@ def test_eigenvalues():
 def test_operator_spec_validation():
     with pytest.raises(ValueError):
         LinearOperatorSpec(kappa=0.0, N=4)
-    with pytest.raises(ValueError):
-        LinearOperatorSpec(kappa=1.0, N=4, eta=-1.0)
 
 
 def test_semigroup_single_mode_frozen():
@@ -159,7 +150,6 @@ def test_diagonality_one_hot():
         ("generator", {}),
         ("resolvent", {"h": 0.1}),
         ("phi1", {"h": 0.1}),
-        ("fractional_power", {"r": 0.5}),
     ]:
         e = np.zeros(9)
         e[4] = 1.0
@@ -178,12 +168,6 @@ def test_phi1_values():
     # phi1 -> 1 as h -> 0
     tiny = diagonal_factor("phi1", op, h=1e-14)
     assert np.allclose(tiny, 1.0, rtol=1e-9)
-
-
-def test_fractional_power_with_shift():
-    op = LinearOperatorSpec(kappa=1.0, N=3, eta=2.0)
-    f = diagonal_factor("fractional_power", op, r=-0.5)
-    assert np.allclose(f, (2.0 + op.eigenvalues) ** -0.5, rtol=1e-14)
 
 
 def test_bad_diagonal_arguments():
