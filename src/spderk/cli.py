@@ -5,7 +5,8 @@ Subcommands:
 * ``study <config>``  -- run a Monte-Carlo convergence study, write the
   error table (CSV) and a metadata file, print fitted orders and the
   local slopes between adjacent step sizes;
-* ``path <config>``   -- dump one sampled driving path as delimited text;
+* ``path <config>``   -- dump one realization's fine driving path (the one
+  the study samples) as delimited text;
 * ``selftest``        -- run the per-module invariant checks;
 * ``order <table>``   -- refit convergence orders (and local slopes) from an
   existing table.
@@ -34,6 +35,7 @@ from .experiments import (
     ErrorTable,
     StudyConfig,
     field_type_error,
+    fine_steps,
     fit_order,
     local_slopes,
     order_summary,
@@ -219,7 +221,7 @@ def _cmd_path(args, out, err):
     if args.realization < 0:
         raise ConfigError("--realization must be >= 0, got %d" % args.realization)
     cfg = _apply_env(load_config(args.config)).validated()
-    M = max(cfg.M_list)
+    M = fine_steps(cfg)
     problem = builtin_problem(cfg.problem, cfg.N, cfg.K)
     path = sample_path(problem.qspec, M, cfg.T / M, cfg.seed, args.realization)
     dump_path(path, out)

@@ -40,6 +40,7 @@ __all__ = [
     "fit_order",
     "local_slopes",
     "order_summary",
+    "fine_steps",
     "run_study",
 ]
 
@@ -48,6 +49,9 @@ CSV_HEADER = "scheme,M,h,rms_error,std_error,flagged"
 DEFAULT_SCHEMES = ("lie", "exe", "dfmm", "ewp", "erkm15")
 DESK_M_LIST = (8, 16, 32, 64, 128, 256, 512)
 DESK_M_REF = 4096
+
+# divergences a StudyError names, in realization order
+_NAMED_DIVERGENCES = 3
 
 
 @dataclass(frozen=True)
@@ -347,6 +351,14 @@ def order_summary(table):
     return out
 
 
+def fine_steps(cfg):
+    """Step count of a validated study's fine path, the one every
+    realization samples: the ewp reference's M, or max(M_list) under an
+    exact reference."""
+    ref = cfg.reference
+    return ref.M if ref.mode == "ewp" else max(cfg.M_list)
+
+
 class _StudyState:
     """Per-worker study machinery (problem, contexts) and the buffers
     every realization reuses: one fine path's (2, fine_M, K) arrays and
@@ -358,11 +370,8 @@ class _StudyState:
         self.problem = builtin_problem(cfg.problem, cfg.N, cfg.K)
         self.grid = SineBasisGrid(cfg.N)
         self.opspec = LinearOperatorSpec(self.problem.kappa, cfg.N)
-        ref = cfg.reference
-        self.fine_M = ref.M if ref.mode == "ewp" else max(cfg.M_list)
-        step_Ms = set(cfg.M_list)
-        if ref.mode == "ewp":
-            step_Ms.add(self.fine_M)
+        self.fine_M = fine_steps(cfg)
+        step_Ms = set(cfg.M_list) | {self.fine_M}
         self.G = noise_matrix(self.problem.qspec, self.grid)
         self.fine_arrays = np.empty((2, self.fine_M, self.problem.qspec.K))
         self.tables = np.empty((2, min(self.fine_M, CHUNK_STEPS), self.grid.n_nodes))
@@ -373,7 +382,10 @@ class _StudyState:
         }
 
     def realization(self, r):
-        """Squared terminal errors, shape (schemes, M_list); NaN = flagged.
+        """Squared terminal errors, shape (schemes, M_list), with NaN for
+        a flagged cell, and the first DivergenceError of each flagged
+        cell as (r, scheme label or "reference", M, step, mode); a
+        diverged reference flags every cell with one entry.
 
         The fine path is sampled into the study's own arrays.  The fine
         reference streams its noise fields through the shared table; each
@@ -392,8 +404,9 @@ class _StudyState:
                 with np.errstate(over="ignore", invalid="ignore"):
                     truth = solve(self.problem, "ewp", fine, cfg.N,
                                   ctx=self.ctxs[self.fine_M])
-        except DivergenceError:
-            return out
+        except DivergenceError as e:
+            return out, [(r, "reference", self.fine_M, e.step, e.mode)]
+        diverged = []
         for jM, M in enumerate(cfg.M_list):
             path = coarsen(fine, self.fine_M // M)
             tables = noise_fields(path, self.G, out=self.tables) if M <= CHUNK_STEPS else None
@@ -402,11 +415,12 @@ class _StudyState:
                     with np.errstate(over="ignore", invalid="ignore"):
                         approx = solve(self.problem, sel, path, cfg.N,
                                        ctx=self.ctxs[M], fields=tables)
-                except DivergenceError:
+                except DivergenceError as e:
+                    diverged.append((r, e.scheme, M, e.step, e.mode))
                     continue
                 d = approx - truth
                 out[iS, jM] = float(d @ d)
-        return out
+        return out, diverged
 
 
 _POOL_STATE = None
@@ -440,17 +454,20 @@ def run_study(cfg, workers=1):
     workers = min(workers, R)
 
     sq = np.empty((R, len(cfg.schemes), len(cfg.M_list)))
+    diverged = []  # (realization, scheme or "reference", M, step, mode)
     if workers == 1:
         state = _StudyState(cfg)
         for r in range(R):
-            sq[r] = state.realization(r)
+            sq[r], flags = state.realization(r)
+            diverged += flags
     else:
         with multiprocessing.get_context().Pool(
             workers, initializer=_pool_init, initargs=(cfg,)
         ) as pool:
             chunk = max(1, R // (workers * 8))
-            for r, res in enumerate(pool.imap(_pool_task, range(R), chunk)):
+            for r, (res, flags) in enumerate(pool.imap(_pool_task, range(R), chunk)):
                 sq[r] = res
+                diverged += flags
 
     labels = [resolve_scheme(s)[0] for s in cfg.schemes]
     rows = []
@@ -463,5 +480,8 @@ def run_study(cfg, workers=1):
                 bad.append((label, M, flagged))
     if bad:
         detail = "; ".join("%s at M=%d: %d of %d" % (l, M, n, R) for l, M, n in bad)
-        raise StudyError("flagged realizations exceed 1%%: %s" % detail)
+        first = "; ".join("realization %d: %s, M=%d, step %d, mode %d" % d
+                          for d in diverged[:_NAMED_DIVERGENCES])
+        raise StudyError("flagged realizations exceed 1%%: %s; first divergences: %s"
+                         % (detail, first))
     return ErrorTable(tuple(rows))

@@ -28,12 +28,14 @@ from .qwiener import QSpec
 
 __all__ = [
     "ProblemSpec",
+    "coeff_map",
     "eval_coeff",
     "builtin_problem",
     "BUILTIN_PROBLEMS",
 ]
 
 _WHICH = ("f", "b", "f_y", "f_yy", "b_y", "b_yy")
+_FLOAT = np.dtype(float)
 
 
 class ProblemSpec:
@@ -96,33 +98,48 @@ class ProblemSpec:
         return "ProblemSpec(%r, kappa=%g, N=%d)" % (self.name, self.kappa, self.N)
 
 
-def eval_coeff(which, p, v, grid, needed_by=None):
-    """Pointwise composition field, e.g. which='f' gives f(x_p, v(x_p)).
+def coeff_map(p, which, needed_by=None):
+    """The problem's pointwise map named by which ('f', 'b', 'f_y',
+    'f_yy', 'b_y' or 'b_yy'), for eval_coeff.
 
-    Derivative selectors require the corresponding optional map; if it is
-    missing a CapabilityError names the caller that needed it.
+    A map the problem does not provide binds to a stub that raises a
+    CapabilityError naming the map and needed_by when it is called: a
+    context binds all six maps up front, and a problem without
+    derivative maps fails only where a stepper evaluates one.
     """
     if which not in _WHICH:
         raise ValueError("unknown selector %r" % (which,))
     fn = getattr(p, which)
-    if fn is None:
-        who = " (required by %s)" % needed_by if needed_by else ""
-        raise CapabilityError(
-            "problem %r does not provide the %s map%s" % (p.name, which, who)
-        )
+    if fn is not None:
+        return fn
+    who = " (required by %s)" % needed_by if needed_by else ""
+    message = "problem %r does not provide the %s map%s" % (p.name, which, who)
+
+    def missing(x, y):
+        raise CapabilityError(message)
+
+    return missing
+
+
+def eval_coeff(fn, v, grid):
+    """Pointwise composition field fn(x_p, v(x_p)) on the grid's nodes,
+    for a map bound by coeff_map and a float field v on the nodes.  A
+    result that is not a float field of the grid's shape (a scalar, say)
+    is broadcast to one.
+    """
     x = grid.nodes
-    out = np.asarray(fn(x, np.asarray(v, dtype=float)), dtype=float)
-    if out.shape != x.shape:
-        out = np.broadcast_to(out, x.shape).astype(float)
+    out = fn(x, v)
+    if type(out) is not np.ndarray or out.dtype is not _FLOAT or out.shape != x.shape:
+        out = np.broadcast_to(np.asarray(out, dtype=float), x.shape).astype(float)
     return out
 
 
 def _zero(x, y):
-    return np.zeros_like(y)
+    return np.zeros(y.shape)
 
 
 def _one(x, y):
-    return np.ones_like(y)
+    return np.ones(y.shape)
 
 
 def _identity(x, y):

@@ -18,12 +18,22 @@ Contents:
 * a driver (`solve`) running any stepper along a NoisePath to its
   terminal state.
 
-The only random input of a step is the pair of noise fields (dW, Iw)
-on the grid (qwiener.RandomWeights); every stepper reads them with the
-context's h and gsq, and the tableau engine derives its theta weights
-from them (`theta_fields`).  solve reads them row by row from tables of
-at most qwiener.CHUNK_STEPS steps (qwiener.noise_fields), so it holds
-the current state and one table, never the trajectory.
+Steppers are plain functions of (ctx, y, noise): the StepContext holds
+what is fixed for a step size -- diagonal operator factors, gsq, and the
+problem's six pointwise maps, bound once when it is built -- y is the
+spectral state and noise the step's row of noise factors.  The only
+random input of a step is the pair of noise fields (dW, Iw) on the grid
+(qwiener.RandomWeights).  solve reads them from tables of at most
+qwiener.CHUNK_STEPS steps (qwiener.noise_fields), and for each block of
+at most BLOCK_STEPS of those steps builds the factors the stepper reads
+that depend on the noise alone, one elementwise operation per factor:
+dW^2, dW^3, h dW - Iw and Iw - (h/2) dW for ewp and the closed form,
+the theta weights for the tableau engine (`theta_fields`), dW^2 - h gsq
+for dfmm.  Each row equals the factor computed for its step alone, bit
+for bit.  solve holds the current state, one table and one block, never
+the trajectory; it checks shapes once, before the first step, and tests
+each new state with one dot product.  A stepper called as fn(ctx) reads
+the state and weights StepContext.set_state loaded instead.
 
 Every stepper advances Y via the split form
 
@@ -41,7 +51,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionError, DivergenceError
-from .nemytskii import eval_coeff
+from .nemytskii import coeff_map, eval_coeff
 from .qwiener import (
     CHUNK_STEPS,
     RandomWeights,
@@ -75,6 +85,10 @@ __all__ = [
 ]
 
 SCHEME_NAMES = ("erkm15", "erkm-closed", "ewp", "exe", "lie", "dfmm")
+
+# steps per block of noise factors solve builds at once; with 64-node
+# grids each factor table of a block is 32 KiB
+BLOCK_STEPS = 64
 
 
 @dataclass
@@ -176,6 +190,39 @@ class ButcherTableau:
         self.alpha_terms = weight_rows(self.alpha)
         self.beta_terms = weight_rows(self.beta)
         (self.gamma_terms,) = weight_rows(self.gamma[None, :])
+        self.f_evals = int(self.f_needed.sum())
+        self.b_evals = int(self.b_needed.sum())
+        self._plan_h = self._plan = None
+
+    def plan(self, h):
+        """The stages of one step at step size h, as (i, f_terms,
+        drift_needed, b_terms): f_terms (b_terms) is None if f(K_i^0)
+        (b(K_i^1)) is not needed, else the (from_drift, j, coefficient)
+        terms added to the base point, a h on a drift entry and
+        b_h h + b_sqrt_h sqrt(h) on a diffusion entry, zeros dropped.
+        Kept for the last h asked for.
+        """
+        if h != self._plan_h:
+            sqh = math.sqrt(h)
+
+            def scaled(terms):
+                out = []
+                for j, a, b1, b2 in terms:
+                    if a != 0.0:
+                        out.append((True, j, a * h))
+                    blend = b1 * h + b2 * sqh
+                    if blend != 0.0:
+                        out.append((False, j, blend))
+                return tuple(out)
+
+            self._plan = tuple(
+                (i,
+                 scaled(self.stage0_terms[i]) if self.f_needed[i] else None,
+                 bool(self.drift_needed[i]),
+                 scaled(self.stage1_terms[i]) if self.b_needed[i] else None)
+                for i in range(self.s))
+            self._plan_h = h
+        return self._plan
 
 
 def erkm15_tableau(c):
@@ -240,18 +287,21 @@ def erkm15_tableau(c):
 
 
 class StepContext:
-    """Everything a stepper needs for one step, owned by one worker.
+    """Everything a stepper needs besides the state and the noise, owned
+    by one worker.
 
     Built for M uniform steps over a time span T: the step size
     h = T / M is derived here and nowhere else, and solve() matches a
     context to a path by the integer step count.  With the default M=1,
     T is the step size itself.  Holds the problem, grid, diagonal
-    operator data precomputed for h, gsq, the current state y (spectral)
-    and the step's noise fields, plus the evaluation counters.  Reused
-    across the steps of a trajectory via set_state().  tables is the
+    operator data precomputed for h, gsq and the evaluation counters,
+    and binds the problem's six pointwise maps once (nemytskii.coeff_map;
+    a missing derivative map raises a CapabilityError naming ewp when a
+    stepper first calls it).  tables is the
     (2, min(M, CHUNK_STEPS), n_nodes) buffer solve fills with noise
     fields chunk by chunk; contexts may share one buffer of at least
-    that many rows.
+    that many rows.  set_state() loads one state and one step's
+    RandomWeights for a stepper called on its own, as fn(ctx).
     """
 
     def __init__(self, problem, grid, opspec, T, M=1, G=None, tables=None):
@@ -269,7 +319,9 @@ class StepContext:
         self.T = float(T)
         self.M = int(M)
         self.h = h = self.T / self.M
+        self.sqh = math.sqrt(h)
         self.gsq = gsq_field(problem.qspec, grid)
+        self.h_gsq = h * self.gsq
         self.G = noise_matrix(problem.qspec, grid) if G is None else G
         rows = min(self.M, CHUNK_STEPS)
         if tables is None:
@@ -284,33 +336,32 @@ class StepContext:
         self.neg_lam = diagonal_factor("generator", opspec)
         self.resolvent = diagonal_factor("resolvent", opspec, h=h)
         self.phi1 = diagonal_factor("phi1", opspec, h=h)
+        self.f = coeff_map(problem, "f")
+        self.b = coeff_map(problem, "b")
+        self.f_y, self.f_yy, self.b_y, self.b_yy = (
+            coeff_map(problem, which, needed_by="ewp")
+            for which in ("f_y", "f_yy", "b_y", "b_yy"))
         self.counters = EvalCounters()
         self.y = None
         self.weights = None
-        self._y_phys = None
 
     def set_state(self, y, weights):
-        """Load the state y (spectral) and the step's RandomWeights."""
-        if weights.dW.shape != (self.grid.n_nodes,):
+        """Load the state y (spectral) and one step's RandomWeights."""
+        n = self.grid.n_nodes
+        if weights.dW.shape != (n,) or weights.Iw.shape != (n,):
             raise DimensionError("weights do not match the grid")
-        self.y = np.asarray(y, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if y.shape != (self.grid.N,):
+            raise DimensionError("state: expected shape (%d,), got %r"
+                                 % (self.grid.N, y.shape))
+        self.y = y
         self.weights = weights
-        self._y_phys = None
 
-    @property
-    def y_phys(self):
-        if self._y_phys is None:
-            self._y_phys = to_physical(self.y, self.grid)
-        return self._y_phys
-
-    def eval(self, which, v_phys, needed_by=None):
-        out = eval_coeff(which, self.problem, v_phys, self.grid, needed_by=needed_by)
-        setattr(self.counters, which, getattr(self.counters, which) + 1)
-        return out
-
-    def a_phys(self):
-        """Physical field of A y."""
-        return to_physical(self.neg_lam * self.y, self.grid)
+    def _loaded(self, noise):
+        """The state and the noise row of the step set_state loaded, with
+        the row's factors built by the stepper's noise function."""
+        w = self.weights
+        return self.y, tuple(t[0] for t in noise(self, w.dW[None], w.Iw[None]))
 
 
 def theta_fields(w, h, gsq):
@@ -323,7 +374,9 @@ def theta_fields(w, h, gsq):
                                      theta1_5 = dW * gsq - dW^3 / (3h)
 
     Returns (theta0, theta1, theta2_1) with theta0 = (theta0_1..theta0_3)
-    and theta1 = (theta1_1..theta1_5).
+    and theta1 = (theta1_1..theta1_5).  Elementwise, so w may hold the
+    (rows, n) tables of a block of steps: each row then equals that
+    step's weights to the bit.
     """
     dW, Iw = w.dW, w.Iw
     Iw_h = Iw / h
@@ -339,57 +392,99 @@ def theta_fields(w, h, gsq):
     return theta0, theta1, Iw - (h / 2.0) * dW
 
 
-def erkm_step(tab, ctx):
+# Noise functions: (ctx, dW, Iw) -> the tables a stepper reads per step,
+# built from a block's (rows, n) noise-field tables in one elementwise
+# pass each, so every row equals its step's own factors to the bit.
+
+def _theta_noise(ctx, dW, Iw):
+    """theta1_1..theta1_5 and theta2_1; theta0 is (h, theta1_2, h gsq)."""
+    _, theta1, theta2_1 = theta_fields(RandomWeights(dW, Iw), ctx.h, ctx.gsq)
+    return theta1 + (theta2_1,)
+
+
+def _wagner_platen_noise(ctx, dW, Iw):
+    """dW, Iw, dW^2, dW^3, h dW - Iw and Iw - (h/2) dW."""
+    h = ctx.h
+    return dW, Iw, dW**2, dW**3, h * dW - Iw, Iw - (h / 2.0) * dW
+
+
+def _increment_noise(ctx, dW, Iw):
+    """dW alone (lie, exe)."""
+    return (dW,)
+
+
+def _dfmm_noise(ctx, dW, Iw):
+    """dW and dW^2 - h gsq."""
+    return dW, dW**2 - ctx.h * ctx.gsq
+
+
+def _stage(K, terms, drift, bvals):
+    for from_drift, j, coef in terms:
+        K = K + coef * (drift[j] if from_drift else bvals[j])
+    return K
+
+
+def _combine(terms, vals):
+    """w_1 vals[j_1] + w_2 vals[j_2] + ... over a weight row's (j, w)
+    terms, left to right; a weight of exactly 1 multiplies by nothing.
+    Equals the sum started from 0 up to the sign of zero entries, which
+    the row's product with theta and its addition to P (which starts
+    from +0) cannot tell apart."""
+    acc = None
+    for j, w in terms:
+        t = vals[j] if w == 1.0 else w * vals[j]
+        acc = t if acc is None else acc + t
+    return acc
+
+
+def erkm_step(tab, ctx, y=None, noise=None):
     """One step of the generic explicit tableau engine.
 
     Stages are materialized lazily, following the nonzero structure the
-    tableau compiled once (ButcherTableau._compile).  With the ERKM1.5
-    tableau this performs exactly 5 f- and 6 b-evaluations.  The theta
-    weights come from theta_fields on the context's h and gsq.
+    tableau compiled once (ButcherTableau._compile) and scaled once per
+    step size (ButcherTableau.plan).  With the ERKM1.5 tableau this
+    performs exactly 5 f- and 6 b-evaluations.  The theta weights come
+    from theta_fields on the context's h and gsq: solve passes the
+    state y and the step's row of a block's weights as noise; called as
+    erkm_step(tab, ctx), the step reads what ctx.set_state loaded.
     """
-    h = ctx.h
-    sqh = math.sqrt(h)
-    y_phys = ctx.y_phys
+    if noise is None:
+        y, noise = ctx._loaded(_theta_noise)
+    grid = ctx.grid
+    y_phys = to_physical(y, grid)
+    fvals = [None] * tab.s   # j -> f(., K_j^0)
+    bvals = [None] * tab.s   # j -> b(., K_j^1)
+    drift = [None] * tab.s   # j -> A K_j^0 + f(., K_j^0), physical
 
-    fvals = {}   # j -> f(., K_j^0)
-    bvals = {}   # j -> b(., K_j^1)
-    drift = {}   # j -> A K_j^0 + f(., K_j^0), physical
+    for i, f_terms, drift_needed, b_terms in tab.plan(ctx.h):
+        if f_terms is not None:
+            K0 = _stage(y_phys, f_terms, drift, bvals)
+            fvals[i] = eval_coeff(ctx.f, K0, grid)
+            if drift_needed:
+                spec = y if i == 0 else to_spectral(K0, grid)
+                drift[i] = to_physical(ctx.neg_lam * spec, grid) + fvals[i]
+        if b_terms is not None:
+            bvals[i] = eval_coeff(ctx.b, _stage(y_phys, b_terms, drift, bvals), grid)
+    counters = ctx.counters
+    counters.f += tab.f_evals
+    counters.b += tab.b_evals
 
-    def build_stage(terms):
-        K = y_phys
-        for j, a, b1, b2 in terms:
-            if a != 0.0:
-                K = K + a * h * drift[j]
-            blend = b1 * h + b2 * sqh
-            if blend != 0.0:
-                K = K + blend * bvals[j]
-        return K
+    # P = 0 + sum over weight rows of (row . values) * theta, in row order
+    P = None
+    for rows, vals, thetas in ((tab.alpha_terms, fvals, (ctx.h, noise[1], ctx.h_gsq)),
+                               (tab.beta_terms, bvals, noise[:5])):
+        for terms, theta in zip(rows, thetas):
+            if terms:
+                T = _combine(terms, vals) * theta
+                P = T + 0.0 if P is None else P + T
+    if P is None:
+        P = np.zeros(grid.n_nodes)
 
-    for i in range(tab.s):
-        if tab.f_needed[i]:
-            K0 = build_stage(tab.stage0_terms[i])
-            fvals[i] = ctx.eval("f", K0)
-            if tab.drift_needed[i]:
-                spec = ctx.y if i == 0 else to_spectral(K0, ctx.grid)
-                drift[i] = to_physical(ctx.neg_lam * spec, ctx.grid) + fvals[i]
-        if tab.b_needed[i]:
-            K1 = build_stage(tab.stage1_terms[i])
-            bvals[i] = ctx.eval("b", K1)
-
-    theta0, theta1, theta2_1 = theta_fields(ctx.weights, h, ctx.gsq)
-    P = np.zeros(ctx.grid.n_nodes)
-    for terms, theta in zip(tab.alpha_terms, theta0):
-        if terms:
-            P = P + sum(a * fvals[j] for j, a in terms) * theta
-    for terms, theta in zip(tab.beta_terms, theta1):
-        if terms:
-            P = P + sum(b * bvals[j] for j, b in terms) * theta
-
-    bracket = to_spectral(P, ctx.grid)
+    bracket = to_spectral(P, grid)
     if tab.gamma_terms:
         Gm = sum(g * bvals[j] for j, g in tab.gamma_terms)
-        bracket = bracket + ctx.neg_lam * to_spectral(Gm * theta2_1, ctx.grid)
-    return ctx.E_h2 * (ctx.E_h2 * ctx.y + bracket)
+        bracket = bracket + ctx.neg_lam * to_spectral(Gm * noise[5], grid)
+    return ctx.E_h2 * (ctx.E_h2 * y + bracket)
 
 
 def hatted_coefficients(c, h):
@@ -411,40 +506,45 @@ def hatted_coefficients(c, h):
     )
 
 
-def erkm15_closed_form_step(chat, ctx):
+def erkm15_closed_form_step(chat, ctx, y=None, noise=None):
     """One step of the summed scheme with generalized coefficients.
 
     chat = (c^_1 .. c^_8), all nonzero, possibly h-dependent.  This is an
     independent formulation used as an oracle for the tableau engine; the
-    two coincide under hatted_coefficients(c, h).
+    two coincide under hatted_coefficients(c, h).  It reads the same
+    noise factors as ewp_step.
     """
     chat = np.asarray(chat, dtype=float)
     if chat.shape != (8,):
         raise DimensionError("chat must have 8 entries")
     if np.any(chat == 0.0) or not np.all(np.isfinite(chat)):
         raise ValueError("generalized coefficients must be finite and nonzero")
+    if noise is None:
+        y, noise = ctx._loaded(_wagner_platen_noise)
+    dW, Iw, dW2, dW3, hdW_Iw, Iw_hdW = noise
     g1, g2, g3, g4, g5, g6, g7, g8 = chat
     h = ctx.h
-    w = ctx.weights
-    yp = ctx.y_phys
+    grid = ctx.grid
+    yp = to_physical(y, grid)
     gsq = ctx.gsq
-    dW = w.dW
-    Iw = w.Iw
+    f, b = ctx.f, ctx.b
 
-    fY = ctx.eval("f", yp)
-    bY = ctx.eval("b", yp)
-    D = ctx.a_phys() + fY
+    fY = eval_coeff(f, yp, grid)
+    bY = eval_coeff(b, yp, grid)
+    D = to_physical(ctx.neg_lam * y, grid) + fY
 
-    f_drift = ctx.eval("f", yp + g1 * D)
-    f_diff = ctx.eval("f", yp + g2 * bY)
-    f_plus = ctx.eval("f", yp + g3 * bY)
-    f_minus = ctx.eval("f", yp - g3 * bY)
-    b_drift = ctx.eval("b", yp + g4 * D)
-    b_diff = ctx.eval("b", yp + g5 * bY)
-    b_plus = ctx.eval("b", yp + g6 * bY)
-    b_minus = ctx.eval("b", yp - g6 * bY)
-    b_7 = b_plus if g7 == g6 else ctx.eval("b", yp + g7 * bY)
-    b_nest = ctx.eval("b", yp + (g8 / g7) * (b_7 - bY))
+    f_drift = eval_coeff(f, yp + g1 * D, grid)
+    f_diff = eval_coeff(f, yp + g2 * bY, grid)
+    f_plus = eval_coeff(f, yp + g3 * bY, grid)
+    f_minus = eval_coeff(f, yp - g3 * bY, grid)
+    b_drift = eval_coeff(b, yp + g4 * D, grid)
+    b_diff = eval_coeff(b, yp + g5 * bY, grid)
+    b_plus = eval_coeff(b, yp + g6 * bY, grid)
+    b_minus = eval_coeff(b, yp - g6 * bY, grid)
+    b_7 = b_plus if g7 == g6 else eval_coeff(b, yp + g7 * bY, grid)
+    b_nest = eval_coeff(b, yp + (g8 / g7) * (b_7 - bY), grid)
+    ctx.counters.f += 5
+    ctx.counters.b += 6 if g7 == g6 else 7
 
     second_f = f_plus - 2.0 * fY + f_minus
     second_b = b_plus - 2.0 * bY + b_minus
@@ -455,45 +555,52 @@ def erkm15_closed_form_step(chat, ctx):
         + (1.0 / g2) * (f_diff - fY) * Iw
         + (h * h / (4.0 * g3**2)) * second_f * gsq
         + bY * dW
-        + (1.0 / g4) * (b_drift - bY) * (h * dW - Iw)
-        + (1.0 / (2.0 * g5)) * (b_diff - bY) * dW**2
-        + (1.0 / (6.0 * g6**2)) * second_b * dW**3
-        + (1.0 / (6.0 * g8)) * (b_nest - bY) * dW**3
+        + (1.0 / g4) * (b_drift - bY) * hdW_Iw
+        + (1.0 / (2.0 * g5)) * (b_diff - bY) * dW2
+        + (1.0 / (6.0 * g6**2)) * second_b * dW3
+        + (1.0 / (6.0 * g8)) * (b_nest - bY) * dW3
         - (h / (2.0 * g5)) * (b_diff - bY) * gsq
         - (1.0 / (2.0 * g6**2)) * second_b * gsq * Iw
         - (h / (2.0 * g8)) * (b_nest - bY) * gsq * dW
     )
-    bracket = to_spectral(S, ctx.grid) + ctx.neg_lam * to_spectral(
-        bY * (Iw - (h / 2.0) * dW), ctx.grid
-    )
-    return ctx.E_h2 * (ctx.E_h2 * ctx.y + bracket)
+    bracket = to_spectral(S, grid) + ctx.neg_lam * to_spectral(bY * Iw_hdW, grid)
+    return ctx.E_h2 * (ctx.E_h2 * y + bracket)
 
 
-def ewp_step(ctx):
+def ewp_step(ctx, y=None, noise=None):
     """One step of the exponential Wagner-Platen scheme.
 
     Needs the pointwise derivative maps f_y, f_yy, b_y, b_yy; at state
     dimension 1 every operator derivative collapses to a pointwise
     product, and the step costs 6 distinct function/derivative
-    evaluations.
+    evaluations.  solve passes the state y and the step's row of a
+    block's noise factors; called as ewp_step(ctx), the step reads what
+    ctx.set_state loaded.
     """
+    if noise is None:
+        y, noise = ctx._loaded(_wagner_platen_noise)
+    dW, Iw, dW2, dW3, hdW_Iw, Iw_hdW = noise
     h = ctx.h
-    w = ctx.weights
-    yp = ctx.y_phys
+    grid = ctx.grid
+    yp = to_physical(y, grid)
     gsq = ctx.gsq
-    dW = w.dW
-    Iw = w.Iw
 
-    fY = ctx.eval("f", yp, needed_by="ewp")
-    f_y = ctx.eval("f_y", yp, needed_by="ewp")
-    f_yy = ctx.eval("f_yy", yp, needed_by="ewp")
-    bY = ctx.eval("b", yp, needed_by="ewp")
-    b_y = ctx.eval("b_y", yp, needed_by="ewp")
-    b_yy = ctx.eval("b_yy", yp, needed_by="ewp")
-    D = ctx.a_phys() + fY
+    fY = eval_coeff(ctx.f, yp, grid)
+    f_y = eval_coeff(ctx.f_y, yp, grid)
+    f_yy = eval_coeff(ctx.f_yy, yp, grid)
+    bY = eval_coeff(ctx.b, yp, grid)
+    b_y = eval_coeff(ctx.b_y, yp, grid)
+    b_yy = eval_coeff(ctx.b_yy, yp, grid)
+    counters = ctx.counters
+    counters.f += 1
+    counters.f_y += 1
+    counters.f_yy += 1
+    counters.b += 1
+    counters.b_y += 1
+    counters.b_yy += 1
+    D = to_physical(ctx.neg_lam * y, grid) + fY
     bY2 = bY**2
     b_y2 = b_y**2
-    dW3 = dW**3
 
     S = (
         h * fY
@@ -501,21 +608,19 @@ def ewp_step(ctx):
         + f_y * bY * Iw
         + 0.25 * h * h * f_yy * bY2 * gsq
         + bY * dW
-        + b_y * D * (h * dW - Iw)
-        + 0.5 * b_y * bY * dW**2
+        + b_y * D * hdW_Iw
+        + 0.5 * b_y * bY * dW2
         + (1.0 / 6.0) * b_yy * bY2 * dW3
         + (1.0 / 6.0) * b_y2 * bY * dW3
         - 0.5 * h * b_y * bY * gsq
         - 0.5 * b_yy * bY2 * gsq * Iw
         - 0.5 * h * b_y2 * bY * gsq * dW
     )
-    bracket = to_spectral(S, ctx.grid) + ctx.neg_lam * to_spectral(
-        bY * (Iw - (h / 2.0) * dW), ctx.grid
-    )
-    return ctx.E_h2 * (ctx.E_h2 * ctx.y + bracket)
+    bracket = to_spectral(S, grid) + ctx.neg_lam * to_spectral(bY * Iw_hdW, grid)
+    return ctx.E_h2 * (ctx.E_h2 * y + bracket)
 
 
-def baseline_step(kind, ctx):
+def baseline_step(kind, ctx, y=None, noise=None):
     """Euler/Milstein-type baselines.
 
     lie:  Y+ = (I - hA)^(-1) (Y + h f(Y) + b(Y) dW)
@@ -524,40 +629,42 @@ def baseline_step(kind, ctx):
                + (b(Y + sqrt(h) b(Y)) - b(Y)) (dW^2 - h sum g_j^2) / (2 sqrt(h)))
 
     dfmm needs commutative noise, which Nemytskii noise always is (see
-    spderk.nemytskii).
+    spderk.nemytskii).  solve passes the state y and the step's noise
+    row, (dW,) or for dfmm (dW, dW^2 - h gsq); called as
+    baseline_step(kind, ctx), the step reads what ctx.set_state loaded.
     """
+    if noise is None:
+        y, noise = ctx._loaded(_dfmm_noise if kind == "dfmm" else _increment_noise)
     h = ctx.h
-    w = ctx.weights
-    yp = ctx.y_phys
-    dW = w.dW
-    fY = ctx.eval("f", yp)
-    bY = ctx.eval("b", yp)
+    grid = ctx.grid
+    yp = to_physical(y, grid)
+    dW = noise[0]
+    fY = eval_coeff(ctx.f, yp, grid)
+    bY = eval_coeff(ctx.b, yp, grid)
+    counters = ctx.counters
+    counters.f += 1
+    counters.b += 1
     if kind == "lie":
-        incr = to_spectral(h * fY + bY * dW, ctx.grid)
-        return ctx.resolvent * (ctx.y + incr)
+        incr = to_spectral(h * fY + bY * dW, grid)
+        return ctx.resolvent * (y + incr)
     if kind == "exe":
         return (
-            ctx.E_h * ctx.y
-            + h * ctx.phi1 * to_spectral(fY, ctx.grid)
-            + ctx.E_h * to_spectral(bY * dW, ctx.grid)
+            ctx.E_h * y
+            + h * ctx.phi1 * to_spectral(fY, grid)
+            + ctx.E_h * to_spectral(bY * dW, grid)
         )
     if kind == "dfmm":
-        sqh = math.sqrt(h)
-        b_shift = ctx.eval("b", yp + sqh * bY)
-        corr = (b_shift - bY) * (dW**2 - h * ctx.gsq) / (2.0 * sqh)
-        return ctx.E_h * (ctx.y + to_spectral(h * fY + bY * dW + corr, ctx.grid))
+        sqh = ctx.sqh
+        b_shift = eval_coeff(ctx.b, yp + sqh * bY, grid)
+        counters.b += 1
+        corr = (b_shift - bY) * noise[1] / (2.0 * sqh)
+        return ctx.E_h * (y + to_spectral(h * fY + bY * dW + corr, grid))
     raise ValueError("unknown baseline kind %r" % (kind,))
 
 
-def resolve_scheme(scheme):
-    """Normalize a scheme selector to (label, step_function).
-
-    Accepts the two forms a JSON config can hold: a plain name from
-    SCHEME_NAMES, or a dict with a 'name' key, an optional 'label' and
-    the scheme's parameters.  Parameters: 'c' (7 coefficients) for
-    erkm15; 'c' with 7 entries (mapped per step size) or 8 entries
-    (fixed c^) for erkm-closed.
-    """
+def _resolve(scheme):
+    """(label, step function, noise function) of a scheme selector; see
+    resolve_scheme."""
     params = {}
     if isinstance(scheme, str):
         name = scheme
@@ -571,24 +678,40 @@ def resolve_scheme(scheme):
     if name == "erkm15":
         c = np.asarray(params.pop("c", np.ones(7)), dtype=float)
         tab = erkm15_tableau(c)
-        fn = partial(erkm_step, tab)
+        fn, noise = partial(erkm_step, tab), _theta_noise
     elif name == "erkm-closed":
         c = np.asarray(params.pop("c", np.ones(7)), dtype=float)
+        noise = _wagner_platen_noise
         if c.shape == (8,):
             fn = partial(erkm15_closed_form_step, c)
         elif c.shape == (7,):
-            fn = lambda ctx: erkm15_closed_form_step(hatted_coefficients(c, ctx.h), ctx)
+            def fn(ctx, y=None, row=None):
+                return erkm15_closed_form_step(hatted_coefficients(c, ctx.h), ctx, y, row)
         else:
             raise DimensionError("erkm-closed takes 7 (mapped) or 8 (fixed) coefficients")
     elif name == "ewp":
-        fn = ewp_step
+        fn, noise = ewp_step, _wagner_platen_noise
     elif name in ("exe", "lie", "dfmm"):
         fn = partial(baseline_step, name)
+        noise = _dfmm_noise if name == "dfmm" else _increment_noise
     else:
         raise ValueError("unknown scheme %r (have: %s)" % (name, ", ".join(SCHEME_NAMES)))
     if params:
         raise ValueError("unused scheme parameters: %s" % ", ".join(sorted(params)))
-    return label, fn
+    return label, fn, noise
+
+
+def resolve_scheme(scheme):
+    """Normalize a scheme selector to (label, step_function).
+
+    Accepts the two forms a JSON config can hold: a plain name from
+    SCHEME_NAMES, or a dict with a 'name' key, an optional 'label' and
+    the scheme's parameters.  Parameters: 'c' (7 coefficients) for
+    erkm15; 'c' with 7 entries (mapped per step size) or 8 entries
+    (fixed c^) for erkm-closed.  The step function is called as
+    fn(ctx) after ctx.set_state, or as fn(ctx, y, noise) by solve.
+    """
+    return _resolve(scheme)[:2]
 
 
 def solve(problem, scheme, path, N, ctx=None, fields=None):
@@ -605,8 +728,16 @@ def solve(problem, scheme, path, N, ctx=None, fields=None):
     qwiener.noise_fields.  fields, the (dW, Iw) tables of all M steps of
     a path with M <= CHUNK_STEPS as noise_fields returns them, may be
     passed instead, so that several schemes share one table.
+
+    Shapes are checked here, once: the stepper gets the state and its
+    step's noise row directly.  The noise factors a stepper reads besides
+    dW and Iw (dW^2, the theta weights, ...) are built for blocks of at
+    most BLOCK_STEPS steps, one elementwise operation per factor and
+    block.  After each step one dot product y.y tests the state; only a
+    non-finite result (a non-finite entry, or finite entries whose
+    squares overflow) scans the entries for the first non-finite mode.
     """
-    label, stepfn = resolve_scheme(scheme)
+    label, stepfn, noise = _resolve(scheme)
     M = path.M
     if ctx is None:
         grid = SineBasisGrid(N)
@@ -617,9 +748,10 @@ def solve(problem, scheme, path, N, ctx=None, fields=None):
     if not math.isclose(path.h * M, ctx.T, rel_tol=1e-9):
         raise ValueError("context T=%g does not match path T=%g"
                          % (ctx.T, path.h * M))
-    if problem.N != N:
-        raise DimensionError("problem built for N=%d, solve called with N=%d"
-                             % (problem.N, N))
+    y = problem.initial_coeffs
+    if y.shape != (N,) or ctx.grid.N != N:
+        raise DimensionError("solve called with N=%d: initial state of shape %r,"
+                             " context of %d modes" % (N, y.shape, ctx.grid.N))
     q = problem.qspec
     if q.K != path.K:
         raise DimensionError("path has %d noise modes, problem %d" % (path.K, q.K))
@@ -628,14 +760,16 @@ def solve(problem, scheme, path, N, ctx=None, fields=None):
         if M > CHUNK_STEPS or dW.shape != (M, ctx.grid.n_nodes) or Iw.shape != dW.shape:
             raise DimensionError("noise field tables must have shape (%d, %d),"
                                  " at most %d steps" % (M, ctx.grid.n_nodes, CHUNK_STEPS))
-    y = problem.initial_coeffs
     for m0 in range(0, M, CHUNK_STEPS):
         if fields is None:
             dW, Iw = noise_fields(path, ctx.G, m0, out=ctx.tables)
-        for i in range(dW.shape[0]):
-            ctx.set_state(y, RandomWeights(dW[i], Iw[i]))
-            y = stepfn(ctx)
-            bad = ~np.isfinite(y)
-            if bad.any():
-                raise DivergenceError(label, m0 + i, int(np.nonzero(bad)[0][0]))
+        for b0 in range(0, dW.shape[0], BLOCK_STEPS):
+            b1 = b0 + BLOCK_STEPS
+            rows = zip(*noise(ctx, dW[b0:b1], Iw[b0:b1]))
+            for m, row in enumerate(rows, m0 + b0):
+                y = stepfn(ctx, y, row)
+                if not math.isfinite(np.vdot(y, y)):
+                    bad = ~np.isfinite(y)
+                    if bad.any():
+                        raise DivergenceError(label, m, int(np.nonzero(bad)[0][0]))
     return y

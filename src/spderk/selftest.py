@@ -12,7 +12,7 @@ from .experiments import (
     fit_order,
     run_study,
 )
-from .nemytskii import builtin_problem
+from .nemytskii import builtin_problem, coeff_map, eval_coeff
 from .qwiener import QSpec, coarsen, sample_path, theta_weights
 from .schemes import (
     StepContext,
@@ -80,10 +80,9 @@ def _derivative_maps():
     grid = SineBasisGrid(8)
     v = np.linspace(-1.0, 1.0, grid.n_nodes)
     eps = 1e-6
-    from .nemytskii import eval_coeff
-
-    fd = (eval_coeff("b", p, v + eps, grid) - eval_coeff("b", p, v - eps, grid)) / (2 * eps)
-    assert np.abs(fd - eval_coeff("b_y", p, v, grid)).max() <= 1e-6
+    b, b_y = coeff_map(p, "b"), coeff_map(p, "b_y")
+    fd = (eval_coeff(b, v + eps, grid) - eval_coeff(b, v - eps, grid)) / (2 * eps)
+    assert np.abs(fd - eval_coeff(b_y, v, grid)).max() <= 1e-6
 
 
 def _scheme_equivalence():

@@ -9,6 +9,7 @@ from dataclasses import fields
 import pytest
 
 import spderk.cli as cli
+import spderk.experiments as experiments
 from spderk.errors import ConfigError
 from spderk.experiments import ErrorRow, ErrorTable, StudyConfig
 from spderk.cli import (
@@ -18,6 +19,7 @@ from spderk.cli import (
     load_config,
     run_cli,
 )
+from spderk.qwiener import dump_path
 
 
 def _write_config(tmp_path, name="study.json", **overrides):
@@ -246,6 +248,32 @@ def test_path_subcommand(tmp_path):
     assert code2 == 0 and out2 != out
     code3, out3, err3 = _run(["path", str(cfg_path), "--realization", "-1"])
     assert code3 == 1 and out3 == "" and "--realization must be >= 0" in err3
+
+
+def test_path_dumps_the_studys_fine_path(tmp_path, monkeypatch):
+    # with an ewp reference the study samples reference.M steps, more
+    # than max(M_list); path dumps that fine path, realization by
+    # realization
+    cfg_path = _write_config(tmp_path, problem="example3", N=4, K=2, M_list=[4, 8],
+                             schemes=["exe"], reference={"mode": "ewp", "M": 32})
+    cfg = load_config(str(cfg_path)).validated()
+    sampled = []
+
+    def sample(*args, **kwargs):
+        sampled.append(real_sample(*args, **kwargs))
+        return sampled[-1]
+
+    real_sample = experiments.sample_path
+    monkeypatch.setattr(experiments, "sample_path", sample)
+    state = experiments._StudyState(cfg)
+    for r in (0, 2):
+        state.realization(r)
+        expected = io.StringIO()
+        dump_path(sampled[-1], expected)
+        code, out, err = _run(["path", str(cfg_path), "--realization", str(r)])
+        assert code == 0, err
+        assert out == expected.getvalue()
+        assert len(out.splitlines()) == 1 + 32 * 2  # 32 steps, K=2 modes
 
 
 def test_selftest_subcommand():

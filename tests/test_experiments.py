@@ -3,13 +3,15 @@ small end-to-end runs exercising the coupled-path protocol."""
 
 import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spderk.errors import ConfigError, StudyError
+import spderk.experiments as experiments
+from spderk.errors import ConfigError, DivergenceError, StudyError
 from spderk.experiments import (
     CSV_HEADER,
     _StudyState,
@@ -351,6 +353,41 @@ def test_run_study_flags_divergent_reference(monkeypatch):
         run_study(cfg)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_study_error_names_first_divergences(monkeypatch, workers):
+    # a scheme diverges in realization 1 and the reference in realization
+    # 3: the StudyError keeps its per-cell counts and then names each
+    # first divergence, in realization order, for any worker count
+    real_sample, real_solve = experiments.sample_path, experiments.solve
+    current = {}
+
+    def sample(q, M, h, seed, r, out=None):
+        current["r"] = r
+        return real_sample(q, M, h, seed, r, out=out)
+
+    def solve(problem, scheme, path, N, **kwargs):
+        if current["r"] == 1 and scheme == "exe" and path.M == 8:
+            raise DivergenceError("exe", 5, 2)
+        if current["r"] == 3 and path.M == 16:
+            raise DivergenceError("ewp", 11, 0)
+        return real_solve(problem, scheme, path, N, **kwargs)
+
+    monkeypatch.setattr(experiments, "sample_path", sample)
+    monkeypatch.setattr(experiments, "solve", solve)
+    cfg = StudyConfig("example2", N=4, K=2, M_list=(4, 8), realizations=4,
+                      schemes=("lie", "exe"), reference=ReferenceSpec("ewp", 16), seed=3)
+    with pytest.raises(StudyError) as exc:
+        run_study(cfg, workers=workers)
+    msg = str(exc.value)
+    assert msg == ("flagged realizations exceed 1%: lie at M=4: 1 of 4; lie at M=8: 1 of 4;"
+                   " exe at M=4: 1 of 4; exe at M=8: 2 of 4; first divergences:"
+                   " realization 1: exe, M=8, step 5, mode 2;"
+                   " realization 3: reference, M=16, step 11, mode 0")
+    # the per-cell counts stay the only "<label> at M=<M>: <n> of <R>"
+    # text (bench/child.py counts flagged realizations from it)
+    assert re.findall(r" at M=\d+: (\d+) of \d+", msg) == ["1", "1", "1", "2"]
+
+
 def test_realization_memory_is_bounded_by_the_fine_path():
     # one ex3-shaped realization (K = 64, fine ewp reference at M = 4096):
     # besides the study's own fine-path arrays (4.19 MB) it holds one
@@ -364,9 +401,9 @@ def test_realization_memory_is_bounded_by_the_fine_path():
     tracemalloc.start()
     try:
         state = _StudyState(cfg.validated())
-        sq = state.realization(0)
+        sq, diverged = state.realization(0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.all(np.isfinite(sq))
+    assert np.all(np.isfinite(sq)) and diverged == []
     assert peak <= fine_bytes + 4.5e6, peak

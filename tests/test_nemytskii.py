@@ -7,6 +7,7 @@ from spderk.errors import CapabilityError
 from spderk.nemytskii import (
     ProblemSpec,
     builtin_problem,
+    coeff_map,
     eval_coeff,
 )
 from spderk.qwiener import QSpec
@@ -67,14 +68,14 @@ def test_unknown_problem():
 def test_eval_f_example3_at_zero():
     p = builtin_problem("example3", N=8)
     grid = SineBasisGrid(8)
-    assert np.all(eval_coeff("f", p, np.zeros(8), grid) == 0.0)
+    assert np.all(eval_coeff(coeff_map(p, "f"), np.zeros(8), grid) == 0.0)
 
 
 def test_eval_b_example1_is_identity():
     p = builtin_problem("example1", N=6)
     grid = SineBasisGrid(6)
     v = np.random.default_rng(0).standard_normal(6)
-    assert np.array_equal(eval_coeff("b", p, v, grid), v)
+    assert np.array_equal(eval_coeff(coeff_map(p, "b"), v, grid), v)
 
 
 def test_eval_scalar_result_broadcasts():
@@ -87,14 +88,14 @@ def test_eval_scalar_result_broadcasts():
         qspec=q,
     )
     grid = SineBasisGrid(4)
-    out = eval_coeff("f", p, np.zeros(4), grid)
+    out = eval_coeff(coeff_map(p, "f"), np.zeros(4), grid)
     assert out.shape == (4,) and np.all(out == 3.0)
 
 
 def test_unknown_selector():
     p = builtin_problem("example1", N=4)
-    with pytest.raises(ValueError):
-        eval_coeff("g", p, np.zeros(4), SineBasisGrid(4))
+    with pytest.raises(ValueError, match="unknown selector"):
+        coeff_map(p, "g")
 
 
 def test_missing_derivative_names_requester():
@@ -107,10 +108,21 @@ def test_missing_derivative_names_requester():
         qspec=q,
     )
     grid = SineBasisGrid(4)
-    with pytest.raises(CapabilityError, match="ewp"):
-        eval_coeff("b_yy", p, np.zeros(4), grid, needed_by="ewp")
-    with pytest.raises(CapabilityError, match="b_y"):
-        eval_coeff("b_y", p, np.zeros(4), grid)
+    # binding a missing map succeeds; evaluating it raises
+    b_yy = coeff_map(p, "b_yy", needed_by="ewp")
+    with pytest.raises(CapabilityError, match="b_yy map .required by ewp"):
+        eval_coeff(b_yy, np.zeros(4), grid)
+    with pytest.raises(CapabilityError, match="b_y map$"):
+        eval_coeff(coeff_map(p, "b_y"), np.zeros(4), grid)
+
+
+def test_eval_converts_non_float_results():
+    # an integer field of the grid's shape comes back as floats
+    p = builtin_problem("example1", N=4)
+    grid = SineBasisGrid(4)
+    out = eval_coeff(lambda x, y: np.arange(4), np.zeros(4), grid)
+    assert out.dtype == float and np.array_equal(out, [0.0, 1.0, 2.0, 3.0])
+    assert eval_coeff(coeff_map(p, "b"), np.ones(4), grid).dtype == float
 
 
 def central_difference(fn, x, y, delta=1e-5):
@@ -144,7 +156,7 @@ def test_custom_derivative_against_fd():
     grid = SineBasisGrid(8)
     y = np.random.default_rng(1).uniform(-2, 2, size=8)
     fd = central_difference(p.f, grid.nodes, y)
-    assert np.allclose(fd, eval_coeff("f_y", p, y, grid), rtol=1e-8, atol=1e-8)
+    assert np.allclose(fd, eval_coeff(coeff_map(p, "f_y"), y, grid), rtol=1e-8, atol=1e-8)
 
 
 def test_exact_must_match_initial():

@@ -7,7 +7,10 @@ A ~ 0 and multiplicative scalar noise every order-1.5 scheme must
 reproduce the classical one-dimensional expansion term by term).
 """
 
+import json
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from spderk.qwiener import (
     theta_weights,
 )
 from spderk.schemes import (
+    BLOCK_STEPS,
     SCHEME_NAMES,
     ButcherTableau,
     StepContext,
@@ -41,6 +45,7 @@ from spderk.spectral import (
     LinearOperatorSpec,
     SineBasisGrid,
     diagonal_factor,
+    to_physical,
     to_spectral,
 )
 
@@ -272,7 +277,7 @@ def test_dfmm_difference_quotient_linear_noise():
     ctx.set_state(y, w)
     got = baseline_step("dfmm", ctx)
 
-    yp = ctx.y_phys
+    yp = to_physical(y, ctx.grid)
     dW = w.dW
     incr = yp * dW + 0.5 * yp * (dW**2 - h * ctx.gsq)
     expected = ctx.E_h * (y + to_spectral(incr, ctx.grid))
@@ -317,8 +322,7 @@ def test_zero_noise_degeneracy_linear_b():
     w = theta_weights(zero.step(0), p.qspec, grid, G=ctx.G)
     y = _decaying_state(N, 11)
 
-    ctx.set_state(y, w)
-    drift_part = to_spectral(-0.5 * h * ctx.y_phys * ctx.gsq, grid)
+    drift_part = to_spectral(-0.5 * h * to_physical(y, grid) * ctx.gsq, grid)
     expected = ctx.E_h2 * (ctx.E_h2 * y + drift_part)
 
     rng = np.random.default_rng(8)
@@ -332,7 +336,7 @@ def test_zero_noise_degeneracy_linear_b():
 
     ctx.set_state(y, w)
     got_mm = baseline_step("dfmm", ctx)
-    expected_mm = ctx.E_h * (y + to_spectral(-0.5 * h * ctx.y_phys * ctx.gsq, grid))
+    expected_mm = ctx.E_h * (y + to_spectral(-0.5 * h * to_physical(y, grid) * ctx.gsq, grid))
     np.testing.assert_allclose(got_mm, expected_mm, rtol=1e-12, atol=1e-17)
 
 
@@ -377,6 +381,58 @@ def test_solve_divergence_error():
     assert exc.value.step == 1
     assert 0 <= exc.value.mode < N
     assert "exe" in str(exc.value)
+
+
+def test_solve_runs_on_when_only_the_squared_norm_overflows():
+    # entries of 1e200 are finite but y . y overflows; the scan that
+    # follows finds no non-finite entry, so the run goes on, and without
+    # a warning
+    N, M, T = 4, 4, 1.0
+    p = _silent_problem(N)
+    p.initial_coeffs = np.full(N, 1e200)
+    with np.errstate(over="ignore"):
+        assert not math.isfinite(p.initial_coeffs @ p.initial_coeffs)
+    path = sample_path(p.qspec, M, T / M, 0)
+    exact = np.exp(-LinearOperatorSpec(p.kappa, N).eigenvalues * T) * p.initial_coeffs
+    for scheme in ("erkm15", "ewp", "exe", "dfmm"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = solve(p, scheme, path, N)
+        np.testing.assert_allclose(y, exact, rtol=1e-12)
+
+
+_PINS = os.path.join(os.path.dirname(__file__), "data", "solve_pins.json")
+
+
+def _kernel_fingerprint():
+    """float.hex of a few results of the floating-point kernels solve
+    uses (BLAS matrix-vector products, sin, cos, integer powers)."""
+    grid = SineBasisGrid(16)
+    v = np.linspace(-1.0, 1.0, 16) / 3.0
+    vals = np.concatenate([to_physical(v, grid), to_spectral(v, grid),
+                           np.sin(v), np.cos(v), v**3])
+    return [float(x).hex() for x in vals]
+
+
+@pytest.mark.parametrize("M", [BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1,
+                               CHUNK_STEPS + 1])
+def test_solve_terminal_states_pinned(M):
+    # float.hex of every scheme's terminal state, recorded from the engine
+    # that built each step's noise factors inside the step.  The step
+    # counts cross the edges of a noise-factor block and of a noise-field
+    # chunk; a reassociated sum or a reordered product moves the last bits.
+    # Other BLAS or libm kernels round differently, so the pins hold only
+    # where the kernels reproduce the recorded fingerprint
+    with open(_PINS) as fh:
+        pins = json.load(fh)
+    if _kernel_fingerprint() != pins["kernels"]:
+        pytest.skip("pins were recorded with other floating-point kernels")
+    N, T = 16, 0.5
+    p = builtin_problem("example3", N)
+    path = sample_path(p.qspec, M, T / M, 37, realization=M)
+    for scheme in SCHEME_NAMES:
+        got = [float(v).hex() for v in solve(p, scheme, path, N)]
+        assert got == pins["states"]["%s@%d" % (scheme, M)], scheme
 
 
 def test_resolve_scheme_forms():
@@ -427,6 +483,16 @@ def test_context_guards():
     w = theta_weights(path.step(0), p.qspec, SineBasisGrid(4))
     with pytest.raises(DimensionError):
         ctx.set_state(np.zeros(6), w)
+    # solve checks the initial state and the context against N once
+    with pytest.raises(DimensionError, match="N=4: initial state of shape .6,."):
+        solve(p, "exe", path, 4, ctx=ctx)
+    with pytest.raises(DimensionError, match="context of 4 modes"):
+        solve(p, "exe", path, 6, ctx=StepContext(builtin_problem("example1", 4), SineBasisGrid(4),
+                                                  LinearOperatorSpec(p.kappa, 4), 0.1))
+    # a state of the wrong length is rejected when it is loaded
+    w6 = theta_weights(path.step(0), p.qspec, grid)
+    with pytest.raises(DimensionError, match="state"):
+        ctx.set_state(np.zeros(5), w6)
     # contexts match paths by step count, then by time span
     path2 = sample_path(p.qspec, 2, 0.1, 0)
     with pytest.raises(ValueError, match="does not match path"):
