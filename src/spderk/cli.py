@@ -40,6 +40,7 @@ from .experiments import (
     local_slopes,
     order_summary,
     run_study,
+    worker_count,
 )
 from .nemytskii import builtin_problem
 from .qwiener import dump_path, sample_path
@@ -183,14 +184,18 @@ def _print_orders(summary, table, out):
 
 def _cmd_study(args, out, err):
     cfg = _apply_env(load_config(args.config)).validated()
-    table = run_study(cfg, workers=args.workers)
-
+    # a bad worker count or output directory fails before the study runs
+    workers = worker_count(args.workers)
     out_dir = cfg.out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as e:
+        raise ConfigError("cannot create output directory %r: %s"
+                          % (out_dir, e.strerror)) from e
+    table = run_study(cfg, workers=workers)
+
     table_path = os.path.join(out_dir, "%s_errors.csv" % cfg.problem)
     meta_path = os.path.join(out_dir, "%s_meta.json" % cfg.problem)
-    with open(table_path, "w") as fh:
-        table.write_csv(fh)
     meta = {
         "config": config_to_dict(cfg),
         "seed": cfg.seed,
@@ -200,9 +205,14 @@ def _cmd_study(args, out, err):
             "python": "%d.%d.%d" % sys.version_info[:3],
         },
     }
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(table_path, "w") as fh:
+            table.write_csv(fh)
+        with open(meta_path, "w") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as e:
+        raise ConfigError("cannot write %r: %s" % (e.filename, e.strerror)) from e
 
     print("wrote %s" % table_path, file=out)
     print("wrote %s" % meta_path, file=out)

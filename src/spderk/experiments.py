@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, DivergenceError, StudyError
 from .nemytskii import BUILTIN_PROBLEMS, builtin_problem
-from .qwiener import CHUNK_STEPS, coarsen, noise_fields, noise_matrix, sample_path
+from .qwiener import coarsen, sample_path
 from .schemes import StepContext, resolve_scheme, solve
 from .spectral import LinearOperatorSpec, SineBasisGrid
 
@@ -41,6 +41,7 @@ __all__ = [
     "local_slopes",
     "order_summary",
     "fine_steps",
+    "worker_count",
     "run_study",
 ]
 
@@ -190,9 +191,6 @@ class StudyConfig:
                 raise ConfigError("bad scheme entry %r: %s" % (sel, e)) from e
         if len(set(labels)) != len(labels):
             raise ConfigError("scheme labels must be unique: %s" % (labels,))
-        for lab in labels:
-            if "," in lab:
-                raise ConfigError("scheme label %r may not contain a comma" % lab)
 
         return replace(self, M_list=M_list, reference=ref, schemes=schemes,
                        T=float(self.T))
@@ -360,10 +358,10 @@ def fine_steps(cfg):
 
 
 class _StudyState:
-    """Per-worker study machinery (problem, contexts) and the buffers
-    every realization reuses: one fine path's (2, fine_M, K) arrays and
-    one (2, min(fine_M, CHUNK_STEPS), n_nodes) noise-field table that
-    all contexts share."""
+    """Per-worker study machinery: the problem, one StepContext per step
+    count (each with its own noise-field table of at most CHUNK_STEPS
+    steps), and the (2, fine_M, K) arrays every realization samples its
+    fine path into."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -371,14 +369,10 @@ class _StudyState:
         self.grid = SineBasisGrid(cfg.N)
         self.opspec = LinearOperatorSpec(self.problem.kappa, cfg.N)
         self.fine_M = fine_steps(cfg)
-        step_Ms = set(cfg.M_list) | {self.fine_M}
-        self.G = noise_matrix(self.problem.qspec, self.grid)
         self.fine_arrays = np.empty((2, self.fine_M, self.problem.qspec.K))
-        self.tables = np.empty((2, min(self.fine_M, CHUNK_STEPS), self.grid.n_nodes))
         self.ctxs = {
-            M: StepContext(self.problem, self.grid, self.opspec, cfg.T, M, G=self.G,
-                           tables=self.tables)
-            for M in step_Ms
+            M: StepContext(self.problem, self.grid, self.opspec, cfg.T, M)
+            for M in set(cfg.M_list) | {self.fine_M}
         }
 
     def realization(self, r):
@@ -387,10 +381,10 @@ class _StudyState:
         cell as (r, scheme label or "reference", M, step, mode); a
         diverged reference flags every cell with one entry.
 
-        The fine path is sampled into the study's own arrays.  The fine
-        reference streams its noise fields through the shared table; each
-        coarse level of at most CHUNK_STEPS steps fills the table once and
-        all schemes read it (longer levels stream like the reference).
+        The fine path is sampled into the study's own arrays.  The
+        reference and each scheme on each coarsened level stream their
+        noise fields through the table of that step count's context
+        (see schemes.solve).
         """
         cfg = self.cfg
         fine = sample_path(self.problem.qspec, self.fine_M, self.ctxs[self.fine_M].h,
@@ -409,12 +403,10 @@ class _StudyState:
         diverged = []
         for jM, M in enumerate(cfg.M_list):
             path = coarsen(fine, self.fine_M // M)
-            tables = noise_fields(path, self.G, out=self.tables) if M <= CHUNK_STEPS else None
             for iS, sel in enumerate(cfg.schemes):
                 try:
                     with np.errstate(over="ignore", invalid="ignore"):
-                        approx = solve(self.problem, sel, path, cfg.N,
-                                       ctx=self.ctxs[M], fields=tables)
+                        approx = solve(self.problem, sel, path, cfg.N, ctx=self.ctxs[M])
                 except DivergenceError as e:
                     diverged.append((r, e.scheme, M, e.step, e.mode))
                     continue
@@ -435,6 +427,17 @@ def _pool_task(r):
     return _POOL_STATE.realization(r)
 
 
+def worker_count(workers):
+    """The process count workers asks for: itself if a positive integer,
+    all cores if None; anything else raises a ConfigError."""
+    if workers is None:
+        return os.cpu_count() or 1
+    if not _is_int(workers) or workers < 1:
+        raise ConfigError("workers must be a positive integer or None, got %r"
+                          % (workers,))
+    return workers
+
+
 def run_study(cfg, workers=1):
     """Run the configured study; returns an ErrorTable.
 
@@ -444,11 +447,7 @@ def run_study(cfg, workers=1):
     count, and StudyError if more than 1% of the realizations of any
     (scheme, M) cell were flagged (reference or scheme divergence).
     """
-    if workers is None:
-        workers = os.cpu_count() or 1
-    elif not _is_int(workers) or workers < 1:
-        raise ConfigError("workers must be a positive integer or None, got %r"
-                          % (workers,))
+    workers = worker_count(workers)
     cfg = cfg.validated()
     R = cfg.realizations
     workers = min(workers, R)

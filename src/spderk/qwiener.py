@@ -18,10 +18,12 @@ same underlying Brownian data.
 
 On the grid a step's noise is two fields, the increment dW = G dB and
 its time integral Iw = G I (G[p, j] = sqrt(eta_j) e~_j(x_p)).  They are
-the only random data the steppers read: theta_weights builds them for
-one step, noise_fields for a chunk of at most CHUNK_STEPS consecutive
-steps.  Sampling draws its normals in chunks of the same size, so no
-whole-path temporary is ever built.
+the only random data the steppers read.  One chunk size, CHUNK_STEPS,
+carries them from sampler to stepper: sample_path draws its normals
+CHUNK_STEPS steps at a time, and noise_fields fills a caller's buffer
+with the fields of at most CHUNK_STEPS consecutive steps, which
+schemes.solve steps through before it fills the next chunk.
+theta_weights builds the same fields for one step.
 """
 
 from dataclasses import dataclass
@@ -48,8 +50,9 @@ __all__ = [
 ]
 
 # steps per chunk of normals drawn by sample_path and per noise-field
-# table built by noise_fields; bounds their buffers for any path length
-CHUNK_STEPS = 512
+# table filled by noise_fields; bounds their buffers for any path length
+# (a 64-node table of 64 steps is 32 KiB)
+CHUNK_STEPS = 64
 
 
 class QSpec:
@@ -259,23 +262,21 @@ def theta_weights(step, q, grid, G=None):
     return RandomWeights(G @ step.dB, G @ step.I)
 
 
-def noise_fields(path, G, m0=0, out=None):
+def noise_fields(path, G, m0, out):
     """(dW, Iw) tables of the steps m0 .. m1-1 of a path, where
     m1 = min(m0 + CHUNK_STEPS, M); row i holds the fields of step m0 + i.
 
-    Each table is one stacked product, a G @ dB[m] matrix-vector product
-    per row, so the rows equal theta_weights' to the bit (one matrix-
-    matrix product would differ in the last bits).  out, a
-    (2, >= m1 - m0, n_nodes) array, receives the tables in place of new
-    arrays; the returned tables are then views of it.
+    The tables are written into out, a (2, >= m1 - m0, n_nodes) array,
+    and returned as views of it.  Each table is one stacked product, a
+    G @ dB[m] matrix-vector product per row, so the rows equal
+    theta_weights' to the bit (one matrix-matrix product would differ in
+    the last bits).
     """
     if not 0 <= m0 < path.M:
         raise ValueError("m0=%d is not a step of a %d-step path" % (m0, path.M))
     m1 = min(m0 + CHUNK_STEPS, path.M)
     n = m1 - m0
-    if out is None:
-        out = np.empty((2, n, G.shape[0]))
-    elif out.ndim != 3 or out.shape[0] != 2 or out.shape[1] < n or out.shape[2] != G.shape[0]:
+    if out.ndim != 3 or out.shape[0] != 2 or out.shape[1] < n or out.shape[2] != G.shape[0]:
         raise DimensionError("out must have shape (2, >=%d, %d), got %r"
                              % (n, G.shape[0], out.shape))
     dW, Iw = out[0, :n], out[1, :n]

@@ -23,17 +23,18 @@ what is fixed for a step size -- diagonal operator factors, gsq, and the
 problem's six pointwise maps, bound once when it is built -- y is the
 spectral state and noise the step's row of noise factors.  The only
 random input of a step is the pair of noise fields (dW, Iw) on the grid
-(qwiener.RandomWeights).  solve reads them from tables of at most
-qwiener.CHUNK_STEPS steps (qwiener.noise_fields), and for each block of
-at most BLOCK_STEPS of those steps builds the factors the stepper reads
-that depend on the noise alone, one elementwise operation per factor:
-dW^2, dW^3, h dW - Iw and Iw - (h/2) dW for ewp and the closed form,
-the theta weights for the tableau engine (`theta_fields`), dW^2 - h gsq
-for dfmm.  Each row equals the factor computed for its step alone, bit
-for bit.  solve holds the current state, one table and one block, never
-the trajectory; it checks shapes once, before the first step, and tests
-each new state with one dot product.  A stepper called as fn(ctx) reads
-the state and weights StepContext.set_state loaded instead.
+(qwiener.RandomWeights).  solve streams them one chunk of at most
+qwiener.CHUNK_STEPS steps at a time: it fills the context's table for
+the chunk (qwiener.noise_fields), builds from it the factors the
+stepper reads that depend on the noise alone, one elementwise operation
+per factor -- dW^2, dW^3, h dW - Iw and Iw - (h/2) dW for ewp and the
+closed form, the theta weights for the tableau engine (`theta_fields`),
+dW^2 - h gsq for dfmm -- and steps through the chunk's rows.  Each row
+equals the factor computed for its step alone, bit for bit.  solve
+holds the current state and one chunk, never the trajectory; it checks
+shapes once, before the first step, and tests each new state with one
+dot product.  A stepper called as fn(ctx) reads the state and weights
+StepContext.set_state loaded instead.
 
 Every stepper advances Y via the split form
 
@@ -85,10 +86,6 @@ __all__ = [
 ]
 
 SCHEME_NAMES = ("erkm15", "erkm-closed", "ewp", "exe", "lie", "dfmm")
-
-# steps per block of noise factors solve builds at once; with 64-node
-# grids each factor table of a block is 32 KiB
-BLOCK_STEPS = 64
 
 
 @dataclass
@@ -297,14 +294,13 @@ class StepContext:
     operator data precomputed for h, gsq and the evaluation counters,
     and binds the problem's six pointwise maps once (nemytskii.coeff_map;
     a missing derivative map raises a CapabilityError naming ewp when a
-    stepper first calls it).  tables is the
-    (2, min(M, CHUNK_STEPS), n_nodes) buffer solve fills with noise
-    fields chunk by chunk; contexts may share one buffer of at least
-    that many rows.  set_state() loads one state and one step's
-    RandomWeights for a stepper called on its own, as fn(ctx).
+    stepper first calls it).  It owns its noise matrix G and tables, the
+    (2, min(M, CHUNK_STEPS), n_nodes) buffer solve fills with one
+    chunk's noise fields at a time.  set_state() loads one state and one
+    step's RandomWeights for a stepper called on its own, as fn(ctx).
     """
 
-    def __init__(self, problem, grid, opspec, T, M=1, G=None, tables=None):
+    def __init__(self, problem, grid, opspec, T, M=1):
         if not T > 0:
             raise ValueError("T must be positive")
         if not isinstance(M, (int, np.integer)) or M < 1:
@@ -322,15 +318,8 @@ class StepContext:
         self.sqh = math.sqrt(h)
         self.gsq = gsq_field(problem.qspec, grid)
         self.h_gsq = h * self.gsq
-        self.G = noise_matrix(problem.qspec, grid) if G is None else G
-        rows = min(self.M, CHUNK_STEPS)
-        if tables is None:
-            tables = np.empty((2, rows, grid.n_nodes))
-        elif tables.ndim != 3 or tables.shape[0] != 2 or tables.shape[1] < rows \
-                or tables.shape[2] != grid.n_nodes:
-            raise DimensionError("tables must have shape (2, >=%d, %d), got %r"
-                                 % (rows, grid.n_nodes, tables.shape))
-        self.tables = tables
+        self.G = noise_matrix(problem.qspec, grid)
+        self.tables = np.empty((2, min(self.M, CHUNK_STEPS), grid.n_nodes))
         self.E_h = diagonal_factor("semigroup", opspec, t=h)
         self.E_h2 = diagonal_factor("semigroup", opspec, t=h / 2.0)
         self.neg_lam = diagonal_factor("generator", opspec)
@@ -375,7 +364,7 @@ def theta_fields(w, h, gsq):
 
     Returns (theta0, theta1, theta2_1) with theta0 = (theta0_1..theta0_3)
     and theta1 = (theta1_1..theta1_5).  Elementwise, so w may hold the
-    (rows, n) tables of a block of steps: each row then equals that
+    (rows, n) tables of a chunk of steps: each row then equals that
     step's weights to the bit.
     """
     dW, Iw = w.dW, w.Iw
@@ -393,7 +382,7 @@ def theta_fields(w, h, gsq):
 
 
 # Noise functions: (ctx, dW, Iw) -> the tables a stepper reads per step,
-# built from a block's (rows, n) noise-field tables in one elementwise
+# built from a chunk's (rows, n) noise-field tables in one elementwise
 # pass each, so every row equals its step's own factors to the bit.
 
 def _theta_noise(ctx, dW, Iw):
@@ -445,7 +434,7 @@ def erkm_step(tab, ctx, y=None, noise=None):
     step size (ButcherTableau.plan).  With the ERKM1.5 tableau this
     performs exactly 5 f- and 6 b-evaluations.  The theta weights come
     from theta_fields on the context's h and gsq: solve passes the
-    state y and the step's row of a block's weights as noise; called as
+    state y and the step's row of a chunk's weights as noise; called as
     erkm_step(tab, ctx), the step reads what ctx.set_state loaded.
     """
     if noise is None:
@@ -574,7 +563,7 @@ def ewp_step(ctx, y=None, noise=None):
     dimension 1 every operator derivative collapses to a pointwise
     product, and the step costs 6 distinct function/derivative
     evaluations.  solve passes the state y and the step's row of a
-    block's noise factors; called as ewp_step(ctx), the step reads what
+    chunk's noise factors; called as ewp_step(ctx), the step reads what
     ctx.set_state loaded.
     """
     if noise is None:
@@ -698,6 +687,12 @@ def _resolve(scheme):
         raise ValueError("unknown scheme %r (have: %s)" % (name, ", ".join(SCHEME_NAMES)))
     if params:
         raise ValueError("unused scheme parameters: %s" % ", ".join(sorted(params)))
+    # a label is one field of an error-table CSV row, which
+    # ErrorTable.read_csv splits at commas and strips of outer whitespace
+    if (not isinstance(label, str) or not label or label != label.strip()
+            or any(c in label for c in ",\r\n")):
+        raise ValueError("label must be a non-empty string without commas, line"
+                         " breaks or outer whitespace, got %r" % (label,))
     return label, fn, noise
 
 
@@ -706,15 +701,17 @@ def resolve_scheme(scheme):
 
     Accepts the two forms a JSON config can hold: a plain name from
     SCHEME_NAMES, or a dict with a 'name' key, an optional 'label' and
-    the scheme's parameters.  Parameters: 'c' (7 coefficients) for
-    erkm15; 'c' with 7 entries (mapped per step size) or 8 entries
-    (fixed c^) for erkm-closed.  The step function is called as
-    fn(ctx) after ctx.set_state, or as fn(ctx, y, noise) by solve.
+    the scheme's parameters.  The label names the scheme in error tables:
+    a non-empty string without commas, line breaks or outer whitespace.
+    Parameters: 'c' (7 coefficients) for erkm15; 'c' with 7 entries
+    (mapped per step size) or 8 entries (fixed c^) for erkm-closed.  The
+    step function is called as fn(ctx) after ctx.set_state, or as
+    fn(ctx, y, noise) by solve.
     """
     return _resolve(scheme)[:2]
 
 
-def solve(problem, scheme, path, N, ctx=None, fields=None):
+def solve(problem, scheme, path, N, ctx=None):
     """Run a stepper along a noise path; returns the terminal (N,) state.
 
     Y_0 is the problem's (already projected) initial coefficient vector;
@@ -723,19 +720,16 @@ def solve(problem, scheme, path, N, ctx=None, fields=None):
     StepContext may be passed to amortize setup across solves with the
     same (problem, N, T, M); it must have the path's step count M.
 
-    Each step's noise fields are read from tables of at most CHUNK_STEPS
-    steps, filled chunk by chunk into the context's buffer by
-    qwiener.noise_fields.  fields, the (dW, Iw) tables of all M steps of
-    a path with M <= CHUNK_STEPS as noise_fields returns them, may be
-    passed instead, so that several schemes share one table.
-
-    Shapes are checked here, once: the stepper gets the state and its
-    step's noise row directly.  The noise factors a stepper reads besides
-    dW and Iw (dW^2, the theta weights, ...) are built for blocks of at
-    most BLOCK_STEPS steps, one elementwise operation per factor and
-    block.  After each step one dot product y.y tests the state; only a
-    non-finite result (a non-finite entry, or finite entries whose
-    squares overflow) scans the entries for the first non-finite mode.
+    The path is streamed in chunks of at most CHUNK_STEPS steps: each
+    chunk's noise fields are filled into the context's tables
+    (qwiener.noise_fields), the noise factors the stepper reads besides
+    dW and Iw (dW^2, the theta weights, ...) are built from them, one
+    elementwise operation per factor, and the stepper runs through the
+    chunk's rows.  Shapes are checked here, once: the stepper gets the
+    state and its step's noise row directly.  After each step one dot
+    product y.y tests the state; only a non-finite result (a non-finite
+    entry, or finite entries whose squares overflow) scans the entries
+    for the first non-finite mode.
     """
     label, stepfn, noise = _resolve(scheme)
     M = path.M
@@ -755,21 +749,12 @@ def solve(problem, scheme, path, N, ctx=None, fields=None):
     q = problem.qspec
     if q.K != path.K:
         raise DimensionError("path has %d noise modes, problem %d" % (path.K, q.K))
-    if fields is not None:
-        dW, Iw = fields
-        if M > CHUNK_STEPS or dW.shape != (M, ctx.grid.n_nodes) or Iw.shape != dW.shape:
-            raise DimensionError("noise field tables must have shape (%d, %d),"
-                                 " at most %d steps" % (M, ctx.grid.n_nodes, CHUNK_STEPS))
     for m0 in range(0, M, CHUNK_STEPS):
-        if fields is None:
-            dW, Iw = noise_fields(path, ctx.G, m0, out=ctx.tables)
-        for b0 in range(0, dW.shape[0], BLOCK_STEPS):
-            b1 = b0 + BLOCK_STEPS
-            rows = zip(*noise(ctx, dW[b0:b1], Iw[b0:b1]))
-            for m, row in enumerate(rows, m0 + b0):
-                y = stepfn(ctx, y, row)
-                if not math.isfinite(np.vdot(y, y)):
-                    bad = ~np.isfinite(y)
-                    if bad.any():
-                        raise DivergenceError(label, m, int(np.nonzero(bad)[0][0]))
+        rows = zip(*noise(ctx, *noise_fields(path, ctx.G, m0, ctx.tables)))
+        for m, row in enumerate(rows, m0):
+            y = stepfn(ctx, y, row)
+            if not math.isfinite(np.vdot(y, y)):
+                bad = ~np.isfinite(y)
+                if bad.any():
+                    raise DivergenceError(label, m, int(np.nonzero(bad)[0][0]))
     return y

@@ -167,6 +167,56 @@ def test_study_rejects_bad_values_as_config_errors(tmp_path, overrides, phrase):
     assert out == ""
 
 
+@pytest.mark.parametrize("label", [5, None, "a\nb"])
+def test_study_rejects_bad_scheme_labels(tmp_path, label):
+    cfg_path = _write_config(tmp_path, schemes=[{"name": "exe", "label": label}])
+    code, out, err = _run(["study", str(cfg_path)])
+    assert code == 1 and err.startswith("config error:") and "label must be" in err
+    assert "Traceback" not in err and out == ""
+
+
+def _no_study(cfg, workers=None):
+    raise AssertionError("the study ran before its output directory was made")
+
+
+def test_study_checks_out_dir_before_running(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "run_study", _no_study)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    # out_dir names an existing file
+    cfg_path = _write_config(tmp_path, out_dir=str(blocker))
+    code, out, err = _run(["study", str(cfg_path)])
+    assert code == 1 and err.startswith("config error:") and str(blocker) in err
+    assert "Traceback" not in err and out == ""
+    # SPDERK_OUT_DIR names a directory under that file
+    monkeypatch.setenv("SPDERK_OUT_DIR", str(blocker / "out"))
+    code, out, err = _run(["study", str(_write_config(tmp_path))])
+    assert code == 1 and err.startswith("config error:") and str(blocker / "out") in err
+    assert out == ""
+
+
+def test_study_reports_unwritable_outputs(tmp_path, monkeypatch):
+    # the table's path is taken by a directory
+    monkeypatch.setattr(cli, "run_study", lambda cfg, workers=None: _power_table("exe", 0.5))
+    cfg_path = _write_config(tmp_path, schemes=["exe"])
+    table_path = tmp_path / "out" / "example1_errors.csv"
+    table_path.mkdir(parents=True)
+    code, out, err = _run(["study", str(cfg_path)])
+    assert code == 1 and err.startswith("config error: cannot write")
+    assert str(table_path) in err and out == ""
+
+
+def test_study_csv_is_byte_identical_for_any_worker_count(tmp_path):
+    csvs = []
+    for workers in ("1", "2"):
+        cfg_path = _write_config(tmp_path, name="w%s.json" % workers, realizations=4,
+                                 out_dir=str(tmp_path / ("w" + workers)))
+        code, _, err = _run(["study", str(cfg_path), "--workers", workers])
+        assert code == 0, err
+        csvs.append((tmp_path / ("w" + workers) / "example1_errors.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 def test_usage_errors():
     code, _, _ = _run(["frobnicate"])
     assert code == 1

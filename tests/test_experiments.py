@@ -235,6 +235,14 @@ def test_config_defaults():
         dict(N=0),
         dict(problem="example2", K=-3),
         dict(reference={"mode": "exact", "M": 999}),
+        # a label is one field of a CSV row: a non-empty string with no
+        # comma, line break or outer whitespace
+        dict(schemes=({"name": "exe", "label": 5},)),
+        dict(schemes=({"name": "exe", "label": None},)),
+        dict(schemes=({"name": "exe", "label": ""},)),
+        dict(schemes=({"name": "exe", "label": "a,b"},)),
+        dict(schemes=({"name": "exe", "label": "a\nb"},)),
+        dict(schemes=({"name": "exe", "label": " exe"}, "lie")),
     ],
 )
 def test_config_rejections(kw):
@@ -391,10 +399,10 @@ def test_study_error_names_first_divergences(monkeypatch, workers):
 def test_realization_memory_is_bounded_by_the_fine_path():
     # one ex3-shaped realization (K = 64, fine ewp reference at M = 4096):
     # besides the study's own fine-path arrays (4.19 MB) it holds one
-    # noise-field table (0.5 MB), coarsen's transposed copy of dB (half a
-    # fine path) and step temporaries: 4.06 MB measured with numpy 2.4,
-    # against 7.1 MB with a whole-path normal draw, whole-path noise
-    # tables and a trajectory
+    # noise-field table of at most 64 steps per step count (0.32 MB in
+    # all), coarsen's transposed copy of dB (half a fine path) and step
+    # temporaries: 3.30 MB measured with numpy 2.4, against 7.1 MB with a
+    # whole-path normal draw, whole-path noise tables and a trajectory
     cfg = StudyConfig("example3", N=64, M_list=(8, 16, 32, 64, 128, 256),
                       realizations=1, reference=ReferenceSpec("ewp", 4096), seed=0)
     fine_bytes = 2 * 4096 * 64 * 8

@@ -278,13 +278,16 @@ def test_theta_identities_against_mode_sums(seed, K, N, h):
 
 
 def test_noise_fields_rows_equal_theta_weights():
-    # the shared whole-path tables are bit-identical to per-step assembly
+    # the tables of a path shorter than a chunk are bit-identical to
+    # per-step assembly; a buffer with spare rows leaves them unused
     q = QSpec(5, [1.0, 0.5, 0.25, 0.125, 0.0625])
     grid = SineBasisGrid(12)
     G = noise_matrix(q, grid)
     path = sample_path(q, 16, 1 / 16, base_seed=3)
-    dW, Iw = noise_fields(path, G)
+    buf = np.full((2, 20, grid.n_nodes), np.nan)
+    dW, Iw = noise_fields(path, G, 0, buf)
     assert dW.shape == Iw.shape == (16, grid.n_nodes)
+    assert np.all(np.isnan(buf[:, 16:]))
     for m in range(path.M):
         w = theta_weights(path.step(m), q, grid, G=G)
         assert np.array_equal(dW[m], w.dW) and np.array_equal(Iw[m], w.Iw)
@@ -300,16 +303,18 @@ def test_noise_fields_chunks_cover_a_long_path():
     path = sample_path(q, M, 1.0 / M, base_seed=8)
     buf = np.empty((2, CHUNK_STEPS, grid.n_nodes))
     for m0, n in ((0, CHUNK_STEPS), (CHUNK_STEPS, CHUNK_STEPS), (2 * CHUNK_STEPS, 3)):
-        dW, Iw = noise_fields(path, G, m0, out=buf)
+        dW, Iw = noise_fields(path, G, m0, buf)
         assert dW.shape == Iw.shape == (n, grid.n_nodes)
         assert np.shares_memory(dW, buf) and np.shares_memory(Iw, buf)
         for i in (0, n // 2, n - 1):
             w = theta_weights(path.step(m0 + i), q, grid, G=G)
             assert np.array_equal(dW[i], w.dW) and np.array_equal(Iw[i], w.Iw)
     with pytest.raises(ValueError, match="m0"):
-        noise_fields(path, G, M)
+        noise_fields(path, G, M, buf)
     with pytest.raises(DimensionError, match="out"):
-        noise_fields(path, G, 0, out=np.empty((2, 4, grid.n_nodes)))
+        noise_fields(path, G, 0, np.empty((2, 4, grid.n_nodes)))
+    with pytest.raises(TypeError):
+        noise_fields(path, G, 0)  # out is required
 
 
 def test_theta_mode_mismatch_rejected():
