@@ -16,7 +16,8 @@ experiments.StudyConfig; missing keys fall back to its desk-scale
 defaults, unknown keys are rejected with the offending line number.
 SPDERK_SEED and SPDERK_OUT_DIR override the config.
 
-Exit codes: 0 success, 1 usage/config error, 2 study or check failure.
+Exit codes: 0 success, 1 usage/config error or output pipe closed by
+the reader, 2 study or check failure.
 """
 
 import argparse
@@ -44,6 +45,7 @@ from .experiments import (
 )
 from .nemytskii import builtin_problem
 from .qwiener import dump_path, sample_path
+from .schemes import resolve_scheme
 from .selftest import run_selftests
 
 __all__ = ["load_config", "config_from_dict", "config_to_dict", "run_cli", "main"]
@@ -54,15 +56,13 @@ _CONFIG_KEYS = tuple(fld.name for fld in fields(StudyConfig))
 ORDER_BANDS = {
     "example1": {
         "lie": (0.35, 0.65), "exe": (0.35, 0.65), "dfmm": (0.85, 1.15),
-        "ewp": (1.3, 1.7), "erkm15": (1.3, 1.7), "erkm-closed": (1.3, 1.7),
+        "ewp": (1.3, 1.7), "erkm15": (1.3, 1.7),
     },
     "example2": {
         "lie": (0.35, 0.65), "exe": (0.35, 0.65), "dfmm": (0.8, 1.2),
-        "ewp": (1.25, 1.75), "erkm15": (1.25, 1.75), "erkm-closed": (1.25, 1.75),
+        "ewp": (1.25, 1.75), "erkm15": (1.25, 1.75),
     },
-    "example3": {
-        "erkm15": (1.25, math.inf), "erkm-closed": (1.25, math.inf),
-    },
+    "example3": {"erkm15": (1.25, math.inf)},
 }
 
 
@@ -141,25 +141,17 @@ def _apply_env(cfg):
     return cfg
 
 
-def _scheme_names_and_labels(cfg):
-    from .schemes import resolve_scheme
-
-    pairs = []
-    for sel in cfg.schemes:
-        name = sel["name"] if isinstance(sel, dict) else sel
-        pairs.append((name, resolve_scheme(sel)[0]))
-    return pairs
-
-
 def check_order_bands(cfg, table):
     """Breach messages for every banded scheme whose fitted slope falls
     outside the acceptance window (or cannot be fitted)."""
     bands = ORDER_BANDS.get(cfg.problem, {})
     breaches = []
-    for name, label in _scheme_names_and_labels(cfg):
-        band = bands.get(name)
+    for sel in cfg.schemes:
+        scheme = resolve_scheme(sel)
+        band = bands.get(scheme.name)
         if band is None:
             continue
+        label = scheme.label
         try:
             slope, _ = fit_order(table, label)
         except ValueError as e:
@@ -321,7 +313,15 @@ def run_cli(argv=None, out=None, err=None):
 
 
 def main(argv=None):
-    raise SystemExit(run_cli(argv))
+    try:
+        status = run_cli(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (spderk path ... | head): point stdout
+        # at devnull so the interpreter's flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    raise SystemExit(status)
 
 
 if __name__ == "__main__":

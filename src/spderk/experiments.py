@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DivergenceError, StudyError
+from .errors import ConfigError, DivergenceError, StudyError
 from .nemytskii import BUILTIN_PROBLEMS, builtin_problem
 from .qwiener import coarsen, sample_path
 from .schemes import StepContext, resolve_scheme, solve
@@ -186,8 +186,8 @@ class StudyConfig:
         labels = []
         for sel in schemes:
             try:
-                labels.append(resolve_scheme(sel)[0])
-            except (ValueError, KeyError, TypeError, DimensionError) as e:
+                labels.append(resolve_scheme(sel).label)
+            except ValueError as e:
                 raise ConfigError("bad scheme entry %r: %s" % (sel, e)) from e
         if len(set(labels)) != len(labels):
             raise ConfigError("scheme labels must be unique: %s" % (labels,))
@@ -468,7 +468,7 @@ def run_study(cfg, workers=1):
                 sq[r] = res
                 diverged += flags
 
-    labels = [resolve_scheme(s)[0] for s in cfg.schemes]
+    labels = [resolve_scheme(s).label for s in cfg.schemes]
     rows = []
     bad = []
     for iS, label in enumerate(labels):

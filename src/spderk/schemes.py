@@ -8,15 +8,15 @@ Contents:
 * the ERKM1.5 six-stage tableau family (`erkm15_tableau`), parametrized
   by seven nonzero reals c_1..c_7;
 * the same scheme in summed closed form (`erkm15_closed_form_step`) with
-  generalized, possibly h-dependent coefficients c^_1..c^_8 -- used as an
-  equivalence oracle for the engine (`hatted_coefficients` gives the mapping
-  under which both are identical);
+  generalized, possibly h-dependent coefficients c^_1..c^_8 -- not a
+  study scheme, but an oracle for the engine run after set_state
+  (`hatted_coefficients` gives the mapping under which both agree);
 * the exponential Wagner-Platen stepper (`ewp_step`), the derivative
   based order-1.5 baseline;
 * linear-implicit Euler, exponential Euler and derivative-free Milstein
   baselines (`baseline_step`);
-* a driver (`solve`) running any stepper along a NoisePath to its
-  terminal state.
+* the one parser of scheme selectors (`resolve_scheme`) and a driver
+  (`solve`) running a scheme along a NoisePath to its terminal state.
 
 Steppers are plain functions of (ctx, y, noise): the StepContext holds
 what is fixed for a step size -- diagonal operator factors, gsq, and the
@@ -27,9 +27,9 @@ random input of a step is the pair of noise fields (dW, Iw) on the grid
 qwiener.CHUNK_STEPS steps at a time: it fills the context's table for
 the chunk (qwiener.noise_fields), builds from it the factors the
 stepper reads that depend on the noise alone, one elementwise operation
-per factor -- dW^2, dW^3, h dW - Iw and Iw - (h/2) dW for ewp and the
-closed form, the theta weights for the tableau engine (`theta_fields`),
-dW^2 - h gsq for dfmm -- and steps through the chunk's rows.  Each row
+per factor -- dW^2, dW^3, h dW - Iw and Iw - (h/2) dW for ewp, the
+theta weights for the tableau engine (`theta_fields`), dW^2 - h gsq for
+the baselines -- and steps through the chunk's rows.  Each row
 equals the factor computed for its step alone, bit for bit.  solve
 holds the current state and one chunk, never the trajectory; it checks
 shapes once, before the first step, and tests each new state with one
@@ -46,8 +46,10 @@ counts each grid-wide f/b evaluation exactly once.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,12 +82,13 @@ __all__ = [
     "hatted_coefficients",
     "ewp_step",
     "baseline_step",
+    "Scheme",
     "resolve_scheme",
     "solve",
     "SCHEME_NAMES",
 ]
 
-SCHEME_NAMES = ("erkm15", "erkm-closed", "ewp", "exe", "lie", "dfmm")
+SCHEME_NAMES = ("erkm15", "ewp", "exe", "lie", "dfmm")
 
 
 @dataclass
@@ -397,13 +400,8 @@ def _wagner_platen_noise(ctx, dW, Iw):
     return dW, Iw, dW**2, dW**3, h * dW - Iw, Iw - (h / 2.0) * dW
 
 
-def _increment_noise(ctx, dW, Iw):
-    """dW alone (lie, exe)."""
-    return (dW,)
-
-
-def _dfmm_noise(ctx, dW, Iw):
-    """dW and dW^2 - h gsq."""
+def _baseline_noise(ctx, dW, Iw):
+    """dW and dW^2 - h gsq (the second read by dfmm only)."""
     return dW, dW**2 - ctx.h * ctx.gsq
 
 
@@ -495,8 +493,9 @@ def hatted_coefficients(c, h):
     )
 
 
-def erkm15_closed_form_step(chat, ctx, y=None, noise=None):
-    """One step of the summed scheme with generalized coefficients.
+def erkm15_closed_form_step(chat, ctx):
+    """One step of the summed scheme with generalized coefficients, from
+    the state and weights ctx.set_state loaded.
 
     chat = (c^_1 .. c^_8), all nonzero, possibly h-dependent.  This is an
     independent formulation used as an oracle for the tableau engine; the
@@ -508,8 +507,7 @@ def erkm15_closed_form_step(chat, ctx, y=None, noise=None):
         raise DimensionError("chat must have 8 entries")
     if np.any(chat == 0.0) or not np.all(np.isfinite(chat)):
         raise ValueError("generalized coefficients must be finite and nonzero")
-    if noise is None:
-        y, noise = ctx._loaded(_wagner_platen_noise)
+    y, noise = ctx._loaded(_wagner_platen_noise)
     dW, Iw, dW2, dW3, hdW_Iw, Iw_hdW = noise
     g1, g2, g3, g4, g5, g6, g7, g8 = chat
     h = ctx.h
@@ -619,11 +617,12 @@ def baseline_step(kind, ctx, y=None, noise=None):
 
     dfmm needs commutative noise, which Nemytskii noise always is (see
     spderk.nemytskii).  solve passes the state y and the step's noise
-    row, (dW,) or for dfmm (dW, dW^2 - h gsq); called as
-    baseline_step(kind, ctx), the step reads what ctx.set_state loaded.
+    row (dW, dW^2 - h gsq), of which lie and exe read dW alone; called
+    as baseline_step(kind, ctx), the step reads what ctx.set_state
+    loaded.
     """
     if noise is None:
-        y, noise = ctx._loaded(_dfmm_noise if kind == "dfmm" else _increment_noise)
+        y, noise = ctx._loaded(_baseline_noise)
     h = ctx.h
     grid = ctx.grid
     yp = to_physical(y, grid)
@@ -651,38 +650,50 @@ def baseline_step(kind, ctx, y=None, noise=None):
     raise ValueError("unknown baseline kind %r" % (kind,))
 
 
-def _resolve(scheme):
-    """(label, step function, noise function) of a scheme selector; see
-    resolve_scheme."""
+class Scheme(NamedTuple):
+    """A resolved selector: name (in SCHEME_NAMES), label (in error
+    tables), step (called as step(ctx) after ctx.set_state, or as
+    step(ctx, y, noise) by solve) and the noise function building the
+    rows step reads from a chunk's noise fields."""
+
+    name: str
+    label: str
+    step: object
+    noise: object
+
+
+def resolve_scheme(scheme):
+    """The Scheme record of a scheme selector; raises ValueError.
+
+    Accepts the two forms a JSON config can hold: a plain name from
+    SCHEME_NAMES, or a dict with a 'name' key, an optional 'label' and
+    the scheme's parameters.  The label names the scheme in error tables:
+    a non-empty string without commas, line breaks or outer whitespace.
+    The one parameter is erkm15's 'c': a list of 7 nonzero real numbers
+    (ints or floats; neither bools nor strings are coerced).
+    """
     params = {}
     if isinstance(scheme, str):
         name = scheme
     elif isinstance(scheme, dict):
         params = dict(scheme)
+        if "name" not in params:
+            raise ValueError("missing key 'name'")
         name = params.pop("name")
     else:
         raise ValueError("unrecognized scheme selector %r" % (scheme,))
     label = params.pop("label", name)
 
     if name == "erkm15":
-        c = np.asarray(params.pop("c", np.ones(7)), dtype=float)
-        tab = erkm15_tableau(c)
-        fn, noise = partial(erkm_step, tab), _theta_noise
-    elif name == "erkm-closed":
-        c = np.asarray(params.pop("c", np.ones(7)), dtype=float)
-        noise = _wagner_platen_noise
-        if c.shape == (8,):
-            fn = partial(erkm15_closed_form_step, c)
-        elif c.shape == (7,):
-            def fn(ctx, y=None, row=None):
-                return erkm15_closed_form_step(hatted_coefficients(c, ctx.h), ctx, y, row)
-        else:
-            raise DimensionError("erkm-closed takes 7 (mapped) or 8 (fixed) coefficients")
+        c = params.pop("c", (1.0,) * 7)
+        if not (isinstance(c, (list, tuple)) and len(c) == 7 and all(
+                isinstance(x, numbers.Real) and not isinstance(x, bool) for x in c)):
+            raise ValueError("erkm15 'c' must be a list of 7 numbers, got %r" % (c,))
+        step, noise = partial(erkm_step, erkm15_tableau(c)), _theta_noise
     elif name == "ewp":
-        fn, noise = ewp_step, _wagner_platen_noise
+        step, noise = ewp_step, _wagner_platen_noise
     elif name in ("exe", "lie", "dfmm"):
-        fn = partial(baseline_step, name)
-        noise = _dfmm_noise if name == "dfmm" else _increment_noise
+        step, noise = partial(baseline_step, name), _baseline_noise
     else:
         raise ValueError("unknown scheme %r (have: %s)" % (name, ", ".join(SCHEME_NAMES)))
     if params:
@@ -693,22 +704,7 @@ def _resolve(scheme):
             or any(c in label for c in ",\r\n")):
         raise ValueError("label must be a non-empty string without commas, line"
                          " breaks or outer whitespace, got %r" % (label,))
-    return label, fn, noise
-
-
-def resolve_scheme(scheme):
-    """Normalize a scheme selector to (label, step_function).
-
-    Accepts the two forms a JSON config can hold: a plain name from
-    SCHEME_NAMES, or a dict with a 'name' key, an optional 'label' and
-    the scheme's parameters.  The label names the scheme in error tables:
-    a non-empty string without commas, line breaks or outer whitespace.
-    Parameters: 'c' (7 coefficients) for erkm15; 'c' with 7 entries
-    (mapped per step size) or 8 entries (fixed c^) for erkm-closed.  The
-    step function is called as fn(ctx) after ctx.set_state, or as
-    fn(ctx, y, noise) by solve.
-    """
-    return _resolve(scheme)[:2]
+    return Scheme(name, label, step, noise)
 
 
 def solve(problem, scheme, path, N, ctx=None):
@@ -731,7 +727,7 @@ def solve(problem, scheme, path, N, ctx=None):
     entry, or finite entries whose squares overflow) scans the entries
     for the first non-finite mode.
     """
-    label, stepfn, noise = _resolve(scheme)
+    scheme = resolve_scheme(scheme)
     M = path.M
     if ctx is None:
         grid = SineBasisGrid(N)
@@ -750,11 +746,11 @@ def solve(problem, scheme, path, N, ctx=None):
     if q.K != path.K:
         raise DimensionError("path has %d noise modes, problem %d" % (path.K, q.K))
     for m0 in range(0, M, CHUNK_STEPS):
-        rows = zip(*noise(ctx, *noise_fields(path, ctx.G, m0, ctx.tables)))
+        rows = zip(*scheme.noise(ctx, *noise_fields(path, ctx.G, m0, ctx.tables)))
         for m, row in enumerate(rows, m0):
-            y = stepfn(ctx, y, row)
+            y = scheme.step(ctx, y, row)
             if not math.isfinite(np.vdot(y, y)):
                 bad = ~np.isfinite(y)
                 if bad.any():
-                    raise DivergenceError(label, m, int(np.nonzero(bad)[0][0]))
+                    raise DivergenceError(scheme.label, m, int(np.nonzero(bad)[0][0]))
     return y

@@ -4,6 +4,9 @@ output files, environment overrides, order refitting."""
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
@@ -158,6 +161,7 @@ def test_study_rejects_bad_worker_counts(tmp_path, workers):
     [
         (dict(K=-3), "K must be >= 1"),
         (dict(reference={"mode": "exact", "M": 999}), "exact reference takes none"),
+        (dict(schemes=[{"name": "erkm15", "c": ["0.5"] * 7}]), "'c' must be a list of 7"),
     ],
 )
 def test_study_rejects_bad_values_as_config_errors(tmp_path, overrides, phrase):
@@ -173,6 +177,20 @@ def test_study_rejects_bad_scheme_labels(tmp_path, label):
     code, out, err = _run(["study", str(cfg_path)])
     assert code == 1 and err.startswith("config error:") and "label must be" in err
     assert "Traceback" not in err and out == ""
+
+
+def test_closed_pipe_exits_quietly(tmp_path):
+    # a reader that stops after one line: no traceback, exit status 1
+    cfg_path = _write_config(tmp_path, M_list=[4096])
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "spderk.cli", "path", str(cfg_path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"step,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def _no_study(cfg, workers=None):
@@ -359,3 +377,10 @@ def test_check_order_bands_details():
                        reference={"mode": "ewp", "M": 16}).validated()
     # example3 only bands the 1.5-order schemes; lie is not asserted
     assert check_order_bands(cfg3, _power_table("erkm15", 1.6)) == []
+
+    # a labelled erkm15 gets erkm15's band, looked up under its label
+    cfg_rk = StudyConfig("example1", N=8, M_list=(4, 8, 16), realizations=2,
+                         schemes=({"name": "erkm15", "label": "rk"},)).validated()
+    assert check_order_bands(cfg_rk, _power_table("rk", 1.5)) == []
+    (breach,) = check_order_bands(cfg_rk, _power_table("rk", 1.0))
+    assert breach == "rk: fitted order 1.000 outside [1.30, 1.70]"

@@ -243,6 +243,11 @@ def test_config_defaults():
         dict(schemes=({"name": "exe", "label": "a,b"},)),
         dict(schemes=({"name": "exe", "label": "a\nb"},)),
         dict(schemes=({"name": "exe", "label": " exe"}, "lie")),
+        # no scheme entry is coerced or guessed
+        dict(schemes=({"name": "erkm-closed", "c": [1.0] * 7},)),
+        dict(schemes=({"name": "erkm15", "c": ["0.5"] * 7},)),
+        dict(schemes=({"name": "erkm15", "c": [True] * 7},)),
+        dict(schemes=({"label": "x"},)),
     ],
 )
 def test_config_rejections(kw):

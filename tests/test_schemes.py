@@ -213,12 +213,20 @@ def test_deterministic_exactness():
     lam = LinearOperatorSpec(p.kappa, N).eigenvalues
     times = h * np.arange(M + 1)
     expected = np.exp(-np.outer(times, lam)) * p.initial_coeffs
-    for scheme in ("erkm15", "erkm-closed", "ewp", "exe", "dfmm"):
+    for scheme in ("erkm15", "ewp", "exe", "dfmm"):
         # solve returns the terminal state: run it on every prefix of the path
         for m in range(1, M + 1):
             prefix = NoisePath(path.dB[:m], path.I[:m], h)
             y = solve(p, scheme, prefix, N)
             np.testing.assert_allclose(y, expected[m], rtol=1e-12, atol=0.0)
+    # the closed form, one set_state per step
+    ctx = StepContext(p, SineBasisGrid(N), LinearOperatorSpec(p.kappa, N), h)
+    chat = hatted_coefficients(np.ones(7), h)
+    y = p.initial_coeffs
+    for m in range(M):
+        ctx.set_state(y, theta_weights(path.step(m), p.qspec, ctx.grid, G=ctx.G))
+        y = erkm15_closed_form_step(chat, ctx)
+        np.testing.assert_allclose(y, expected[m + 1], rtol=1e-12, atol=0.0)
 
 
 def test_lie_resolvent_pin():
@@ -282,7 +290,11 @@ def test_dfmm_difference_quotient_linear_noise():
     np.testing.assert_allclose(got, expected, rtol=1e-13)
 
 
-@pytest.mark.parametrize("scheme", ["ewp", "erkm15", "erkm-closed", "dfmm"])
+def _closed_form(ctx):
+    return erkm15_closed_form_step(hatted_coefficients(np.ones(7), ctx.h), ctx)
+
+
+@pytest.mark.parametrize("scheme", ["ewp", "erkm15", "closed-form", "dfmm"])
 def test_scalar_ito_taylor_oracle(scheme):
     # kappa ~ 0 and one constant noise mode turn the full stepper into a
     # one-dimensional SDE integrator for dX = X dW; orders 1.5 match the
@@ -294,7 +306,7 @@ def test_scalar_ito_taylor_oracle(scheme):
         f_y=_zero, f_yy=_zero, b_y=_one, b_yy=_zero,
     )
     rng = np.random.default_rng(12)
-    sel = resolve_scheme(scheme)[1]
+    sel = _closed_form if scheme == "closed-form" else resolve_scheme(scheme).step
     for trial in range(5):
         h = rng.uniform(0.05, 0.5)
         ctx, (w,) = _context_for(p, h, seed=trial, M=1)
@@ -361,7 +373,7 @@ def test_solve_determinism_and_layout():
     first = solve(p, "erkm15", NoisePath(path.dB[:1], path.I[:1], path.h), 12)
     ctx, (w,) = _context_for(p, path.h, seed=42, realization=3)
     ctx.set_state(y0, w)
-    np.testing.assert_array_equal(first, resolve_scheme("erkm15")[1](ctx))
+    np.testing.assert_array_equal(first, resolve_scheme("erkm15").step(ctx))
     assert np.all(np.isfinite(a))
 
 
@@ -434,11 +446,12 @@ def test_solve_terminal_states_pinned(M):
 
 
 def test_resolve_scheme_forms():
-    assert resolve_scheme("ewp")[0] == "ewp"
-    label, _ = resolve_scheme({"name": "erkm15", "c": list(np.full(7, 0.5)),
-                               "label": "rk-half"})
-    assert label == "rk-half"
-    assert resolve_scheme({"name": "exe"})[0] == "exe"
+    assert resolve_scheme("ewp").label == "ewp"
+    scheme = resolve_scheme({"name": "erkm15", "c": list(np.full(7, 0.5)),
+                             "label": "rk-half"})
+    assert (scheme.name, scheme.label) == ("erkm15", "rk-half")
+    assert resolve_scheme({"name": "exe"}).label == "exe"
+    assert resolve_scheme({"name": "erkm15", "c": [1, 2, 3, 1, 1, 1, 1]}).name == "erkm15"
     # only the two forms a JSON config can hold are accepted
     with pytest.raises(ValueError, match="unrecognized"):
         resolve_scheme(("exe", {}))
@@ -446,28 +459,21 @@ def test_resolve_scheme_forms():
         resolve_scheme({"name": "exe", "variant": "group"})
     with pytest.raises(ValueError, match="unknown scheme"):
         resolve_scheme("milstein")
+    # the summed closed form is the tableau engine's oracle, not a scheme
+    with pytest.raises(ValueError, match="unknown scheme 'erkm-closed'"):
+        resolve_scheme({"name": "erkm-closed", "c": [1.0] * 7})
     with pytest.raises(ValueError, match="unused"):
         resolve_scheme({"name": "ewp", "bogus": 1})
-    with pytest.raises(DimensionError):
-        resolve_scheme({"name": "erkm-closed", "c": [1.0] * 5})
+    with pytest.raises(ValueError, match="missing key 'name'"):
+        resolve_scheme({"label": "x"})
+    # c is 7 real numbers; strings and bools are not coerced
+    for bad in ([1.0] * 5, [1.0] * 8, ["0.5"] * 7, [True] * 7, "1234567", 0.5):
+        with pytest.raises(ValueError, match="'c' must be a list of 7 numbers"):
+            resolve_scheme({"name": "erkm15", "c": bad})
     # a label must fit one CSV field
     for bad in (5, None, "", "a,b", "a\nb", " a"):
         with pytest.raises(ValueError, match="label must be"):
             resolve_scheme({"name": "exe", "label": bad})
-
-
-def test_erkm_closed_fixed_coefficients():
-    # an 8-entry selector is taken as fixed generalized coefficients
-    p = builtin_problem("example3", 10)
-    h = 0.125
-    ctx, (w,) = _context_for(p, h, seed=17)
-    y = _decaying_state(10, 5)
-    chat = hatted_coefficients(np.full(7, 0.9), h)
-    ctx.set_state(y, w)
-    direct = erkm15_closed_form_step(chat, ctx)
-    via_solve = resolve_scheme({"name": "erkm-closed", "c": list(chat)})[1]
-    ctx.set_state(y, w)
-    np.testing.assert_array_equal(via_solve(ctx), direct)
 
 
 def test_context_guards():
@@ -529,7 +535,7 @@ def test_coarsened_paths_match_contexts_by_step_count(T, base, factors):
 
 def _step_by_hand(p, scheme, path, ctx):
     """Terminal state of scheme on path, one theta_weights + set_state per step."""
-    step = resolve_scheme(scheme)[1]
+    step = resolve_scheme(scheme).step
     y = p.initial_coeffs
     for m in range(path.M):
         ctx.set_state(y, theta_weights(path.step(m), p.qspec, ctx.grid, G=ctx.G))
