@@ -13,8 +13,9 @@ Subcommands:
 
 Configs are JSON objects whose keys are the fields of
 experiments.StudyConfig; missing keys fall back to its desk-scale
-defaults, unknown keys are rejected with the offending line number.
-SPDERK_SEED and SPDERK_OUT_DIR override the config.
+defaults, unknown keys and keys given twice in one object are rejected
+with the offending line number.  SPDERK_SEED (ASCII digits only) and
+SPDERK_OUT_DIR override the config.
 
 Exit codes: 0 success, 1 usage/config error or output pipe closed by
 the reader, 2 study or check failure.
@@ -107,17 +108,59 @@ def config_from_dict(data, source="<config>", text=None):
     return StudyConfig(**kwargs)
 
 
+class _DuplicateKey(Exception):
+    """A key given twice in one JSON object; args: the key."""
+
+
+def _unique_keys(pairs):
+    """object_pairs_hook for json.loads: a dict, or _DuplicateKey naming
+    the first key an object holds twice."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise _DuplicateKey(key)
+        data[key] = value
+    return data
+
+
+# a JSON string, with the colon that makes it a key, or an object brace
+_JSON_KEY_OR_BRACE = re.compile(r'("(?:[^"\\]|\\.)*")(\s*:)?|[{}]')
+
+
+def _second_occurrence_line(text, key):
+    """Line of key's second occurrence in the first object of a valid
+    JSON text to close holding key twice: the object json.loads (which
+    calls its hook as each object closes) rejected."""
+    open_objects = []  # per open object, the lines key appears on
+    for m in _JSON_KEY_OR_BRACE.finditer(text):
+        if m.group() == "{":
+            open_objects.append([])
+        elif m.group() == "}":
+            lines = open_objects.pop()
+            if len(lines) > 1:
+                return lines[1]
+        elif m.group(2) and json.loads(m.group(1)) == key:
+            open_objects[-1].append(text.count("\n", 0, m.start()) + 1)
+
+
 def load_config(path):
+    """A StudyConfig from a JSON file; raises ConfigError for a file it
+    cannot read, malformed JSON, a key given twice in one object, or
+    anything config_from_dict rejects."""
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as e:
         raise ConfigError(str(e)) from e
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ConfigError("%s: line %d column %d: %s"
                           % (path, e.lineno, e.colno, e.msg)) from e
+    except _DuplicateKey as e:
+        (key,) = e.args
+        raise ConfigError("%s: line %d: duplicate key %r"
+                          % (path, _second_occurrence_line(text, key), key)) from None
     return config_from_dict(data, source=path, text=text)
 
 
@@ -131,10 +174,10 @@ def config_to_dict(cfg):
 def _apply_env(cfg):
     seed = os.environ.get("SPDERK_SEED")
     if seed is not None:
-        try:
-            cfg = replace(cfg, seed=int(seed))
-        except ValueError as e:
-            raise ConfigError("SPDERK_SEED: %s" % e) from e
+        # int() alone would also take " 3", "1_0", "+3" and non-ASCII digits
+        if not (seed.isascii() and seed.isdigit()):
+            raise ConfigError("SPDERK_SEED must be ASCII digits, got %r" % (seed,))
+        cfg = replace(cfg, seed=int(seed))
     out_dir = os.environ.get("SPDERK_OUT_DIR")
     if out_dir:
         cfg = replace(cfg, out_dir=out_dir)

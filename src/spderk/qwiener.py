@@ -208,6 +208,11 @@ def coarsen(path, factor):
     return NoisePath(dBc, Ic, path.h * factor)
 
 
+def _sine_modes(q, grid):
+    """The (n_nodes, K) matrix of e~_j(x_p) = sqrt(2) sin(j pi x_p)."""
+    return np.sqrt(2.0) * np.sin(np.outer(grid.nodes, np.arange(1, q.K + 1)) * np.pi)
+
+
 def gsq_field(q, grid):
     """The field sum_j g_j(x_p)^2 on the collocation nodes.
 
@@ -216,10 +221,7 @@ def gsq_field(q, grid):
     """
     if q.mode_kind == "scalar_constant":
         return np.full(grid.n_nodes, q.mode_eigenvalues[0])
-    basis = np.sqrt(2.0) * np.sin(
-        np.outer(grid.nodes, np.arange(1, q.K + 1)) * np.pi
-    )
-    return basis**2 @ q.mode_eigenvalues
+    return _sine_modes(q, grid)**2 @ q.mode_eigenvalues
 
 
 def noise_matrix(q, grid):
@@ -229,10 +231,7 @@ def noise_matrix(q, grid):
     """
     if q.mode_kind == "scalar_constant":
         return np.full((grid.n_nodes, 1), np.sqrt(q.mode_eigenvalues[0]))
-    basis = np.sqrt(2.0) * np.sin(
-        np.outer(grid.nodes, np.arange(1, q.K + 1)) * np.pi
-    )
-    return basis * np.sqrt(q.mode_eigenvalues)
+    return _sine_modes(q, grid) * np.sqrt(q.mode_eigenvalues)
 
 
 class RandomWeights(NamedTuple):

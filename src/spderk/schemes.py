@@ -7,12 +7,13 @@ Contents:
   weights theta;
 * the ERKM1.5 six-stage tableau family (`erkm15_tableau`), parametrized
   by seven nonzero reals c_1..c_7;
-* the same scheme in summed closed form (`erkm15_closed_form_step`) with
-  generalized, possibly h-dependent coefficients c^_1..c^_8 -- not a
-  study scheme, but an oracle for the engine run after set_state
-  (`hatted_coefficients` gives the mapping under which both agree);
 * the exponential Wagner-Platen stepper (`ewp_step`), the derivative
-  based order-1.5 baseline;
+  based order-1.5 baseline, and the same step with difference quotients
+  for its derivative terms: ERKM1.5 in summed closed form
+  (`erkm15_closed_form_step`) with generalized, possibly h-dependent
+  coefficients c^_1..c^_8 -- not a study scheme, but an oracle for the
+  engine run after set_state (`hatted_coefficients` gives the mapping
+  under which both agree);
 * linear-implicit Euler, exponential Euler and derivative-free Milstein
   baselines (`baseline_step`);
 * the one parser of scheme selectors (`resolve_scheme`) and a driver
@@ -225,6 +226,16 @@ class ButcherTableau:
         return self._plan
 
 
+def _coefficients(c, n, name, kind):
+    """c as n floats, all finite and nonzero; else DimensionError or ValueError."""
+    c = np.asarray(c, dtype=float)
+    if c.shape != (n,):
+        raise DimensionError("%s must have %d entries" % (name, n))
+    if np.any(c == 0.0) or not np.all(np.isfinite(c)):
+        raise ValueError("%s coefficients must be finite and nonzero" % kind)
+    return c
+
+
 def erkm15_tableau(c):
     """The six-stage ERKM1.5 tableau for coefficients c = (c_1..c_7).
 
@@ -235,12 +246,7 @@ def erkm15_tableau(c):
     published table prints 1/(4 c_3) there, an erratum: that row sums
     to zero, as consistency requires, only at c_3 = 1.
     """
-    c = np.asarray(c, dtype=float)
-    if c.shape != (7,):
-        raise DimensionError("c must have 7 entries")
-    if np.any(c == 0.0) or not np.all(np.isfinite(c)):
-        raise ValueError("ERKM1.5 coefficients must be finite and nonzero")
-    c1, c2, c3, c4, c5, c6, c7 = c
+    c1, c2, c3, c4, c5, c6, c7 = _coefficients(c, 7, "c", "ERKM1.5")
     s = 6
     A01 = np.zeros((s, s))
     A11 = np.zeros((s, s))
@@ -493,65 +499,97 @@ def hatted_coefficients(c, h):
     )
 
 
+def _wagner_platen_step(ctx, y, noise, terms):
+    """The order-1.5 Wagner-Platen step of ewp_step and the closed form.
+
+    Evaluates f, b and D = A y + f(y) at the state y, asks terms(ctx, yp,
+    fY, bY, D) for seven (a, c) pairs whose products stand for f'D, f'b,
+    f''b^2, b'D, b'b, b''b^2 and b'^2 b, and sums the 12 terms left to
+    right; noise is a row of _wagner_platen_noise.
+    """
+    dW, Iw, dW2, dW3, hdW_Iw, Iw_hdW = noise
+    h = ctx.h
+    grid = ctx.grid
+    yp = to_physical(y, grid)
+    gsq = ctx.gsq
+
+    fY = eval_coeff(ctx.f, yp, grid)
+    bY = eval_coeff(ctx.b, yp, grid)
+    D = to_physical(ctx.neg_lam * y, grid) + fY
+    ((a1, c1), (a2, c2), (a3, c3), (a4, c4), (a5, c5), (a6, c6),
+     (a7, c7)) = terms(ctx, yp, fY, bY, D)
+    ctx.counters.f += 1
+    ctx.counters.b += 1
+
+    S = (
+        h * fY
+        + 0.5 * h * h * a1 * c1
+        + a2 * c2 * Iw
+        + 0.25 * h * h * a3 * c3 * gsq
+        + bY * dW
+        + a4 * c4 * hdW_Iw
+        + 0.5 * a5 * c5 * dW2
+        + (1.0 / 6.0) * a6 * c6 * dW3
+        + (1.0 / 6.0) * a7 * c7 * dW3
+        - 0.5 * h * a5 * c5 * gsq
+        - 0.5 * a6 * c6 * gsq * Iw
+        - 0.5 * h * a7 * c7 * gsq * dW
+    )
+    bracket = to_spectral(S, grid) + ctx.neg_lam * to_spectral(bY * Iw_hdW, grid)
+    return ctx.E_h2 * (ctx.E_h2 * y + bracket)
+
+
 def erkm15_closed_form_step(chat, ctx):
     """One step of the summed scheme with generalized coefficients, from
     the state and weights ctx.set_state loaded.
 
     chat = (c^_1 .. c^_8), all nonzero, possibly h-dependent.  This is an
     independent formulation used as an oracle for the tableau engine; the
-    two coincide under hatted_coefficients(c, h).  It reads the same
-    noise factors as ewp_step.
+    two coincide under hatted_coefficients(c, h).  It is ewp_step with
+    difference quotients for the derivative terms: 5 f- and 6
+    b-evaluations, 7 b-evaluations when c^_7 != c^_6.
     """
-    chat = np.asarray(chat, dtype=float)
-    if chat.shape != (8,):
-        raise DimensionError("chat must have 8 entries")
-    if np.any(chat == 0.0) or not np.all(np.isfinite(chat)):
-        raise ValueError("generalized coefficients must be finite and nonzero")
+    g1, g2, g3, g4, g5, g6, g7, g8 = _coefficients(chat, 8, "chat", "generalized")
+
+    def quotients(ctx, yp, fY, bY, D):
+        f, b, grid = ctx.f, ctx.b, ctx.grid
+        f_plus = eval_coeff(f, yp + g3 * bY, grid)
+        f_minus = eval_coeff(f, yp - g3 * bY, grid)
+        b_plus = eval_coeff(b, yp + g6 * bY, grid)
+        b_minus = eval_coeff(b, yp - g6 * bY, grid)
+        b_7 = b_plus if g7 == g6 else eval_coeff(b, yp + g7 * bY, grid)
+        pairs = (
+            (eval_coeff(f, yp + g1 * D, grid) - fY, 1.0 / g1),
+            (eval_coeff(f, yp + g2 * bY, grid) - fY, 1.0 / g2),
+            (f_plus - 2.0 * fY + f_minus, 1.0 / g3**2),
+            (eval_coeff(b, yp + g4 * D, grid) - bY, 1.0 / g4),
+            (eval_coeff(b, yp + g5 * bY, grid) - bY, 1.0 / g5),
+            (b_plus - 2.0 * bY + b_minus, 1.0 / g6**2),
+            (eval_coeff(b, yp + (g8 / g7) * (b_7 - bY), grid) - bY, 1.0 / g8),
+        )
+        ctx.counters.f += 4
+        ctx.counters.b += 5 if g7 == g6 else 6
+        return pairs
+
     y, noise = ctx._loaded(_wagner_platen_noise)
-    dW, Iw, dW2, dW3, hdW_Iw, Iw_hdW = noise
-    g1, g2, g3, g4, g5, g6, g7, g8 = chat
-    h = ctx.h
+    return _wagner_platen_step(ctx, y, noise, quotients)
+
+
+def _derivatives(ctx, yp, fY, bY, D):
+    """ewp's Taylor terms from the pointwise derivative maps."""
     grid = ctx.grid
-    yp = to_physical(y, grid)
-    gsq = ctx.gsq
-    f, b = ctx.f, ctx.b
-
-    fY = eval_coeff(f, yp, grid)
-    bY = eval_coeff(b, yp, grid)
-    D = to_physical(ctx.neg_lam * y, grid) + fY
-
-    f_drift = eval_coeff(f, yp + g1 * D, grid)
-    f_diff = eval_coeff(f, yp + g2 * bY, grid)
-    f_plus = eval_coeff(f, yp + g3 * bY, grid)
-    f_minus = eval_coeff(f, yp - g3 * bY, grid)
-    b_drift = eval_coeff(b, yp + g4 * D, grid)
-    b_diff = eval_coeff(b, yp + g5 * bY, grid)
-    b_plus = eval_coeff(b, yp + g6 * bY, grid)
-    b_minus = eval_coeff(b, yp - g6 * bY, grid)
-    b_7 = b_plus if g7 == g6 else eval_coeff(b, yp + g7 * bY, grid)
-    b_nest = eval_coeff(b, yp + (g8 / g7) * (b_7 - bY), grid)
-    ctx.counters.f += 5
-    ctx.counters.b += 6 if g7 == g6 else 7
-
-    second_f = f_plus - 2.0 * fY + f_minus
-    second_b = b_plus - 2.0 * bY + b_minus
-
-    S = (
-        h * fY
-        + (h * h / (2.0 * g1)) * (f_drift - fY)
-        + (1.0 / g2) * (f_diff - fY) * Iw
-        + (h * h / (4.0 * g3**2)) * second_f * gsq
-        + bY * dW
-        + (1.0 / g4) * (b_drift - bY) * hdW_Iw
-        + (1.0 / (2.0 * g5)) * (b_diff - bY) * dW2
-        + (1.0 / (6.0 * g6**2)) * second_b * dW3
-        + (1.0 / (6.0 * g8)) * (b_nest - bY) * dW3
-        - (h / (2.0 * g5)) * (b_diff - bY) * gsq
-        - (1.0 / (2.0 * g6**2)) * second_b * gsq * Iw
-        - (h / (2.0 * g8)) * (b_nest - bY) * gsq * dW
-    )
-    bracket = to_spectral(S, grid) + ctx.neg_lam * to_spectral(bY * Iw_hdW, grid)
-    return ctx.E_h2 * (ctx.E_h2 * y + bracket)
+    f_y = eval_coeff(ctx.f_y, yp, grid)
+    f_yy = eval_coeff(ctx.f_yy, yp, grid)
+    b_y = eval_coeff(ctx.b_y, yp, grid)
+    b_yy = eval_coeff(ctx.b_yy, yp, grid)
+    counters = ctx.counters
+    counters.f_y += 1
+    counters.f_yy += 1
+    counters.b_y += 1
+    counters.b_yy += 1
+    bY2 = bY**2
+    return ((f_y, D), (f_y, bY), (f_yy, bY2), (b_y, D), (b_y, bY), (b_yy, bY2),
+            (b_y**2, bY))
 
 
 def ewp_step(ctx, y=None, noise=None):
@@ -566,45 +604,7 @@ def ewp_step(ctx, y=None, noise=None):
     """
     if noise is None:
         y, noise = ctx._loaded(_wagner_platen_noise)
-    dW, Iw, dW2, dW3, hdW_Iw, Iw_hdW = noise
-    h = ctx.h
-    grid = ctx.grid
-    yp = to_physical(y, grid)
-    gsq = ctx.gsq
-
-    fY = eval_coeff(ctx.f, yp, grid)
-    f_y = eval_coeff(ctx.f_y, yp, grid)
-    f_yy = eval_coeff(ctx.f_yy, yp, grid)
-    bY = eval_coeff(ctx.b, yp, grid)
-    b_y = eval_coeff(ctx.b_y, yp, grid)
-    b_yy = eval_coeff(ctx.b_yy, yp, grid)
-    counters = ctx.counters
-    counters.f += 1
-    counters.f_y += 1
-    counters.f_yy += 1
-    counters.b += 1
-    counters.b_y += 1
-    counters.b_yy += 1
-    D = to_physical(ctx.neg_lam * y, grid) + fY
-    bY2 = bY**2
-    b_y2 = b_y**2
-
-    S = (
-        h * fY
-        + 0.5 * h * h * f_y * D
-        + f_y * bY * Iw
-        + 0.25 * h * h * f_yy * bY2 * gsq
-        + bY * dW
-        + b_y * D * hdW_Iw
-        + 0.5 * b_y * bY * dW2
-        + (1.0 / 6.0) * b_yy * bY2 * dW3
-        + (1.0 / 6.0) * b_y2 * bY * dW3
-        - 0.5 * h * b_y * bY * gsq
-        - 0.5 * b_yy * bY2 * gsq * Iw
-        - 0.5 * h * b_y2 * bY * gsq * dW
-    )
-    bracket = to_spectral(S, grid) + ctx.neg_lam * to_spectral(bY * Iw_hdW, grid)
-    return ctx.E_h2 * (ctx.E_h2 * y + bracket)
+    return _wagner_platen_step(ctx, y, noise, _derivatives)
 
 
 def baseline_step(kind, ctx, y=None, noise=None):

@@ -88,9 +88,14 @@ def test_env_overrides(tmp_path, monkeypatch):
     assert code == 0, err
     meta = json.loads((other / "example1_meta.json").read_text())
     assert meta["seed"] == 9
-    monkeypatch.setenv("SPDERK_SEED", "not-a-number")
-    code, _, err = _run(["study", str(cfg_path)])
-    assert code == 1 and "SPDERK_SEED" in err
+    # ASCII digits only: int() would take " 3", "1_0", "+3" and "\u0663" (3)
+    for bad in ("not-a-number", "", " 3", "3 ", "1_0", "+3", "-1", "\u0663", "3.0"):
+        monkeypatch.setenv("SPDERK_SEED", bad)
+        code, _, err = _run(["study", str(cfg_path)])
+        assert code == 1 and "SPDERK_SEED" in err and repr(bad) in err, bad
+    monkeypatch.setenv("SPDERK_SEED", "0042")
+    assert _run(["study", str(cfg_path)])[0] == 0
+    assert json.loads((other / "example1_meta.json").read_text())["seed"] == 42
 
 
 def test_config_diagnostics(tmp_path):
@@ -111,6 +116,22 @@ def test_config_diagnostics(tmp_path):
     bad.write_text('{"N": 8}')
     code, _, err = _run(["study", str(bad)])
     assert code == 1 and "problem" in err
+
+    # a key given twice is rejected at its second line, at the top level
+    # and inside a nested object, even when another object holds it too
+    bad.write_text('{\n  "problem": "example1",\n  "N": 8,\n  "N": 16\n}\n')
+    code, out, err = _run(["study", str(bad)])
+    assert code == 1 and out == ""
+    assert "duplicate key 'N'" in err and "line 4" in err and "Traceback" not in err
+    bad.write_text('{\n  "problem": "example1",\n'
+                   '  "schemes": [{"name": "ewp", "label": "M"}, {"name": "exe"}],\n'
+                   '  "reference": {"mode": "ewp",\n    "M": 8,\n    "M": 16}\n}\n')
+    with pytest.raises(ConfigError, match=r"line 6: duplicate key 'M'"):
+        load_config(str(bad))
+    bad.write_text('{"schemes": [{"name": "exe"},\n {"name": "lie", "name": "dfmm"}],\n'
+                   ' "name": 1, "name": 2}')
+    with pytest.raises(ConfigError, match=r"line 2: duplicate key 'name'"):
+        load_config(str(bad))
 
     code, _, err = _run(["study", str(tmp_path / "missing.json")])
     assert code == 1

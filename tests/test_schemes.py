@@ -219,14 +219,19 @@ def test_deterministic_exactness():
             prefix = NoisePath(path.dB[:m], path.I[:m], h)
             y = solve(p, scheme, prefix, N)
             np.testing.assert_allclose(y, expected[m], rtol=1e-12, atol=0.0)
-    # the closed form, one set_state per step
+    # the closed form, one set_state per step: under hatted_coefficients
+    # (5 f + 6 b per step) and with c^_7 != c^_6 (a 7th b evaluation)
     ctx = StepContext(p, SineBasisGrid(N), LinearOperatorSpec(p.kappa, N), h)
-    chat = hatted_coefficients(np.ones(7), h)
-    y = p.initial_coeffs
-    for m in range(M):
-        ctx.set_state(y, theta_weights(path.step(m), p.qspec, ctx.grid, G=ctx.G))
-        y = erkm15_closed_form_step(chat, ctx)
-        np.testing.assert_allclose(y, expected[m + 1], rtol=1e-12, atol=0.0)
+    hatted = hatted_coefficients(np.ones(7), h)
+    for chat, b_evals in ((hatted, 6), (np.r_[hatted[:6], 0.5, hatted[7]], 7)):
+        y = p.initial_coeffs
+        for m in range(M):
+            ctx.set_state(y, theta_weights(path.step(m), p.qspec, ctx.grid, G=ctx.G))
+            before = ctx.counters.copy()
+            y = erkm15_closed_form_step(chat, ctx)
+            d = ctx.counters - before
+            assert (d.f, d.b, d.total) == (5, b_evals, 5 + b_evals)
+            np.testing.assert_allclose(y, expected[m + 1], rtol=1e-12, atol=0.0)
 
 
 def test_lie_resolvent_pin():
