@@ -20,6 +20,7 @@ from spderk.schemes import (
     erkm15_tableau,
     erkm_step,
     hatted_coefficients,
+    resolve_scheme,
 )
 from spderk.spectral import LinearOperatorSpec, SineBasisGrid
 
@@ -33,20 +34,25 @@ y = rng.standard_normal(N) / (1.0 + np.arange(N)) ** 2
 
 path = sample_path(p.qspec, 1, h, 11)
 ctx = StepContext(p, grid, opspec, h)
-w = theta_weights(path.step(0), p.qspec, grid, G=ctx.G)
+dW, Iw = theta_weights(path.dB[0], path.I[0], p.qspec, grid, G=ctx.G)
+
+
+def row(scheme):
+    """One step's row of the scheme's noise factors: a chunk of one row."""
+    return next(zip(*resolve_scheme(scheme).noise(ctx, dW[None], Iw[None])))
+
 
 # free constants; the studies elsewhere default to all ones
 c = np.array([1.0, 0.7, -1.3, 0.9, 1.1, 0.6, -0.8])
 
-ctx.set_state(y, w)
 before = ctx.counters.copy()
-via_tableau = erkm_step(erkm15_tableau(c), ctx)
+via_tableau = erkm_step(erkm15_tableau(c), ctx, y, row("erkm15"))
 spent = ctx.counters - before
 print("tableau route:   f evals =", spent.f, " b evals =", spent.b)
 
-ctx.set_state(y, w)
 before = ctx.counters.copy()
-via_closed = erkm15_closed_form_step(hatted_coefficients(c, h), ctx)
+# the closed form reads the Wagner-Platen noise factors
+via_closed = erkm15_closed_form_step(hatted_coefficients(c, h), ctx, y, row("ewp"))
 spent = ctx.counters - before
 print("closed form:     f evals =", spent.f, " b evals =", spent.b)
 

@@ -31,7 +31,6 @@ from .spectral import (
 from .qwiener import (
     NoisePath,
     QSpec,
-    WienerStep,
     coarsen,
     sample_path,
     theta_weights,

@@ -67,12 +67,23 @@ ORDER_BANDS = {
 }
 
 
+# a JSON string, with the colon that makes it a key, or an object brace
+_JSON_KEY_OR_BRACE = re.compile(r'("(?:[^"\\]|\\.)*")(\s*:)?|[{}]')
+
+
 def _where(source, text, key):
-    """source, with the line the key first appears on when text is known."""
+    """source, with the line of the top-level key when text is known: a
+    string matching key as a value, or as a key of a nested object, is
+    passed over."""
     if text is not None:
-        m = re.search(r'"%s"' % re.escape(key), text)
-        if m:
-            return "%s: line %d" % (source, text.count("\n", 0, m.start()) + 1)
+        depth = 0
+        for m in _JSON_KEY_OR_BRACE.finditer(text):
+            if m.group() == "{":
+                depth += 1
+            elif m.group() == "}":
+                depth -= 1
+            elif depth == 1 and m.group(2) and json.loads(m.group(1)) == key:
+                return "%s: line %d" % (source, text.count("\n", 0, m.start()) + 1)
     return source
 
 
@@ -81,7 +92,7 @@ def config_from_dict(data, source="<config>", text=None):
 
     Unknown keys and values of the wrong type are rejected with a
     ConfigError naming the key; when the original text is supplied the
-    diagnostic carries the line the key first appears on.  No value is
+    diagnostic carries the line of the top-level key.  No value is
     coerced (3.7 is not a count, "exe" is not a list of schemes).
     """
     if not isinstance(data, dict):
@@ -121,10 +132,6 @@ def _unique_keys(pairs):
             raise _DuplicateKey(key)
         data[key] = value
     return data
-
-
-# a JSON string, with the colon that makes it a key, or an object brace
-_JSON_KEY_OR_BRACE = re.compile(r'("(?:[^"\\]|\\.)*")(\s*:)?|[{}]')
 
 
 def _second_occurrence_line(text, key):

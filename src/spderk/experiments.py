@@ -17,6 +17,7 @@ bit-identical for any worker count.
 import math
 import multiprocessing
 import os
+import sys
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -131,7 +132,8 @@ class StudyConfig:
             raise ConfigError("N must be >= 1")
         if self.K is not None and self.K < 1:
             raise ConfigError("K must be >= 1 (or null for the problem's default)")
-        if not 0 < float(self.T) < math.inf:
+        # compared, not converted: float() of a huge integer overflows
+        if not 0 < self.T <= sys.float_info.max:
             raise ConfigError("T must be finite and > 0")
         if self.realizations < 1:
             raise ConfigError("realizations must be >= 1")
@@ -396,8 +398,7 @@ class _StudyState:
                 truth = self.problem.exact(cfg.T, beta_T)
             else:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    truth = solve(self.problem, "ewp", fine, cfg.N,
-                                  ctx=self.ctxs[self.fine_M])
+                    truth = solve(self.problem, "ewp", fine, ctx=self.ctxs[self.fine_M])
         except DivergenceError as e:
             return out, [(r, "reference", self.fine_M, e.step, e.mode)]
         diverged = []
@@ -406,7 +407,7 @@ class _StudyState:
             for iS, sel in enumerate(cfg.schemes):
                 try:
                     with np.errstate(over="ignore", invalid="ignore"):
-                        approx = solve(self.problem, sel, path, cfg.N, ctx=self.ctxs[M])
+                        approx = solve(self.problem, sel, path, ctx=self.ctxs[M])
                 except DivergenceError as e:
                     diverged.append((r, e.scheme, M, e.step, e.mode))
                     continue

@@ -23,11 +23,10 @@ carries them from sampler to stepper: sample_path draws its normals
 CHUNK_STEPS steps at a time, and noise_fields fills a caller's buffer
 with the fields of at most CHUNK_STEPS consecutive steps, which
 schemes.solve steps through before it fills the next chunk.
-theta_weights builds the same fields for one step.
+theta_weights builds the same two fields for one step, and sample_step
+draws one step's (dB, I); both are plain arrays, the per-step oracles
+of the chunked path.
 """
-
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,9 +34,7 @@ from .errors import DimensionError
 
 __all__ = [
     "QSpec",
-    "WienerStep",
     "NoisePath",
-    "RandomWeights",
     "sample_step",
     "sample_path",
     "coarsen",
@@ -86,17 +83,9 @@ class QSpec:
         return "QSpec(K=%d, mode_kind=%r)" % (self.K, self.mode_kind)
 
 
-@dataclass(frozen=True)
-class WienerStep:
-    """Per-mode joint sample (dB, I) over one step of size h."""
-
-    dB: np.ndarray
-    I: np.ndarray
-    h: float
-
-
 class NoisePath:
-    """M WienerSteps of uniform h and K, stored as (M, K) arrays."""
+    """M steps of uniform h: the per-mode joint samples (dB, I) of every
+    step, stored as (M, K) arrays."""
 
     def __init__(self, dB, I, h):
         dB = np.asarray(dB, dtype=float)
@@ -117,9 +106,6 @@ class NoisePath:
     def K(self):
         return self.dB.shape[1]
 
-    def step(self, m):
-        return WienerStep(dB=self.dB[m], I=self.I[m], h=self.h)
-
 
 def _joint_pair(z, h, dB, I):
     # triangular factor of [[h, h^2/2], [h^2/2, h^3/3]] applied to the
@@ -133,13 +119,14 @@ def _joint_pair(z, h, dB, I):
 
 
 def sample_step(rng_stream, q, h):
-    """Draw one WienerStep from an externally managed generator stream."""
+    """Draw one step's per-mode (dB, I), two (K,) arrays, from an
+    externally managed generator stream."""
     if h <= 0:
         raise ValueError("h must be positive")
     z = rng_stream.standard_normal((q.K, 2))
     dB, I = np.empty(q.K), np.empty(q.K)
     _joint_pair(z, h, dB, I)
-    return WienerStep(dB=dB, I=I, h=float(h))
+    return dB, I
 
 
 def sample_path(q, M, h, base_seed, realization=0, out=None):
@@ -234,31 +221,24 @@ def noise_matrix(q, grid):
     return _sine_modes(q, grid) * np.sqrt(q.mode_eigenvalues)
 
 
-class RandomWeights(NamedTuple):
-    """The noise fields of one step on the grid: dW = G dB and Iw = G I.
-
-    Every stepper reads these two fields together with the context's h
-    and gsq; the tableau engine derives its theta weights from them (see
-    schemes.theta_fields).
-    """
-
-    dW: np.ndarray
-    Iw: np.ndarray
-
-
-def theta_weights(step, q, grid, G=None):
-    """Assemble the noise fields of one WienerStep on the grid:
+def theta_weights(dB, I, q, grid, G=None):
+    """The noise fields (dW, Iw) of one step on the grid, from its
+    per-mode (dB, I):
 
         dW(x) = sum_j sqrt(eta_j) dB_j e~_j(x),   Iw(x) the same sum over
         the mixed integrals I_j.
 
-    G may be passed in to avoid rebuilding it per step.
+    Every stepper reads these two fields together with the context's h
+    and gsq; the tableau engine derives its theta weights from them (see
+    schemes.theta_fields).  G may be passed in to avoid rebuilding it.
     """
     if G is None:
         G = noise_matrix(q, grid)
-    if step.dB.shape != (q.K,):
-        raise DimensionError("step has %d modes, QSpec has %d" % (len(step.dB), q.K))
-    return RandomWeights(G @ step.dB, G @ step.I)
+    dB, I = np.asarray(dB, dtype=float), np.asarray(I, dtype=float)
+    if dB.shape != (q.K,) or I.shape != (q.K,):
+        raise DimensionError("step of shapes %r and %r, QSpec has %d modes"
+                             % (dB.shape, I.shape, q.K))
+    return G @ dB, G @ I
 
 
 def noise_fields(path, G, m0, out):

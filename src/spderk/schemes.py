@@ -12,21 +12,21 @@ Contents:
   for its derivative terms: ERKM1.5 in summed closed form
   (`erkm15_closed_form_step`) with generalized, possibly h-dependent
   coefficients c^_1..c^_8 -- not a study scheme, but an oracle for the
-  engine run after set_state (`hatted_coefficients` gives the mapping
-  under which both agree);
+  engine (`hatted_coefficients` gives the mapping under which both
+  agree);
 * linear-implicit Euler, exponential Euler and derivative-free Milstein
   baselines (`baseline_step`);
 * the one parser of scheme selectors (`resolve_scheme`) and a driver
   (`solve`) running a scheme along a NoisePath to its terminal state.
 
-Steppers are plain functions of (ctx, y, noise): the StepContext holds
-what is fixed for a step size -- diagonal operator factors, gsq, and the
-problem's six pointwise maps, bound once when it is built -- y is the
-spectral state and noise the step's row of noise factors.  The only
-random input of a step is the pair of noise fields (dW, Iw) on the grid
-(qwiener.RandomWeights).  solve streams them one chunk of at most
-qwiener.CHUNK_STEPS steps at a time: it fills the context's table for
-the chunk (qwiener.noise_fields), builds from it the factors the
+Steppers are plain functions, called one way only, as step(ctx, y, row):
+the StepContext holds what is fixed for a step size -- diagonal operator
+factors, gsq, and the problem's six pointwise maps, bound once when it
+is built -- y is the spectral state and row the step's row of noise
+factors.  The only random input of a step is the pair of noise fields
+(dW, Iw) on the grid, two bare arrays.  solve streams them one chunk of
+at most qwiener.CHUNK_STEPS steps at a time: it fills the context's
+table for the chunk (qwiener.noise_fields), builds from it the factors the
 stepper reads that depend on the noise alone, one elementwise operation
 per factor -- dW^2, dW^3, h dW - Iw and Iw - (h/2) dW for ewp, the
 theta weights for the tableau engine (`theta_fields`), dW^2 - h gsq for
@@ -34,8 +34,11 @@ the baselines -- and steps through the chunk's rows.  Each row
 equals the factor computed for its step alone, bit for bit.  solve
 holds the current state and one chunk, never the trajectory; it checks
 shapes once, before the first step, and tests each new state with one
-dot product.  A stepper called as fn(ctx) reads the state and weights
-StepContext.set_state loaded instead.
+dot product.  A single step is a chunk of one row: with one step's
+fields dW and Iw (qwiener.theta_weights),
+
+    row = next(zip(*scheme.noise(ctx, dW[None], Iw[None])))
+    y = scheme.step(ctx, y, row)
 
 Every stepper advances Y via the split form
 
@@ -58,7 +61,6 @@ from .errors import DimensionError, DivergenceError
 from .nemytskii import coeff_map, eval_coeff
 from .qwiener import (
     CHUNK_STEPS,
-    RandomWeights,
     gsq_field,
     noise_fields,
     noise_matrix,
@@ -305,8 +307,8 @@ class StepContext:
     a missing derivative map raises a CapabilityError naming ewp when a
     stepper first calls it).  It owns its noise matrix G and tables, the
     (2, min(M, CHUNK_STEPS), n_nodes) buffer solve fills with one
-    chunk's noise fields at a time.  set_state() loads one state and one
-    step's RandomWeights for a stepper called on its own, as fn(ctx).
+    chunk's noise fields at a time.  It holds no state and no noise:
+    those are the stepper's y and row arguments.
     """
 
     def __init__(self, problem, grid, opspec, T, M=1):
@@ -340,29 +342,9 @@ class StepContext:
             coeff_map(problem, which, needed_by="ewp")
             for which in ("f_y", "f_yy", "b_y", "b_yy"))
         self.counters = EvalCounters()
-        self.y = None
-        self.weights = None
-
-    def set_state(self, y, weights):
-        """Load the state y (spectral) and one step's RandomWeights."""
-        n = self.grid.n_nodes
-        if weights.dW.shape != (n,) or weights.Iw.shape != (n,):
-            raise DimensionError("weights do not match the grid")
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.grid.N,):
-            raise DimensionError("state: expected shape (%d,), got %r"
-                                 % (self.grid.N, y.shape))
-        self.y = y
-        self.weights = weights
-
-    def _loaded(self, noise):
-        """The state and the noise row of the step set_state loaded, with
-        the row's factors built by the stepper's noise function."""
-        w = self.weights
-        return self.y, tuple(t[0] for t in noise(self, w.dW[None], w.Iw[None]))
 
 
-def theta_fields(w, h, gsq):
+def theta_fields(dW, Iw, h, gsq):
     """The tableau engine's random weights, from one step's noise fields:
 
         theta0_1 = h                 theta1_1 = dW
@@ -372,11 +354,10 @@ def theta_fields(w, h, gsq):
                                      theta1_5 = dW * gsq - dW^3 / (3h)
 
     Returns (theta0, theta1, theta2_1) with theta0 = (theta0_1..theta0_3)
-    and theta1 = (theta1_1..theta1_5).  Elementwise, so w may hold the
-    (rows, n) tables of a chunk of steps: each row then equals that
+    and theta1 = (theta1_1..theta1_5).  Elementwise, so dW and Iw may be
+    the (rows, n) tables of a chunk of steps: each row then equals that
     step's weights to the bit.
     """
-    dW, Iw = w.dW, w.Iw
     Iw_h = Iw / h
     dW3 = dW**3
     theta0 = (h, Iw_h, h * gsq)
@@ -396,7 +377,7 @@ def theta_fields(w, h, gsq):
 
 def _theta_noise(ctx, dW, Iw):
     """theta1_1..theta1_5 and theta2_1; theta0 is (h, theta1_2, h gsq)."""
-    _, theta1, theta2_1 = theta_fields(RandomWeights(dW, Iw), ctx.h, ctx.gsq)
+    _, theta1, theta2_1 = theta_fields(dW, Iw, ctx.h, ctx.gsq)
     return theta1 + (theta2_1,)
 
 
@@ -430,19 +411,16 @@ def _combine(terms, vals):
     return acc
 
 
-def erkm_step(tab, ctx, y=None, noise=None):
+def erkm_step(tab, ctx, y, noise):
     """One step of the generic explicit tableau engine.
 
     Stages are materialized lazily, following the nonzero structure the
     tableau compiled once (ButcherTableau._compile) and scaled once per
     step size (ButcherTableau.plan).  With the ERKM1.5 tableau this
     performs exactly 5 f- and 6 b-evaluations.  The theta weights come
-    from theta_fields on the context's h and gsq: solve passes the
-    state y and the step's row of a chunk's weights as noise; called as
-    erkm_step(tab, ctx), the step reads what ctx.set_state loaded.
+    from theta_fields on the context's h and gsq; noise is the step's
+    row of them.
     """
-    if noise is None:
-        y, noise = ctx._loaded(_theta_noise)
     grid = ctx.grid
     y_phys = to_physical(y, grid)
     fvals = [None] * tab.s   # j -> f(., K_j^0)
@@ -539,9 +517,10 @@ def _wagner_platen_step(ctx, y, noise, terms):
     return ctx.E_h2 * (ctx.E_h2 * y + bracket)
 
 
-def erkm15_closed_form_step(chat, ctx):
-    """One step of the summed scheme with generalized coefficients, from
-    the state and weights ctx.set_state loaded.
+def erkm15_closed_form_step(chat, ctx, y, noise):
+    """One step of the summed scheme with generalized coefficients from
+    the state y; noise is a row of ewp's noise factors
+    (resolve_scheme("ewp").noise).
 
     chat = (c^_1 .. c^_8), all nonzero, possibly h-dependent.  This is an
     independent formulation used as an oracle for the tableau engine; the
@@ -571,7 +550,6 @@ def erkm15_closed_form_step(chat, ctx):
         ctx.counters.b += 5 if g7 == g6 else 6
         return pairs
 
-    y, noise = ctx._loaded(_wagner_platen_noise)
     return _wagner_platen_step(ctx, y, noise, quotients)
 
 
@@ -592,22 +570,18 @@ def _derivatives(ctx, yp, fY, bY, D):
             (b_y**2, bY))
 
 
-def ewp_step(ctx, y=None, noise=None):
+def ewp_step(ctx, y, noise):
     """One step of the exponential Wagner-Platen scheme.
 
     Needs the pointwise derivative maps f_y, f_yy, b_y, b_yy; at state
     dimension 1 every operator derivative collapses to a pointwise
     product, and the step costs 6 distinct function/derivative
-    evaluations.  solve passes the state y and the step's row of a
-    chunk's noise factors; called as ewp_step(ctx), the step reads what
-    ctx.set_state loaded.
+    evaluations.  noise is the step's row of _wagner_platen_noise.
     """
-    if noise is None:
-        y, noise = ctx._loaded(_wagner_platen_noise)
     return _wagner_platen_step(ctx, y, noise, _derivatives)
 
 
-def baseline_step(kind, ctx, y=None, noise=None):
+def baseline_step(kind, ctx, y, noise):
     """Euler/Milstein-type baselines.
 
     lie:  Y+ = (I - hA)^(-1) (Y + h f(Y) + b(Y) dW)
@@ -616,13 +590,9 @@ def baseline_step(kind, ctx, y=None, noise=None):
                + (b(Y + sqrt(h) b(Y)) - b(Y)) (dW^2 - h sum g_j^2) / (2 sqrt(h)))
 
     dfmm needs commutative noise, which Nemytskii noise always is (see
-    spderk.nemytskii).  solve passes the state y and the step's noise
-    row (dW, dW^2 - h gsq), of which lie and exe read dW alone; called
-    as baseline_step(kind, ctx), the step reads what ctx.set_state
-    loaded.
+    spderk.nemytskii).  noise is the step's row (dW, dW^2 - h gsq), of
+    which lie and exe read dW alone.
     """
-    if noise is None:
-        y, noise = ctx._loaded(_baseline_noise)
     h = ctx.h
     grid = ctx.grid
     yp = to_physical(y, grid)
@@ -652,9 +622,9 @@ def baseline_step(kind, ctx, y=None, noise=None):
 
 class Scheme(NamedTuple):
     """A resolved selector: name (in SCHEME_NAMES), label (in error
-    tables), step (called as step(ctx) after ctx.set_state, or as
-    step(ctx, y, noise) by solve) and the noise function building the
-    rows step reads from a chunk's noise fields."""
+    tables), step, called as step(ctx, y, row), and noise, called as
+    noise(ctx, dW, Iw) on a chunk's (rows, n) noise-field tables, whose
+    factors, zipped, give the rows step reads."""
 
     name: str
     label: str
@@ -707,14 +677,16 @@ def resolve_scheme(scheme):
     return Scheme(name, label, step, noise)
 
 
-def solve(problem, scheme, path, N, ctx=None):
-    """Run a stepper along a noise path; returns the terminal (N,) state.
+def solve(problem, scheme, path, ctx=None):
+    """Run a stepper along a noise path; returns the terminal state, of
+    the problem's N modes.
 
     Y_0 is the problem's (already projected) initial coefficient vector;
     only the current state is kept.  Any non-finite coefficient aborts
     with a DivergenceError naming the scheme, step and mode.  A prebuilt
     StepContext may be passed to amortize setup across solves with the
-    same (problem, N, T, M); it must have the path's step count M.
+    same (problem, T, M); it must have been built for this problem and
+    the path's step count M.
 
     The path is streamed in chunks of at most CHUNK_STEPS steps: each
     chunk's noise fields are filled into the context's tables
@@ -730,18 +702,21 @@ def solve(problem, scheme, path, N, ctx=None):
     scheme = resolve_scheme(scheme)
     M = path.M
     if ctx is None:
-        grid = SineBasisGrid(N)
-        opspec = LinearOperatorSpec(problem.kappa, N)
-        ctx = StepContext(problem, grid, opspec, path.h * M, M)
+        N = problem.N
+        ctx = StepContext(problem, SineBasisGrid(N), LinearOperatorSpec(problem.kappa, N),
+                          path.h * M, M)
+    elif ctx.problem is not problem:
+        raise ValueError("context was built for problem %r, solve was given %r"
+                         % (ctx.problem, problem))
     if ctx.M != M:
         raise ValueError("context M=%d does not match path M=%d" % (ctx.M, M))
     if not math.isclose(path.h * M, ctx.T, rel_tol=1e-9):
         raise ValueError("context T=%g does not match path T=%g"
                          % (ctx.T, path.h * M))
     y = problem.initial_coeffs
-    if y.shape != (N,) or ctx.grid.N != N:
-        raise DimensionError("solve called with N=%d: initial state of shape %r,"
-                             " context of %d modes" % (N, y.shape, ctx.grid.N))
+    if y.shape != (ctx.grid.N,):
+        raise DimensionError("initial state of shape %r, context of %d modes"
+                             % (y.shape, ctx.grid.N))
     q = problem.qspec
     if q.K != path.K:
         raise DimensionError("path has %d noise modes, problem %d" % (path.K, q.K))

@@ -20,6 +20,7 @@ from .schemes import (
     erkm15_tableau,
     erkm_step,
     hatted_coefficients,
+    resolve_scheme,
     solve,
 )
 from .spectral import (
@@ -85,6 +86,11 @@ def _derivative_maps():
     assert np.abs(fd - eval_coeff(b_y, v, grid)).max() <= 1e-6
 
 
+def _row(scheme, ctx, dW, Iw):
+    """The scheme's noise row for one step's fields: a chunk of one row."""
+    return next(zip(*resolve_scheme(scheme).noise(ctx, dW[None], Iw[None])))
+
+
 def _scheme_equivalence():
     p = builtin_problem("example3", 16)
     grid = SineBasisGrid(16)
@@ -93,13 +99,12 @@ def _scheme_equivalence():
     for h in (0.1, 0.01):
         ctx = StepContext(p, grid, opspec, h)
         path = sample_path(p.qspec, 1, h, 13)
-        w = theta_weights(path.step(0), p.qspec, grid, G=ctx.G)
+        dW, Iw = theta_weights(path.dB[0], path.I[0], p.qspec, grid, G=ctx.G)
         y = rng.standard_normal(16) / (1 + np.arange(16.0)) ** 2
         c = rng.uniform(0.2, 2.0, 7)
-        ctx.set_state(y, w)
-        a = erkm_step(erkm15_tableau(c), ctx)
-        ctx.set_state(y, w)
-        b = erkm15_closed_form_step(hatted_coefficients(c, h), ctx)
+        a = erkm_step(erkm15_tableau(c), ctx, y, _row("erkm15", ctx, dW, Iw))
+        b = erkm15_closed_form_step(hatted_coefficients(c, h), ctx, y,
+                                    _row("ewp", ctx, dW, Iw))
         assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(a).max())
 
 
@@ -108,9 +113,8 @@ def _eval_counts():
     grid = SineBasisGrid(8)
     ctx = StepContext(p, grid, LinearOperatorSpec(p.kappa, 8), 0.1)
     path = sample_path(p.qspec, 1, 0.1, 2)
-    w = theta_weights(path.step(0), p.qspec, grid, G=ctx.G)
-    ctx.set_state(np.zeros(8), w)
-    erkm_step(erkm15_tableau(np.ones(7)), ctx)
+    dW, Iw = theta_weights(path.dB[0], path.I[0], p.qspec, grid, G=ctx.G)
+    erkm_step(erkm15_tableau(np.ones(7)), ctx, np.zeros(8), _row("erkm15", ctx, dW, Iw))
     assert (ctx.counters.f, ctx.counters.b) == (5, 6)
 
 
@@ -124,7 +128,7 @@ def _semigroup_decay():
     p = ProblemSpec(0.05, zero, zero, np.ones(8) / (1 + np.arange(8.0)) ** 2, q,
                     f_y=zero, f_yy=zero, b_y=zero, b_yy=zero)
     path = sample_path(q, 16, 1.0 / 16, 0)
-    y = solve(p, "erkm15", path, 8)
+    y = solve(p, "erkm15", path)
     lam = LinearOperatorSpec(0.05, 8).eigenvalues
     expected = np.exp(-lam) * p.initial_coeffs
     np.testing.assert_allclose(y, expected, rtol=1e-12)

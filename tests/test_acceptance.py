@@ -31,6 +31,7 @@ from spderk.schemes import (
     erkm_step,
     ewp_step,
     hatted_coefficients,
+    resolve_scheme,
     solve,
 )
 from spderk.spectral import (
@@ -101,6 +102,11 @@ def test_a2_example2_order_reproduction():
             _slope_detail(slopes, bands, elapsed))
 
 
+def _row(scheme, ctx, dW, Iw):
+    """The scheme's noise row for one step's fields: a chunk of one row."""
+    return next(zip(*resolve_scheme(scheme).noise(ctx, dW[None], Iw[None])))
+
+
 def test_a3_tableau_closed_form_equivalence():
     p = builtin_problem("example3", 16)
     grid = SineBasisGrid(16)
@@ -114,12 +120,11 @@ def test_a3_tableau_closed_form_equivalence():
             c = np.where(np.abs(c) < 0.05, rng.uniform(-2.0, 2.0, 7), c)
         ctx = StepContext(p, grid, opspec, h)
         path = sample_path(p.qspec, 1, h, 7000, realization=trial)
-        w = theta_weights(path.step(0), p.qspec, grid, G=ctx.G)
+        dW, Iw = theta_weights(path.dB[0], path.I[0], p.qspec, grid, G=ctx.G)
         y = rng.standard_normal(16) / (1.0 + np.arange(16.0)) ** 2
-        ctx.set_state(y, w)
-        a = erkm_step(erkm15_tableau(c), ctx)
-        ctx.set_state(y, w)
-        b = erkm15_closed_form_step(hatted_coefficients(c, h), ctx)
+        a = erkm_step(erkm15_tableau(c), ctx, y, _row("erkm15", ctx, dW, Iw))
+        b = erkm15_closed_form_step(hatted_coefficients(c, h), ctx, y,
+                                    _row("ewp", ctx, dW, Iw))
         rel = np.abs(a - b).max() / max(1.0, np.abs(a).max(), np.abs(b).max())
         worst = max(worst, rel)
     _report("A3 tableau = closed form (50 tuples)", worst <= 1e-12,
@@ -181,7 +186,7 @@ def test_a6_deterministic_exactness():
         lam = LinearOperatorSpec(kappa, N).eigenvalues
         exact = np.exp(-lam) * y0
         for scheme in ("erkm15", "ewp", "exe", "dfmm"):
-            got = solve(p, scheme, path, N)
+            got = solve(p, scheme, path)
             worst = max(worst, (np.abs(got - exact) / exact).max())
     _report("A6 semigroup decay with f=b=0", worst <= 1e-12,
             "max rel error %.2e" % worst)
@@ -196,15 +201,13 @@ def test_a7_evaluation_counts():
     ok = True
     y = p.initial_coeffs
     for m in range(3):
-        w = theta_weights(path.step(m), p.qspec, grid, G=ctx.G)
-        ctx.set_state(y, w)
+        dW, Iw = theta_weights(path.dB[m], path.I[m], p.qspec, grid, G=ctx.G)
         before = ctx.counters.copy()
-        y = erkm_step(tab, ctx)
+        y = erkm_step(tab, ctx, y, _row("erkm15", ctx, dW, Iw))
         d = ctx.counters - before
         ok = ok and (d.f, d.b, d.total) == (5, 6, 11)
-    ctx.set_state(p.initial_coeffs, w)
     before = ctx.counters.copy()
-    ewp_step(ctx)
+    ewp_step(ctx, p.initial_coeffs, _row("ewp", ctx, dW, Iw))
     d = ctx.counters - before
     ok = ok and d.total == 6 and all(
         getattr(d, k) == 1 for k in ("f", "b", "f_y", "f_yy", "b_y", "b_yy"))

@@ -113,6 +113,12 @@ def test_config_diagnostics(tmp_path):
     code, _, err = _run(["study", str(bad)])
     assert code == 1 and "top level" in err
 
+    # the line of the top-level key, not of an equal string before it
+    bad.write_text('{\n  "schemes": [{"name": "exe", "label": "N"}],\n  "N": 3.7,\n'
+                   '  "problem": "example1"\n}\n')
+    code, _, err = _run(["study", str(bad)])
+    assert code == 1 and "line 3: key 'N' must be an integer" in err
+
     bad.write_text('{"N": 8}')
     code, _, err = _run(["study", str(bad)])
     assert code == 1 and "problem" in err
@@ -183,6 +189,7 @@ def test_study_rejects_bad_worker_counts(tmp_path, workers):
         (dict(K=-3), "K must be >= 1"),
         (dict(reference={"mode": "exact", "M": 999}), "exact reference takes none"),
         (dict(schemes=[{"name": "erkm15", "c": ["0.5"] * 7}]), "'c' must be a list of 7"),
+        (dict(T=10**400), "T must be finite and > 0"),
     ],
 )
 def test_study_rejects_bad_values_as_config_errors(tmp_path, overrides, phrase):

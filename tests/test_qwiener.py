@@ -12,7 +12,6 @@ from spderk.qwiener import (
     CHUNK_STEPS,
     NoisePath,
     QSpec,
-    WienerStep,
     coarsen,
     dump_path,
     gsq_field,
@@ -43,21 +42,21 @@ def scalar_q():
 
 def test_cholesky_factor_frozen_examples():
     q = scalar_q()
-    s = sample_step(_FixedNormals([[0.0, 0.0]]), q, h=1.0)
-    assert s.dB[0] == 0.0 and s.I[0] == 0.0
-    s = sample_step(_FixedNormals([[1.0, 0.0]]), q, h=1.0)
-    assert np.isclose(s.dB[0], 1.0) and np.isclose(s.I[0], 0.5)
-    s = sample_step(_FixedNormals([[0.0, 1.0]]), q, h=1.0)
-    assert s.dB[0] == 0.0 and np.isclose(s.I[0], 1.0 / (2.0 * np.sqrt(3.0)))
+    dB, I = sample_step(_FixedNormals([[0.0, 0.0]]), q, h=1.0)
+    assert dB[0] == 0.0 and I[0] == 0.0
+    dB, I = sample_step(_FixedNormals([[1.0, 0.0]]), q, h=1.0)
+    assert np.isclose(dB[0], 1.0) and np.isclose(I[0], 0.5)
+    dB, I = sample_step(_FixedNormals([[0.0, 1.0]]), q, h=1.0)
+    assert dB[0] == 0.0 and np.isclose(I[0], 1.0 / (2.0 * np.sqrt(3.0)))
 
 
 def test_cholesky_factor_reproduces_covariance():
     # the factor L must satisfy L L^T = [[h, h^2/2], [h^2/2, h^3/3]]
     h = 0.73
     q = scalar_q()
-    a = sample_step(_FixedNormals([[1.0, 0.0]]), q, h)
-    b = sample_step(_FixedNormals([[0.0, 1.0]]), q, h)
-    L = np.array([[a.dB[0], b.dB[0]], [a.I[0], b.I[0]]])
+    a_dB, a_I = sample_step(_FixedNormals([[1.0, 0.0]]), q, h)
+    b_dB, b_I = sample_step(_FixedNormals([[0.0, 1.0]]), q, h)
+    L = np.array([[a_dB[0], b_dB[0]], [a_I[0], b_I[0]]])
     C = L @ L.T
     expect = np.array([[h, h**2 / 2.0], [h**2 / 2.0, h**3 / 3.0]])
     assert np.allclose(C, expect, rtol=1e-14)
@@ -86,9 +85,9 @@ def test_sample_path_equals_chunked_sample_step():
     seq = np.random.SeedSequence([7, 1])
     rng = np.random.Generator(np.random.Philox(seq))
     for m in range(M):
-        s = sample_step(rng, q, h)
-        assert np.array_equal(s.dB, path.dB[m])
-        assert np.array_equal(s.I, path.I[m])
+        dB, I = sample_step(rng, q, h)
+        assert np.array_equal(dB, path.dB[m])
+        assert np.array_equal(I, path.I[m])
 
 
 def test_sample_path_chunked_draw_equals_one_draw():
@@ -225,10 +224,9 @@ def test_theta_zero_noise():
     grid = SineBasisGrid(8)
     q = QSpec(2, [0.5, 0.25])
     gsq = gsq_field(q, grid)
-    step = WienerStep(dB=np.zeros(2), I=np.zeros(2), h=0.5)
-    w = theta_weights(step, q, grid)
-    assert np.all(w.dW == 0.0) and np.all(w.Iw == 0.0)
-    theta0, theta1, theta2_1 = theta_fields(w, step.h, gsq)
+    dW, Iw = theta_weights(np.zeros(2), np.zeros(2), q, grid)
+    assert np.all(dW == 0.0) and np.all(Iw == 0.0)
+    theta0, theta1, theta2_1 = theta_fields(dW, Iw, 0.5, gsq)
     assert np.all(theta1[0] == 0.0)
     assert np.array_equal(theta1[2], gsq)
     assert np.all(theta2_1 == 0.0)
@@ -240,11 +238,10 @@ def test_theta2_vanishes_for_balanced_sample():
     # scalar noise, h=1, dB=1, I=1/2: Iw - (h/2) dW = 0 pointwise
     grid = SineBasisGrid(5)
     q = scalar_q()
-    step = WienerStep(dB=np.array([1.0]), I=np.array([0.5]), h=1.0)
-    w = theta_weights(step, q, grid)
-    _, _, theta2_1 = theta_fields(w, step.h, gsq_field(q, grid))
+    dW, Iw = theta_weights(np.array([1.0]), np.array([0.5]), q, grid)
+    _, _, theta2_1 = theta_fields(dW, Iw, 1.0, gsq_field(q, grid))
     assert np.all(theta2_1 == 0.0)
-    assert np.all(w.dW == 1.0)
+    assert np.all(dW == 1.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -261,13 +258,12 @@ def test_theta_identities_against_mode_sums(seed, K, N, h):
     eta = rng.uniform(0.0, 2.0, K)
     q = QSpec(K, eta)
     grid = SineBasisGrid(N)
-    step = sample_step(rng, q, h)
-    w = theta_weights(step, q, grid)
-    _, theta1, theta2_1 = theta_fields(w, h, gsq_field(q, grid))
+    dB, I = sample_step(rng, q, h)
+    _, theta1, theta2_1 = theta_fields(*theta_weights(dB, I, q, grid), h, gsq_field(q, grid))
 
     modes = np.sqrt(2.0) * np.sin(np.pi * np.outer(grid.nodes, np.arange(1, K + 1)))
-    dW = sum(np.sqrt(eta[j]) * step.dB[j] * modes[:, j] for j in range(K))
-    Iw = sum(np.sqrt(eta[j]) * step.I[j] * modes[:, j] for j in range(K))
+    dW = sum(np.sqrt(eta[j]) * dB[j] * modes[:, j] for j in range(K))
+    Iw = sum(np.sqrt(eta[j]) * I[j] * modes[:, j] for j in range(K))
     gsq = sum(eta[j] * modes[:, j] ** 2 for j in range(K))
     expect13 = gsq - dW**2 / h
     expect21 = Iw - (h / 2.0) * dW
@@ -289,8 +285,8 @@ def test_noise_fields_rows_equal_theta_weights():
     assert dW.shape == Iw.shape == (16, grid.n_nodes)
     assert np.all(np.isnan(buf[:, 16:]))
     for m in range(path.M):
-        w = theta_weights(path.step(m), q, grid, G=G)
-        assert np.array_equal(dW[m], w.dW) and np.array_equal(Iw[m], w.Iw)
+        dW_m, Iw_m = theta_weights(path.dB[m], path.I[m], q, grid, G=G)
+        assert np.array_equal(dW[m], dW_m) and np.array_equal(Iw[m], Iw_m)
 
 
 def test_noise_fields_chunks_cover_a_long_path():
@@ -307,8 +303,8 @@ def test_noise_fields_chunks_cover_a_long_path():
         assert dW.shape == Iw.shape == (n, grid.n_nodes)
         assert np.shares_memory(dW, buf) and np.shares_memory(Iw, buf)
         for i in (0, n // 2, n - 1):
-            w = theta_weights(path.step(m0 + i), q, grid, G=G)
-            assert np.array_equal(dW[i], w.dW) and np.array_equal(Iw[i], w.Iw)
+            dW_m, Iw_m = theta_weights(path.dB[m0 + i], path.I[m0 + i], q, grid, G=G)
+            assert np.array_equal(dW[i], dW_m) and np.array_equal(Iw[i], Iw_m)
     with pytest.raises(ValueError, match="m0"):
         noise_fields(path, G, M, buf)
     with pytest.raises(DimensionError, match="out"):
@@ -319,9 +315,8 @@ def test_noise_fields_chunks_cover_a_long_path():
 
 def test_theta_mode_mismatch_rejected():
     grid = SineBasisGrid(5)
-    step = WienerStep(dB=np.zeros(3), I=np.zeros(3), h=1.0)
     with pytest.raises(DimensionError):
-        theta_weights(step, QSpec(2, [1.0, 1.0]), grid)
+        theta_weights(np.zeros(3), np.zeros(3), QSpec(2, [1.0, 1.0]), grid)
 
 
 def test_theta_monte_carlo_moments():

@@ -73,15 +73,21 @@ def _silent_problem(N, kappa=0.5, with_derivs=True):
 
 
 def _context_for(p, h, seed=0, realization=0, M=1):
+    """A one-step context and the noise fields (dW, Iw) of M sampled steps."""
     grid = SineBasisGrid(p.N)
     opspec = LinearOperatorSpec(p.kappa, p.N)
     ctx = StepContext(p, grid, opspec, h)
     path = sample_path(p.qspec, M, h, seed, realization)
-    wlist = [
-        theta_weights(path.step(m), p.qspec, grid, G=ctx.G)
+    fields = [
+        theta_weights(path.dB[m], path.I[m], p.qspec, grid, G=ctx.G)
         for m in range(M)
     ]
-    return ctx, wlist
+    return ctx, fields
+
+
+def _row(scheme, ctx, dW, Iw):
+    """The scheme's noise row for one step's fields: a chunk of one row."""
+    return next(zip(*resolve_scheme(scheme).noise(ctx, dW[None], Iw[None])))
 
 
 def test_tableau_frozen_entries():
@@ -167,39 +173,66 @@ def test_tableau_matches_closed_form(data, seed):
     c = np.array(mags) * np.array(signs)
     p = builtin_problem("example3", 16)
     h = data.draw(st.floats(0.005, 0.5))
-    ctx, (w,) = _context_for(p, h, seed=seed)
+    ctx, ((dW, Iw),) = _context_for(p, h, seed=seed)
     y = _decaying_state(16, seed + 1)
 
-    ctx.set_state(y, w)
-    via_tableau = erkm_step(erkm15_tableau(c), ctx)
-    ctx.set_state(y, w)
-    via_sum = erkm15_closed_form_step(hatted_coefficients(c, h), ctx)
+    via_tableau = erkm_step(erkm15_tableau(c), ctx, y, _row("erkm15", ctx, dW, Iw))
+    via_sum = erkm15_closed_form_step(hatted_coefficients(c, h), ctx, y,
+                                      _row("ewp", ctx, dW, Iw))
 
     scale = max(1.0, np.abs(via_tableau).max(), np.abs(via_sum).max())
     assert np.abs(via_tableau - via_sum).max() <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_erkm15_coefficients_cancel_for_linear_maps(name):
+    # f = 0 and b(y) = y: every difference quotient is exact, so any
+    # nonzero c gives the c = 1 run to rounding
+    p = builtin_problem(name, 16)
+    rng = np.random.default_rng(4)
+    for seed in range(5):
+        path = sample_path(p.qspec, 8, 1.0 / 8, seed)
+        c = rng.uniform(0.2, 2.0, 7) * rng.choice([-1.0, 1.0], 7)
+        got = solve(p, {"name": "erkm15", "c": list(c)}, path)
+        ones = solve(p, "erkm15", path)
+        assert np.abs(got - ones).max() <= 1e-13 * np.abs(ones).max()
+
+
+def test_erkm15_tends_to_ewp_as_c_shrinks():
+    # the difference quotients tend to ewp's derivatives linearly in c:
+    # on example3 (nonlinear f and b) one step's gap to ewp shrinks
+    # tenfold per decade of c, all seven entries equal
+    p = builtin_problem("example3", 16)
+    for seed in range(5):
+        ctx, ((dW, Iw),) = _context_for(p, 0.1, seed=seed)
+        y = p.initial_coeffs
+        wp = ewp_step(ctx, y, _row("ewp", ctx, dW, Iw))
+        rk_row = _row("erkm15", ctx, dW, Iw)
+        gaps = [np.abs(erkm_step(erkm15_tableau(np.full(7, c)), ctx, y, rk_row) - wp).max()
+                for c in (1.0, 1e-1, 1e-2, 1e-3)]
+        ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
+        assert np.all((8.0 <= ratios) & (ratios <= 12.0)), ratios
+
+
 def test_eval_counts_table1():
     p = builtin_problem("example3", 12)
-    ctx, (w,) = _context_for(p, 0.2, seed=5)
+    ctx, ((dW, Iw),) = _context_for(p, 0.2, seed=5)
     y = _decaying_state(12, 2)
+    wp_row = _row("ewp", ctx, dW, Iw)
 
-    ctx.set_state(y, w)
     before = ctx.counters.copy()
-    erkm_step(erkm15_tableau(np.full(7, 0.7)), ctx)
+    erkm_step(erkm15_tableau(np.full(7, 0.7)), ctx, y, _row("erkm15", ctx, dW, Iw))
     d = ctx.counters - before
     assert (d.f, d.b) == (5, 6)
     assert d.total == 11
 
-    ctx.set_state(y, w)
     before = ctx.counters.copy()
-    erkm15_closed_form_step(hatted_coefficients(np.full(7, 0.7), ctx.h), ctx)
+    erkm15_closed_form_step(hatted_coefficients(np.full(7, 0.7), ctx.h), ctx, y, wp_row)
     d = ctx.counters - before
     assert (d.f, d.b) == (5, 6)
 
-    ctx.set_state(y, w)
     before = ctx.counters.copy()
-    ewp_step(ctx)
+    ewp_step(ctx, y, wp_row)
     d = ctx.counters - before
     assert (d.f, d.b, d.f_y, d.f_yy, d.b_y, d.b_yy) == (1, 1, 1, 1, 1, 1)
     assert d.total == 6
@@ -217,18 +250,18 @@ def test_deterministic_exactness():
         # solve returns the terminal state: run it on every prefix of the path
         for m in range(1, M + 1):
             prefix = NoisePath(path.dB[:m], path.I[:m], h)
-            y = solve(p, scheme, prefix, N)
+            y = solve(p, scheme, prefix)
             np.testing.assert_allclose(y, expected[m], rtol=1e-12, atol=0.0)
-    # the closed form, one set_state per step: under hatted_coefficients
+    # the closed form, stepped by hand: under hatted_coefficients
     # (5 f + 6 b per step) and with c^_7 != c^_6 (a 7th b evaluation)
     ctx = StepContext(p, SineBasisGrid(N), LinearOperatorSpec(p.kappa, N), h)
     hatted = hatted_coefficients(np.ones(7), h)
     for chat, b_evals in ((hatted, 6), (np.r_[hatted[:6], 0.5, hatted[7]], 7)):
         y = p.initial_coeffs
         for m in range(M):
-            ctx.set_state(y, theta_weights(path.step(m), p.qspec, ctx.grid, G=ctx.G))
+            dW, Iw = theta_weights(path.dB[m], path.I[m], p.qspec, ctx.grid, G=ctx.G)
             before = ctx.counters.copy()
-            y = erkm15_closed_form_step(chat, ctx)
+            y = erkm15_closed_form_step(chat, ctx, y, _row("ewp", ctx, dW, Iw))
             d = ctx.counters - before
             assert (d.f, d.b, d.total) == (5, b_evals, 5 + b_evals)
             np.testing.assert_allclose(y, expected[m + 1], rtol=1e-12, atol=0.0)
@@ -239,7 +272,7 @@ def test_lie_resolvent_pin():
     p = _silent_problem(N, kappa=0.9, with_derivs=False)
     path = sample_path(p.qspec, 1, h, 0)
     lam = LinearOperatorSpec(p.kappa, N).eigenvalues
-    y = solve(p, "lie", path, N)
+    y = solve(p, "lie", path)
     np.testing.assert_allclose(y, p.initial_coeffs / (1.0 + h * lam), rtol=1e-15)
 
 
@@ -255,7 +288,7 @@ def test_lie_one_step_formula():
     F = to_spectral(np.ones(grid.n_nodes), grid)
     y0 = p.initial_coeffs
     expected = (y0 + h * F + dB * y0) / (1.0 + h * lam)
-    y = solve(p, "lie", path, N)
+    y = solve(p, "lie", path)
     np.testing.assert_allclose(y, expected, rtol=1e-13)
 
 
@@ -271,7 +304,7 @@ def test_exe_constant_forcing_is_exact():
     F = to_spectral(np.ones(grid.n_nodes), grid)
     exact = np.exp(-lam * h) * p.initial_coeffs + (-np.expm1(-lam * h)) / lam * F
 
-    y = solve(p, "exe", path, N)
+    y = solve(p, "exe", path)
     np.testing.assert_allclose(y, exact, rtol=1e-13)
     # drift weighted by e^{Ah} instead of h phi1(hA) misses it
     grouped = np.exp(-lam * h) * (p.initial_coeffs + h * F)
@@ -283,20 +316,18 @@ def test_dfmm_difference_quotient_linear_noise():
     # correction is y (dW^2 - h gsq) / 2; assembled here independently
     p = builtin_problem("example1", 8)
     h = 0.2
-    ctx, (w,) = _context_for(p, h, seed=9)
+    ctx, ((dW, Iw),) = _context_for(p, h, seed=9)
     y = _decaying_state(8, 3)
-    ctx.set_state(y, w)
-    got = baseline_step("dfmm", ctx)
+    got = baseline_step("dfmm", ctx, y, _row("dfmm", ctx, dW, Iw))
 
     yp = to_physical(y, ctx.grid)
-    dW = w.dW
     incr = yp * dW + 0.5 * yp * (dW**2 - h * ctx.gsq)
     expected = ctx.E_h * (y + to_spectral(incr, ctx.grid))
     np.testing.assert_allclose(got, expected, rtol=1e-13)
 
 
-def _closed_form(ctx):
-    return erkm15_closed_form_step(hatted_coefficients(np.ones(7), ctx.h), ctx)
+def _closed_form(ctx, y, noise):
+    return erkm15_closed_form_step(hatted_coefficients(np.ones(7), ctx.h), ctx, y, noise)
 
 
 @pytest.mark.parametrize("scheme", ["ewp", "erkm15", "closed-form", "dfmm"])
@@ -311,13 +342,14 @@ def test_scalar_ito_taylor_oracle(scheme):
         f_y=_zero, f_yy=_zero, b_y=_one, b_yy=_zero,
     )
     rng = np.random.default_rng(12)
-    sel = _closed_form if scheme == "closed-form" else resolve_scheme(scheme).step
+    # the closed form reads ewp's noise factors
+    sel, noise = ((_closed_form, "ewp") if scheme == "closed-form"
+                  else (resolve_scheme(scheme).step, scheme))
     for trial in range(5):
         h = rng.uniform(0.05, 0.5)
-        ctx, (w,) = _context_for(p, h, seed=trial, M=1)
-        dW = float(w.dW[0])
-        ctx.set_state(np.array([0.7]), w)
-        got = sel(ctx)
+        ctx, ((dW, Iw),) = _context_for(p, h, seed=trial, M=1)
+        got = sel(ctx, np.array([0.7]), _row(noise, ctx, dW, Iw))
+        dW = float(dW[0])
         factor = 1.0 + dW + 0.5 * (dW**2 - h)
         if scheme != "dfmm":
             factor += (dW**3 - 3.0 * h * dW) / 6.0
@@ -334,7 +366,7 @@ def test_zero_noise_degeneracy_linear_b():
     opspec = LinearOperatorSpec(p.kappa, N)
     ctx = StepContext(p, grid, opspec, h)
     zero = NoisePath(np.zeros((1, 1)), np.zeros((1, 1)), h)
-    w = theta_weights(zero.step(0), p.qspec, grid, G=ctx.G)
+    dW, Iw = theta_weights(zero.dB[0], zero.I[0], p.qspec, grid, G=ctx.G)
     y = _decaying_state(N, 11)
 
     drift_part = to_spectral(-0.5 * h * to_physical(y, grid) * ctx.gsq, grid)
@@ -342,15 +374,12 @@ def test_zero_noise_degeneracy_linear_b():
 
     rng = np.random.default_rng(8)
     c = rng.uniform(0.2, 2.0, 7)
-    ctx.set_state(y, w)
-    got_rk = erkm_step(erkm15_tableau(c), ctx)
-    ctx.set_state(y, w)
-    got_wp = ewp_step(ctx)
+    got_rk = erkm_step(erkm15_tableau(c), ctx, y, _row("erkm15", ctx, dW, Iw))
+    got_wp = ewp_step(ctx, y, _row("ewp", ctx, dW, Iw))
     np.testing.assert_allclose(got_rk, expected, rtol=1e-12, atol=1e-17)
     np.testing.assert_allclose(got_wp, expected, rtol=1e-12, atol=1e-17)
 
-    ctx.set_state(y, w)
-    got_mm = baseline_step("dfmm", ctx)
+    got_mm = baseline_step("dfmm", ctx, y, _row("dfmm", ctx, dW, Iw))
     expected_mm = ctx.E_h * (y + to_spectral(-0.5 * h * to_physical(y, grid) * ctx.gsq, grid))
     np.testing.assert_allclose(got_mm, expected_mm, rtol=1e-12, atol=1e-17)
 
@@ -359,26 +388,25 @@ def test_ewp_requires_derivative_maps():
     N = 4
     q = QSpec(1, np.array([1.0]), "scalar_constant")
     p = ProblemSpec(1.0, _zero, _identity, _decaying_state(N, 1), q)
-    ctx, (w,) = _context_for(p, 0.1)
-    ctx.set_state(_decaying_state(N, 1), w)
+    ctx, ((dW, Iw),) = _context_for(p, 0.1)
     with pytest.raises(CapabilityError, match="ewp"):
-        ewp_step(ctx)
+        ewp_step(ctx, _decaying_state(N, 1), _row("ewp", ctx, dW, Iw))
 
 
 def test_solve_determinism_and_layout():
     p = builtin_problem("example2", 12)
     path = sample_path(p.qspec, 6, 0.05, 42, realization=3)
     y0 = p.initial_coeffs.copy()
-    a = solve(p, "erkm15", path, 12)
-    b = solve(p, "erkm15", path, 12)
+    a = solve(p, "erkm15", path)
+    b = solve(p, "erkm15", path)
     assert a.shape == (12,)
     np.testing.assert_array_equal(a, b)
     # the run starts from the initial coefficients and leaves them intact
     np.testing.assert_array_equal(p.initial_coeffs, y0)
-    first = solve(p, "erkm15", NoisePath(path.dB[:1], path.I[:1], path.h), 12)
-    ctx, (w,) = _context_for(p, path.h, seed=42, realization=3)
-    ctx.set_state(y0, w)
-    np.testing.assert_array_equal(first, resolve_scheme("erkm15").step(ctx))
+    first = solve(p, "erkm15", NoisePath(path.dB[:1], path.I[:1], path.h))
+    ctx, ((dW, Iw),) = _context_for(p, path.h, seed=42, realization=3)
+    np.testing.assert_array_equal(
+        first, resolve_scheme("erkm15").step(ctx, y0, _row("erkm15", ctx, dW, Iw)))
     assert np.all(np.isfinite(a))
 
 
@@ -391,7 +419,7 @@ def test_solve_divergence_error():
     p = ProblemSpec(0.1, blowup, _zero, np.full(N, 0.5), q)
     path = sample_path(q, 4, 0.5, 0)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as exc:
-        solve(p, "exe", path, N)
+        solve(p, "exe", path)
     assert exc.value.scheme == "exe"
     assert exc.value.step == 1
     assert 0 <= exc.value.mode < N
@@ -412,7 +440,7 @@ def test_solve_runs_on_when_only_the_squared_norm_overflows():
     for scheme in ("erkm15", "ewp", "exe", "dfmm"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            y = solve(p, scheme, path, N)
+            y = solve(p, scheme, path)
         np.testing.assert_allclose(y, exact, rtol=1e-12)
 
 
@@ -446,7 +474,7 @@ def test_solve_terminal_states_pinned(M):
     p = builtin_problem("example3", N)
     path = sample_path(p.qspec, M, T / M, 37, realization=M)
     for scheme in SCHEME_NAMES:
-        got = [float(v).hex() for v in solve(p, scheme, path, N)]
+        got = [float(v).hex() for v in solve(p, scheme, path)]
         assert got == pins["states"]["%s@%d" % (scheme, M)], scheme
 
 
@@ -491,27 +519,28 @@ def test_context_guards():
         StepContext(p, grid, opspec, 1.0, 2.5)
     with pytest.raises(ValueError, match="T must be positive"):
         StepContext(p, grid, opspec, 0.0)
-    # weights assembled on another grid are rejected
     path = sample_path(p.qspec, 1, 0.1, 0)
-    w = theta_weights(path.step(0), p.qspec, SineBasisGrid(4))
-    with pytest.raises(DimensionError):
-        ctx.set_state(np.zeros(6), w)
-    # solve checks the initial state and the context against N once
-    with pytest.raises(DimensionError, match="N=4: initial state of shape .6,."):
-        solve(p, "exe", path, 4, ctx=ctx)
-    with pytest.raises(DimensionError, match="context of 4 modes"):
-        solve(p, "exe", path, 6, ctx=StepContext(builtin_problem("example1", 4), SineBasisGrid(4),
-                                                  LinearOperatorSpec(p.kappa, 4), 0.1))
-    # a state of the wrong length is rejected when it is loaded
-    w6 = theta_weights(path.step(0), p.qspec, grid)
-    with pytest.raises(DimensionError, match="state"):
-        ctx.set_state(np.zeros(5), w6)
+    # a context is taken only for the problem it was built for: example2's
+    # would run example3 with example2's maps, example1's dies on K
+    p2, p3 = builtin_problem("example2", 6), builtin_problem("example3", 6)
+    path3 = sample_path(p3.qspec, 1, 0.1, 0)
+    for other in (p2, p):
+        other_ctx = StepContext(other, grid, LinearOperatorSpec(other.kappa, 6), 0.1)
+        with pytest.raises(ValueError, match=r"context was built for problem ProblemSpec\('%s'"
+                           % other.name):
+            solve(p3, "ewp", path3, ctx=other_ctx)
+    # solve checks the initial state against the context once
+    p4 = builtin_problem("example1", 4)
+    ctx4 = StepContext(p4, SineBasisGrid(4), LinearOperatorSpec(p4.kappa, 4), 0.1)
+    p4.initial_coeffs = np.zeros(6)
+    with pytest.raises(DimensionError, match=r"initial state of shape \(6,\), context of 4 modes"):
+        solve(p4, "exe", path, ctx=ctx4)
     # contexts match paths by step count, then by time span
     path2 = sample_path(p.qspec, 2, 0.1, 0)
     with pytest.raises(ValueError, match="does not match path"):
-        solve(p, "exe", path2, 6, ctx=StepContext(p, grid, opspec, 0.05))
+        solve(p, "exe", path2, ctx=StepContext(p, grid, opspec, 0.05))
     with pytest.raises(ValueError, match="does not match path"):
-        solve(p, "exe", path2, 6, ctx=StepContext(p, grid, opspec, 0.4, 2))
+        solve(p, "exe", path2, ctx=StepContext(p, grid, opspec, 0.4, 2))
 
 
 @settings(max_examples=25, deadline=None)
@@ -534,17 +563,18 @@ def test_coarsened_paths_match_contexts_by_step_count(T, base, factors):
     for M in Ms:
         path = coarsen(fine, Ms[-1] // M)
         ctx = StepContext(p, grid, opspec, T, M)
-        y = solve(p, "exe", path, 4, ctx=ctx)
+        y = solve(p, "exe", path, ctx=ctx)
         assert y.shape == (4,) and np.all(np.isfinite(y))
 
 
 def _step_by_hand(p, scheme, path, ctx):
-    """Terminal state of scheme on path, one theta_weights + set_state per step."""
-    step = resolve_scheme(scheme).step
+    """Terminal state of scheme on path, each step's fields assembled by
+    theta_weights and its noise row built as a chunk of one row."""
+    scheme = resolve_scheme(scheme)
     y = p.initial_coeffs
     for m in range(path.M):
-        ctx.set_state(y, theta_weights(path.step(m), p.qspec, ctx.grid, G=ctx.G))
-        y = step(ctx)
+        dW, Iw = theta_weights(path.dB[m], path.I[m], p.qspec, ctx.grid, G=ctx.G)
+        y = scheme.step(ctx, y, next(zip(*scheme.noise(ctx, dW[None], Iw[None]))))
     return y
 
 
@@ -559,5 +589,5 @@ def test_solve_streams_chunks_like_stepping_by_hand(scheme):
     for M in (CHUNK_STEPS - 1, CHUNK_STEPS, CHUNK_STEPS + 1, 2 * CHUNK_STEPS + 3):
         ctx = StepContext(p, grid, opspec, 0.5, M)
         path = sample_path(p.qspec, M, 0.5 / M, 31, realization=M)
-        y = solve(p, scheme, path, N, ctx=ctx)
+        y = solve(p, scheme, path, ctx=ctx)
         assert np.array_equal(y, _step_by_hand(p, scheme, path, ctx)), M
