@@ -2,8 +2,8 @@
 Two routes to the same step
 ===========================
 
-The 1.5-order stochastic Runge-Kutta step can be driven two ways: through
-the generic tableau engine (stage recursion over the coefficient tables),
+The 1.5-order stochastic Runge-Kutta step can be driven two ways: stage
+by stage from the coefficient tables of the ERKM1.5 tableau (erkm_step),
 or through the summed closed form with the eight hatted coefficients.
 The hat mapping rescales the free constants by powers of h; after that the
 two are algebraically identical, and this script checks it numerically on

@@ -6,7 +6,7 @@ The pieces, bottom up:
 * :mod:`spderk.spectral`   -- sine eigenbasis, transforms, diagonal operator actions
 * :mod:`spderk.qwiener`    -- Q-Wiener sampling, mixed integrals, coarsening, noise fields
 * :mod:`spderk.nemytskii`  -- problem definitions and pointwise f/b evaluation
-* :mod:`spderk.schemes`    -- one-step integrators (tableau engine, closed form, baselines)
+* :mod:`spderk.schemes`    -- one-step integrators (ERKM1.5, closed form, baselines)
 * :mod:`spderk.experiments`-- Monte-Carlo convergence studies and order fitting
 * :mod:`spderk.cli`        -- command-line front end (study / path / selftest / order)
 """
@@ -37,7 +37,6 @@ from .qwiener import (
 )
 from .nemytskii import ProblemSpec, builtin_problem, coeff_map, eval_coeff
 from .schemes import (
-    ButcherTableau,
     EvalCounters,
     StepContext,
     erkm15_tableau,

@@ -18,7 +18,7 @@ with the offending line number.  SPDERK_SEED (ASCII digits only) and
 SPDERK_OUT_DIR override the config.
 
 Exit codes: 0 success, 1 usage/config error or output pipe closed by
-the reader, 2 study or check failure.
+the reader, 2 study or check failure or out of memory.
 """
 
 import argparse
@@ -359,6 +359,9 @@ def run_cli(argv=None, out=None, err=None):
         return 2
     except SpderkError as e:
         print("error: %s" % e, file=err)
+        return 2
+    except MemoryError as e:
+        print("error: out of memory: %s" % e, file=err)
         return 2
 
 

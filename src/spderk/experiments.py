@@ -194,8 +194,12 @@ class StudyConfig:
         if len(set(labels)) != len(labels):
             raise ConfigError("scheme labels must be unique: %s" % (labels,))
 
-        return replace(self, M_list=M_list, reference=ref, schemes=schemes,
-                       T=float(self.T))
+        cfg = replace(self, M_list=M_list, reference=ref, schemes=schemes,
+                      T=float(self.T))
+        if cfg.T / fine_steps(cfg) < sys.float_info.min:
+            raise ConfigError("T=%r is too small: its fine step T/%d is below the"
+                              " smallest normal float" % (self.T, fine_steps(cfg)))
+        return cfg
 
 
 @dataclass(frozen=True)
@@ -217,8 +221,24 @@ class ErrorTable:
         if len(set(keys)) != len(keys):
             raise ValueError("rows must be uniquely keyed by (scheme, M)")
         for r in self.rows:
+            if r.M < 1:
+                raise ValueError("%s: M must be >= 1, got %d" % (r.scheme, r.M))
+            if not 0 < r.h <= sys.float_info.max:
+                raise ValueError("%s at M=%d: h must be finite and > 0, got %r"
+                                 % (r.scheme, r.M, r.h))
             if r.rms_error < 0:
                 raise ValueError("rms_error must be nonnegative")
+            if r.flagged < 0:
+                raise ValueError("%s at M=%d: flagged must be >= 0, got %d"
+                                 % (r.scheme, r.M, r.flagged))
+        # the local slopes divide by log(h_i / h_{i+1})
+        for scheme in self.schemes():
+            rows = sorted(self.rows_for(scheme), key=lambda r: r.M)
+            for a, b in zip(rows, rows[1:]):
+                if not b.h < a.h:
+                    raise ValueError("%s: h must decrease as M grows, got h=%r at"
+                                     " M=%d and h=%r at M=%d"
+                                     % (scheme, a.h, a.M, b.h, b.M))
 
     def schemes(self):
         seen = []

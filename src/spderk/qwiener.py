@@ -229,7 +229,7 @@ def theta_weights(dB, I, q, grid, G=None):
         the mixed integrals I_j.
 
     Every stepper reads these two fields together with the context's h
-    and gsq; the tableau engine derives its theta weights from them (see
+    and gsq; erkm_step derives its theta weights from them (see
     schemes.theta_fields).  G may be passed in to avoid rebuilding it.
     """
     if G is None:

@@ -2,17 +2,17 @@
 
 Contents:
 
-* a generic explicit tableau engine (`erkm_step`) for exponential
-  stochastic Runge-Kutta methods with two stage families and random
-  weights theta;
-* the ERKM1.5 six-stage tableau family (`erkm15_tableau`), parametrized
-  by seven nonzero reals c_1..c_7;
+* the ERKM1.5 step (`erkm_step`), an exponential stochastic Runge-Kutta
+  method with two stage families and random weights theta, run as one
+  fixed sequence of array operations over the six-stage tableau;
+* the ERKM1.5 tableau family (`erkm15_tableau`), the paper's table as
+  data, parametrized by seven nonzero reals c_1..c_7;
 * the exponential Wagner-Platen stepper (`ewp_step`), the derivative
   based order-1.5 baseline, and the same step with difference quotients
   for its derivative terms: ERKM1.5 in summed closed form
   (`erkm15_closed_form_step`) with generalized, possibly h-dependent
-  coefficients c^_1..c^_8 -- not a study scheme, but an oracle for the
-  engine (`hatted_coefficients` gives the mapping under which both
+  coefficients c^_1..c^_8 -- not a study scheme, but an oracle for
+  erkm_step (`hatted_coefficients` gives the mapping under which both
   agree);
 * linear-implicit Euler, exponential Euler and derivative-free Milstein
   baselines (`baseline_step`);
@@ -29,7 +29,7 @@ at most qwiener.CHUNK_STEPS steps at a time: it fills the context's
 table for the chunk (qwiener.noise_fields), builds from it the factors the
 stepper reads that depend on the noise alone, one elementwise operation
 per factor -- dW^2, dW^3, h dW - Iw and Iw - (h/2) dW for ewp, the
-theta weights for the tableau engine (`theta_fields`), dW^2 - h gsq for
+theta weights for erkm_step (`theta_fields`), dW^2 - h gsq for
 the baselines -- and steps through the chunk's rows.  Each row
 equals the factor computed for its step alone, bit for bit.  solve
 holds the current state and one chunk, never the trajectory; it checks
@@ -75,7 +75,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "ButcherTableau",
     "EvalCounters",
     "StepContext",
     "erkm15_tableau",
@@ -121,111 +120,25 @@ class EvalCounters:
         )
 
 
-def _strictly_lower(mat):
-    return np.all(np.triu(mat) == 0.0)
+class ERKM15Tableau(NamedTuple):
+    """The arrays of the ERKM1.5 tableau, a plain record.
 
-
-class ButcherTableau:
-    """Stage matrices and weight vectors of the two-family tableau.
-
-    A01, A11 weight the drift term h (A K_j^0 + f(K_j^0)) in the two
-    stage families; B01/B02 (resp. B11/B12) weight the h and sqrt(h)
+    A01, A11 (6, 6) weight the drift term h (A K_j^0 + f(K_j^0)) in the
+    two stage families; B01/B02 (resp. B11/B12) weight the h and sqrt(h)
     multiples of b(K_j^1).  alpha has 3 weight rows (paired with
     theta^0_k), beta 5 rows (theta^1_k), gamma one row (theta^2_1).
-    All six stage matrices must be strictly lower triangular.
+    erkm_step reads each at the fixed positions of the family.
     """
 
-    def __init__(self, A01, A11, B01, B02, B11, B12, alpha, beta, gamma):
-        self.A01 = np.asarray(A01, dtype=float)
-        self.A11 = np.asarray(A11, dtype=float)
-        self.B01 = np.asarray(B01, dtype=float)
-        self.B02 = np.asarray(B02, dtype=float)
-        self.B11 = np.asarray(B11, dtype=float)
-        self.B12 = np.asarray(B12, dtype=float)
-        s = self.A01.shape[0]
-        for m in (self.A01, self.A11, self.B01, self.B02, self.B11, self.B12):
-            if m.shape != (s, s):
-                raise DimensionError("stage matrices must all be (s, s)")
-            if not _strictly_lower(m):
-                raise ValueError("stage matrices must be strictly lower triangular")
-        self.alpha = np.asarray(alpha, dtype=float)
-        self.beta = np.asarray(beta, dtype=float)
-        self.gamma = np.asarray(gamma, dtype=float)
-        if self.alpha.shape != (3, s) or self.beta.shape != (5, s):
-            raise DimensionError("alpha must be (3, s), beta (5, s)")
-        if self.gamma.shape != (s,):
-            raise DimensionError("gamma must be length s")
-        self.s = s
-        self._compile()
-
-    def _compile(self):
-        """Nonzero structure for erkm_step, fixed per tableau.
-
-        A stage K_j^0 is built only if some drift coefficient or alpha
-        weight references f(K_j^0), K_j^1 only if some diffusion
-        coefficient, beta or gamma weight references b(K_j^1); each
-        stage keeps the (j, a, b_h, b_sqrt_h) entries of its row that
-        are not all zero, and each weight row its nonzero (j, weight).
-        """
-        drift_cols = (self.A01 != 0.0) | (self.A11 != 0.0)
-        diff_cols = ((self.B01 != 0.0) | (self.B02 != 0.0)
-                     | (self.B11 != 0.0) | (self.B12 != 0.0))
-        self.f_needed = drift_cols.any(axis=0) | (self.alpha != 0.0).any(axis=0)
-        self.b_needed = (diff_cols.any(axis=0) | (self.beta != 0.0).any(axis=0)
-                         | (self.gamma != 0.0))
-        self.drift_needed = drift_cols.any(axis=0)
-
-        def stage_terms(A, B1, B2):
-            return tuple(
-                tuple((j, float(A[i, j]), float(B1[i, j]), float(B2[i, j]))
-                      for j in range(i) if A[i, j] or B1[i, j] or B2[i, j])
-                for i in range(self.s)
-            )
-
-        def weight_rows(W):
-            return tuple(
-                tuple((int(j), float(row[j])) for j in np.nonzero(row)[0])
-                for row in W
-            )
-
-        self.stage0_terms = stage_terms(self.A01, self.B01, self.B02)
-        self.stage1_terms = stage_terms(self.A11, self.B11, self.B12)
-        self.alpha_terms = weight_rows(self.alpha)
-        self.beta_terms = weight_rows(self.beta)
-        (self.gamma_terms,) = weight_rows(self.gamma[None, :])
-        self.f_evals = int(self.f_needed.sum())
-        self.b_evals = int(self.b_needed.sum())
-        self._plan_h = self._plan = None
-
-    def plan(self, h):
-        """The stages of one step at step size h, as (i, f_terms,
-        drift_needed, b_terms): f_terms (b_terms) is None if f(K_i^0)
-        (b(K_i^1)) is not needed, else the (from_drift, j, coefficient)
-        terms added to the base point, a h on a drift entry and
-        b_h h + b_sqrt_h sqrt(h) on a diffusion entry, zeros dropped.
-        Kept for the last h asked for.
-        """
-        if h != self._plan_h:
-            sqh = math.sqrt(h)
-
-            def scaled(terms):
-                out = []
-                for j, a, b1, b2 in terms:
-                    if a != 0.0:
-                        out.append((True, j, a * h))
-                    blend = b1 * h + b2 * sqh
-                    if blend != 0.0:
-                        out.append((False, j, blend))
-                return tuple(out)
-
-            self._plan = tuple(
-                (i,
-                 scaled(self.stage0_terms[i]) if self.f_needed[i] else None,
-                 bool(self.drift_needed[i]),
-                 scaled(self.stage1_terms[i]) if self.b_needed[i] else None)
-                for i in range(self.s))
-            self._plan_h = h
-        return self._plan
+    A01: np.ndarray
+    A11: np.ndarray
+    B01: np.ndarray
+    B02: np.ndarray
+    B11: np.ndarray
+    B12: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
 
 
 def _coefficients(c, n, name, kind):
@@ -291,7 +204,7 @@ def erkm15_tableau(c):
 
     gamma = np.zeros(s)
     gamma[0] = 1.0
-    return ButcherTableau(A01, A11, B01, B02, B11, B12, alpha, beta, gamma)
+    return ERKM15Tableau(A01, A11, B01, B02, B11, B12, alpha, beta, gamma)
 
 
 class StepContext:
@@ -345,7 +258,7 @@ class StepContext:
 
 
 def theta_fields(dW, Iw, h, gsq):
-    """The tableau engine's random weights, from one step's noise fields:
+    """ERKM1.5's random weights, from one step's noise fields:
 
         theta0_1 = h                 theta1_1 = dW
         theta0_2 = Iw / h            theta1_2 = Iw / h
@@ -392,75 +305,58 @@ def _baseline_noise(ctx, dW, Iw):
     return dW, dW**2 - ctx.h * ctx.gsq
 
 
-def _stage(K, terms, drift, bvals):
-    for from_drift, j, coef in terms:
-        K = K + coef * (drift[j] if from_drift else bvals[j])
-    return K
-
-
-def _combine(terms, vals):
-    """w_1 vals[j_1] + w_2 vals[j_2] + ... over a weight row's (j, w)
-    terms, left to right; a weight of exactly 1 multiplies by nothing.
-    Equals the sum started from 0 up to the sign of zero entries, which
-    the row's product with theta and its addition to P (which starts
-    from +0) cannot tell apart."""
-    acc = None
-    for j, w in terms:
-        t = vals[j] if w == 1.0 else w * vals[j]
-        acc = t if acc is None else acc + t
-    return acc
-
-
 def erkm_step(tab, ctx, y, noise):
-    """One step of the generic explicit tableau engine.
+    """One ERKM1.5 step with the coefficients of the tableau tab.
 
-    Stages are materialized lazily, following the nonzero structure the
-    tableau compiled once (ButcherTableau._compile) and scaled once per
-    step size (ButcherTableau.plan).  With the ERKM1.5 tableau this
-    performs exactly 5 f- and 6 b-evaluations.  The theta weights come
-    from theta_fields on the context's h and gsq; noise is the step's
-    row of them.
+    Stage 0 is the state y: f_0, b_0 and the drift D_0 = A y + f_0 there.
+    Stages 1-4 each take one f and one b evaluation, at y plus a
+    multiple of D_0 (stage 1, through A01/A11 times h) or of b_0 (stage
+    2 through B01/B11 times h, stages 3-4 through B02/B12 times sqrt(h));
+    stage 5 one b evaluation, at y + B12[5, 0] sqrt(h) b_0 + B12[5, 4]
+    sqrt(h) b_4.  That is 5 f- and 6 b-evaluations.  The increment sums
+    the alpha rows against theta^0 = (h, Iw/h, h gsq), the beta rows
+    against theta^1 and gamma against theta^2_1; noise is the step's
+    row of theta1_1..theta1_5, theta2_1 (theta_fields on the context's h
+    and gsq).
     """
-    grid = ctx.grid
-    y_phys = to_physical(y, grid)
-    fvals = [None] * tab.s   # j -> f(., K_j^0)
-    bvals = [None] * tab.s   # j -> b(., K_j^1)
-    drift = [None] * tab.s   # j -> A K_j^0 + f(., K_j^0), physical
-
-    for i, f_terms, drift_needed, b_terms in tab.plan(ctx.h):
-        if f_terms is not None:
-            K0 = _stage(y_phys, f_terms, drift, bvals)
-            fvals[i] = eval_coeff(ctx.f, K0, grid)
-            if drift_needed:
-                spec = y if i == 0 else to_spectral(K0, grid)
-                drift[i] = to_physical(ctx.neg_lam * spec, grid) + fvals[i]
-        if b_terms is not None:
-            bvals[i] = eval_coeff(ctx.b, _stage(y_phys, b_terms, drift, bvals), grid)
+    grid, h, sqh = ctx.grid, ctx.h, ctx.sqh
+    f, b = ctx.f, ctx.b
+    A01, A11, B01, B02, B11, B12, a, be, g = tab
+    yp = to_physical(y, grid)
+    f0 = eval_coeff(f, yp, grid)
+    D0 = to_physical(ctx.neg_lam * y, grid) + f0
+    b0 = eval_coeff(b, yp, grid)
+    f1 = eval_coeff(f, yp + (A01[1, 0] * h) * D0, grid)
+    b1 = eval_coeff(b, yp + (A11[1, 0] * h) * D0, grid)
+    f2 = eval_coeff(f, yp + (B01[2, 0] * h) * b0, grid)
+    b2 = eval_coeff(b, yp + (B11[2, 0] * h) * b0, grid)
+    f3 = eval_coeff(f, yp + (B02[3, 0] * sqh) * b0, grid)
+    b3 = eval_coeff(b, yp + (B12[3, 0] * sqh) * b0, grid)
+    f4 = eval_coeff(f, yp + (B02[4, 0] * sqh) * b0, grid)
+    b4 = eval_coeff(b, yp + (B12[4, 0] * sqh) * b0, grid)
+    b5 = eval_coeff(b, yp + (B12[5, 0] * sqh) * b0 + (B12[5, 4] * sqh) * b4, grid)
     counters = ctx.counters
-    counters.f += tab.f_evals
-    counters.b += tab.b_evals
+    counters.f += 5
+    counters.b += 6
 
-    # P = 0 + sum over weight rows of (row . values) * theta, in row order
-    P = None
-    for rows, vals, thetas in ((tab.alpha_terms, fvals, (ctx.h, noise[1], ctx.h_gsq)),
-                               (tab.beta_terms, bvals, noise[:5])):
-        for terms, theta in zip(rows, thetas):
-            if terms:
-                T = _combine(terms, vals) * theta
-                P = T + 0.0 if P is None else P + T
-    if P is None:
-        P = np.zeros(grid.n_nodes)
-
-    bracket = to_spectral(P, grid)
-    if tab.gamma_terms:
-        Gm = sum(g * bvals[j] for j, g in tab.gamma_terms)
-        bracket = bracket + ctx.neg_lam * to_spectral(Gm * noise[5], grid)
+    # summed from +0 in row order: a term that is a zero of either sign
+    # then leaves P as it is
+    P = (0.0
+         + (a[0, 0] * f0 + a[0, 1] * f1) * h
+         + (a[1, 0] * f0 + a[1, 2] * f2) * noise[1]
+         + (a[2, 0] * f0 + a[2, 3] * f3 + a[2, 4] * f4) * ctx.h_gsq
+         + (be[0, 0] * b0 + be[0, 1] * b1) * noise[0]
+         + (be[1, 0] * b0 + be[1, 1] * b1) * noise[1]
+         + (be[2, 0] * b0 + be[2, 2] * b2) * noise[2]
+         + (be[3, 0] * b0 + be[3, 3] * b3 + be[3, 4] * b4) * noise[3]
+         + (be[4, 0] * b0 + be[4, 5] * b5) * noise[4])
+    bracket = to_spectral(P, grid) + ctx.neg_lam * to_spectral(g[0] * b0 * noise[5], grid)
     return ctx.E_h2 * (ctx.E_h2 * y + bracket)
 
 
 def hatted_coefficients(c, h):
     """Map ERKM1.5 coefficients c_1..c_7 to the generalized c^_1..c^_8
-    under which the closed-form step is identical to the tableau step."""
+    under which the closed-form step is identical to erkm_step."""
     c = np.asarray(c, dtype=float)
     sqh = math.sqrt(h)
     return np.array(
@@ -523,7 +419,7 @@ def erkm15_closed_form_step(chat, ctx, y, noise):
     (resolve_scheme("ewp").noise).
 
     chat = (c^_1 .. c^_8), all nonzero, possibly h-dependent.  This is an
-    independent formulation used as an oracle for the tableau engine; the
+    independent formulation used as an oracle for erkm_step; the
     two coincide under hatted_coefficients(c, h).  It is ewp_step with
     difference quotients for the derivative terms: 5 f- and 6
     b-evaluations, 7 b-evaluations when c^_7 != c^_6.

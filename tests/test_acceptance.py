@@ -25,6 +25,7 @@ from spderk.experiments import (
 from spderk.nemytskii import ProblemSpec, builtin_problem
 from spderk.qwiener import QSpec, coarsen, sample_path, theta_weights
 from spderk.schemes import (
+    EvalCounters,
     StepContext,
     erkm15_closed_form_step,
     erkm15_tableau,
@@ -198,6 +199,19 @@ def test_a7_evaluation_counts():
     ctx = StepContext(p, grid, LinearOperatorSpec(p.kappa, 12), 0.1)
     path = sample_path(p.qspec, 3, 0.1, 707)
     tab = erkm15_tableau(np.ones(7))
+    # the steppers add fixed counts to the ledger; counting the bound
+    # maps' calls checks that they evaluate them exactly that often
+    maps = ("f", "b", "f_y", "f_yy", "b_y", "b_yy")
+    calls = EvalCounters()
+
+    def counted(which, fn):
+        def call(x, v):
+            setattr(calls, which, getattr(calls, which) + 1)
+            return fn(x, v)
+        return call
+
+    for which in maps:
+        setattr(ctx, which, counted(which, getattr(ctx, which)))
     ok = True
     y = p.initial_coeffs
     for m in range(3):
@@ -209,8 +223,8 @@ def test_a7_evaluation_counts():
     before = ctx.counters.copy()
     ewp_step(ctx, p.initial_coeffs, _row("ewp", ctx, dW, Iw))
     d = ctx.counters - before
-    ok = ok and d.total == 6 and all(
-        getattr(d, k) == 1 for k in ("f", "b", "f_y", "f_yy", "b_y", "b_yy"))
+    ok = ok and d.total == 6 and all(getattr(d, k) == 1 for k in maps)
+    ok = ok and calls == ctx.counters
     _report("A7 cost accounting (5f+6b per RK step, 6 per WP step)", ok)
 
 

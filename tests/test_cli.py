@@ -190,6 +190,8 @@ def test_study_rejects_bad_worker_counts(tmp_path, workers):
         (dict(reference={"mode": "exact", "M": 999}), "exact reference takes none"),
         (dict(schemes=[{"name": "erkm15", "c": ["0.5"] * 7}]), "'c' must be a list of 7"),
         (dict(T=10**400), "T must be finite and > 0"),
+        # a subnormal fine step T/16 would fail the first solve
+        (dict(T=1e-320, M_list=[8, 16]), "T=1e-320 is too small"),
     ],
 )
 def test_study_rejects_bad_values_as_config_errors(tmp_path, overrides, phrase):
@@ -291,6 +293,41 @@ def test_order_subcommand(tmp_path):
     table_path.write_text("junk\n")
     code, _, err = _run(["order", str(table_path)])
     assert code == 1 and "header" in err
+
+
+_VALID_ROWS = ("exe,4,0.25,1.0,0.0,0", "exe,8,0.125,0.5,0.0,0",
+               "exe,16,0.0625,0.125,0.0,0")
+
+
+@pytest.mark.parametrize(
+    "row, phrase",
+    [
+        ("exe,16,0.125,0.125,0.0,0", "h must decrease as M grows"),
+        ("exe,16,0,0.125,0.0,0", "h must be finite and > 0"),
+        ("exe,16,-0.125,0.125,0.0,0", "h must be finite and > 0"),
+        ("exe,16,nan,0.125,0.0,0", "h must be finite and > 0"),
+        ("exe,0,0.0625,0.125,0.0,0", "M must be >= 1"),
+        ("exe,16,0.0625,0.125,0.0,-1", "flagged must be >= 0"),
+    ],
+)
+def test_order_rejects_impossible_tables(tmp_path, row, phrase):
+    # each table replaces the last of three valid rows
+    table_path = tmp_path / "t.csv"
+    table_path.write_text("\n".join((experiments.CSV_HEADER,) + _VALID_ROWS[:2] + (row,)))
+    code, out, err = _run(["order", str(table_path)])
+    assert code == 1 and out == ""
+    assert err.startswith("config error: %s: " % table_path) and phrase in err
+    assert err.count("\n") == 1
+
+
+def test_study_reports_out_of_memory_as_one_line(tmp_path, monkeypatch):
+    def run_study(cfg, workers=None):
+        raise MemoryError("Unable to allocate 65.5 TiB for an array")
+
+    monkeypatch.setattr(cli, "run_study", run_study)
+    code, out, err = _run(["study", str(_write_config(tmp_path))])
+    assert code == 2 and out == ""
+    assert err == "error: out of memory: Unable to allocate 65.5 TiB for an array\n"
 
 
 def _kinked_table(scheme):

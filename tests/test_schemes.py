@@ -28,7 +28,6 @@ from spderk.qwiener import (
 )
 from spderk.schemes import (
     SCHEME_NAMES,
-    ButcherTableau,
     StepContext,
     baseline_step,
     erkm15_closed_form_step,
@@ -92,7 +91,6 @@ def _row(scheme, ctx, dW, Iw):
 
 def test_tableau_frozen_entries():
     tab = erkm15_tableau(np.ones(7))
-    assert tab.s == 6
     assert tab.A01[1, 0] == 1.0
     assert tab.B01[2, 0] == 1.0
     assert tab.B02[3, 0] == 1.0 and tab.B02[4, 0] == -1.0
@@ -143,15 +141,6 @@ def test_strict_table_variant_breaks_second_difference_row():
 
 
 def test_tableau_validation():
-    A = np.zeros((6, 6))
-    A[0, 1] = 1.0  # upper entry
-    blank = np.zeros((6, 6))
-    with pytest.raises(ValueError, match="strictly lower"):
-        ButcherTableau(A, blank, blank, blank, blank, blank,
-                       np.zeros((3, 6)), np.zeros((5, 6)), np.zeros(6))
-    with pytest.raises(DimensionError):
-        ButcherTableau(blank, blank, blank, blank, blank, blank,
-                       np.zeros((2, 6)), np.zeros((5, 6)), np.zeros(6))
     with pytest.raises(ValueError, match="nonzero"):
         erkm15_tableau(np.array([1, 1, 0, 1, 1, 1, 1.0]))
     with pytest.raises(DimensionError):
@@ -476,6 +465,49 @@ def test_solve_terminal_states_pinned(M):
     for scheme in SCHEME_NAMES:
         got = [float(v).hex() for v in solve(p, scheme, path)]
         assert got == pins["states"]["%s@%d" % (scheme, M)], scheme
+
+
+_FAMILY_PINS = os.path.join(os.path.dirname(__file__), "data", "erkm15_family_pins.json")
+
+
+@pytest.mark.parametrize("M", [63, 65])
+def test_erkm15_family_terminal_states_pinned(M):
+    # float.hex of erkm15's terminal states for three c of the family,
+    # recorded with a general two-family tableau interpreter that skipped
+    # zero terms: all ones, c_1 = 1/2 (alpha^0 then has a zero base-point
+    # weight) and mixed signs; same problem, paths and kernel fingerprint
+    # as above
+    with open(_FAMILY_PINS) as fh:
+        pins = json.load(fh)
+    if _kernel_fingerprint() != pins["kernels"]:
+        pytest.skip("pins were recorded with other floating-point kernels")
+    N, T = 16, 0.5
+    p = builtin_problem("example3", N)
+    path = sample_path(p.qspec, M, T / M, 37, realization=M)
+    for name, c in pins["c"].items():
+        got = [float(v).hex() for v in solve(p, {"name": "erkm15", "c": c}, path)]
+        assert got == pins["states"]["%s@%d" % (name, M)], name
+
+
+def test_erkm_step_reads_every_nonzero_tableau_entry():
+    # erkm_step reads the tableau at the family's fixed positions; an
+    # entry it did not read would be silently ignored, so scaling any
+    # nonzero entry must move the step
+    p = builtin_problem("example3", 16)
+    rng = np.random.default_rng(11)
+    ctx, fields = _context_for(p, 0.1, seed=4)
+    row = _row("erkm15", ctx, *fields[0])
+    y = _decaying_state(16, 5)
+    for _ in range(3):
+        c = rng.uniform(0.3, 2.0, 7) * rng.choice([-1.0, 1.0], 7)
+        tab = erkm15_tableau(c)
+        base = erkm_step(tab, ctx, y, row)
+        for name, arr in tab._asdict().items():
+            for idx in zip(*np.nonzero(arr)):
+                bumped = arr.copy()
+                bumped[idx] *= 1.25
+                moved = erkm_step(tab._replace(**{name: bumped}), ctx, y, row)
+                assert not np.array_equal(moved, base), (name, idx)
 
 
 def test_resolve_scheme_forms():
