@@ -7,7 +7,8 @@ by stage from the coefficient tables of the ERKM1.5 tableau (erkm_step),
 or through the summed closed form with the eight hatted coefficients.
 The hat mapping rescales the free constants by powers of h; after that the
 two are algebraically identical, and this script checks it numerically on
-a random state.  It also shows the evaluation ledger: 5 drift and 6
+a random state.  It also reads the context's evaluation ledger, which the
+context's bound maps keep as the steppers call them: 5 drift and 6
 diffusion evaluations per step, no matter which route is taken.
 """
 

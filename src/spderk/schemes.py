@@ -45,13 +45,14 @@ Every stepper advances Y via the split form
     Y+ = P_N e^{Ah/2} ( e^{Ah/2} Y + [assembled increment] )
 
 (for the exponential schemes), evaluates f and b pointwise in physical
-space, applies all operator actions diagonally in spectral space, and
-counts each grid-wide f/b evaluation exactly once.
+space, and applies all operator actions diagonally in spectral space.
+No stepper counts its evaluations: the context's bound maps count their
+own calls into StepContext.counters, so the ledger is the work done.
 """
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass
 from functools import partial
 from typing import NamedTuple
 
@@ -106,18 +107,13 @@ class EvalCounters:
 
     @property
     def total(self):
-        return self.f + self.b + self.f_y + self.f_yy + self.b_y + self.b_yy
+        return sum(astuple(self))
 
     def copy(self):
-        return EvalCounters(self.f, self.b, self.f_y, self.f_yy, self.b_y, self.b_yy)
+        return EvalCounters(*astuple(self))
 
     def __sub__(self, other):
-        return EvalCounters(
-            **{
-                fld.name: getattr(self, fld.name) - getattr(other, fld.name)
-                for fld in fields(self)
-            }
-        )
+        return EvalCounters(*(a - b for a, b in zip(astuple(self), astuple(other))))
 
 
 class ERKM15Tableau(NamedTuple):
@@ -141,70 +137,74 @@ class ERKM15Tableau(NamedTuple):
     gamma: np.ndarray
 
 
-def _coefficients(c, n, name, kind):
+def _coefficients(c, n, name):
     """c as n floats, all finite and nonzero; else DimensionError or ValueError."""
     c = np.asarray(c, dtype=float)
     if c.shape != (n,):
         raise DimensionError("%s must have %d entries" % (name, n))
     if np.any(c == 0.0) or not np.all(np.isfinite(c)):
-        raise ValueError("%s coefficients must be finite and nonzero" % kind)
+        raise ValueError("%s must be finite and nonzero" % name)
     return c
 
 
 def erkm15_tableau(c):
     """The six-stage ERKM1.5 tableau for coefficients c = (c_1..c_7).
 
-    All coefficients must be nonzero.  The alpha^(3) stage-4/5 entries
-    are 1/(4 c_3^2); the consistency of the second-difference drift term
-    forces the square (its stage-1 entry is -1/(2 c_3^2), and the term
-    must assemble to a clean second difference for every c_3).  The
-    published table prints 1/(4 c_3) there, an erratum: that row sums
-    to zero, as consistency requires, only at c_3 = 1.
+    c must be finite and nonzero, and so must every entry of the table
+    but 1 - 1/(2 c_1) and 1 - 1/c_4 after rounding: a c whose tableau
+    overflows or rounds an entry to 0 (1/c_6^2 at c_6 = 1e200) raises a
+    ValueError naming c.  The alpha^(3) stage-4/5 entries are 1/(4 c_3^2):
+    the consistency of the second-difference drift term forces the square
+    (its stage-1 entry is -1/(2 c_3^2), and the term must assemble to a
+    clean second difference for every c_3).  The published table prints
+    1/(4 c_3) there, an erratum: that row sums to zero, as consistency
+    requires, only at c_3 = 1.
     """
-    c1, c2, c3, c4, c5, c6, c7 = _coefficients(c, 7, "c", "ERKM1.5")
+    c = _coefficients(c, 7, "c")
+    c1, c2, c3, c4, c5, c6, c7 = c
     s = 6
-    A01 = np.zeros((s, s))
-    A11 = np.zeros((s, s))
-    B01 = np.zeros((s, s))
-    B02 = np.zeros((s, s))
-    B11 = np.zeros((s, s))
-    B12 = np.zeros((s, s))
-    A01[1, 0] = c1
-    B01[2, 0] = c2
-    B02[3, 0] = c3
-    B02[4, 0] = -c3
-    A11[1, 0] = c4
-    B11[2, 0] = c5
-    B12[3, 0] = -c6
-    B12[4, 0] = c6
-    B12[5, 0] = -c7 / c6
-    B12[5, 4] = c7 / c6
+    A01, A11, B01, B02, B11, B12 = (np.zeros((s, s)) for _ in range(6))
+    alpha, beta, gamma = np.zeros((3, s)), np.zeros((5, s)), np.zeros(s)
+    with np.errstate(all="ignore"):  # overflow and underflow are checked below
+        A01[1, 0] = c1
+        B01[2, 0] = c2
+        B02[3, 0] = c3
+        B02[4, 0] = -c3
+        A11[1, 0] = c4
+        B11[2, 0] = c5
+        B12[3, 0] = -c6
+        B12[4, 0] = c6
+        B12[5, 0] = -c7 / c6
+        B12[5, 4] = c7 / c6
 
-    alpha = np.zeros((3, s))
-    alpha[0, 0] = 1.0 - 1.0 / (2.0 * c1)
-    alpha[0, 1] = 1.0 / (2.0 * c1)
-    alpha[1, 0] = -1.0 / c2
-    alpha[1, 2] = 1.0 / c2
-    alpha[2, 0] = -1.0 / (2.0 * c3**2)
-    alpha[2, 3] = 1.0 / (4.0 * c3**2)
-    alpha[2, 4] = 1.0 / (4.0 * c3**2)
+        alpha[0, 0] = 1.0 - 1.0 / (2.0 * c1)
+        alpha[0, 1] = 1.0 / (2.0 * c1)
+        alpha[1, 0] = -1.0 / c2
+        alpha[1, 2] = 1.0 / c2
+        alpha[2, 0] = -1.0 / (2.0 * c3**2)
+        alpha[2, 3] = 1.0 / (4.0 * c3**2)
+        alpha[2, 4] = 1.0 / (4.0 * c3**2)
 
-    beta = np.zeros((5, s))
-    beta[0, 0] = 1.0 - 1.0 / c4
-    beta[0, 1] = 1.0 / c4
-    beta[1, 0] = 1.0 / c4
-    beta[1, 1] = -1.0 / c4
-    beta[2, 0] = 1.0 / (2.0 * c5)
-    beta[2, 2] = -1.0 / (2.0 * c5)
-    beta[3, 0] = 1.0 / c6**2
-    beta[3, 3] = -1.0 / (2.0 * c6**2)
-    beta[3, 4] = -1.0 / (2.0 * c6**2)
-    beta[4, 0] = 1.0 / (2.0 * c7)
-    beta[4, 5] = -1.0 / (2.0 * c7)
-
-    gamma = np.zeros(s)
+        beta[0, 0] = 1.0 - 1.0 / c4
+        beta[0, 1] = 1.0 / c4
+        beta[1, 0] = 1.0 / c4
+        beta[1, 1] = -1.0 / c4
+        beta[2, 0] = 1.0 / (2.0 * c5)
+        beta[2, 2] = -1.0 / (2.0 * c5)
+        beta[3, 0] = 1.0 / c6**2
+        beta[3, 3] = -1.0 / (2.0 * c6**2)
+        beta[3, 4] = -1.0 / (2.0 * c6**2)
+        beta[4, 0] = 1.0 / (2.0 * c7)
+        beta[4, 5] = -1.0 / (2.0 * c7)
     gamma[0] = 1.0
-    return ERKM15Tableau(A01, A11, B01, B02, B11, B12, alpha, beta, gamma)
+    tab = ERKM15Tableau(A01, A11, B01, B02, B11, B12, alpha, beta, gamma)
+    # 29 entries are nonzero for a generic c; alpha[0, 0], beta[0, 0] may vanish
+    vanished = int(alpha[0, 0] == 0) + int(beta[0, 0] == 0)
+    if (sum(np.count_nonzero(a) for a in tab) + vanished != 29
+            or not all(np.isfinite(a).all() for a in tab)):
+        raise ValueError("c = %s leaves the ERKM1.5 family: its tableau has a"
+                         " non-finite entry or one that rounds to 0" % c.tolist())
+    return tab
 
 
 class StepContext:
@@ -215,13 +215,16 @@ class StepContext:
     h = T / M is derived here and nowhere else, and solve() matches a
     context to a path by the integer step count.  With the default M=1,
     T is the step size itself.  Holds the problem, grid, diagonal
-    operator data precomputed for h, gsq and the evaluation counters,
-    and binds the problem's six pointwise maps once (nemytskii.coeff_map;
-    a missing derivative map raises a CapabilityError naming ewp when a
-    stepper first calls it).  It owns its noise matrix G and tables, the
-    (2, min(M, CHUNK_STEPS), n_nodes) buffer solve fills with one
-    chunk's noise fields at a time.  It holds no state and no noise:
-    those are the stepper's y and row arguments.
+    operator data precomputed for h and gsq, and binds the problem's six
+    pointwise maps once, as f, b, f_y, f_yy, b_y and b_yy
+    (nemytskii.coeff_map; a missing derivative map raises a
+    CapabilityError naming ewp when a stepper first calls it).  Each
+    bound map counts its calls: it adds 1 to its field of counters, an
+    EvalCounters, and returns the map's array untouched.  It owns its
+    noise matrix G and tables, the (2, min(M, CHUNK_STEPS), n_nodes)
+    buffer solve fills with one chunk's noise fields at a time.  It
+    holds no state and no noise: those are the stepper's y and row
+    arguments.
     """
 
     def __init__(self, problem, grid, opspec, T, M=1):
@@ -249,12 +252,19 @@ class StepContext:
         self.neg_lam = diagonal_factor("generator", opspec)
         self.resolvent = diagonal_factor("resolvent", opspec, h=h)
         self.phi1 = diagonal_factor("phi1", opspec, h=h)
-        self.f = coeff_map(problem, "f")
-        self.b = coeff_map(problem, "b")
-        self.f_y, self.f_yy, self.b_y, self.b_yy = (
-            coeff_map(problem, which, needed_by="ewp")
-            for which in ("f_y", "f_yy", "b_y", "b_yy"))
         self.counters = EvalCounters()
+        for which in ("f", "b", "f_y", "f_yy", "b_y", "b_yy"):
+            fn = coeff_map(problem, which, needed_by=None if which in ("f", "b") else "ewp")
+            setattr(self, which, _counting(fn, self.counters, which))
+
+
+def _counting(fn, counters, which):
+    """fn, adding 1 to counters.<which> each time it returns."""
+    def counted(x, y):
+        out = fn(x, y)
+        setattr(counters, which, getattr(counters, which) + 1)
+        return out
+    return counted
 
 
 def theta_fields(dW, Iw, h, gsq):
@@ -313,7 +323,8 @@ def erkm_step(tab, ctx, y, noise):
     multiple of D_0 (stage 1, through A01/A11 times h) or of b_0 (stage
     2 through B01/B11 times h, stages 3-4 through B02/B12 times sqrt(h));
     stage 5 one b evaluation, at y + B12[5, 0] sqrt(h) b_0 + B12[5, 4]
-    sqrt(h) b_4.  That is 5 f- and 6 b-evaluations.  The increment sums
+    sqrt(h) b_4.  That is 5 f- and 6 b-evaluations, all through the
+    context's bound maps, which count them.  The increment sums
     the alpha rows against theta^0 = (h, Iw/h, h gsq), the beta rows
     against theta^1 and gamma against theta^2_1; noise is the step's
     row of theta1_1..theta1_5, theta2_1 (theta_fields on the context's h
@@ -335,9 +346,6 @@ def erkm_step(tab, ctx, y, noise):
     f4 = eval_coeff(f, yp + (B02[4, 0] * sqh) * b0, grid)
     b4 = eval_coeff(b, yp + (B12[4, 0] * sqh) * b0, grid)
     b5 = eval_coeff(b, yp + (B12[5, 0] * sqh) * b0 + (B12[5, 4] * sqh) * b4, grid)
-    counters = ctx.counters
-    counters.f += 5
-    counters.b += 6
 
     # summed from +0 in row order: a term that is a zero of either sign
     # then leaves P as it is
@@ -359,18 +367,8 @@ def hatted_coefficients(c, h):
     under which the closed-form step is identical to erkm_step."""
     c = np.asarray(c, dtype=float)
     sqh = math.sqrt(h)
-    return np.array(
-        [
-            h * c[0],
-            h * c[1],
-            sqh * c[2],
-            h * c[3],
-            h * c[4],
-            sqh * c[5],
-            sqh * c[5],
-            h * c[6],
-        ]
-    )
+    # c_6 gives both c^_6 and c^_7
+    return np.array([h, h, sqh, h, h, sqh, sqh, h]) * c[[0, 1, 2, 3, 4, 5, 5, 6]]
 
 
 def _wagner_platen_step(ctx, y, noise, terms):
@@ -392,8 +390,6 @@ def _wagner_platen_step(ctx, y, noise, terms):
     D = to_physical(ctx.neg_lam * y, grid) + fY
     ((a1, c1), (a2, c2), (a3, c3), (a4, c4), (a5, c5), (a6, c6),
      (a7, c7)) = terms(ctx, yp, fY, bY, D)
-    ctx.counters.f += 1
-    ctx.counters.b += 1
 
     S = (
         h * fY
@@ -424,7 +420,7 @@ def erkm15_closed_form_step(chat, ctx, y, noise):
     difference quotients for the derivative terms: 5 f- and 6
     b-evaluations, 7 b-evaluations when c^_7 != c^_6.
     """
-    g1, g2, g3, g4, g5, g6, g7, g8 = _coefficients(chat, 8, "chat", "generalized")
+    g1, g2, g3, g4, g5, g6, g7, g8 = _coefficients(chat, 8, "chat")
 
     def quotients(ctx, yp, fY, bY, D):
         f, b, grid = ctx.f, ctx.b, ctx.grid
@@ -433,7 +429,7 @@ def erkm15_closed_form_step(chat, ctx, y, noise):
         b_plus = eval_coeff(b, yp + g6 * bY, grid)
         b_minus = eval_coeff(b, yp - g6 * bY, grid)
         b_7 = b_plus if g7 == g6 else eval_coeff(b, yp + g7 * bY, grid)
-        pairs = (
+        return (
             (eval_coeff(f, yp + g1 * D, grid) - fY, 1.0 / g1),
             (eval_coeff(f, yp + g2 * bY, grid) - fY, 1.0 / g2),
             (f_plus - 2.0 * fY + f_minus, 1.0 / g3**2),
@@ -442,9 +438,6 @@ def erkm15_closed_form_step(chat, ctx, y, noise):
             (b_plus - 2.0 * bY + b_minus, 1.0 / g6**2),
             (eval_coeff(b, yp + (g8 / g7) * (b_7 - bY), grid) - bY, 1.0 / g8),
         )
-        ctx.counters.f += 4
-        ctx.counters.b += 5 if g7 == g6 else 6
-        return pairs
 
     return _wagner_platen_step(ctx, y, noise, quotients)
 
@@ -456,11 +449,6 @@ def _derivatives(ctx, yp, fY, bY, D):
     f_yy = eval_coeff(ctx.f_yy, yp, grid)
     b_y = eval_coeff(ctx.b_y, yp, grid)
     b_yy = eval_coeff(ctx.b_yy, yp, grid)
-    counters = ctx.counters
-    counters.f_y += 1
-    counters.f_yy += 1
-    counters.b_y += 1
-    counters.b_yy += 1
     bY2 = bY**2
     return ((f_y, D), (f_y, bY), (f_yy, bY2), (b_y, D), (b_y, bY), (b_yy, bY2),
             (b_y**2, bY))
@@ -487,7 +475,8 @@ def baseline_step(kind, ctx, y, noise):
 
     dfmm needs commutative noise, which Nemytskii noise always is (see
     spderk.nemytskii).  noise is the step's row (dW, dW^2 - h gsq), of
-    which lie and exe read dW alone.
+    which lie and exe read dW alone.  Each evaluates f and b once at Y;
+    dfmm evaluates b a second time, at Y + sqrt(h) b(Y).
     """
     h = ctx.h
     grid = ctx.grid
@@ -495,9 +484,6 @@ def baseline_step(kind, ctx, y, noise):
     dW = noise[0]
     fY = eval_coeff(ctx.f, yp, grid)
     bY = eval_coeff(ctx.b, yp, grid)
-    counters = ctx.counters
-    counters.f += 1
-    counters.b += 1
     if kind == "lie":
         incr = to_spectral(h * fY + bY * dW, grid)
         return ctx.resolvent * (y + incr)
@@ -510,7 +496,6 @@ def baseline_step(kind, ctx, y, noise):
     if kind == "dfmm":
         sqh = ctx.sqh
         b_shift = eval_coeff(ctx.b, yp + sqh * bY, grid)
-        counters.b += 1
         corr = (b_shift - bY) * noise[1] / (2.0 * sqh)
         return ctx.E_h * (y + to_spectral(h * fY + bY * dW + corr, grid))
     raise ValueError("unknown baseline kind %r" % (kind,))

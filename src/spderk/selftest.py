@@ -2,6 +2,8 @@
 the command line (`spderk selftest`).  Each check raises on failure and
 finishes in well under a second."""
 
+from dataclasses import astuple
+
 import numpy as np
 
 from .experiments import (
@@ -15,6 +17,7 @@ from .experiments import (
 from .nemytskii import builtin_problem, coeff_map, eval_coeff
 from .qwiener import QSpec, coarsen, sample_path, theta_weights
 from .schemes import (
+    SCHEME_NAMES,
     StepContext,
     erkm15_closed_form_step,
     erkm15_tableau,
@@ -108,14 +111,24 @@ def _scheme_equivalence():
         assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(a).max())
 
 
+# the A7 cost model: (f, b, f_y, f_yy, b_y, b_yy) evaluations per step
+_A7 = dict(erkm15=(5, 6, 0, 0, 0, 0), ewp=(1, 1, 1, 1, 1, 1), dfmm=(1, 2, 0, 0, 0, 0),
+           lie=(1, 1, 0, 0, 0, 0), exe=(1, 1, 0, 0, 0, 0))
+
+
 def _eval_counts():
+    # one step of each study scheme on one context; its bound maps count
+    # the evaluations the step made
     p = builtin_problem("example3", 8)
     grid = SineBasisGrid(8)
     ctx = StepContext(p, grid, LinearOperatorSpec(p.kappa, 8), 0.1)
     path = sample_path(p.qspec, 1, 0.1, 2)
     dW, Iw = theta_weights(path.dB[0], path.I[0], p.qspec, grid, G=ctx.G)
-    erkm_step(erkm15_tableau(np.ones(7)), ctx, np.zeros(8), _row("erkm15", ctx, dW, Iw))
-    assert (ctx.counters.f, ctx.counters.b) == (5, 6)
+    for name in SCHEME_NAMES:
+        before = ctx.counters.copy()
+        resolve_scheme(name).step(ctx, p.initial_coeffs, _row(name, ctx, dW, Iw))
+        spent = astuple(ctx.counters - before)
+        assert spent == _A7[name], "%s made %s evaluations, A7: %s" % (name, spent, _A7[name])
 
 
 def _semigroup_decay():

@@ -199,8 +199,8 @@ def test_a7_evaluation_counts():
     ctx = StepContext(p, grid, LinearOperatorSpec(p.kappa, 12), 0.1)
     path = sample_path(p.qspec, 3, 0.1, 707)
     tab = erkm15_tableau(np.ones(7))
-    # the steppers add fixed counts to the ledger; counting the bound
-    # maps' calls checks that they evaluate them exactly that often
+    # the context's maps keep the ledger; wrapping them once more
+    # counts the same calls independently
     maps = ("f", "b", "f_y", "f_yy", "b_y", "b_yy")
     calls = EvalCounters()
 

@@ -192,6 +192,12 @@ def test_study_rejects_bad_worker_counts(tmp_path, workers):
         (dict(T=10**400), "T must be finite and > 0"),
         # a subnormal fine step T/16 would fail the first solve
         (dict(T=1e-320, M_list=[8, 16]), "T=1e-320 is too small"),
+        # the study used to warn of overflow and stop at its first step
+        (dict(schemes=[{"name": "erkm15", "c": [1, 1, 1e-160, 1, 1, 1, 1]}]),
+         "c = [1.0, 1.0, 1e-160, 1.0, 1.0, 1.0, 1.0] leaves the ERKM1.5 family"),
+        # 1/c_6^2 rounded to 0: the study used to run another scheme
+        (dict(schemes=[{"name": "erkm15", "c": [1, 1, 1, 1, 1, 1e200, 1]}]),
+         "leaves the ERKM1.5 family"),
     ],
 )
 def test_study_rejects_bad_values_as_config_errors(tmp_path, overrides, phrase):

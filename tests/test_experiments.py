@@ -248,6 +248,9 @@ def test_config_defaults():
         dict(schemes=({"name": "erkm15", "c": ["0.5"] * 7},)),
         dict(schemes=({"name": "erkm15", "c": [True] * 7},)),
         dict(schemes=({"label": "x"},)),
+        # finite, nonzero c whose tableau overflows or rounds an entry to 0
+        dict(schemes=({"name": "erkm15", "c": [1, 1, 1e-160, 1, 1, 1, 1]},)),
+        dict(schemes=({"name": "erkm15", "c": [1, 1, 1, 1, 1, 1e200, 1]},)),
     ],
 )
 def test_config_rejections(kw):

@@ -145,6 +145,17 @@ def test_tableau_validation():
         erkm15_tableau(np.array([1, 1, 0, 1, 1, 1, 1.0]))
     with pytest.raises(DimensionError):
         erkm15_tableau(np.ones(6))
+    # finite, nonzero c whose tableau leaves the family: 1/(2 c_3^2)
+    # overflows, 1/c_6^2 and c_7/c_6 round to 0; no numpy warning either way
+    for c in ([1, 1, 1e-160, 1, 1, 1, 1], [1, 1, 1, 1, 1, 1e200, 1],
+              [1, 1, 1, 1, 1, 1e150, 1e-200]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^c = .* leaves the ERKM1\.5 family"):
+                erkm15_tableau(c)
+    # 1 - 1/(2 c_1) and 1 - 1/c_4 vanish at c_1 = 1/2, c_4 = 1 in the family
+    tab = erkm15_tableau([0.5, 1, 1, 1, 1, 1, 1])
+    assert tab.alpha[0, 0] == 0.0 and tab.beta[0, 0] == 0.0
 
 
 @settings(max_examples=25, deadline=None)
@@ -225,6 +236,38 @@ def test_eval_counts_table1():
     d = ctx.counters - before
     assert (d.f, d.b, d.f_y, d.f_yy, d.b_y, d.b_yy) == (1, 1, 1, 1, 1, 1)
     assert d.total == 6
+
+
+# the A7 cost model: (f, b, f_y, f_yy, b_y, b_yy) evaluations per step
+A7_EVALS = dict(erkm15=(5, 6, 0, 0, 0, 0), ewp=(1, 1, 1, 1, 1, 1), dfmm=(1, 2, 0, 0, 0, 0),
+                lie=(1, 1, 0, 0, 0, 0), exe=(1, 1, 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("scheme", SCHEME_NAMES)
+def test_solve_eval_counts_match_the_model(scheme):
+    # M = 65 crosses the 64-step chunk edge.  The context's ledger must
+    # equal the model times M, and a count taken by maps wrapped on the
+    # problem before the context binds them.
+    M = 65
+    base = builtin_problem("example3", 8)
+    maps = ("f", "b", "f_y", "f_yy", "b_y", "b_yy")
+    calls = dict.fromkeys(maps, 0)
+
+    def counted(which):
+        fn = getattr(base, which)
+
+        def call(x, y):
+            calls[which] += 1
+            return fn(x, y)
+        return call
+
+    p = ProblemSpec(base.kappa, counted("f"), counted("b"), base.initial_coeffs,
+                    base.qspec, **{which: counted(which) for which in maps[2:]})
+    ctx = StepContext(p, SineBasisGrid(8), LinearOperatorSpec(p.kappa, 8), 0.5, M)
+    solve(p, scheme, sample_path(p.qspec, M, 0.5 / M, 3), ctx=ctx)
+    ledger = tuple(getattr(ctx.counters, which) for which in maps)
+    assert ledger == tuple(M * n for n in A7_EVALS[scheme])
+    assert ledger == tuple(calls[which] for which in maps)
 
 
 def test_deterministic_exactness():
