@@ -7,9 +7,14 @@ by stage from the coefficient tables of the ERKM1.5 tableau (erkm_step),
 or through the summed closed form with the eight hatted coefficients.
 The hat mapping rescales the free constants by powers of h; after that the
 two are algebraically identical, and this script checks it numerically on
-a random state.  It also reads the context's evaluation ledger, which the
-context's bound maps keep as the steppers call them: 5 drift and 6
-diffusion evaluations per step, no matter which route is taken.
+a random state.  The step context is built from the problem, the time
+span and the step count alone, StepContext(problem, T, M), here one
+step of size h: the problem owns its grid, its operator kappa * Laplace
+and its noise matrix G, so a context cannot pair it with another
+problem's operator.  The script also reads the context's evaluation
+ledger, which the context's bound maps keep as the steppers call them:
+5 drift and 6 diffusion evaluations per step, no matter which route is
+taken.
 """
 
 import numpy as np
@@ -23,19 +28,17 @@ from spderk.schemes import (
     hatted_coefficients,
     resolve_scheme,
 )
-from spderk.spectral import LinearOperatorSpec, SineBasisGrid
 
 N, h = 24, 0.05
 p = builtin_problem("example2", N)
-grid = SineBasisGrid(N)
-opspec = LinearOperatorSpec(p.kappa, N)
 
 rng = np.random.default_rng(5)
 y = rng.standard_normal(N) / (1.0 + np.arange(N)) ** 2
 
 path = sample_path(p.qspec, 1, h, 11)
-ctx = StepContext(p, grid, opspec, h)
-dW, Iw = theta_weights(path.dB[0], path.I[0], p.qspec, grid, G=ctx.G)
+ctx = StepContext(p, h)
+# one step's noise fields on the problem's grid, through its noise matrix
+dW, Iw = theta_weights(path.dB[0], path.I[0], p.qspec, p.grid, G=p.G)
 
 
 def row(scheme):

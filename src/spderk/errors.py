@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument rules
+every module applies: a count is an integer, a span a finite real > 0."""
+
+import numbers
+import sys
 
 
 class SpderkError(Exception):
@@ -38,3 +42,23 @@ class ConfigError(SpderkError):
 
 class StudyError(SpderkError):
     """A Monte-Carlo study failed (e.g. too many flagged realizations)."""
+
+
+def is_int(v):
+    """An int or NumPy integer (any numbers.Integral), and not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def count(name, value, minimum=1):
+    """value as an int if is_int(value) and value >= minimum, else a ValueError."""
+    if not is_int(value) or value < minimum:
+        raise ValueError("%s must be an integer >= %d, got %r" % (name, minimum, value))
+    return int(value)
+
+
+def positive(name, value):
+    """value as a float if a finite real > 0 and not a bool, else a ValueError.
+    Compared, not converted: float() of a huge integer overflows."""
+    if isinstance(value, bool) or not 0 < value <= sys.float_info.max:
+        raise ValueError("%s must be finite and > 0, got %r" % (name, value))
+    return float(value)

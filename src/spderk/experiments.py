@@ -23,11 +23,10 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, StudyError
+from .errors import ConfigError, DivergenceError, StudyError, count, is_int
 from .nemytskii import BUILTIN_PROBLEMS, builtin_problem
 from .qwiener import coarsen, sample_path
 from .schemes import StepContext, resolve_scheme, solve
-from .spectral import LinearOperatorSpec, SineBasisGrid
 
 __all__ = [
     "ReferenceSpec",
@@ -65,10 +64,6 @@ class ReferenceSpec:
     M: int = None
 
 
-def _is_int(v):
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
 def _is_real(v):
     return (isinstance(v, (int, float, np.integer, np.floating))
             and not isinstance(v, bool))
@@ -79,13 +74,13 @@ def field_type_error(key, value):
     "must be an integer, got 3.7"), or None if its type is right.
     Nothing is coerced: 3.7 is not an integer and "exe" is not a list."""
     if key in ("N", "realizations", "seed"):
-        ok, want = _is_int(value), "an integer"
+        ok, want = is_int(value), "an integer"
     elif key == "K":
-        ok, want = value is None or _is_int(value), "an integer or null"
+        ok, want = value is None or is_int(value), "an integer or null"
     elif key == "T":
         ok, want = _is_real(value), "a number"
     elif key == "M_list":
-        ok = isinstance(value, (list, tuple)) and all(_is_int(M) for M in value)
+        ok = isinstance(value, (list, tuple)) and all(is_int(M) for M in value)
         want = "a list of integers"
     elif key == "schemes":
         ok, want = isinstance(value, (list, tuple)), "a list of scheme entries"
@@ -94,7 +89,7 @@ def field_type_error(key, value):
         ok = value is None or (isinstance(ref, dict)
                                and set(ref) <= {"mode", "M"}
                                and isinstance(ref.get("mode"), str)
-                               and (ref.get("M") is None or _is_int(ref["M"])))
+                               and (ref.get("M") is None or is_int(ref["M"])))
         want = 'an object {"mode": name, "M": integer or null}'
     elif key in ("problem", "out_dir"):
         ok = isinstance(value, str) or (key == "out_dir" and value is None)
@@ -274,11 +269,11 @@ class ErrorTable:
 def exact_solution_example1(t, beta_t, grid):
     """Coefficients n^{-4} exp(-(n^2 pi^2 + 1/2) t + beta_t), n = 1..N.
 
-    grid may be a SineBasisGrid or a plain mode count.
+    grid may be a SineBasisGrid or an integer mode count.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    N = grid if isinstance(grid, int) else grid.N
+    N = count("N", getattr(grid, "N", grid))
     n = np.arange(1, N + 1, dtype=float)
     return n**-4.0 * np.exp(-(n**2 * math.pi**2 + 0.5) * t + beta_t)
 
@@ -382,18 +377,17 @@ def fine_steps(cfg):
 class _StudyState:
     """Per-worker study machinery: the problem, one StepContext per step
     count (each with its own noise-field table of at most CHUNK_STEPS
-    steps), and the (2, fine_M, K) arrays every realization samples its
-    fine path into."""
+    steps; all share the problem's grid, operator and noise matrix), and
+    the (2, fine_M, K) arrays every realization samples its fine path
+    into."""
 
     def __init__(self, cfg):
         self.cfg = cfg
         self.problem = builtin_problem(cfg.problem, cfg.N, cfg.K)
-        self.grid = SineBasisGrid(cfg.N)
-        self.opspec = LinearOperatorSpec(self.problem.kappa, cfg.N)
         self.fine_M = fine_steps(cfg)
         self.fine_arrays = np.empty((2, self.fine_M, self.problem.qspec.K))
         self.ctxs = {
-            M: StepContext(self.problem, self.grid, self.opspec, cfg.T, M)
+            M: StepContext(self.problem, cfg.T, M)
             for M in set(cfg.M_list) | {self.fine_M}
         }
 
@@ -453,7 +447,7 @@ def worker_count(workers):
     all cores if None; anything else raises a ConfigError."""
     if workers is None:
         return os.cpu_count() or 1
-    if not _is_int(workers) or workers < 1:
+    if not is_int(workers) or workers < 1:
         raise ConfigError("workers must be a positive integer or None, got %r"
                           % (workers,))
     return workers

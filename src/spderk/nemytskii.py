@@ -21,10 +21,13 @@ the pointwise product b_y(x, v) b(x, v) u u~, which does not depend on
 the order of u and u~.  Nothing needs to check it at run time.
 """
 
+from functools import cached_property
+
 import numpy as np
 
-from .errors import CapabilityError
-from .qwiener import QSpec
+from .errors import CapabilityError, count, positive
+from .qwiener import QSpec, gsq_field, noise_matrix
+from .spectral import LinearOperatorSpec, SineBasisGrid
 
 __all__ = [
     "ProblemSpec",
@@ -39,11 +42,11 @@ _FLOAT = np.dtype(float)
 
 
 class ProblemSpec:
-    """One SPDE instance.
+    """One SPDE instance, and the owner of everything it determines.
 
     Parameters
     ----------
-    kappa : diffusion constant of the linear part.
+    kappa : diffusion constant of the linear part, finite and > 0.
     f, b : pointwise drift / diffusion maps (x, y) -> real.
     initial_coeffs : spectral coefficients of the projected initial value.
     qspec : QSpec of the driving noise.
@@ -52,6 +55,11 @@ class ProblemSpec:
         returning spectral coefficients; beta_t is the driving scalar
         Brownian value (only meaningful for single-mode noise).
     name : label used in error messages and tables.
+
+    grid (the SineBasisGrid of the N modes), op (the LinearOperatorSpec
+    of kappa * Laplace on them), G and gsq (the noise matrix and gsq
+    field on the grid) are built on first use and shared by every
+    StepContext of the problem.
     """
 
     def __init__(
@@ -68,9 +76,7 @@ class ProblemSpec:
         exact=None,
         name="custom",
     ):
-        if not kappa > 0:
-            raise ValueError("kappa must be positive")
-        self.kappa = float(kappa)
+        self.kappa = positive("kappa", kappa)
         self.f = f
         self.b = b
         self.f_y = f_y
@@ -93,6 +99,22 @@ class ProblemSpec:
     @property
     def N(self):
         return len(self.initial_coeffs)
+
+    @cached_property
+    def grid(self):
+        return SineBasisGrid(self.N)
+
+    @cached_property
+    def op(self):
+        return LinearOperatorSpec(self.kappa, self.N)
+
+    @cached_property
+    def G(self):
+        return noise_matrix(self.qspec, self.grid)
+
+    @cached_property
+    def gsq(self):
+        return gsq_field(self.qspec, self.grid)
 
     def __repr__(self):
         return "ProblemSpec(%r, kappa=%g, N=%d)" % (self.name, self.kappa, self.N)
@@ -246,6 +268,7 @@ def builtin_problem(name, N, K=None):
     example3: kappa=1/100, f=sin(y), b=cos(y), eta_j=j^-3,
               X_0 = sin(2 pi x)/2.
     """
+    N, K = count("N", N), None if K is None else count("K", K)
     try:
         factory = BUILTIN_PROBLEMS[name]
     except KeyError:

@@ -30,7 +30,7 @@ of the chunked path.
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, count, positive
 
 __all__ = [
     "QSpec",
@@ -64,8 +64,7 @@ class QSpec:
     def __init__(self, K, mode_eigenvalues, mode_kind="sine_basis"):
         if mode_kind not in ("sine_basis", "scalar_constant"):
             raise ValueError("unknown mode_kind %r" % (mode_kind,))
-        if K < 1:
-            raise ValueError("K must be >= 1")
+        K = count("K", K)
         eta = np.asarray(mode_eigenvalues, dtype=float)
         if eta.shape != (K,):
             raise DimensionError(
@@ -75,7 +74,7 @@ class QSpec:
             raise ValueError("scalar_constant noise implies K = 1")
         if np.any(eta < 0) or not np.all(np.isfinite(eta)):
             raise ValueError("mode eigenvalues must be finite and nonnegative")
-        self.K = int(K)
+        self.K = K
         self.mode_eigenvalues = eta
         self.mode_kind = mode_kind
 
@@ -92,11 +91,9 @@ class NoisePath:
         I = np.asarray(I, dtype=float)
         if dB.ndim != 2 or dB.shape != I.shape:
             raise DimensionError("dB and I must be equal-shape (M, K) arrays")
-        if h <= 0:
-            raise ValueError("h must be positive")
+        self.h = positive("h", h)
         self.dB = dB
         self.I = I
-        self.h = float(h)
 
     @property
     def M(self):
@@ -121,8 +118,7 @@ def _joint_pair(z, h, dB, I):
 def sample_step(rng_stream, q, h):
     """Draw one step's per-mode (dB, I), two (K,) arrays, from an
     externally managed generator stream."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    positive("h", h)
     z = rng_stream.standard_normal((q.K, 2))
     dB, I = np.empty(q.K), np.empty(q.K)
     _joint_pair(z, h, dB, I)
@@ -142,19 +138,15 @@ def sample_path(q, M, h, base_seed, realization=0, out=None):
     receives dB and I in place of new arrays, so a study can reuse one
     pair of path arrays across its realizations.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    if h <= 0:
-        raise ValueError("h must be positive")
-    if base_seed < 0 or realization < 0:
-        raise ValueError("base_seed and realization must be nonnegative")
+    M, h = count("M", M), positive("h", h)
+    base_seed, realization = count("base_seed", base_seed, 0), count("realization", realization, 0)
     if out is None:
         out = np.empty((2, M, q.K))
     elif out.shape != (2, M, q.K):
         raise DimensionError("out must have shape (2, %d, %d), got %r"
                              % (M, q.K, out.shape))
     dB, I = out
-    seq = np.random.SeedSequence([int(base_seed), int(realization)])
+    seq = np.random.SeedSequence([base_seed, realization])
     rng = np.random.Generator(np.random.Philox(seq))
     z = np.empty((min(M, CHUNK_STEPS), q.K, 2))
     for m0 in range(0, M, CHUNK_STEPS):
@@ -178,9 +170,7 @@ def coarsen(path, factor):
     randomness is introduced: the coarse path's dB and I are functions
     of the fine path's, which is what couples a study's step sizes.
     """
-    if not isinstance(factor, (int, np.integer)) or factor < 1:
-        raise ValueError("factor must be a positive integer")
-    if factor == 1:
+    if count("factor", factor) == 1:
         return path
     if path.M % factor:
         raise ValueError(
@@ -204,7 +194,7 @@ def gsq_field(q, grid):
     """The field sum_j g_j(x_p)^2 on the collocation nodes.
 
     For sine_basis modes this is sum_j eta_j * 2 sin^2(j pi x_p); for
-    scalar_constant it is the constant eta_1.  Precompute once per study.
+    scalar_constant it is the constant eta_1 (a problem's: ProblemSpec.gsq).
     """
     if q.mode_kind == "scalar_constant":
         return np.full(grid.n_nodes, q.mode_eigenvalues[0])

@@ -21,10 +21,10 @@ Contents:
 
 Steppers are plain functions, called one way only, as step(ctx, y, row):
 the StepContext holds what is fixed for a step size -- diagonal operator
-factors, gsq, and the problem's six pointwise maps, bound once when it
-is built -- y is the spectral state and row the step's row of noise
-factors.  The only random input of a step is the pair of noise fields
-(dW, Iw) on the grid, two bare arrays.  solve streams them one chunk of
+factors, the problem's grid and gsq, and its six pointwise maps, bound
+once when it is built -- y is the spectral state and row the step's row
+of noise factors.  The only random input of a step is the pair of noise
+fields (dW, Iw) on the grid, two bare arrays.  solve streams them one chunk of
 at most qwiener.CHUNK_STEPS steps at a time: it fills the context's
 table for the chunk (qwiener.noise_fields), builds from it the factors the
 stepper reads that depend on the noise alone, one elementwise operation
@@ -58,22 +58,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError
+from .errors import DimensionError, DivergenceError, count, positive
 from .nemytskii import coeff_map, eval_coeff
 from .qwiener import (
     CHUNK_STEPS,
-    gsq_field,
     noise_fields,
-    noise_matrix,
     theta_weights,  # noqa: F401 - bench/tracing.py wraps it as schemes.theta_weights
 )
-from .spectral import (
-    LinearOperatorSpec,
-    SineBasisGrid,
-    diagonal_factor,
-    to_physical,
-    to_spectral,
-)
+from .spectral import diagonal_factor, to_physical, to_spectral
 
 __all__ = [
     "EvalCounters",
@@ -209,49 +201,37 @@ def erkm15_tableau(c):
 
 class StepContext:
     """Everything a stepper needs besides the state and the noise, owned
-    by one worker.
+    by one worker: StepContext(problem, T, M=1), for M uniform steps over
+    a span T (an integer M >= 1, a finite T > 0).
 
-    Built for M uniform steps over a time span T: the step size
     h = T / M is derived here and nowhere else, and solve() matches a
-    context to a path by the integer step count.  With the default M=1,
-    T is the step size itself.  Holds the problem, grid, diagonal
-    operator data precomputed for h and gsq, and binds the problem's six
-    pointwise maps once, as f, b, f_y, f_yy, b_y and b_yy
-    (nemytskii.coeff_map; a missing derivative map raises a
+    context to a path by the integer step count; with M=1, T is the step
+    size.  grid, G and gsq are the problem's own, shared by all its
+    contexts; the context adds neg_lam and what depends on h: sqh, h_gsq
+    and the factors E_h, E_h2, resolvent and phi1 of problem.op.  It
+    binds the problem's six pointwise maps once, as f, b, f_y, f_yy, b_y
+    and b_yy (nemytskii.coeff_map; a missing derivative map raises a
     CapabilityError naming ewp when a stepper first calls it).  Each
-    bound map counts its calls: it adds 1 to its field of counters, an
-    EvalCounters, and returns the map's array untouched.  It owns its
-    noise matrix G and tables, the (2, min(M, CHUNK_STEPS), n_nodes)
-    buffer solve fills with one chunk's noise fields at a time.  It
-    holds no state and no noise: those are the stepper's y and row
-    arguments.
+    bound map adds 1 to its field of counters, an EvalCounters, per call
+    and returns the map's array untouched.  tables is the (2, min(M,
+    CHUNK_STEPS), n_nodes) buffer solve fills with one chunk's noise
+    fields at a time.  It holds no state and no noise: those are the
+    stepper's y and row arguments.
     """
 
-    def __init__(self, problem, grid, opspec, T, M=1):
-        if not T > 0:
-            raise ValueError("T must be positive")
-        if not isinstance(M, (int, np.integer)) or M < 1:
-            raise ValueError("M must be a positive integer")
-        if opspec.N != grid.N:
-            raise DimensionError("operator and grid mode counts differ")
-        if problem.N != grid.N:
-            raise DimensionError("problem has %d modes, grid %d" % (problem.N, grid.N))
+    def __init__(self, problem, T, M=1):
         self.problem = problem
-        self.grid = grid
-        self.opspec = opspec
-        self.T = float(T)
-        self.M = int(M)
+        self.T, self.M = positive("T", T), count("M", M)
+        self.grid, self.G, self.gsq, op = problem.grid, problem.G, problem.gsq, problem.op
         self.h = h = self.T / self.M
         self.sqh = math.sqrt(h)
-        self.gsq = gsq_field(problem.qspec, grid)
         self.h_gsq = h * self.gsq
-        self.G = noise_matrix(problem.qspec, grid)
-        self.tables = np.empty((2, min(self.M, CHUNK_STEPS), grid.n_nodes))
-        self.E_h = diagonal_factor("semigroup", opspec, t=h)
-        self.E_h2 = diagonal_factor("semigroup", opspec, t=h / 2.0)
-        self.neg_lam = diagonal_factor("generator", opspec)
-        self.resolvent = diagonal_factor("resolvent", opspec, h=h)
-        self.phi1 = diagonal_factor("phi1", opspec, h=h)
+        self.tables = np.empty((2, min(self.M, CHUNK_STEPS), self.grid.n_nodes))
+        self.E_h = diagonal_factor("semigroup", op, t=h)
+        self.E_h2 = diagonal_factor("semigroup", op, t=h / 2.0)
+        self.neg_lam = diagonal_factor("generator", op)
+        self.resolvent = diagonal_factor("resolvent", op, h=h)
+        self.phi1 = diagonal_factor("phi1", op, h=h)
         self.counters = EvalCounters()
         for which in ("f", "b", "f_y", "f_yy", "b_y", "b_yy"):
             fn = coeff_map(problem, which, needed_by=None if which in ("f", "b") else "ewp")
@@ -583,9 +563,7 @@ def solve(problem, scheme, path, ctx=None):
     scheme = resolve_scheme(scheme)
     M = path.M
     if ctx is None:
-        N = problem.N
-        ctx = StepContext(problem, SineBasisGrid(N), LinearOperatorSpec(problem.kappa, N),
-                          path.h * M, M)
+        ctx = StepContext(problem, path.h * M, M)
     elif ctx.problem is not problem:
         raise ValueError("context was built for problem %r, solve was given %r"
                          % (ctx.problem, problem))

@@ -14,7 +14,7 @@ from .experiments import (
     fit_order,
     run_study,
 )
-from .nemytskii import builtin_problem, coeff_map, eval_coeff
+from .nemytskii import ProblemSpec, builtin_problem, coeff_map, eval_coeff
 from .qwiener import QSpec, coarsen, sample_path, theta_weights
 from .schemes import (
     SCHEME_NAMES,
@@ -81,7 +81,7 @@ def _coarsen_composition():
 
 def _derivative_maps():
     p = builtin_problem("example3", 8)
-    grid = SineBasisGrid(8)
+    grid = p.grid
     v = np.linspace(-1.0, 1.0, grid.n_nodes)
     eps = 1e-6
     b, b_y = coeff_map(p, "b"), coeff_map(p, "b_y")
@@ -96,13 +96,11 @@ def _row(scheme, ctx, dW, Iw):
 
 def _scheme_equivalence():
     p = builtin_problem("example3", 16)
-    grid = SineBasisGrid(16)
-    opspec = LinearOperatorSpec(p.kappa, 16)
     rng = np.random.default_rng(21)
     for h in (0.1, 0.01):
-        ctx = StepContext(p, grid, opspec, h)
+        ctx = StepContext(p, h)
         path = sample_path(p.qspec, 1, h, 13)
-        dW, Iw = theta_weights(path.dB[0], path.I[0], p.qspec, grid, G=ctx.G)
+        dW, Iw = theta_weights(path.dB[0], path.I[0], p.qspec, p.grid, G=p.G)
         y = rng.standard_normal(16) / (1 + np.arange(16.0)) ** 2
         c = rng.uniform(0.2, 2.0, 7)
         a = erkm_step(erkm15_tableau(c), ctx, y, _row("erkm15", ctx, dW, Iw))
@@ -120,10 +118,9 @@ def _eval_counts():
     # one step of each study scheme on one context; its bound maps count
     # the evaluations the step made
     p = builtin_problem("example3", 8)
-    grid = SineBasisGrid(8)
-    ctx = StepContext(p, grid, LinearOperatorSpec(p.kappa, 8), 0.1)
+    ctx = StepContext(p, 0.1)
     path = sample_path(p.qspec, 1, 0.1, 2)
-    dW, Iw = theta_weights(path.dB[0], path.I[0], p.qspec, grid, G=ctx.G)
+    dW, Iw = theta_weights(path.dB[0], path.I[0], p.qspec, p.grid, G=p.G)
     for name in SCHEME_NAMES:
         before = ctx.counters.copy()
         resolve_scheme(name).step(ctx, p.initial_coeffs, _row(name, ctx, dW, Iw))
@@ -132,8 +129,6 @@ def _eval_counts():
 
 
 def _semigroup_decay():
-    from .nemytskii import ProblemSpec
-
     def zero(x, y):
         return np.zeros_like(y)
 

@@ -19,7 +19,7 @@ Both representations are plain 1-d float arrays; nothing is wrapped.
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, count, positive
 
 __all__ = [
     "SineBasisGrid",
@@ -48,9 +48,7 @@ class SineBasisGrid:
     """
 
     def __init__(self, N):
-        if not isinstance(N, (int, np.integer)) or N < 1:
-            raise ValueError("N must be a positive integer, got %r" % (N,))
-        self.N = self.n_nodes = int(N)
+        self.N = self.n_nodes = count("N", N)
         self.nodes = np.arange(1, self.n_nodes + 1) / (self.n_nodes + 1.0)
         # synthesis matrix S[p, k-1] = sqrt(2) sin(k pi x_p) and its exact
         # inverse T = sqrt(2)/(n+1) * sin(k pi x_p); orthogonality of the
@@ -72,10 +70,8 @@ class LinearOperatorSpec:
     """
 
     def __init__(self, kappa, N):
-        if not kappa > 0:
-            raise ValueError("kappa must be positive")
-        self.kappa = float(kappa)
-        self.N = int(N)
+        self.kappa = positive("kappa", kappa)
+        self.N = count("N", N)
         k = np.arange(1, self.N + 1, dtype=float)
         self.eigenvalues = self.kappa * np.pi**2 * k**2
 

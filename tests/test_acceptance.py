@@ -110,8 +110,6 @@ def _row(scheme, ctx, dW, Iw):
 
 def test_a3_tableau_closed_form_equivalence():
     p = builtin_problem("example3", 16)
-    grid = SineBasisGrid(16)
-    opspec = LinearOperatorSpec(p.kappa, 16)
     rng = np.random.default_rng(33)
     worst = 0.0
     for trial in range(50):
@@ -119,9 +117,9 @@ def test_a3_tableau_closed_form_equivalence():
         c = rng.uniform(-2.0, 2.0, 7)
         while np.any(np.abs(c) < 0.05):  # nonzero per contract
             c = np.where(np.abs(c) < 0.05, rng.uniform(-2.0, 2.0, 7), c)
-        ctx = StepContext(p, grid, opspec, h)
+        ctx = StepContext(p, h)
         path = sample_path(p.qspec, 1, h, 7000, realization=trial)
-        dW, Iw = theta_weights(path.dB[0], path.I[0], p.qspec, grid, G=ctx.G)
+        dW, Iw = theta_weights(path.dB[0], path.I[0], p.qspec, p.grid, G=p.G)
         y = rng.standard_normal(16) / (1.0 + np.arange(16.0)) ** 2
         a = erkm_step(erkm15_tableau(c), ctx, y, _row("erkm15", ctx, dW, Iw))
         b = erkm15_closed_form_step(hatted_coefficients(c, h), ctx, y,
@@ -195,8 +193,7 @@ def test_a6_deterministic_exactness():
 
 def test_a7_evaluation_counts():
     p = builtin_problem("example3", 12)
-    grid = SineBasisGrid(12)
-    ctx = StepContext(p, grid, LinearOperatorSpec(p.kappa, 12), 0.1)
+    ctx = StepContext(p, 0.1)
     path = sample_path(p.qspec, 3, 0.1, 707)
     tab = erkm15_tableau(np.ones(7))
     # the context's maps keep the ledger; wrapping them once more
@@ -215,7 +212,7 @@ def test_a7_evaluation_counts():
     ok = True
     y = p.initial_coeffs
     for m in range(3):
-        dW, Iw = theta_weights(path.dB[m], path.I[m], p.qspec, grid, G=ctx.G)
+        dW, Iw = theta_weights(path.dB[m], path.I[m], p.qspec, p.grid, G=p.G)
         before = ctx.counters.copy()
         y = erkm_step(tab, ctx, y, _row("erkm15", ctx, dW, Iw))
         d = ctx.counters - before

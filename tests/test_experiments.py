@@ -69,6 +69,11 @@ def test_exact_solution_matches_builtin_closure():
         )
     with pytest.raises(ValueError):
         exact_solution_example1(-0.1, 0.0, 4)
+    # a mode count is any integer, and never a bool
+    by_count = exact_solution_example1(0.5, 0.1, np.int64(12))
+    assert by_count.tobytes() == exact_solution_example1(0.5, 0.1, grid).tobytes()
+    with pytest.raises(ValueError, match="^N must be an integer >= 1, got True"):
+        exact_solution_example1(0.5, 0.1, True)
 
 
 def test_terminal_beta_is_cumulative_sum():

@@ -60,6 +60,13 @@ def test_example1_rejects_multimode_noise():
         builtin_problem("example1", N=8, K=2)
 
 
+@pytest.mark.parametrize("N, K", [(True, None), (8.0, None), (8, 2.5), (8, False)])
+def test_builtin_problem_takes_integer_counts(N, K):
+    name = "N" if K is None else "K"
+    with pytest.raises(ValueError, match="^%s must be an integer >= 1" % name):
+        builtin_problem("example2", N, K)
+
+
 def test_unknown_problem():
     with pytest.raises(ValueError):
         builtin_problem("example9", N=8)
@@ -161,6 +168,9 @@ def test_custom_derivative_against_fd():
 
 def test_exact_must_match_initial():
     q = QSpec(1, [1.0], mode_kind="scalar_constant")
+    for kappa in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="^kappa must be finite and > 0"):
+            ProblemSpec(kappa, lambda x, y: y, lambda x, y: y, np.ones(3), q)
     with pytest.raises(ValueError):
         ProblemSpec(
             kappa=1.0,

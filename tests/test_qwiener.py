@@ -63,8 +63,12 @@ def test_cholesky_factor_reproduces_covariance():
 
 
 def test_sample_step_rejects_bad_h():
-    with pytest.raises(ValueError):
-        sample_step(np.random.default_rng(0), scalar_q(), h=0.0)
+    # h <= 0 alone would let nan through, and nan or inf paths are not finite
+    for h in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="^h must be finite and > 0"):
+            sample_step(np.random.default_rng(0), scalar_q(), h=h)
+        with pytest.raises(ValueError, match="^h must be finite and > 0"):
+            sample_path(scalar_q(), 4, h, 0)
 
 
 def test_sample_path_is_reproducible():
@@ -134,8 +138,21 @@ def test_coarsen_rejects_bad_factor():
     p = sample_path(scalar_q(), 6, 0.1, base_seed=1)
     with pytest.raises(ValueError):
         coarsen(p, 4)
-    with pytest.raises(ValueError):
-        coarsen(p, 0)
+    for bad in (0, 2.0, True):
+        with pytest.raises(ValueError, match="^factor must be an integer >= 1"):
+            coarsen(p, bad)
+
+
+@pytest.mark.parametrize("arg, bad", [
+    ("M", 4.0), ("M", True), ("M", 0), ("base_seed", 0.5), ("base_seed", -1),
+    ("realization", 1.5), ("realization", False), ("realization", -2),
+])
+def test_sample_path_takes_integer_counts_and_seeds(arg, bad):
+    # 1.5 would draw realization 1's path under another name
+    args = dict(q=scalar_q(), M=4, h=0.1, base_seed=0, realization=0)
+    args[arg] = bad
+    with pytest.raises(ValueError, match="^%s must be an integer >= " % arg):
+        sample_path(**args)
 
 
 def coarse_mixed_integral_oracle(dB, I, h):
@@ -181,8 +198,12 @@ def test_qspec_validation():
         QSpec(2, [1.0, -1.0])
     with pytest.raises(DimensionError):
         QSpec(3, [1.0, 1.0])
-    with pytest.raises(ValueError, match="K must be >= 1"):
+    with pytest.raises(ValueError, match="K must be an integer >= 1"):
         QSpec(-3, [])
+    # a K that is not an integer is named, not reported as a shape mismatch
+    for bad in (2.5, True, np.float64(2.0)):
+        with pytest.raises(ValueError, match="^K must be an integer >= 1, got "):
+            QSpec(bad, [1.0, 1.0])
     with pytest.raises(ValueError):
         QSpec(1, [1.0], mode_kind="white")
 
@@ -370,5 +391,6 @@ def test_dump_path_format():
 def test_noisepath_validation():
     with pytest.raises(DimensionError):
         NoisePath(np.zeros((3, 2)), np.zeros((2, 2)), 0.1)
-    with pytest.raises(ValueError):
-        NoisePath(np.zeros((3, 2)), np.zeros((3, 2)), 0.0)
+    for h in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="^h must be finite and > 0"):
+            NoisePath(np.zeros((3, 2)), np.zeros((3, 2)), h)

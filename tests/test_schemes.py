@@ -73,12 +73,10 @@ def _silent_problem(N, kappa=0.5, with_derivs=True):
 
 def _context_for(p, h, seed=0, realization=0, M=1):
     """A one-step context and the noise fields (dW, Iw) of M sampled steps."""
-    grid = SineBasisGrid(p.N)
-    opspec = LinearOperatorSpec(p.kappa, p.N)
-    ctx = StepContext(p, grid, opspec, h)
+    ctx = StepContext(p, h)
     path = sample_path(p.qspec, M, h, seed, realization)
     fields = [
-        theta_weights(path.dB[m], path.I[m], p.qspec, grid, G=ctx.G)
+        theta_weights(path.dB[m], path.I[m], p.qspec, p.grid, G=p.G)
         for m in range(M)
     ]
     return ctx, fields
@@ -263,7 +261,7 @@ def test_solve_eval_counts_match_the_model(scheme):
 
     p = ProblemSpec(base.kappa, counted("f"), counted("b"), base.initial_coeffs,
                     base.qspec, **{which: counted(which) for which in maps[2:]})
-    ctx = StepContext(p, SineBasisGrid(8), LinearOperatorSpec(p.kappa, 8), 0.5, M)
+    ctx = StepContext(p, 0.5, M)
     solve(p, scheme, sample_path(p.qspec, M, 0.5 / M, 3), ctx=ctx)
     ledger = tuple(getattr(ctx.counters, which) for which in maps)
     assert ledger == tuple(M * n for n in A7_EVALS[scheme])
@@ -286,7 +284,7 @@ def test_deterministic_exactness():
             np.testing.assert_allclose(y, expected[m], rtol=1e-12, atol=0.0)
     # the closed form, stepped by hand: under hatted_coefficients
     # (5 f + 6 b per step) and with c^_7 != c^_6 (a 7th b evaluation)
-    ctx = StepContext(p, SineBasisGrid(N), LinearOperatorSpec(p.kappa, N), h)
+    ctx = StepContext(p, h)
     hatted = hatted_coefficients(np.ones(7), h)
     for chat, b_evals in ((hatted, 6), (np.r_[hatted[:6], 0.5, hatted[7]], 7)):
         y = p.initial_coeffs
@@ -394,9 +392,8 @@ def test_zero_noise_degeneracy_linear_b():
     # agree exactly, for any coefficient tuple
     N, h = 8, 0.25
     p = builtin_problem("example1", N)
-    grid = SineBasisGrid(N)
-    opspec = LinearOperatorSpec(p.kappa, N)
-    ctx = StepContext(p, grid, opspec, h)
+    grid = p.grid
+    ctx = StepContext(p, h)
     zero = NoisePath(np.zeros((1, 1)), np.zeros((1, 1)), h)
     dW, Iw = theta_weights(zero.dB[0], zero.I[0], p.qspec, grid, G=ctx.G)
     y = _decaying_state(N, 11)
@@ -586,36 +583,59 @@ def test_resolve_scheme_forms():
 
 def test_context_guards():
     p = builtin_problem("example1", 6)
-    grid = SineBasisGrid(6)
-    opspec = LinearOperatorSpec(p.kappa, 6)
-    ctx = StepContext(p, grid, opspec, 0.1)
+    ctx = StepContext(p, 0.1)
     assert (ctx.T, ctx.M, ctx.h) == (0.1, 1, 0.1)
-    with pytest.raises(ValueError, match="positive integer"):
-        StepContext(p, grid, opspec, 1.0, 2.5)
-    with pytest.raises(ValueError, match="T must be positive"):
-        StepContext(p, grid, opspec, 0.0)
+    # M is an integer, not a float or a bool; T is finite and > 0
+    for bad in (2.5, True, 0):
+        with pytest.raises(ValueError, match="^M must be an integer >= 1, got %r$" % bad):
+            StepContext(p, 1.0, bad)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="^T must be finite and > 0"):
+            StepContext(p, bad)
     path = sample_path(p.qspec, 1, 0.1, 0)
     # a context is taken only for the problem it was built for: example2's
     # would run example3 with example2's maps, example1's dies on K
     p2, p3 = builtin_problem("example2", 6), builtin_problem("example3", 6)
     path3 = sample_path(p3.qspec, 1, 0.1, 0)
     for other in (p2, p):
-        other_ctx = StepContext(other, grid, LinearOperatorSpec(other.kappa, 6), 0.1)
+        other_ctx = StepContext(other, 0.1)
         with pytest.raises(ValueError, match=r"context was built for problem ProblemSpec\('%s'"
                            % other.name):
             solve(p3, "ewp", path3, ctx=other_ctx)
     # solve checks the initial state against the context once
     p4 = builtin_problem("example1", 4)
-    ctx4 = StepContext(p4, SineBasisGrid(4), LinearOperatorSpec(p4.kappa, 4), 0.1)
+    ctx4 = StepContext(p4, 0.1)
     p4.initial_coeffs = np.zeros(6)
     with pytest.raises(DimensionError, match=r"initial state of shape \(6,\), context of 4 modes"):
         solve(p4, "exe", path, ctx=ctx4)
     # contexts match paths by step count, then by time span
     path2 = sample_path(p.qspec, 2, 0.1, 0)
     with pytest.raises(ValueError, match="does not match path"):
-        solve(p, "exe", path2, ctx=StepContext(p, grid, opspec, 0.05))
+        solve(p, "exe", path2, ctx=StepContext(p, 0.05))
     with pytest.raises(ValueError, match="does not match path"):
-        solve(p, "exe", path2, ctx=StepContext(p, grid, opspec, 0.4, 2))
+        solve(p, "exe", path2, ctx=StepContext(p, 0.4, 2))
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3", "custom"])
+def test_context_operator_data_is_the_problems_own(name):
+    # a context reads grid, operator and noise matrix from its problem, so
+    # one with another problem's kappa (1.0 for example3's 0.01) cannot be
+    # written: the old form StepContext(problem, grid, opspec, T, M) is gone
+    if name == "custom":
+        p = ProblemSpec(0.9, _one, _identity, _decaying_state(8, 3),
+                        QSpec(3, [1.0, 0.5, 0.25]))
+    else:
+        p = builtin_problem(name, 8)
+    with pytest.raises(TypeError):
+        StepContext(p, SineBasisGrid(8), LinearOperatorSpec(1.0, 8), 0.5, 4)
+    own = LinearOperatorSpec(p.kappa, p.N)
+    assert p.op.kappa == p.kappa and p.op.eigenvalues.tobytes() == own.eigenvalues.tobytes()
+    ctxs = [StepContext(p, 0.5, M) for M in (1, 4, 64)]
+    for ctx in ctxs:
+        for mine, factor in ((ctx.neg_lam, diagonal_factor("generator", p.op)),
+                             (ctx.E_h, diagonal_factor("semigroup", p.op, t=ctx.h))):
+            assert mine.tobytes() == factor.tobytes()
+        assert ctx.G is p.G and ctx.gsq is p.gsq and ctx.grid is ctxs[0].grid is p.grid
 
 
 @settings(max_examples=25, deadline=None)
@@ -632,12 +652,10 @@ def test_coarsened_paths_match_contexts_by_step_count(T, base, factors):
         Ms.append(Ms[-1] * f)
     assume(Ms[-1] <= 2000)
     p = builtin_problem("example2", 4)
-    grid = SineBasisGrid(4)
-    opspec = LinearOperatorSpec(p.kappa, 4)
     fine = sample_path(p.qspec, Ms[-1], T / Ms[-1], 1)
     for M in Ms:
         path = coarsen(fine, Ms[-1] // M)
-        ctx = StepContext(p, grid, opspec, T, M)
+        ctx = StepContext(p, T, M)
         y = solve(p, "exe", path, ctx=ctx)
         assert y.shape == (4,) and np.all(np.isfinite(y))
 
@@ -659,10 +677,8 @@ def test_solve_streams_chunks_like_stepping_by_hand(scheme):
     # the streamed tables are bit-identical to per-step assembly
     N = 16
     p = builtin_problem("example3", N)
-    grid = SineBasisGrid(N)
-    opspec = LinearOperatorSpec(p.kappa, N)
     for M in (CHUNK_STEPS - 1, CHUNK_STEPS, CHUNK_STEPS + 1, 2 * CHUNK_STEPS + 3):
-        ctx = StepContext(p, grid, opspec, 0.5, M)
+        ctx = StepContext(p, 0.5, M)
         path = sample_path(p.qspec, M, 0.5 / M, 31, realization=M)
         y = solve(p, scheme, path, ctx=ctx)
         assert np.array_equal(y, _step_by_hand(p, scheme, path, ctx)), M

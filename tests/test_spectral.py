@@ -91,6 +91,20 @@ def test_eigenvalues():
 def test_operator_spec_validation():
     with pytest.raises(ValueError):
         LinearOperatorSpec(kappa=0.0, N=4)
+    # an infinite kappa gives non-finite eigenvalues
+    for kappa in (np.inf, np.nan, True):
+        with pytest.raises(ValueError, match="^kappa must be finite and > 0"):
+            LinearOperatorSpec(kappa=kappa, N=4)
+    for N in (4.0, True, 0):
+        with pytest.raises(ValueError, match="^N must be an integer >= 1"):
+            LinearOperatorSpec(kappa=1.0, N=N)
+
+
+def test_grid_takes_an_integer_mode_count():
+    assert SineBasisGrid(np.int64(3)).N == 3
+    for N in (3.0, True, 0, -2):
+        with pytest.raises(ValueError, match="^N must be an integer >= 1, got "):
+            SineBasisGrid(N)
 
 
 def test_semigroup_single_mode_frozen():
