@@ -49,7 +49,6 @@ from .experiments import (
     ReferenceSpec,
     StudyConfig,
     fit_order,
-    rms_error,
     run_study,
 )
 

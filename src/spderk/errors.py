@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the argument rules
-every module applies: a count is an integer, a span a finite real > 0."""
+every module applies: a count is an integer, a span a finite real > 0
+(a time a finite real >= 0)."""
 
 import numbers
 import sys
@@ -59,6 +60,13 @@ def count(name, value, minimum=1):
 def positive(name, value):
     """value as a float if a finite real > 0 and not a bool, else a ValueError.
     Compared, not converted: float() of a huge integer overflows."""
-    if isinstance(value, bool) or not 0 < value <= sys.float_info.max:
+    if value is None or isinstance(value, bool) or not 0 < value <= sys.float_info.max:
         raise ValueError("%s must be finite and > 0, got %r" % (name, value))
+    return float(value)
+
+
+def nonnegative(name, value):
+    """value as a float if a finite real >= 0 and not a bool, else a ValueError."""
+    if value is None or isinstance(value, bool) or not 0 <= value <= sys.float_info.max:
+        raise ValueError("%s must be finite and >= 0, got %r" % (name, value))
     return float(value)

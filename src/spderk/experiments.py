@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, StudyError, count, is_int
+from .errors import ConfigError, DivergenceError, StudyError, is_int
 from .nemytskii import BUILTIN_PROBLEMS, builtin_problem
 from .qwiener import coarsen, sample_path
 from .schemes import StepContext, resolve_scheme, solve
@@ -35,8 +35,6 @@ __all__ = [
     "ErrorTable",
     "CSV_HEADER",
     "field_type_error",
-    "exact_solution_example1",
-    "rms_error",
     "fit_order",
     "local_slopes",
     "order_summary",
@@ -266,21 +264,10 @@ class ErrorTable:
         return cls(tuple(rows))
 
 
-def exact_solution_example1(t, beta_t, grid):
-    """Coefficients n^{-4} exp(-(n^2 pi^2 + 1/2) t + beta_t), n = 1..N.
-
-    grid may be a SineBasisGrid or an integer mode count.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    N = count("N", getattr(grid, "N", grid))
-    n = np.arange(1, N + 1, dtype=float)
-    return n**-4.0 * np.exp(-(n**2 * math.pi**2 + 0.5) * t + beta_t)
-
-
 def _reduce_squared(sq, R_total):
     """(rms, standard error, flagged count) from squared errors with NaN
-    marking flagged realizations."""
+    marking flagged realizations; the standard error of the RMS comes
+    from the delta method: std(squared errors) / (2 rms sqrt(R))."""
     sq = np.asarray(sq, dtype=float)
     valid = sq[~np.isnan(sq)]
     flagged = R_total - valid.size
@@ -291,25 +278,6 @@ def _reduce_squared(sq, R_total):
         return rms, 0.0, flagged
     se = float(valid.std(ddof=1)) / (2.0 * rms * math.sqrt(valid.size))
     return rms, se, flagged
-
-
-def rms_error(terminal_pairs):
-    """RMS of H-norm terminal errors over realizations.
-
-    Returns (rms, standard_error); the standard error of the RMS comes
-    from the delta method: std(squared errors) / (2 rms sqrt(R)).
-    """
-    pairs = list(terminal_pairs)
-    if not pairs:
-        raise ValueError("need at least one (approx, truth) pair")
-    sq = []
-    for approx, truth in pairs:
-        d = np.asarray(approx, dtype=float) - np.asarray(truth, dtype=float)
-        if d.ndim != 1:
-            raise ValueError("terminal fields must be coefficient vectors")
-        sq.append(float(d @ d))
-    rms, se, _ = _reduce_squared(sq, len(sq))
-    return rms, se
 
 
 def fit_order(table, scheme):

@@ -21,6 +21,7 @@ the pointwise product b_y(x, v) b(x, v) u u~, which does not depend on
 the order of u and u~.  Nothing needs to check it at run time.
 """
 
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -41,6 +42,7 @@ _WHICH = ("f", "b", "f_y", "f_yy", "b_y", "b_yy")
 _FLOAT = np.dtype(float)
 
 
+@dataclass(frozen=True, eq=False)
 class ProblemSpec:
     """One SPDE instance, and the owner of everything it determines.
 
@@ -48,7 +50,8 @@ class ProblemSpec:
     ----------
     kappa : diffusion constant of the linear part, finite and > 0.
     f, b : pointwise drift / diffusion maps (x, y) -> real.
-    initial_coeffs : spectral coefficients of the projected initial value.
+    initial_coeffs : spectral coefficients of the projected initial value,
+        a nonempty 1-d vector of finite reals; its length is N.
     qspec : QSpec of the driving noise.
     f_y, f_yy, b_y, b_yy : optional pointwise derivative maps.
     exact : optional closed-form solution, called as exact(t, beta_t) and
@@ -56,44 +59,42 @@ class ProblemSpec:
         Brownian value (only meaningful for single-mode noise).
     name : label used in error messages and tables.
 
-    grid (the SineBasisGrid of the N modes), op (the LinearOperatorSpec
-    of kappa * Laplace on them), G and gsq (the noise matrix and gsq
-    field on the grid) are built on first use and shared by every
+    A problem is a value, checked once when it is built: its fields
+    cannot be assigned, and initial_coeffs is its own read-only float
+    copy, so the caller's array may change afterwards.  grid (the
+    SineBasisGrid of the N modes), op (the LinearOperatorSpec of kappa *
+    Laplace on them), G and gsq (the noise matrix and gsq field on the
+    grid) are built on first use from those fields and shared by every
     StepContext of the problem.
     """
 
-    def __init__(
-        self,
-        kappa,
-        f,
-        b,
-        initial_coeffs,
-        qspec,
-        f_y=None,
-        f_yy=None,
-        b_y=None,
-        b_yy=None,
-        exact=None,
-        name="custom",
-    ):
-        self.kappa = positive("kappa", kappa)
-        self.f = f
-        self.b = b
-        self.f_y = f_y
-        self.f_yy = f_yy
-        self.b_y = b_y
-        self.b_yy = b_yy
-        self.initial_coeffs = np.asarray(initial_coeffs, dtype=float)
-        if not np.all(np.isfinite(self.initial_coeffs)):
-            raise ValueError("initial coefficients must be finite")
-        if not isinstance(qspec, QSpec):
+    kappa: float
+    f: object
+    b: object
+    initial_coeffs: np.ndarray
+    qspec: QSpec
+    f_y: object = None
+    f_yy: object = None
+    b_y: object = None
+    b_yy: object = None
+    exact: object = None
+    name: str = "custom"
+
+    def __post_init__(self):
+        object.__setattr__(self, "kappa", positive("kappa", self.kappa))
+        init = np.array(self.initial_coeffs, dtype=float)
+        if init.ndim != 1 or not init.size:
+            raise ValueError("initial_coeffs must be a nonempty 1-d vector, got shape %r"
+                             % (init.shape,))
+        if not np.all(np.isfinite(init)):
+            raise ValueError("initial_coeffs must be finite")
+        init.flags.writeable = False
+        object.__setattr__(self, "initial_coeffs", init)
+        if not isinstance(self.qspec, QSpec):
             raise TypeError("qspec must be a QSpec")
-        self.qspec = qspec
-        self.exact = exact
-        self.name = name
-        if exact is not None:
-            at_zero = np.asarray(exact(0.0, 0.0), dtype=float)
-            if not np.allclose(at_zero, self.initial_coeffs, rtol=1e-12, atol=1e-12):
+        if self.exact is not None:
+            at_zero = np.asarray(self.exact(0.0, 0.0), dtype=float)
+            if not np.allclose(at_zero, init, rtol=1e-12, atol=1e-12):
                 raise ValueError("exact(0, .) does not reproduce initial_coeffs")
 
     @property

@@ -28,6 +28,8 @@ draws one step's (dB, I); both are plain arrays, the per-step oracles
 of the chunked path.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import DimensionError, count, positive
@@ -52,6 +54,7 @@ __all__ = [
 CHUNK_STEPS = 64
 
 
+@dataclass(frozen=True, eq=False)
 class QSpec:
     """Covariance model of the driving noise.
 
@@ -59,24 +62,31 @@ class QSpec:
     or 'scalar_constant' (K = 1 and g_1 = sqrt(eta_1) * 1, i.e. space-constant
     scalar noise).  mode_eigenvalues are the eta_j >= 0; their sum must be
     finite, which for a concrete K-vector just means all entries finite.
+
+    A QSpec is a value, checked once when it is built: its fields cannot
+    be assigned, and mode_eigenvalues is its own read-only float copy.
     """
 
-    def __init__(self, K, mode_eigenvalues, mode_kind="sine_basis"):
-        if mode_kind not in ("sine_basis", "scalar_constant"):
-            raise ValueError("unknown mode_kind %r" % (mode_kind,))
-        K = count("K", K)
-        eta = np.asarray(mode_eigenvalues, dtype=float)
+    K: int
+    mode_eigenvalues: np.ndarray
+    mode_kind: str = "sine_basis"
+
+    def __post_init__(self):
+        if self.mode_kind not in ("sine_basis", "scalar_constant"):
+            raise ValueError("unknown mode_kind %r" % (self.mode_kind,))
+        K = count("K", self.K)
+        eta = np.array(self.mode_eigenvalues, dtype=float)
         if eta.shape != (K,):
             raise DimensionError(
                 "mode_eigenvalues: expected shape (%d,), got %r" % (K, eta.shape)
             )
-        if mode_kind == "scalar_constant" and K != 1:
+        if self.mode_kind == "scalar_constant" and K != 1:
             raise ValueError("scalar_constant noise implies K = 1")
         if np.any(eta < 0) or not np.all(np.isfinite(eta)):
-            raise ValueError("mode eigenvalues must be finite and nonnegative")
-        self.K = K
-        self.mode_eigenvalues = eta
-        self.mode_kind = mode_kind
+            raise ValueError("mode_eigenvalues must be finite and nonnegative")
+        eta.flags.writeable = False
+        object.__setattr__(self, "K", K)
+        object.__setattr__(self, "mode_eigenvalues", eta)
 
     def __repr__(self):
         return "QSpec(K=%d, mode_kind=%r)" % (self.K, self.mode_kind)

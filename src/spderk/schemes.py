@@ -33,9 +33,9 @@ theta weights for erkm_step (`theta_fields`), dW^2 - h gsq for
 the baselines -- and steps through the chunk's rows.  Each row
 equals the factor computed for its step alone, bit for bit.  solve
 holds the current state and one chunk, never the trajectory; it checks
-shapes once, before the first step, and tests each new state with one
-dot product.  A single step is a chunk of one row: with one step's
-fields dW and Iw (qwiener.theta_weights),
+the context and the path once, before the first step, and tests each
+new state with one dot product.  A single step is a chunk of one row:
+with one step's fields dW and Iw (qwiener.theta_weights),
 
     row = next(zip(*scheme.noise(ctx, dW[None], Iw[None])))
     y = scheme.step(ctx, y, row)
@@ -224,6 +224,9 @@ class StepContext:
         self.T, self.M = positive("T", T), count("M", M)
         self.grid, self.G, self.gsq, op = problem.grid, problem.G, problem.gsq, problem.op
         self.h = h = self.T / self.M
+        if h == 0.0:
+            raise ValueError("T=%r over M=%d steps: the step size T / M underflows to 0"
+                             % (self.T, self.M))
         self.sqh = math.sqrt(h)
         self.h_gsq = h * self.gsq
         self.tables = np.empty((2, min(self.M, CHUNK_STEPS), self.grid.n_nodes))
@@ -256,22 +259,22 @@ def theta_fields(dW, Iw, h, gsq):
         theta2_1 = Iw - (h/2) dW     theta1_4 = (Iw * gsq - dW^3 / 3) / h
                                      theta1_5 = dW * gsq - dW^3 / (3h)
 
-    Returns (theta0, theta1, theta2_1) with theta0 = (theta0_1..theta0_3)
-    and theta1 = (theta1_1..theta1_5).  Elementwise, so dW and Iw may be
-    the (rows, n) tables of a chunk of steps: each row then equals that
-    step's weights to the bit.
+    Returns the six tables erkm_step reads, theta1_1..theta1_5 and
+    theta2_1.  theta0 is not built: erkm_step takes theta0_1 and theta0_3
+    from its context (ctx.h, ctx.h_gsq) and theta0_2 as theta1_2.
+    Elementwise, so dW and Iw may be the (rows, n) tables of a chunk of
+    steps: each row then equals that step's weights to the bit.
     """
     Iw_h = Iw / h
     dW3 = dW**3
-    theta0 = (h, Iw_h, h * gsq)
-    theta1 = (
+    return (
         dW,
         Iw_h,
         gsq - dW**2 / h,
         (Iw * gsq - dW3 / 3.0) / h,
         dW * gsq - dW3 / (3.0 * h),
+        Iw - (h / 2.0) * dW,
     )
-    return theta0, theta1, Iw - (h / 2.0) * dW
 
 
 # Noise functions: (ctx, dW, Iw) -> the tables a stepper reads per step,
@@ -279,9 +282,8 @@ def theta_fields(dW, Iw, h, gsq):
 # pass each, so every row equals its step's own factors to the bit.
 
 def _theta_noise(ctx, dW, Iw):
-    """theta1_1..theta1_5 and theta2_1; theta0 is (h, theta1_2, h gsq)."""
-    _, theta1, theta2_1 = theta_fields(dW, Iw, ctx.h, ctx.gsq)
-    return theta1 + (theta2_1,)
+    """theta_fields on the context's h and gsq."""
+    return theta_fields(dW, Iw, ctx.h, ctx.gsq)
 
 
 def _wagner_platen_noise(ctx, dW, Iw):
@@ -554,11 +556,14 @@ def solve(problem, scheme, path, ctx=None):
     (qwiener.noise_fields), the noise factors the stepper reads besides
     dW and Iw (dW^2, the theta weights, ...) are built from them, one
     elementwise operation per factor, and the stepper runs through the
-    chunk's rows.  Shapes are checked here, once: the stepper gets the
-    state and its step's noise row directly.  After each step one dot
-    product y.y tests the state; only a non-finite result (a non-finite
-    entry, or finite entries whose squares overflow) scans the entries
-    for the first non-finite mode.
+    chunk's rows.  What comes from the caller, the context and the path,
+    is checked here, once, against the problem (its identity, M, T and
+    K); the initial state needs no check, since a ProblemSpec holds a 1-d
+    vector of its N modes.  The stepper gets the state and its step's
+    noise row directly.  After each step one dot product y.y tests the
+    state; only a non-finite result (a non-finite entry, or finite
+    entries whose squares overflow) scans the entries for the first
+    non-finite mode.
     """
     scheme = resolve_scheme(scheme)
     M = path.M
@@ -573,9 +578,6 @@ def solve(problem, scheme, path, ctx=None):
         raise ValueError("context T=%g does not match path T=%g"
                          % (ctx.T, path.h * M))
     y = problem.initial_coeffs
-    if y.shape != (ctx.grid.N,):
-        raise DimensionError("initial state of shape %r, context of %d modes"
-                             % (y.shape, ctx.grid.N))
     q = problem.qspec
     if q.K != path.K:
         raise DimensionError("path has %d noise modes, problem %d" % (path.K, q.K))

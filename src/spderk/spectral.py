@@ -19,7 +19,7 @@ Both representations are plain 1-d float arrays; nothing is wrapped.
 
 import numpy as np
 
-from .errors import DimensionError, count, positive
+from .errors import DimensionError, count, nonnegative, positive
 
 __all__ = [
     "SineBasisGrid",
@@ -111,8 +111,9 @@ def to_spectral(field, grid):
 def diagonal_factor(kind, op, t=None, h=None):
     """Per-mode multiplier array for a diagonal function of A.
 
-    kind is one of 'semigroup' (needs t >= 0), 'generator',
-    'resolvent' (needs h > 0) or 'phi1' (needs h > 0).  Factors:
+    kind is one of 'semigroup' (needs a finite t >= 0), 'generator',
+    'resolvent' or 'phi1' (each needs a finite h > 0); a missing, nan or
+    infinite t or h raises a ValueError naming it.  Factors:
 
         semigroup        exp(-lambda_k t)
         generator        -lambda_k
@@ -121,19 +122,13 @@ def diagonal_factor(kind, op, t=None, h=None):
     """
     lam = op.eigenvalues
     if kind == "semigroup":
-        if t is None or t < 0:
-            raise ValueError("semigroup needs t >= 0")
-        return np.exp(-lam * t)
+        return np.exp(-lam * nonnegative("t", t))
     if kind == "generator":
         return -lam
     if kind == "resolvent":
-        if h is None or h <= 0:
-            raise ValueError("resolvent needs h > 0")
-        return 1.0 / (1.0 + h * lam)
+        return 1.0 / (1.0 + positive("h", h) * lam)
     if kind == "phi1":
-        if h is None or h <= 0:
-            raise ValueError("phi1 needs h > 0")
-        z = h * lam
+        z = positive("h", h) * lam
         # -expm1(-z)/z is accurate down to z -> 0 (limit 1)
         return -np.expm1(-z) / z
     raise ValueError("unknown diagonal kind %r" % (kind,))

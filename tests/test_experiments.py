@@ -19,16 +19,14 @@ from spderk.experiments import (
     ErrorTable,
     ReferenceSpec,
     StudyConfig,
-    exact_solution_example1,
+    _reduce_squared,
     fit_order,
     local_slopes,
     order_summary,
-    rms_error,
     run_study,
 )
 from spderk.nemytskii import BUILTIN_PROBLEMS, ProblemSpec, builtin_problem
 from spderk.qwiener import QSpec, sample_path
-from spderk.spectral import SineBasisGrid
 
 
 def _zero(x, y):
@@ -52,28 +50,25 @@ def _blowup_builder(N, K):
 # ---------------------------------------------------------------- exact
 
 
+def _exact_example1(t, beta_t, N):
+    """Oracle: a_n(t) = n^-4 exp(-(n^2 pi^2 + 1/2) t + beta_t), n = 1..N."""
+    n = np.arange(1, N + 1, dtype=float)
+    return n**-4.0 * np.exp(-(n**2 * math.pi**2 + 0.5) * t + beta_t)
+
+
 def test_exact_solution_frozen_values():
-    a = exact_solution_example1(0.0, 0.0, 4)
+    a = builtin_problem("example1", 4).exact(0.0, 0.0)
     np.testing.assert_allclose(a, [1.0, 1.0 / 16.0, 1.0 / 81.0, 1.0 / 256.0],
                                rtol=1e-15)
-    a1 = exact_solution_example1(1.0, 0.0, 1)[0]
+    a1 = builtin_problem("example1", 1).exact(1.0, 0.0)[0]
     assert a1 == pytest.approx(math.exp(-(math.pi**2 + 0.5)), rel=1e-15)
 
 
 def test_exact_solution_matches_builtin_closure():
     p = builtin_problem("example1", 12)
-    grid = SineBasisGrid(12)
     for t, beta in [(0.0, 0.0), (0.5, -0.3), (1.0, 1.7)]:
-        np.testing.assert_allclose(
-            p.exact(t, beta), exact_solution_example1(t, beta, grid), rtol=1e-14
-        )
-    with pytest.raises(ValueError):
-        exact_solution_example1(-0.1, 0.0, 4)
-    # a mode count is any integer, and never a bool
-    by_count = exact_solution_example1(0.5, 0.1, np.int64(12))
-    assert by_count.tobytes() == exact_solution_example1(0.5, 0.1, grid).tobytes()
-    with pytest.raises(ValueError, match="^N must be an integer >= 1, got True"):
-        exact_solution_example1(0.5, 0.1, True)
+        np.testing.assert_allclose(p.exact(t, beta), _exact_example1(t, beta, 12),
+                                   rtol=1e-14)
 
 
 def test_terminal_beta_is_cumulative_sum():
@@ -88,14 +83,13 @@ def test_terminal_beta_is_cumulative_sum():
 
 
 def test_rms_error_trivia():
-    truth = np.array([1.0, 2.0])
-    assert rms_error([(truth, truth)] * 4) == (0.0, 0.0)
+    assert _reduce_squared([0.0] * 4, 4) == (0.0, 0.0, 0)
     # three unit squared errors
-    pairs = [(truth + np.array([1.0, 0.0]), truth)] * 3
-    rms, se = rms_error(pairs)
-    assert rms == 1.0 and se == 0.0
-    with pytest.raises(ValueError):
-        rms_error([])
+    assert _reduce_squared([1.0] * 3, 3) == (1.0, 0.0, 0)
+    # NaN marks a flagged realization; a cell of flagged ones has no rms
+    assert _reduce_squared([1.0, math.nan, 1.0], 3) == (1.0, 0.0, 1)
+    rms, se, flagged = _reduce_squared([math.nan, math.nan], 2)
+    assert math.isnan(rms) and math.isnan(se) and flagged == 2
 
 
 def test_rms_error_moment_oracle():
@@ -103,10 +97,9 @@ def test_rms_error_moment_oracle():
     # delta-method SE is sigma/sqrt(2 R); check both within 3 SE
     rng = np.random.default_rng(123)
     sigma, R = 0.7, 10_000
-    pairs = [(np.array([sigma * z]), np.array([0.0]))
-             for z in rng.standard_normal(R)]
-    rms, se = rms_error(pairs)
-    assert abs(rms - sigma) <= 3.0 * se
+    sq = [(sigma * z) ** 2 for z in rng.standard_normal(R)]
+    rms, se, flagged = _reduce_squared(sq, R)
+    assert abs(rms - sigma) <= 3.0 * se and flagged == 0
     assert se == pytest.approx(sigma / math.sqrt(2 * R), rel=0.1)
 
 

@@ -1,5 +1,8 @@
 """Problem definitions, pointwise evaluation, derivative maps."""
 
+import re
+from dataclasses import FrozenInstanceError, fields
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from spderk.nemytskii import (
     coeff_map,
     eval_coeff,
 )
-from spderk.qwiener import QSpec
+from spderk.qwiener import QSpec, noise_matrix
 from spderk.spectral import SineBasisGrid
 
 
@@ -180,3 +183,45 @@ def test_exact_must_match_initial():
             qspec=q,
             exact=lambda t, beta: np.zeros(3),
         )
+
+
+@pytest.mark.parametrize(
+    "record, name",
+    [("problem", f.name) for f in fields(ProblemSpec)]
+    + [("qspec", f.name) for f in fields(QSpec)],
+)
+def test_problem_and_qspec_fields_cannot_be_assigned(record, name):
+    # a problem is a value: its cached grid, op, G and gsq cannot go stale
+    p = builtin_problem("example3", 8)
+    target = p if record == "problem" else p.qspec
+    with pytest.raises(FrozenInstanceError):
+        setattr(target, name, getattr(target, name))
+    with pytest.raises(FrozenInstanceError):
+        delattr(target, name)
+    assert p.op.kappa == p.kappa == 0.01
+
+
+def test_problem_and_qspec_own_read_only_copies_of_their_arrays():
+    init, eta = np.array([0.0, 0.5, 0.25]), np.array([1.0, 0.5])
+    q = QSpec(2, eta)
+    p = ProblemSpec(1.0, lambda x, y: y, lambda x, y: y, init, q)
+    # the caller's arrays may change after construction ...
+    init[0], eta[1] = 7.0, -3.0
+    assert p.initial_coeffs.tolist() == [0.0, 0.5, 0.25]
+    assert q.mode_eigenvalues.tolist() == [1.0, 0.5]
+    assert np.array_equal(p.G, noise_matrix(QSpec(2, [1.0, 0.5]), p.grid))
+    # ... and the record's own cannot
+    with pytest.raises(ValueError, match="read-only"):
+        p.initial_coeffs[0] = 7.0
+    with pytest.raises(ValueError, match="read-only"):
+        q.mode_eigenvalues[1] = -3.0
+
+
+@pytest.mark.parametrize("init", [np.ones((3, 3)), np.ones((1, 4)), np.zeros(0), [], 1.0])
+def test_initial_coeffs_must_be_a_nonempty_vector(init):
+    q = QSpec(1, [1.0], mode_kind="scalar_constant")
+    with pytest.raises(ValueError, match=r"^initial_coeffs must be a nonempty 1-d vector, got shape"
+                       r" %s$" % re.escape(repr(np.shape(init)))):
+        ProblemSpec(1.0, lambda x, y: y, lambda x, y: y, init, q)
+    with pytest.raises(ValueError, match="^initial_coeffs must be finite$"):
+        ProblemSpec(1.0, lambda x, y: y, lambda x, y: y, [0.0, np.nan], q)

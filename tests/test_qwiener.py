@@ -194,8 +194,9 @@ def test_coarsen_composition(seed):
 def test_qspec_validation():
     with pytest.raises(ValueError):
         QSpec(2, [1.0, 1.0], mode_kind="scalar_constant")
-    with pytest.raises(ValueError):
-        QSpec(2, [1.0, -1.0])
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="^mode_eigenvalues must be finite and nonnegative$"):
+            QSpec(2, [1.0, bad])
     with pytest.raises(DimensionError):
         QSpec(3, [1.0, 1.0])
     with pytest.raises(ValueError, match="K must be an integer >= 1"):
@@ -247,12 +248,11 @@ def test_theta_zero_noise():
     gsq = gsq_field(q, grid)
     dW, Iw = theta_weights(np.zeros(2), np.zeros(2), q, grid)
     assert np.all(dW == 0.0) and np.all(Iw == 0.0)
-    theta0, theta1, theta2_1 = theta_fields(dW, Iw, 0.5, gsq)
-    assert np.all(theta1[0] == 0.0)
-    assert np.array_equal(theta1[2], gsq)
-    assert np.all(theta2_1 == 0.0)
-    assert theta0[0] == 0.5
-    assert np.array_equal(theta0[2], 0.5 * gsq)
+    theta = theta_fields(dW, Iw, 0.5, gsq)
+    assert len(theta) == 6
+    assert np.all(theta[0] == 0.0)
+    assert np.array_equal(theta[2], gsq)
+    assert np.all(theta[5] == 0.0)
 
 
 def test_theta2_vanishes_for_balanced_sample():
@@ -260,7 +260,7 @@ def test_theta2_vanishes_for_balanced_sample():
     grid = SineBasisGrid(5)
     q = scalar_q()
     dW, Iw = theta_weights(np.array([1.0]), np.array([0.5]), q, grid)
-    _, _, theta2_1 = theta_fields(dW, Iw, 1.0, gsq_field(q, grid))
+    theta2_1 = theta_fields(dW, Iw, 1.0, gsq_field(q, grid))[5]
     assert np.all(theta2_1 == 0.0)
     assert np.all(dW == 1.0)
 
@@ -280,7 +280,7 @@ def test_theta_identities_against_mode_sums(seed, K, N, h):
     q = QSpec(K, eta)
     grid = SineBasisGrid(N)
     dB, I = sample_step(rng, q, h)
-    _, theta1, theta2_1 = theta_fields(*theta_weights(dB, I, q, grid), h, gsq_field(q, grid))
+    theta = theta_fields(*theta_weights(dB, I, q, grid), h, gsq_field(q, grid))
 
     modes = np.sqrt(2.0) * np.sin(np.pi * np.outer(grid.nodes, np.arange(1, K + 1)))
     dW = sum(np.sqrt(eta[j]) * dB[j] * modes[:, j] for j in range(K))
@@ -290,8 +290,8 @@ def test_theta_identities_against_mode_sums(seed, K, N, h):
     expect21 = Iw - (h / 2.0) * dW
     scale13 = 1.0 + gsq + dW**2 / h
     scale21 = 1.0 + np.abs(Iw) + h * np.abs(dW)
-    assert np.all(np.abs(theta1[2] - expect13) <= 1e-12 * scale13)
-    assert np.all(np.abs(theta2_1 - expect21) <= 1e-12 * scale21)
+    assert np.all(np.abs(theta[2] - expect13) <= 1e-12 * scale13)
+    assert np.all(np.abs(theta[5] - expect21) <= 1e-12 * scale21)
 
 
 def test_noise_fields_rows_equal_theta_weights():

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -460,8 +461,7 @@ def test_solve_runs_on_when_only_the_squared_norm_overflows():
     # follows finds no non-finite entry, so the run goes on, and without
     # a warning
     N, M, T = 4, 4, 1.0
-    p = _silent_problem(N)
-    p.initial_coeffs = np.full(N, 1e200)
+    p = replace(_silent_problem(N), initial_coeffs=np.full(N, 1e200))
     with np.errstate(over="ignore"):
         assert not math.isfinite(p.initial_coeffs @ p.initial_coeffs)
     path = sample_path(p.qspec, M, T / M, 0)
@@ -602,12 +602,17 @@ def test_context_guards():
         with pytest.raises(ValueError, match=r"context was built for problem ProblemSpec\('%s'"
                            % other.name):
             solve(p3, "ewp", path3, ctx=other_ctx)
-    # solve checks the initial state against the context once
+    # a problem's initial state is fixed when it is built, so a 6-mode
+    # state meets a 4-mode context only as another problem
     p4 = builtin_problem("example1", 4)
-    ctx4 = StepContext(p4, 0.1)
-    p4.initial_coeffs = np.zeros(6)
-    with pytest.raises(DimensionError, match=r"initial state of shape \(6,\), context of 4 modes"):
-        solve(p4, "exe", path, ctx=ctx4)
+    p6 = replace(p4, initial_coeffs=np.zeros(6), exact=None)
+    with pytest.raises(ValueError, match=r"context was built for problem ProblemSpec\('example1', "
+                       r"kappa=1, N=4\), solve was given ProblemSpec\('example1', kappa=1, N=6\)"):
+        solve(p6, "exe", path, ctx=StepContext(p4, 0.1))
+    # T and M that are each valid but whose step size underflows
+    with pytest.raises(ValueError, match=r"^T=5e-324 over M=2 steps: the step size T / M"
+                       " underflows to 0$"):
+        StepContext(builtin_problem("example3", 8), 5e-324, 2)
     # contexts match paths by step count, then by time span
     path2 = sample_path(p.qspec, 2, 0.1, 0)
     with pytest.raises(ValueError, match="does not match path"):

@@ -1,5 +1,7 @@
 """Transforms, diagonal operator actions, and H_r norms."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,10 +188,18 @@ def test_phi1_values():
 
 def test_bad_diagonal_arguments():
     op = LinearOperatorSpec(kappa=1.0, N=3)
-    with pytest.raises(ValueError):
-        diagonal_factor("resolvent", op)
-    with pytest.raises(ValueError):
-        diagonal_factor("semigroup", op, t=-1.0)
+    for kind in ("resolvent", "phi1"):
+        for bad in (None, 0.0, -1.0, math.nan, math.inf, True):
+            with pytest.raises(ValueError, match="^h must be finite and > 0, got %r$" % bad):
+                diagonal_factor(kind, op, h=bad)
+            with pytest.raises(ValueError, match="^h must be finite and > 0, got %r$" % bad):
+                apply_diagonal(kind, op, np.ones(3), h=bad)
+    for bad in (None, -1.0, math.nan, math.inf, True):
+        with pytest.raises(ValueError, match="^t must be finite and >= 0, got %r$" % bad):
+            diagonal_factor("semigroup", op, t=bad)
+        with pytest.raises(ValueError, match="^t must be finite and >= 0, got %r$" % bad):
+            apply_diagonal("semigroup", op, np.ones(3), t=bad)
+    assert np.all(diagonal_factor("semigroup", op, t=0.0) == 1.0)
     with pytest.raises(ValueError):
         diagonal_factor("no_such_kind", op)
 
