@@ -71,19 +71,30 @@ ORDER_BANDS = {
 _JSON_KEY_OR_BRACE = re.compile(r'("(?:[^"\\]|\\.)*")(\s*:)?|[{}]')
 
 
+def _key_lines(text):
+    """Each object of a valid JSON text, in the order the objects close
+    (the order json.loads calls its hook in), as (depth, {key: the lines
+    key appears on}); the top-level object has depth 1."""
+    open_objects, closed = [], []
+    for m in _JSON_KEY_OR_BRACE.finditer(text):
+        if m.group() == "{":
+            open_objects.append({})
+        elif m.group() == "}":
+            closed.append((len(open_objects), open_objects.pop()))
+        elif m.group(2):
+            line = text.count("\n", 0, m.start()) + 1
+            open_objects[-1].setdefault(json.loads(m.group(1)), []).append(line)
+    return closed
+
+
 def _where(source, text, key):
     """source, with the line of the top-level key when text is known: a
     string matching key as a value, or as a key of a nested object, is
     passed over."""
     if text is not None:
-        depth = 0
-        for m in _JSON_KEY_OR_BRACE.finditer(text):
-            if m.group() == "{":
-                depth += 1
-            elif m.group() == "}":
-                depth -= 1
-            elif depth == 1 and m.group(2) and json.loads(m.group(1)) == key:
-                return "%s: line %d" % (source, text.count("\n", 0, m.start()) + 1)
+        for depth, lines in _key_lines(text):
+            if depth == 1 and key in lines:
+                return "%s: line %d" % (source, lines[key][0])
     return source
 
 
@@ -134,22 +145,6 @@ def _unique_keys(pairs):
     return data
 
 
-def _second_occurrence_line(text, key):
-    """Line of key's second occurrence in the first object of a valid
-    JSON text to close holding key twice: the object json.loads (which
-    calls its hook as each object closes) rejected."""
-    open_objects = []  # per open object, the lines key appears on
-    for m in _JSON_KEY_OR_BRACE.finditer(text):
-        if m.group() == "{":
-            open_objects.append([])
-        elif m.group() == "}":
-            lines = open_objects.pop()
-            if len(lines) > 1:
-                return lines[1]
-        elif m.group(2) and json.loads(m.group(1)) == key:
-            open_objects[-1].append(text.count("\n", 0, m.start()) + 1)
-
-
 def load_config(path):
     """A StudyConfig from a JSON file; raises ConfigError for a file it
     cannot read, malformed JSON, a key given twice in one object, or
@@ -165,9 +160,10 @@ def load_config(path):
         raise ConfigError("%s: line %d column %d: %s"
                           % (path, e.lineno, e.colno, e.msg)) from e
     except _DuplicateKey as e:
+        # the rejected object is the first to close holding key twice
         (key,) = e.args
-        raise ConfigError("%s: line %d: duplicate key %r"
-                          % (path, _second_occurrence_line(text, key), key)) from None
+        line = next(lines[key][1] for _, lines in _key_lines(text) if len(lines.get(key, ())) > 1)
+        raise ConfigError("%s: line %d: duplicate key %r" % (path, line, key)) from None
     return config_from_dict(data, source=path, text=text)
 
 

@@ -344,8 +344,7 @@ def fine_steps(cfg):
 
 class _StudyState:
     """Per-worker study machinery: the problem, one StepContext per step
-    count (each with its own noise-field table of at most CHUNK_STEPS
-    steps; all share the problem's grid, operator and noise matrix), and
+    count (all share the problem's grid, operator and noise matrix), and
     the (2, fine_M, K) arrays every realization samples its fine path
     into."""
 
@@ -366,9 +365,9 @@ class _StudyState:
         diverged reference flags every cell with one entry.
 
         The fine path is sampled into the study's own arrays.  The
-        reference and each scheme on each coarsened level stream their
-        noise fields through the table of that step count's context
-        (see schemes.solve).
+        reference and each scheme on each coarsened level run on that
+        step count's context, and each solve streams its noise fields
+        through a buffer of its own (see schemes.solve).
         """
         cfg = self.cfg
         fine = sample_path(self.problem.qspec, self.fine_M, self.ctxs[self.fine_M].h,
@@ -380,7 +379,7 @@ class _StudyState:
                 truth = self.problem.exact(cfg.T, beta_T)
             else:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    truth = solve(self.problem, "ewp", fine, ctx=self.ctxs[self.fine_M])
+                    truth = solve(self.ctxs[self.fine_M], "ewp", fine)
         except DivergenceError as e:
             return out, [(r, "reference", self.fine_M, e.step, e.mode)]
         diverged = []
@@ -389,7 +388,7 @@ class _StudyState:
             for iS, sel in enumerate(cfg.schemes):
                 try:
                     with np.errstate(over="ignore", invalid="ignore"):
-                        approx = solve(self.problem, sel, path, ctx=self.ctxs[M])
+                        approx = solve(self.ctxs[M], sel, path)
                 except DivergenceError as e:
                     diverged.append((r, e.scheme, M, e.step, e.mode))
                     continue
@@ -446,8 +445,8 @@ def run_study(cfg, workers=1):
         with multiprocessing.get_context().Pool(
             workers, initializer=_pool_init, initargs=(cfg,)
         ) as pool:
-            chunk = max(1, R // (workers * 8))
-            for r, (res, flags) in enumerate(pool.imap(_pool_task, range(R), chunk)):
+            # one realization per task: it runs far longer than its result pickles
+            for r, (res, flags) in enumerate(pool.imap(_pool_task, range(R))):
                 sq[r] = res
                 diverged += flags
 

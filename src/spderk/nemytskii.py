@@ -65,7 +65,7 @@ class ProblemSpec:
     SineBasisGrid of the N modes), op (the LinearOperatorSpec of kappa *
     Laplace on them), G and gsq (the noise matrix and gsq field on the
     grid) are built on first use from those fields and shared by every
-    StepContext of the problem.
+    StepContext of the problem, so their arrays are read-only too.
     """
 
     kappa: float
@@ -111,11 +111,15 @@ class ProblemSpec:
 
     @cached_property
     def G(self):
-        return noise_matrix(self.qspec, self.grid)
+        G = noise_matrix(self.qspec, self.grid)
+        G.flags.writeable = False
+        return G
 
     @cached_property
     def gsq(self):
-        return gsq_field(self.qspec, self.grid)
+        gsq = gsq_field(self.qspec, self.grid)
+        gsq.flags.writeable = False
+        return gsq
 
     def __repr__(self):
         return "ProblemSpec(%r, kappa=%g, N=%d)" % (self.name, self.kappa, self.N)

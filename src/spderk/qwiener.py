@@ -144,9 +144,10 @@ def sample_path(q, M, h, base_seed, realization=0, out=None):
     workers run or in which order realizations complete.  The normals
     are drawn CHUNK_STEPS steps at a time and scaled in place into the
     path's arrays; chunked draws from the same stream produce the same
-    numbers as one draw (see sample_step).  out, a (2, M, K) array,
-    receives dB and I in place of new arrays, so a study can reuse one
-    pair of path arrays across its realizations.
+    numbers as one draw (see sample_step).  out, a (2, M, K) float64
+    array, receives dB and I in place of new arrays, so a study can
+    reuse one pair of path arrays across its realizations; any other
+    dtype is a ValueError, not a silent cast.
     """
     M, h = count("M", M), positive("h", h)
     base_seed, realization = count("base_seed", base_seed, 0), count("realization", realization, 0)
@@ -155,6 +156,8 @@ def sample_path(q, M, h, base_seed, realization=0, out=None):
     elif out.shape != (2, M, q.K):
         raise DimensionError("out must have shape (2, %d, %d), got %r"
                              % (M, q.K, out.shape))
+    elif out.dtype != np.float64:
+        raise ValueError("out must be a float64 array, got dtype %s" % out.dtype)
     dB, I = out
     seq = np.random.SeedSequence([base_seed, realization])
     rng = np.random.Generator(np.random.Philox(seq))

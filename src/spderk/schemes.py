@@ -24,18 +24,16 @@ the StepContext holds what is fixed for a step size -- diagonal operator
 factors, the problem's grid and gsq, and its six pointwise maps, bound
 once when it is built -- y is the spectral state and row the step's row
 of noise factors.  The only random input of a step is the pair of noise
-fields (dW, Iw) on the grid, two bare arrays.  solve streams them one chunk of
-at most qwiener.CHUNK_STEPS steps at a time: it fills the context's
-table for the chunk (qwiener.noise_fields), builds from it the factors the
-stepper reads that depend on the noise alone, one elementwise operation
-per factor -- dW^2, dW^3, h dW - Iw and Iw - (h/2) dW for ewp, the
-theta weights for erkm_step (`theta_fields`), dW^2 - h gsq for
-the baselines -- and steps through the chunk's rows.  Each row
-equals the factor computed for its step alone, bit for bit.  solve
-holds the current state and one chunk, never the trajectory; it checks
-the context and the path once, before the first step, and tests each
-new state with one dot product.  A single step is a chunk of one row:
-with one step's fields dW and Iw (qwiener.theta_weights),
+fields (dW, Iw) on the grid, two bare arrays.  solve(ctx, scheme, path)
+streams them one chunk of at most qwiener.CHUNK_STEPS steps at a time:
+it fills its own buffer with the chunk's fields (qwiener.noise_fields),
+builds from them the factors the stepper reads that depend on the noise
+alone, one elementwise operation per factor -- dW^2, dW^3, h dW - Iw and
+Iw - (h/2) dW for ewp, the theta weights for erkm_step (`theta_fields`),
+dW^2 - h gsq for the baselines -- and steps through the chunk's rows.
+Each row equals the factor computed for its step alone, bit for bit.  A
+single step is a chunk of one row: with one step's fields dW and Iw
+(qwiener.theta_weights),
 
     row = next(zip(*scheme.noise(ctx, dW[None], Iw[None])))
     y = scheme.step(ctx, y, row)
@@ -213,10 +211,9 @@ class StepContext:
     and b_yy (nemytskii.coeff_map; a missing derivative map raises a
     CapabilityError naming ewp when a stepper first calls it).  Each
     bound map adds 1 to its field of counters, an EvalCounters, per call
-    and returns the map's array untouched.  tables is the (2, min(M,
-    CHUNK_STEPS), n_nodes) buffer solve fills with one chunk's noise
-    fields at a time.  It holds no state and no noise: those are the
-    stepper's y and row arguments.
+    and returns the map's array untouched.  A context holds only what
+    (problem, T, M) fixes, and those counters: the state and the noise
+    are the stepper's y and row, and solve owns its noise-field buffer.
     """
 
     def __init__(self, problem, T, M=1):
@@ -229,7 +226,6 @@ class StepContext:
                              % (self.T, self.M))
         self.sqh = math.sqrt(h)
         self.h_gsq = h * self.gsq
-        self.tables = np.empty((2, min(self.M, CHUNK_STEPS), self.grid.n_nodes))
         self.E_h = diagonal_factor("semigroup", op, t=h)
         self.E_h2 = diagonal_factor("semigroup", op, t=h / 2.0)
         self.neg_lam = diagonal_factor("generator", op)
@@ -540,49 +536,39 @@ def resolve_scheme(scheme):
     return Scheme(name, label, step, noise)
 
 
-def solve(problem, scheme, path, ctx=None):
-    """Run a stepper along a noise path; returns the terminal state, of
-    the problem's N modes.
+def solve(ctx, scheme, path):
+    """Run a stepper along a noise path from the initial coefficients of
+    ctx.problem; returns the terminal state.  ctx is the StepContext of
+    the path's span and step count, and any number of solves may share
+    it.  Any non-finite coefficient aborts with a DivergenceError naming
+    the scheme, step and mode.
 
-    Y_0 is the problem's (already projected) initial coefficient vector;
-    only the current state is kept.  Any non-finite coefficient aborts
-    with a DivergenceError naming the scheme, step and mode.  A prebuilt
-    StepContext may be passed to amortize setup across solves with the
-    same (problem, T, M); it must have been built for this problem and
-    the path's step count M.
-
-    The path is streamed in chunks of at most CHUNK_STEPS steps: each
-    chunk's noise fields are filled into the context's tables
-    (qwiener.noise_fields), the noise factors the stepper reads besides
-    dW and Iw (dW^2, the theta weights, ...) are built from them, one
+    Only the current state and one chunk are held: the path's noise
+    fields are filled into this solve's own (2, min(M, CHUNK_STEPS),
+    n_nodes) buffer a chunk at a time (qwiener.noise_fields), the
+    factors the stepper reads besides dW and Iw are built from them, one
     elementwise operation per factor, and the stepper runs through the
-    chunk's rows.  What comes from the caller, the context and the path,
-    is checked here, once, against the problem (its identity, M, T and
-    K); the initial state needs no check, since a ProblemSpec holds a 1-d
-    vector of its N modes.  The stepper gets the state and its step's
-    noise row directly.  After each step one dot product y.y tests the
-    state; only a non-finite result (a non-finite entry, or finite
-    entries whose squares overflow) scans the entries for the first
-    non-finite mode.
+    chunk's rows.  The path comes from the caller, so it is checked
+    once, against the context (M, T and K).  After each step one dot
+    product y.y tests the state; only a non-finite result (a non-finite
+    entry, or finite entries whose squares overflow) scans the entries.
     """
+    if not isinstance(ctx, StepContext):
+        raise TypeError("solve takes a StepContext first, got %s: build one with"
+                        " StepContext(problem, T, M)" % type(ctx).__name__)
     scheme = resolve_scheme(scheme)
-    M = path.M
-    if ctx is None:
-        ctx = StepContext(problem, path.h * M, M)
-    elif ctx.problem is not problem:
-        raise ValueError("context was built for problem %r, solve was given %r"
-                         % (ctx.problem, problem))
+    M, K = path.M, ctx.problem.qspec.K
     if ctx.M != M:
         raise ValueError("context M=%d does not match path M=%d" % (ctx.M, M))
     if not math.isclose(path.h * M, ctx.T, rel_tol=1e-9):
         raise ValueError("context T=%g does not match path T=%g"
                          % (ctx.T, path.h * M))
-    y = problem.initial_coeffs
-    q = problem.qspec
-    if q.K != path.K:
-        raise DimensionError("path has %d noise modes, problem %d" % (path.K, q.K))
+    if K != path.K:
+        raise DimensionError("path has %d noise modes, problem %d" % (path.K, K))
+    y = ctx.problem.initial_coeffs
+    tables = np.empty((2, min(M, CHUNK_STEPS), ctx.grid.n_nodes))
     for m0 in range(0, M, CHUNK_STEPS):
-        rows = zip(*scheme.noise(ctx, *noise_fields(path, ctx.G, m0, ctx.tables)))
+        rows = zip(*scheme.noise(ctx, *noise_fields(path, ctx.G, m0, tables)))
         for m, row in enumerate(rows, m0):
             y = scheme.step(ctx, y, row)
             if not math.isfinite(np.vdot(y, y)):

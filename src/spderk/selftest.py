@@ -136,7 +136,7 @@ def _semigroup_decay():
     p = ProblemSpec(0.05, zero, zero, np.ones(8) / (1 + np.arange(8.0)) ** 2, q,
                     f_y=zero, f_yy=zero, b_y=zero, b_yy=zero)
     path = sample_path(q, 16, 1.0 / 16, 0)
-    y = solve(p, "erkm15", path)
+    y = solve(StepContext(p, 1.0, 16), "erkm15", path)
     lam = LinearOperatorSpec(0.05, 8).eigenvalues
     expected = np.exp(-lam) * p.initial_coeffs
     np.testing.assert_allclose(y, expected, rtol=1e-12)

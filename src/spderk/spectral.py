@@ -43,7 +43,8 @@ class SineBasisGrid:
     Attributes
     ----------
     N : number of modes.
-    nodes : strictly increasing interior nodes in (0, 1).
+    nodes : strictly increasing interior nodes in (0, 1); like the
+        transform matrices, read-only, since a problem's contexts share it.
     n_nodes : number of collocation nodes (== N).
     """
 
@@ -56,6 +57,8 @@ class SineBasisGrid:
         karg = np.outer(self.nodes, np.arange(1, self.N + 1)) * np.pi
         self._synth = np.sqrt(2.0) * np.sin(karg)
         self._anal = (np.sqrt(2.0) / (self.n_nodes + 1.0)) * np.sin(karg).T
+        for a in (self.nodes, self._synth, self._anal):
+            a.flags.writeable = False
 
     def __repr__(self):
         return "SineBasisGrid(N=%d)" % self.N
@@ -66,7 +69,7 @@ class LinearOperatorSpec:
 
     Eigenpairs are -A e_k = lambda_k e_k with lambda_k = kappa pi^2 k^2,
     so the spectrum is strictly positive and increasing, and powers of
-    -A need no shift.
+    -A need no shift.  eigenvalues is read-only.
     """
 
     def __init__(self, kappa, N):
@@ -74,6 +77,7 @@ class LinearOperatorSpec:
         self.N = count("N", N)
         k = np.arange(1, self.N + 1, dtype=float)
         self.eigenvalues = self.kappa * np.pi**2 * k**2
+        self.eigenvalues.flags.writeable = False
 
     def __repr__(self):
         return "LinearOperatorSpec(kappa=%g, N=%d)" % (self.kappa, self.N)

@@ -185,7 +185,7 @@ def test_a6_deterministic_exactness():
         lam = LinearOperatorSpec(kappa, N).eigenvalues
         exact = np.exp(-lam) * y0
         for scheme in ("erkm15", "ewp", "exe", "dfmm"):
-            got = solve(p, scheme, path)
+            got = solve(StepContext(p, 1.0, M), scheme, path)
             worst = max(worst, (np.abs(got - exact) / exact).max())
     _report("A6 semigroup decay with f=b=0", worst <= 1e-12,
             "max rel error %.2e" % worst)

@@ -379,12 +379,12 @@ def test_study_error_names_first_divergences(monkeypatch, workers):
         current["r"] = r
         return real_sample(q, M, h, seed, r, out=out)
 
-    def solve(problem, scheme, path, **kwargs):
+    def solve(ctx, scheme, path):
         if current["r"] == 1 and scheme == "exe" and path.M == 8:
             raise DivergenceError("exe", 5, 2)
         if current["r"] == 3 and path.M == 16:
             raise DivergenceError("ewp", 11, 0)
-        return real_solve(problem, scheme, path, **kwargs)
+        return real_solve(ctx, scheme, path)
 
     monkeypatch.setattr(experiments, "sample_path", sample)
     monkeypatch.setattr(experiments, "solve", solve)

@@ -14,6 +14,7 @@ from spderk.nemytskii import (
     eval_coeff,
 )
 from spderk.qwiener import QSpec, noise_matrix
+from spderk.schemes import StepContext
 from spderk.spectral import SineBasisGrid
 
 
@@ -215,6 +216,20 @@ def test_problem_and_qspec_own_read_only_copies_of_their_arrays():
         p.initial_coeffs[0] = 7.0
     with pytest.raises(ValueError, match="read-only"):
         q.mode_eigenvalues[1] = -3.0
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+def test_cached_arrays_of_a_problem_are_read_only(name):
+    # every context of a problem shares its grid, op, G and gsq, so none
+    # of their arrays can be written through one of them
+    p = builtin_problem(name, 6)
+    first = StepContext(p, 0.1)
+    for a in (p.grid.nodes, p.grid._synth, p.grid._anal, p.op.eigenvalues, p.G, p.gsq):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    # so op.eigenvalues[0] = 1.0 cannot reach a later context's neg_lam
+    assert StepContext(p, 0.1).neg_lam.tobytes() == first.neg_lam.tobytes()
+    assert first.neg_lam[0] == -p.kappa * np.pi**2
 
 
 @pytest.mark.parametrize("init", [np.ones((3, 3)), np.ones((1, 4)), np.zeros(0), [], 1.0])

@@ -120,6 +120,18 @@ def test_sample_path_into_reused_arrays():
         sample_path(q, 41, 0.025, base_seed=9, out=out)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+def test_sample_path_rejects_out_of_another_dtype(dtype):
+    # a float32 out would hold normals rounded to float32, an int64 one
+    # fails inside numpy: both are named as out
+    q = QSpec(2, [1.0, 0.5])
+    out = np.zeros((2, 40, 2), dtype=dtype)
+    with pytest.raises(ValueError, match="^out must be a float64 array, got dtype %s$"
+                       % np.dtype(dtype)):
+        sample_path(q, 40, 0.025, base_seed=9, out=out)
+    assert not out.any()
+
+
 def test_coarsen_two_substeps_frozen():
     # (dB, I) = (1, 0) twice at h=1: increments add, first dB drifts for
     # the remaining 1 time unit

@@ -189,11 +189,12 @@ def test_erkm15_coefficients_cancel_for_linear_maps(name):
     # nonzero c gives the c = 1 run to rounding
     p = builtin_problem(name, 16)
     rng = np.random.default_rng(4)
+    ctx = StepContext(p, 1.0, 8)
     for seed in range(5):
         path = sample_path(p.qspec, 8, 1.0 / 8, seed)
         c = rng.uniform(0.2, 2.0, 7) * rng.choice([-1.0, 1.0], 7)
-        got = solve(p, {"name": "erkm15", "c": list(c)}, path)
-        ones = solve(p, "erkm15", path)
+        got = solve(ctx, {"name": "erkm15", "c": list(c)}, path)
+        ones = solve(ctx, "erkm15", path)
         assert np.abs(got - ones).max() <= 1e-13 * np.abs(ones).max()
 
 
@@ -263,7 +264,7 @@ def test_solve_eval_counts_match_the_model(scheme):
     p = ProblemSpec(base.kappa, counted("f"), counted("b"), base.initial_coeffs,
                     base.qspec, **{which: counted(which) for which in maps[2:]})
     ctx = StepContext(p, 0.5, M)
-    solve(p, scheme, sample_path(p.qspec, M, 0.5 / M, 3), ctx=ctx)
+    solve(ctx, scheme, sample_path(p.qspec, M, 0.5 / M, 3))
     ledger = tuple(getattr(ctx.counters, which) for which in maps)
     assert ledger == tuple(M * n for n in A7_EVALS[scheme])
     assert ledger == tuple(calls[which] for which in maps)
@@ -281,7 +282,7 @@ def test_deterministic_exactness():
         # solve returns the terminal state: run it on every prefix of the path
         for m in range(1, M + 1):
             prefix = NoisePath(path.dB[:m], path.I[:m], h)
-            y = solve(p, scheme, prefix)
+            y = solve(StepContext(p, m * h, m), scheme, prefix)
             np.testing.assert_allclose(y, expected[m], rtol=1e-12, atol=0.0)
     # the closed form, stepped by hand: under hatted_coefficients
     # (5 f + 6 b per step) and with c^_7 != c^_6 (a 7th b evaluation)
@@ -303,7 +304,7 @@ def test_lie_resolvent_pin():
     p = _silent_problem(N, kappa=0.9, with_derivs=False)
     path = sample_path(p.qspec, 1, h, 0)
     lam = LinearOperatorSpec(p.kappa, N).eigenvalues
-    y = solve(p, "lie", path)
+    y = solve(StepContext(p, h), "lie", path)
     np.testing.assert_allclose(y, p.initial_coeffs / (1.0 + h * lam), rtol=1e-15)
 
 
@@ -319,7 +320,7 @@ def test_lie_one_step_formula():
     F = to_spectral(np.ones(grid.n_nodes), grid)
     y0 = p.initial_coeffs
     expected = (y0 + h * F + dB * y0) / (1.0 + h * lam)
-    y = solve(p, "lie", path)
+    y = solve(StepContext(p, h), "lie", path)
     np.testing.assert_allclose(y, expected, rtol=1e-13)
 
 
@@ -335,7 +336,7 @@ def test_exe_constant_forcing_is_exact():
     F = to_spectral(np.ones(grid.n_nodes), grid)
     exact = np.exp(-lam * h) * p.initial_coeffs + (-np.expm1(-lam * h)) / lam * F
 
-    y = solve(p, "exe", path)
+    y = solve(StepContext(p, h), "exe", path)
     np.testing.assert_allclose(y, exact, rtol=1e-13)
     # drift weighted by e^{Ah} instead of h phi1(hA) misses it
     grouped = np.exp(-lam * h) * (p.initial_coeffs + h * F)
@@ -427,14 +428,15 @@ def test_solve_determinism_and_layout():
     p = builtin_problem("example2", 12)
     path = sample_path(p.qspec, 6, 0.05, 42, realization=3)
     y0 = p.initial_coeffs.copy()
-    a = solve(p, "erkm15", path)
-    b = solve(p, "erkm15", path)
+    ctx = StepContext(p, 0.3, 6)
+    a = solve(ctx, "erkm15", path)
+    b = solve(ctx, "erkm15", path)
     assert a.shape == (12,)
     np.testing.assert_array_equal(a, b)
     # the run starts from the initial coefficients and leaves them intact
     np.testing.assert_array_equal(p.initial_coeffs, y0)
-    first = solve(p, "erkm15", NoisePath(path.dB[:1], path.I[:1], path.h))
     ctx, ((dW, Iw),) = _context_for(p, path.h, seed=42, realization=3)
+    first = solve(ctx, "erkm15", NoisePath(path.dB[:1], path.I[:1], path.h))
     np.testing.assert_array_equal(
         first, resolve_scheme("erkm15").step(ctx, y0, _row("erkm15", ctx, dW, Iw)))
     assert np.all(np.isfinite(a))
@@ -449,7 +451,7 @@ def test_solve_divergence_error():
     p = ProblemSpec(0.1, blowup, _zero, np.full(N, 0.5), q)
     path = sample_path(q, 4, 0.5, 0)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as exc:
-        solve(p, "exe", path)
+        solve(StepContext(p, 2.0, 4), "exe", path)
     assert exc.value.scheme == "exe"
     assert exc.value.step == 1
     assert 0 <= exc.value.mode < N
@@ -469,7 +471,7 @@ def test_solve_runs_on_when_only_the_squared_norm_overflows():
     for scheme in ("erkm15", "ewp", "exe", "dfmm"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            y = solve(p, scheme, path)
+            y = solve(StepContext(p, T, M), scheme, path)
         np.testing.assert_allclose(y, exact, rtol=1e-12)
 
 
@@ -502,8 +504,9 @@ def test_solve_terminal_states_pinned(M):
     N, T = 16, 0.5
     p = builtin_problem("example3", N)
     path = sample_path(p.qspec, M, T / M, 37, realization=M)
+    ctx = StepContext(p, T, M)
     for scheme in SCHEME_NAMES:
-        got = [float(v).hex() for v in solve(p, scheme, path)]
+        got = [float(v).hex() for v in solve(ctx, scheme, path)]
         assert got == pins["states"]["%s@%d" % (scheme, M)], scheme
 
 
@@ -524,8 +527,9 @@ def test_erkm15_family_terminal_states_pinned(M):
     N, T = 16, 0.5
     p = builtin_problem("example3", N)
     path = sample_path(p.qspec, M, T / M, 37, realization=M)
+    ctx = StepContext(p, T, M)
     for name, c in pins["c"].items():
-        got = [float(v).hex() for v in solve(p, {"name": "erkm15", "c": c}, path)]
+        got = [float(v).hex() for v in solve(ctx, {"name": "erkm15", "c": c}, path)]
         assert got == pins["states"]["%s@%d" % (name, M)], name
 
 
@@ -592,23 +596,6 @@ def test_context_guards():
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="^T must be finite and > 0"):
             StepContext(p, bad)
-    path = sample_path(p.qspec, 1, 0.1, 0)
-    # a context is taken only for the problem it was built for: example2's
-    # would run example3 with example2's maps, example1's dies on K
-    p2, p3 = builtin_problem("example2", 6), builtin_problem("example3", 6)
-    path3 = sample_path(p3.qspec, 1, 0.1, 0)
-    for other in (p2, p):
-        other_ctx = StepContext(other, 0.1)
-        with pytest.raises(ValueError, match=r"context was built for problem ProblemSpec\('%s'"
-                           % other.name):
-            solve(p3, "ewp", path3, ctx=other_ctx)
-    # a problem's initial state is fixed when it is built, so a 6-mode
-    # state meets a 4-mode context only as another problem
-    p4 = builtin_problem("example1", 4)
-    p6 = replace(p4, initial_coeffs=np.zeros(6), exact=None)
-    with pytest.raises(ValueError, match=r"context was built for problem ProblemSpec\('example1', "
-                       r"kappa=1, N=4\), solve was given ProblemSpec\('example1', kappa=1, N=6\)"):
-        solve(p6, "exe", path, ctx=StepContext(p4, 0.1))
     # T and M that are each valid but whose step size underflows
     with pytest.raises(ValueError, match=r"^T=5e-324 over M=2 steps: the step size T / M"
                        " underflows to 0$"):
@@ -616,9 +603,29 @@ def test_context_guards():
     # contexts match paths by step count, then by time span
     path2 = sample_path(p.qspec, 2, 0.1, 0)
     with pytest.raises(ValueError, match="does not match path"):
-        solve(p, "exe", path2, ctx=StepContext(p, 0.05))
+        solve(StepContext(p, 0.05), "exe", path2)
     with pytest.raises(ValueError, match="does not match path"):
-        solve(p, "exe", path2, ctx=StepContext(p, 0.4, 2))
+        solve(StepContext(p, 0.4, 2), "exe", path2)
+    # and by noise modes: example3's 6-mode path on example1's context
+    p3 = builtin_problem("example3", 6)
+    with pytest.raises(DimensionError, match="^path has 6 noise modes, problem 1$"):
+        solve(StepContext(p, 0.1), "exe", sample_path(p3.qspec, 1, 0.1, 0))
+
+
+def test_solve_takes_a_context_first():
+    # the problem comes from the context alone: a call that passes a
+    # problem, or anything else, first is told how to build a context
+    p = builtin_problem("example1", 6)
+    path = sample_path(p.qspec, 2, 0.05, 0)
+    for first in (p, None, "ewp"):
+        with pytest.raises(TypeError, match=r"^solve takes a StepContext first, got %s: build"
+                           r" one with StepContext\(problem, T, M\)$" % type(first).__name__):
+            solve(first, "ewp", path)
+    ctx = StepContext(p, 0.1, 2)
+    with pytest.raises(TypeError):
+        solve(ctx, "ewp", path, ctx=ctx)
+    # a context holds no scratch buffer: each solve allocates its own
+    assert "tables" not in vars(ctx)
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "example3", "custom"])
@@ -660,8 +667,7 @@ def test_coarsened_paths_match_contexts_by_step_count(T, base, factors):
     fine = sample_path(p.qspec, Ms[-1], T / Ms[-1], 1)
     for M in Ms:
         path = coarsen(fine, Ms[-1] // M)
-        ctx = StepContext(p, T, M)
-        y = solve(p, "exe", path, ctx=ctx)
+        y = solve(StepContext(p, T, M), "exe", path)
         assert y.shape == (4,) and np.all(np.isfinite(y))
 
 
@@ -685,5 +691,5 @@ def test_solve_streams_chunks_like_stepping_by_hand(scheme):
     for M in (CHUNK_STEPS - 1, CHUNK_STEPS, CHUNK_STEPS + 1, 2 * CHUNK_STEPS + 3):
         ctx = StepContext(p, 0.5, M)
         path = sample_path(p.qspec, M, 0.5 / M, 31, realization=M)
-        y = solve(p, scheme, path, ctx=ctx)
+        y = solve(ctx, scheme, path)
         assert np.array_equal(y, _step_by_hand(p, scheme, path, ctx)), M
