@@ -35,7 +35,7 @@ from .qwiener import (
     sample_path,
     theta_weights,
 )
-from .nemytskii import ProblemSpec, builtin_problem, coeff_map, eval_coeff
+from .nemytskii import ProblemSpec, builtin_problem, eval_coeff
 from .schemes import (
     EvalCounters,
     StepContext,

@@ -49,7 +49,7 @@ from .qwiener import dump_path, sample_path
 from .schemes import resolve_scheme
 from .selftest import run_selftests
 
-__all__ = ["load_config", "config_from_dict", "config_to_dict", "run_cli", "main"]
+__all__ = ["load_config", "config_from_dict", "run_cli", "main"]
 
 _CONFIG_KEYS = tuple(fld.name for fld in fields(StudyConfig))
 
@@ -167,13 +167,6 @@ def load_config(path):
     return config_from_dict(data, source=path, text=text)
 
 
-def config_to_dict(cfg):
-    """JSON-ready echo of a config, one key per StudyConfig field (the
-    reference as a {"mode", "M"} object); load_config on the result
-    yields an equivalent StudyConfig."""
-    return asdict(cfg)
-
-
 def _apply_env(cfg):
     seed = os.environ.get("SPDERK_SEED")
     if seed is not None:
@@ -235,7 +228,8 @@ def _cmd_study(args, out, err):
     table_path = os.path.join(out_dir, "%s_errors.csv" % cfg.problem)
     meta_path = os.path.join(out_dir, "%s_meta.json" % cfg.problem)
     meta = {
-        "config": config_to_dict(cfg),
+        # one key per StudyConfig field, which config_from_dict reads back
+        "config": asdict(cfg),
         "seed": cfg.seed,
         "versions": {
             "spderk": __version__,

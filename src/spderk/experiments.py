@@ -14,6 +14,7 @@ results are reduced in realization-index order so the output is
 bit-identical for any worker count.
 """
 
+import contextlib
 import math
 import multiprocessing
 import os
@@ -424,10 +425,11 @@ def run_study(cfg, workers=1):
     """Run the configured study; returns an ErrorTable.
 
     workers is a positive count of processes, or None for all cores.
-    Results are reduced in realization-index order and are bit-identical
-    for any worker count.  Raises ConfigError for a bad config or worker
-    count, and StudyError if more than 1% of the realizations of any
-    (scheme, M) cell were flagged (reference or scheme divergence).
+    One loop collects the realizations in index order, whether one
+    _StudyState or a pool ran them, so results are bit-identical for any
+    worker count.  Raises ConfigError for a bad config or worker count,
+    and StudyError if more than 1% of the realizations of any (scheme, M)
+    cell were flagged (reference or scheme divergence).
     """
     workers = worker_count(workers)
     cfg = cfg.validated()
@@ -436,19 +438,17 @@ def run_study(cfg, workers=1):
 
     sq = np.empty((R, len(cfg.schemes), len(cfg.M_list)))
     diverged = []  # (realization, scheme or "reference", M, step, mode)
-    if workers == 1:
-        state = _StudyState(cfg)
-        for r in range(R):
-            sq[r], flags = state.realization(r)
-            diverged += flags
-    else:
-        with multiprocessing.get_context().Pool(
-            workers, initializer=_pool_init, initargs=(cfg,)
-        ) as pool:
+    with contextlib.ExitStack() as stack:
+        if workers == 1:
+            results = map(_StudyState(cfg).realization, range(R))
+        else:
+            pool = stack.enter_context(multiprocessing.get_context().Pool(
+                workers, initializer=_pool_init, initargs=(cfg,)))
             # one realization per task: it runs far longer than its result pickles
-            for r, (res, flags) in enumerate(pool.imap(_pool_task, range(R))):
-                sq[r] = res
-                diverged += flags
+            results = pool.imap(_pool_task, range(R))
+        for r, (res, flags) in enumerate(results):
+            sq[r] = res
+            diverged += flags
 
     labels = [resolve_scheme(s).label for s in cfg.schemes]
     rows = []

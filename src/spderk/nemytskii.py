@@ -26,19 +26,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapabilityError, count, positive
+from .errors import count, positive
 from .qwiener import QSpec, gsq_field, noise_matrix
 from .spectral import LinearOperatorSpec, SineBasisGrid
 
 __all__ = [
     "ProblemSpec",
-    "coeff_map",
     "eval_coeff",
     "builtin_problem",
     "BUILTIN_PROBLEMS",
 ]
 
-_WHICH = ("f", "b", "f_y", "f_yy", "b_y", "b_yy")
 _FLOAT = np.dtype(float)
 
 
@@ -125,34 +123,11 @@ class ProblemSpec:
         return "ProblemSpec(%r, kappa=%g, N=%d)" % (self.name, self.kappa, self.N)
 
 
-def coeff_map(p, which, needed_by=None):
-    """The problem's pointwise map named by which ('f', 'b', 'f_y',
-    'f_yy', 'b_y' or 'b_yy'), for eval_coeff.
-
-    A map the problem does not provide binds to a stub that raises a
-    CapabilityError naming the map and needed_by when it is called: a
-    context binds all six maps up front, and a problem without
-    derivative maps fails only where a stepper evaluates one.
-    """
-    if which not in _WHICH:
-        raise ValueError("unknown selector %r" % (which,))
-    fn = getattr(p, which)
-    if fn is not None:
-        return fn
-    who = " (required by %s)" % needed_by if needed_by else ""
-    message = "problem %r does not provide the %s map%s" % (p.name, which, who)
-
-    def missing(x, y):
-        raise CapabilityError(message)
-
-    return missing
-
-
 def eval_coeff(fn, v, grid):
     """Pointwise composition field fn(x_p, v(x_p)) on the grid's nodes,
-    for a map bound by coeff_map and a float field v on the nodes.  A
-    result that is not a float field of the grid's shape (a scalar, say)
-    is broadcast to one.
+    for a pointwise map fn (every stepper passes one its StepContext
+    bound) and a float field v on the nodes.  A result that is not a
+    float field of the grid's shape (a scalar, say) is broadcast to one.
     """
     x = grid.nodes
     out = fn(x, v)

@@ -23,9 +23,9 @@ carries them from sampler to stepper: sample_path draws its normals
 CHUNK_STEPS steps at a time, and noise_fields fills a caller's buffer
 with the fields of at most CHUNK_STEPS consecutive steps, which
 schemes.solve steps through before it fills the next chunk.
-theta_weights builds the same two fields for one step, and sample_step
-draws one step's (dB, I); both are plain arrays, the per-step oracles
-of the chunked path.
+theta_weights(dB, I, G) builds the same two fields for one step, and
+sample_step draws one step's (dB, I); both are plain arrays, the
+per-step oracles of the chunked path.
 """
 
 from dataclasses import dataclass
@@ -224,23 +224,23 @@ def noise_matrix(q, grid):
     return _sine_modes(q, grid) * np.sqrt(q.mode_eigenvalues)
 
 
-def theta_weights(dB, I, q, grid, G=None):
+def theta_weights(dB, I, G):
     """The noise fields (dW, Iw) of one step on the grid, from its
-    per-mode (dB, I):
+    per-mode (dB, I) and the noise matrix G (noise_matrix; a problem's
+    is ProblemSpec.G):
 
         dW(x) = sum_j sqrt(eta_j) dB_j e~_j(x),   Iw(x) the same sum over
         the mixed integrals I_j.
 
     Every stepper reads these two fields together with the context's h
-    and gsq; erkm_step derives its theta weights from them (see
-    schemes.theta_fields).  G may be passed in to avoid rebuilding it.
+    and gsq; a scheme's noise function turns them into the step's row
+    (see schemes.Scheme).  dB and I must be (K,) vectors, K = G.shape[1].
     """
-    if G is None:
-        G = noise_matrix(q, grid)
+    K = G.shape[1]
     dB, I = np.asarray(dB, dtype=float), np.asarray(I, dtype=float)
-    if dB.shape != (q.K,) or I.shape != (q.K,):
-        raise DimensionError("step of shapes %r and %r, QSpec has %d modes"
-                             % (dB.shape, I.shape, q.K))
+    if dB.shape != (K,) or I.shape != (K,):
+        raise DimensionError("step of shapes %r and %r, noise matrix has %d modes"
+                             % (dB.shape, I.shape, K))
     return G @ dB, G @ I
 
 

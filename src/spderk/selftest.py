@@ -14,7 +14,7 @@ from .experiments import (
     fit_order,
     run_study,
 )
-from .nemytskii import ProblemSpec, builtin_problem, coeff_map, eval_coeff
+from .nemytskii import ProblemSpec, builtin_problem, eval_coeff
 from .qwiener import QSpec, coarsen, sample_path, theta_weights
 from .schemes import (
     SCHEME_NAMES,
@@ -84,28 +84,22 @@ def _derivative_maps():
     grid = p.grid
     v = np.linspace(-1.0, 1.0, grid.n_nodes)
     eps = 1e-6
-    b, b_y = coeff_map(p, "b"), coeff_map(p, "b_y")
-    fd = (eval_coeff(b, v + eps, grid) - eval_coeff(b, v - eps, grid)) / (2 * eps)
-    assert np.abs(fd - eval_coeff(b_y, v, grid)).max() <= 1e-6
-
-
-def _row(scheme, ctx, dW, Iw):
-    """The scheme's noise row for one step's fields: a chunk of one row."""
-    return next(zip(*resolve_scheme(scheme).noise(ctx, dW[None], Iw[None])))
+    fd = (eval_coeff(p.b, v + eps, grid) - eval_coeff(p.b, v - eps, grid)) / (2 * eps)
+    assert np.abs(fd - eval_coeff(p.b_y, v, grid)).max() <= 1e-6
 
 
 def _scheme_equivalence():
     p = builtin_problem("example3", 16)
     rng = np.random.default_rng(21)
+    erkm15, ewp = resolve_scheme("erkm15"), resolve_scheme("ewp")
     for h in (0.1, 0.01):
         ctx = StepContext(p, h)
         path = sample_path(p.qspec, 1, h, 13)
-        dW, Iw = theta_weights(path.dB[0], path.I[0], p.qspec, p.grid, G=p.G)
+        dW, Iw = theta_weights(path.dB[0], path.I[0], p.G)
         y = rng.standard_normal(16) / (1 + np.arange(16.0)) ** 2
         c = rng.uniform(0.2, 2.0, 7)
-        a = erkm_step(erkm15_tableau(c), ctx, y, _row("erkm15", ctx, dW, Iw))
-        b = erkm15_closed_form_step(hatted_coefficients(c, h), ctx, y,
-                                    _row("ewp", ctx, dW, Iw))
+        a = erkm_step(erkm15_tableau(c), ctx, y, erkm15.noise(ctx, dW, Iw))
+        b = erkm15_closed_form_step(hatted_coefficients(c, h), ctx, y, ewp.noise(ctx, dW, Iw))
         assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(a).max())
 
 
@@ -120,10 +114,11 @@ def _eval_counts():
     p = builtin_problem("example3", 8)
     ctx = StepContext(p, 0.1)
     path = sample_path(p.qspec, 1, 0.1, 2)
-    dW, Iw = theta_weights(path.dB[0], path.I[0], p.qspec, p.grid, G=p.G)
+    dW, Iw = theta_weights(path.dB[0], path.I[0], p.G)
     for name in SCHEME_NAMES:
+        scheme = resolve_scheme(name)
         before = ctx.counters.copy()
-        resolve_scheme(name).step(ctx, p.initial_coeffs, _row(name, ctx, dW, Iw))
+        scheme.step(ctx, p.initial_coeffs, scheme.noise(ctx, dW, Iw))
         spent = astuple(ctx.counters - before)
         assert spent == _A7[name], "%s made %s evaluations, A7: %s" % (name, spent, _A7[name])
 

@@ -104,8 +104,8 @@ def test_a2_example2_order_reproduction():
 
 
 def _row(scheme, ctx, dW, Iw):
-    """The scheme's noise row for one step's fields: a chunk of one row."""
-    return next(zip(*resolve_scheme(scheme).noise(ctx, dW[None], Iw[None])))
+    """The scheme's noise row for one step's fields."""
+    return resolve_scheme(scheme).noise(ctx, dW, Iw)
 
 
 def test_a3_tableau_closed_form_equivalence():
@@ -119,7 +119,7 @@ def test_a3_tableau_closed_form_equivalence():
             c = np.where(np.abs(c) < 0.05, rng.uniform(-2.0, 2.0, 7), c)
         ctx = StepContext(p, h)
         path = sample_path(p.qspec, 1, h, 7000, realization=trial)
-        dW, Iw = theta_weights(path.dB[0], path.I[0], p.qspec, p.grid, G=p.G)
+        dW, Iw = theta_weights(path.dB[0], path.I[0], p.G)
         y = rng.standard_normal(16) / (1.0 + np.arange(16.0)) ** 2
         a = erkm_step(erkm15_tableau(c), ctx, y, _row("erkm15", ctx, dW, Iw))
         b = erkm15_closed_form_step(hatted_coefficients(c, h), ctx, y,
@@ -212,7 +212,7 @@ def test_a7_evaluation_counts():
     ok = True
     y = p.initial_coeffs
     for m in range(3):
-        dW, Iw = theta_weights(path.dB[m], path.I[m], p.qspec, p.grid, G=p.G)
+        dW, Iw = theta_weights(path.dB[m], path.I[m], p.G)
         before = ctx.counters.copy()
         y = erkm_step(tab, ctx, y, _row("erkm15", ctx, dW, Iw))
         d = ctx.counters - before

@@ -1,7 +1,7 @@
 """Problem definitions, pointwise evaluation, derivative maps."""
 
 import re
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from spderk.errors import CapabilityError
 from spderk.nemytskii import (
     ProblemSpec,
     builtin_problem,
-    coeff_map,
     eval_coeff,
 )
 from spderk.qwiener import QSpec, noise_matrix
@@ -79,14 +78,14 @@ def test_unknown_problem():
 def test_eval_f_example3_at_zero():
     p = builtin_problem("example3", N=8)
     grid = SineBasisGrid(8)
-    assert np.all(eval_coeff(coeff_map(p, "f"), np.zeros(8), grid) == 0.0)
+    assert np.all(eval_coeff(p.f, np.zeros(8), grid) == 0.0)
 
 
 def test_eval_b_example1_is_identity():
     p = builtin_problem("example1", N=6)
     grid = SineBasisGrid(6)
     v = np.random.default_rng(0).standard_normal(6)
-    assert np.array_equal(eval_coeff(coeff_map(p, "b"), v, grid), v)
+    assert np.array_equal(eval_coeff(p.b, v, grid), v)
 
 
 def test_eval_scalar_result_broadcasts():
@@ -99,17 +98,13 @@ def test_eval_scalar_result_broadcasts():
         qspec=q,
     )
     grid = SineBasisGrid(4)
-    out = eval_coeff(coeff_map(p, "f"), np.zeros(4), grid)
+    out = eval_coeff(p.f, np.zeros(4), grid)
     assert out.shape == (4,) and np.all(out == 3.0)
 
 
-def test_unknown_selector():
-    p = builtin_problem("example1", N=4)
-    with pytest.raises(ValueError, match="unknown selector"):
-        coeff_map(p, "g")
-
-
 def test_missing_derivative_names_requester():
+    # a context binds a map the problem leaves None; calling it raises,
+    # naming ewp for a derivative map and no requester for f or b
     q = QSpec(1, [1.0], mode_kind="scalar_constant")
     p = ProblemSpec(
         kappa=1.0,
@@ -118,13 +113,15 @@ def test_missing_derivative_names_requester():
         initial_coeffs=np.zeros(4),
         qspec=q,
     )
-    grid = SineBasisGrid(4)
-    # binding a missing map succeeds; evaluating it raises
-    b_yy = coeff_map(p, "b_yy", needed_by="ewp")
-    with pytest.raises(CapabilityError, match="b_yy map .required by ewp"):
-        eval_coeff(b_yy, np.zeros(4), grid)
-    with pytest.raises(CapabilityError, match="b_y map$"):
-        eval_coeff(coeff_map(p, "b_y"), np.zeros(4), grid)
+    grid = p.grid
+    ctx = StepContext(p, 0.1)
+    with pytest.raises(CapabilityError, match=r"^problem 'custom' does not provide the"
+                                              r" b_yy map \(required by ewp\)$"):
+        eval_coeff(ctx.b_yy, np.zeros(4), grid)
+    assert ctx.counters.total == 0
+    no_f = StepContext(replace(p, f=None), 0.1)
+    with pytest.raises(CapabilityError, match=r"^problem 'custom' does not provide the f map$"):
+        eval_coeff(no_f.f, np.zeros(4), grid)
 
 
 def test_eval_converts_non_float_results():
@@ -133,7 +130,7 @@ def test_eval_converts_non_float_results():
     grid = SineBasisGrid(4)
     out = eval_coeff(lambda x, y: np.arange(4), np.zeros(4), grid)
     assert out.dtype == float and np.array_equal(out, [0.0, 1.0, 2.0, 3.0])
-    assert eval_coeff(coeff_map(p, "b"), np.ones(4), grid).dtype == float
+    assert eval_coeff(p.b, np.ones(4), grid).dtype == float
 
 
 def central_difference(fn, x, y, delta=1e-5):
@@ -167,7 +164,7 @@ def test_custom_derivative_against_fd():
     grid = SineBasisGrid(8)
     y = np.random.default_rng(1).uniform(-2, 2, size=8)
     fd = central_difference(p.f, grid.nodes, y)
-    assert np.allclose(fd, eval_coeff(coeff_map(p, "f_y"), y, grid), rtol=1e-8, atol=1e-8)
+    assert np.allclose(fd, eval_coeff(p.f_y, y, grid), rtol=1e-8, atol=1e-8)
 
 
 def test_exact_must_match_initial():

@@ -258,7 +258,7 @@ def test_theta_zero_noise():
     grid = SineBasisGrid(8)
     q = QSpec(2, [0.5, 0.25])
     gsq = gsq_field(q, grid)
-    dW, Iw = theta_weights(np.zeros(2), np.zeros(2), q, grid)
+    dW, Iw = theta_weights(np.zeros(2), np.zeros(2), noise_matrix(q, grid))
     assert np.all(dW == 0.0) and np.all(Iw == 0.0)
     theta = theta_fields(dW, Iw, 0.5, gsq)
     assert len(theta) == 6
@@ -271,7 +271,7 @@ def test_theta2_vanishes_for_balanced_sample():
     # scalar noise, h=1, dB=1, I=1/2: Iw - (h/2) dW = 0 pointwise
     grid = SineBasisGrid(5)
     q = scalar_q()
-    dW, Iw = theta_weights(np.array([1.0]), np.array([0.5]), q, grid)
+    dW, Iw = theta_weights(np.array([1.0]), np.array([0.5]), noise_matrix(q, grid))
     theta2_1 = theta_fields(dW, Iw, 1.0, gsq_field(q, grid))[5]
     assert np.all(theta2_1 == 0.0)
     assert np.all(dW == 1.0)
@@ -292,7 +292,7 @@ def test_theta_identities_against_mode_sums(seed, K, N, h):
     q = QSpec(K, eta)
     grid = SineBasisGrid(N)
     dB, I = sample_step(rng, q, h)
-    theta = theta_fields(*theta_weights(dB, I, q, grid), h, gsq_field(q, grid))
+    theta = theta_fields(*theta_weights(dB, I, noise_matrix(q, grid)), h, gsq_field(q, grid))
 
     modes = np.sqrt(2.0) * np.sin(np.pi * np.outer(grid.nodes, np.arange(1, K + 1)))
     dW = sum(np.sqrt(eta[j]) * dB[j] * modes[:, j] for j in range(K))
@@ -318,7 +318,7 @@ def test_noise_fields_rows_equal_theta_weights():
     assert dW.shape == Iw.shape == (16, grid.n_nodes)
     assert np.all(np.isnan(buf[:, 16:]))
     for m in range(path.M):
-        dW_m, Iw_m = theta_weights(path.dB[m], path.I[m], q, grid, G=G)
+        dW_m, Iw_m = theta_weights(path.dB[m], path.I[m], G)
         assert np.array_equal(dW[m], dW_m) and np.array_equal(Iw[m], Iw_m)
 
 
@@ -336,7 +336,7 @@ def test_noise_fields_chunks_cover_a_long_path():
         assert dW.shape == Iw.shape == (n, grid.n_nodes)
         assert np.shares_memory(dW, buf) and np.shares_memory(Iw, buf)
         for i in (0, n // 2, n - 1):
-            dW_m, Iw_m = theta_weights(path.dB[m0 + i], path.I[m0 + i], q, grid, G=G)
+            dW_m, Iw_m = theta_weights(path.dB[m0 + i], path.I[m0 + i], G)
             assert np.array_equal(dW[i], dW_m) and np.array_equal(Iw[i], Iw_m)
     with pytest.raises(ValueError, match="m0"):
         noise_fields(path, G, M, buf)
@@ -347,9 +347,13 @@ def test_noise_fields_chunks_cover_a_long_path():
 
 
 def test_theta_mode_mismatch_rejected():
-    grid = SineBasisGrid(5)
-    with pytest.raises(DimensionError):
-        theta_weights(np.zeros(3), np.zeros(3), QSpec(2, [1.0, 1.0]), grid)
+    # K is read off G: a step of another mode count, or a mixed integral
+    # of another shape than its increment, is rejected
+    G = noise_matrix(QSpec(2, [1.0, 1.0]), SineBasisGrid(5))
+    with pytest.raises(DimensionError, match="noise matrix has 2 modes"):
+        theta_weights(np.zeros(3), np.zeros(3), G)
+    with pytest.raises(DimensionError, match=r"shapes \(2,\) and \(1,\)"):
+        theta_weights(np.zeros(2), np.zeros(1), G)
 
 
 def test_theta_monte_carlo_moments():

@@ -76,16 +76,13 @@ def _context_for(p, h, seed=0, realization=0, M=1):
     """A one-step context and the noise fields (dW, Iw) of M sampled steps."""
     ctx = StepContext(p, h)
     path = sample_path(p.qspec, M, h, seed, realization)
-    fields = [
-        theta_weights(path.dB[m], path.I[m], p.qspec, p.grid, G=p.G)
-        for m in range(M)
-    ]
+    fields = [theta_weights(path.dB[m], path.I[m], p.G) for m in range(M)]
     return ctx, fields
 
 
 def _row(scheme, ctx, dW, Iw):
-    """The scheme's noise row for one step's fields: a chunk of one row."""
-    return next(zip(*resolve_scheme(scheme).noise(ctx, dW[None], Iw[None])))
+    """The scheme's noise row for one step's fields."""
+    return resolve_scheme(scheme).noise(ctx, dW, Iw)
 
 
 def test_tableau_frozen_entries():
@@ -291,7 +288,7 @@ def test_deterministic_exactness():
     for chat, b_evals in ((hatted, 6), (np.r_[hatted[:6], 0.5, hatted[7]], 7)):
         y = p.initial_coeffs
         for m in range(M):
-            dW, Iw = theta_weights(path.dB[m], path.I[m], p.qspec, ctx.grid, G=ctx.G)
+            dW, Iw = theta_weights(path.dB[m], path.I[m], ctx.G)
             before = ctx.counters.copy()
             y = erkm15_closed_form_step(chat, ctx, y, _row("ewp", ctx, dW, Iw))
             d = ctx.counters - before
@@ -397,7 +394,7 @@ def test_zero_noise_degeneracy_linear_b():
     grid = p.grid
     ctx = StepContext(p, h)
     zero = NoisePath(np.zeros((1, 1)), np.zeros((1, 1)), h)
-    dW, Iw = theta_weights(zero.dB[0], zero.I[0], p.qspec, grid, G=ctx.G)
+    dW, Iw = theta_weights(zero.dB[0], zero.I[0], ctx.G)
     y = _decaying_state(N, 11)
 
     drift_part = to_spectral(-0.5 * h * to_physical(y, grid) * ctx.gsq, grid)
@@ -628,6 +625,19 @@ def test_solve_takes_a_context_first():
     assert "tables" not in vars(ctx)
 
 
+def test_context_arrays_are_read_only():
+    # every solve of a study's step count shares its context, so none of
+    # the arrays it derives can be written through it
+    p = builtin_problem("example3", 8)
+    ctx = StepContext(p, 0.5, 4)
+    path = sample_path(p.qspec, 4, 0.125, 3)
+    first = solve(ctx, "exe", path)
+    for name in ("h_gsq", "E_h", "E_h2", "neg_lam", "resolvent", "phi1"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ctx, name)[0] = 0.0
+    assert solve(ctx, "exe", path).tobytes() == first.tobytes()
+
+
 @pytest.mark.parametrize("name", ["example1", "example2", "example3", "custom"])
 def test_context_operator_data_is_the_problems_own(name):
     # a context reads grid, operator and noise matrix from its problem, so
@@ -673,13 +683,38 @@ def test_coarsened_paths_match_contexts_by_step_count(T, base, factors):
 
 def _step_by_hand(p, scheme, path, ctx):
     """Terminal state of scheme on path, each step's fields assembled by
-    theta_weights and its noise row built as a chunk of one row."""
+    theta_weights and its noise row by the scheme's noise function."""
     scheme = resolve_scheme(scheme)
     y = p.initial_coeffs
     for m in range(path.M):
-        dW, Iw = theta_weights(path.dB[m], path.I[m], p.qspec, ctx.grid, G=ctx.G)
-        y = scheme.step(ctx, y, next(zip(*scheme.noise(ctx, dW[None], Iw[None]))))
+        dW, Iw = theta_weights(path.dB[m], path.I[m], ctx.G)
+        y = scheme.step(ctx, y, scheme.noise(ctx, dW, Iw))
     return y
+
+
+@pytest.mark.parametrize("scheme", SCHEME_NAMES)
+def test_noise_of_one_step_is_the_chunk_row(scheme):
+    # the noise functions are elementwise, so on one step's 1-d fields
+    # they return the row that a one-row chunk of tables gives, and the
+    # step taken from it is the same, to the bit; erkm15 also as a
+    # member with mixed c
+    selectors = [scheme]
+    if scheme == "erkm15":
+        selectors.append({"name": "erkm15", "c": [1.0, 0.7, -1.3, 0.9, 1.1, 0.6, -0.8]})
+    for name in ("example1", "example2", "example3"):
+        p = builtin_problem(name, 16)
+        ctx, fields = _context_for(p, 0.1, seed=6, M=3)
+        for sel in selectors:
+            resolved = resolve_scheme(sel)
+            y = p.initial_coeffs
+            for dW, Iw in fields:
+                row = resolved.noise(ctx, dW, Iw)
+                chunk_row = next(zip(*resolved.noise(ctx, dW[None], Iw[None])))
+                assert [a.tobytes() for a in row] == [a.tobytes() for a in chunk_row]
+                assert all(a.shape == dW.shape for a in row)
+                y_next = resolved.step(ctx, y, row)
+                assert y_next.tobytes() == resolved.step(ctx, y, chunk_row).tobytes()
+                y = y_next
 
 
 @pytest.mark.parametrize("scheme", SCHEME_NAMES)
