@@ -11,14 +11,15 @@ Subcommands:
 * ``order <table>``   -- refit convergence orders (and local slopes) from an
   existing table.
 
-Configs are JSON objects whose keys are the fields of
+Configs are UTF-8 JSON objects whose keys are the fields of
 experiments.StudyConfig; missing keys fall back to its desk-scale
-defaults, unknown keys and keys given twice in one object are rejected
-with the offending line number.  SPDERK_SEED (ASCII digits only) and
-SPDERK_OUT_DIR override the config.
+defaults.  Unknown keys, keys given twice in one object and every error
+confined to one field are rejected with the file, the line and the key.
+SPDERK_SEED (ASCII digits only) and SPDERK_OUT_DIR override the config.
 
-Exit codes: 0 success, 1 usage/config error or output pipe closed by
-the reader, 2 study or check failure or out of memory.
+Exit codes, the same for any --workers: 0 success, 1 usage/config error
+or output pipe closed by the reader, 2 study or check failure or out of
+memory.  A worker killed from outside (say by the OOM killer) is not handled.
 """
 
 import argparse
@@ -27,16 +28,16 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import __version__
 from .errors import ConfigError, SpderkError, StudyError
 from .experiments import (
+    FIELD_RULES,
     ErrorTable,
     StudyConfig,
-    field_type_error,
     fine_steps,
     fit_order,
     local_slopes,
@@ -50,8 +51,6 @@ from .schemes import resolve_scheme
 from .selftest import run_selftests
 
 __all__ = ["load_config", "config_from_dict", "run_cli", "main"]
-
-_CONFIG_KEYS = tuple(fld.name for fld in fields(StudyConfig))
 
 # acceptance bands for --assert-orders, keyed by problem and scheme name
 ORDER_BANDS = {
@@ -101,32 +100,28 @@ def _where(source, text, key):
 def config_from_dict(data, source="<config>", text=None):
     """Build a StudyConfig from a parsed JSON object.
 
-    Unknown keys and values of the wrong type are rejected with a
-    ConfigError naming the key; when the original text is supplied the
-    diagnostic carries the line of the top-level key.  No value is
-    coerced (3.7 is not a count, "exe" is not a list of schemes).
+    Unknown keys, and every value its field's rule in FIELD_RULES
+    rejects, raise a ConfigError naming the key; when the original text
+    is supplied the diagnostic carries the line of the top-level key.  A
+    null value takes the field's default.  No value is coerced (3.7 is
+    not a count, "exe" is not a list of schemes).
     """
     if not isinstance(data, dict):
         raise ConfigError("%s: top level must be an object" % source)
     for key in data:
-        if key not in _CONFIG_KEYS:
+        if key not in FIELD_RULES:
             raise ConfigError("%s: unknown key %r (allowed: %s)"
-                              % (_where(source, text, key), key, ", ".join(_CONFIG_KEYS)))
-    if "problem" not in data:
-        raise ConfigError("%s: missing required key 'problem'" % source)
+                              % (_where(source, text, key), key, ", ".join(FIELD_RULES)))
 
     kwargs = {}
-    for key in _CONFIG_KEYS:
+    for key, rule in FIELD_RULES.items():
         value = data.get(key)
         if value is None and key != "problem":
             continue
-        why = field_type_error(key, value)
-        if why:
-            raise ConfigError("%s: key %r %s" % (_where(source, text, key), key, why))
-        kwargs[key] = value
-    for key in ("M_list", "schemes"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
+        try:
+            kwargs[key] = rule(key, value)
+        except ValueError as e:
+            raise ConfigError("%s: %s" % (_where(source, text, key), e)) from e
     return StudyConfig(**kwargs)
 
 
@@ -147,15 +142,16 @@ def _unique_keys(pairs):
 
 def load_config(path):
     """A StudyConfig from a JSON file; raises ConfigError for a file it
-    cannot read, malformed JSON, a key given twice in one object, or
-    anything config_from_dict rejects."""
+    cannot read or that is not UTF-8, malformed JSON, a key given twice
+    in one object, or anything config_from_dict rejects."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except OSError as e:
         raise ConfigError(str(e)) from e
-    try:
-        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except UnicodeDecodeError as e:
+        raise ConfigError("%s: not UTF-8 text: %s" % (path, e)) from e
     except json.JSONDecodeError as e:
         raise ConfigError("%s: line %d column %d: %s"
                           % (path, e.lineno, e.colno, e.msg)) from e

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the argument rules
 every module applies: a count is an integer, a span a finite real > 0
-(a time a finite real >= 0)."""
+(a time a finite real >= 0).  Each rule raises a ValueError naming the
+argument, whatever the type of the value it is given."""
 
 import numbers
 import sys
@@ -50,6 +51,11 @@ def is_int(v):
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def is_real(v):
+    """An int, float or NumPy number (any numbers.Real), and not a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def count(name, value, minimum=1):
     """value as an int if is_int(value) and value >= minimum, else a ValueError."""
     if not is_int(value) or value < minimum:
@@ -60,13 +66,13 @@ def count(name, value, minimum=1):
 def positive(name, value):
     """value as a float if a finite real > 0 and not a bool, else a ValueError.
     Compared, not converted: float() of a huge integer overflows."""
-    if value is None or isinstance(value, bool) or not 0 < value <= sys.float_info.max:
+    if not is_real(value) or not 0 < value <= sys.float_info.max:
         raise ValueError("%s must be finite and > 0, got %r" % (name, value))
     return float(value)
 
 
 def nonnegative(name, value):
     """value as a float if a finite real >= 0 and not a bool, else a ValueError."""
-    if value is None or isinstance(value, bool) or not 0 <= value <= sys.float_info.max:
+    if not is_real(value) or not 0 <= value <= sys.float_info.max:
         raise ValueError("%s must be finite and >= 0, got %r" % (name, value))
     return float(value)

@@ -20,11 +20,11 @@ import multiprocessing
 import os
 import sys
 import warnings
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, StudyError, is_int
+from .errors import ConfigError, DivergenceError, StudyError, count, is_int, positive
 from .nemytskii import BUILTIN_PROBLEMS, builtin_problem
 from .qwiener import coarsen, sample_path
 from .schemes import StepContext, resolve_scheme, solve
@@ -35,7 +35,7 @@ __all__ = [
     "ErrorRow",
     "ErrorTable",
     "CSV_HEADER",
-    "field_type_error",
+    "FIELD_RULES",
     "fit_order",
     "local_slopes",
     "order_summary",
@@ -63,39 +63,80 @@ class ReferenceSpec:
     M: int = None
 
 
-def _is_real(v):
-    return (isinstance(v, (int, float, np.integer, np.floating))
-            and not isinstance(v, bool))
+def _problem(name, value):
+    if not (isinstance(value, str) and value in BUILTIN_PROBLEMS):
+        raise ValueError("%s must be one of %s, got %r"
+                         % (name, ", ".join(sorted(BUILTIN_PROBLEMS)), value))
+    return value
 
 
-def field_type_error(key, value):
-    """Why `value` cannot be the StudyConfig field `key` (a phrase such as
-    "must be an integer, got 3.7"), or None if its type is right.
-    Nothing is coerced: 3.7 is not an integer and "exe" is not a list."""
-    if key in ("N", "realizations", "seed"):
-        ok, want = is_int(value), "an integer"
-    elif key == "K":
-        ok, want = value is None or is_int(value), "an integer or null"
-    elif key == "T":
-        ok, want = _is_real(value), "a number"
-    elif key == "M_list":
-        ok = isinstance(value, (list, tuple)) and all(is_int(M) for M in value)
-        want = "a list of integers"
-    elif key == "schemes":
-        ok, want = isinstance(value, (list, tuple)), "a list of scheme entries"
-    elif key == "reference":
-        ref = asdict(value) if isinstance(value, ReferenceSpec) else value
-        ok = value is None or (isinstance(ref, dict)
-                               and set(ref) <= {"mode", "M"}
-                               and isinstance(ref.get("mode"), str)
-                               and (ref.get("M") is None or is_int(ref["M"])))
-        want = 'an object {"mode": name, "M": integer or null}'
-    elif key in ("problem", "out_dir"):
-        ok = isinstance(value, str) or (key == "out_dir" and value is None)
-        want = "a string"
-    else:
+def _M_list(name, value):
+    if not (isinstance(value, (list, tuple)) and value
+            and all(is_int(M) and M >= 1 for M in value)):
+        raise ValueError("%s must be a non-empty list of integers >= 1, got %r"
+                         % (name, value))
+    M_list = tuple(sorted(int(M) for M in value))
+    if len(set(M_list)) < len(M_list) or any(M_list[-1] % M for M in M_list):
+        raise ValueError("%s entries must be distinct and each divide the largest, got %r"
+                         % (name, value))
+    return M_list
+
+
+def _schemes(name, value):
+    if not (isinstance(value, (list, tuple)) and value):
+        raise ValueError("%s must be a non-empty list of scheme entries, got %r"
+                         % (name, value))
+    labels = []
+    for sel in value:
+        try:
+            labels.append(resolve_scheme(sel).label)
+        except ValueError as e:
+            raise ValueError("%s entry %r: %s" % (name, sel, e)) from e
+    if len(set(labels)) < len(labels):
+        raise ValueError("%s must have unique labels, got %s" % (name, labels))
+    return tuple(value)
+
+
+def _reference(name, value):
+    if value is None:
         return None
-    return None if ok else "must be %s, got %r" % (want, value)
+    ref = asdict(value) if isinstance(value, ReferenceSpec) else value
+    if not (isinstance(ref, dict) and "mode" in ref and set(ref) <= {"mode", "M"}):
+        raise ValueError('%s must be an object {"mode": "exact" or "ewp", "M": integer'
+                         ' or null}, got %r' % (name, value))
+    mode, M = ref["mode"], ref.get("M")
+    if mode == "ewp":
+        return ReferenceSpec(mode, DESK_M_REF if M is None else count("%s M" % name, M))
+    if mode != "exact":
+        raise ValueError("%s mode must be 'exact' or 'ewp', got %r" % (name, mode))
+    if M is not None:
+        raise ValueError("%s M=%r is only read in mode 'ewp'; an exact reference"
+                         " takes none" % (name, M))
+    return ReferenceSpec(mode)
+
+
+def _out_dir(name, value):
+    if not (value is None or isinstance(value, str)):
+        raise ValueError("%s must be a string or null, got %r" % (name, value))
+    return value
+
+
+# Each StudyConfig field's one rule, rule(name, value): the value with its
+# type and range checked and made canonical, or a ValueError whose message
+# starts with name; nothing is coerced.  StudyConfig.validated() and the
+# command line, which adds a JSON key's file and line, call it.
+FIELD_RULES = {
+    "problem": _problem,
+    "N": count,
+    "K": lambda name, value: None if value is None else count(name, value),
+    "T": positive,
+    "M_list": _M_list,
+    "realizations": count,
+    "schemes": _schemes,
+    "reference": _reference,
+    "seed": lambda name, value: count(name, value, 0),
+    "out_dir": _out_dir,
+}
 
 
 @dataclass(frozen=True)
@@ -113,86 +154,36 @@ class StudyConfig:
 
     def validated(self):
         """Canonical copy with defaults resolved; raises ConfigError."""
-        for fld in fields(self):
-            why = field_type_error(fld.name, getattr(self, fld.name))
-            if why:
-                raise ConfigError("%s %s" % (fld.name, why))
-        if self.problem not in BUILTIN_PROBLEMS:
-            raise ConfigError(
-                "unknown problem %r (have: %s)"
-                % (self.problem, ", ".join(sorted(BUILTIN_PROBLEMS)))
-            )
-        if self.N < 1:
-            raise ConfigError("N must be >= 1")
-        if self.K is not None and self.K < 1:
-            raise ConfigError("K must be >= 1 (or null for the problem's default)")
-        # compared, not converted: float() of a huge integer overflows
-        if not 0 < self.T <= sys.float_info.max:
-            raise ConfigError("T must be finite and > 0")
-        if self.realizations < 1:
-            raise ConfigError("realizations must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
-
-        M_list = tuple(int(M) for M in self.M_list)
-        if not M_list or any(M < 1 for M in M_list):
-            raise ConfigError("M_list must be nonempty positive integers")
-        if len(set(M_list)) != len(M_list):
-            raise ConfigError("M_list has duplicates")
-        M_list = tuple(sorted(M_list))
-        fine = M_list[-1]
-        for M in M_list:
-            if fine % M:
-                raise ConfigError("every M in M_list must divide max(M_list)"
-                                  " (got %d vs %d)" % (M, fine))
-
+        # each field's own rule, then the checks that combine fields
         try:
-            probe = builtin_problem(self.problem, self.N, self.K)
+            cfg = replace(self, **{key: rule(key, getattr(self, key))
+                                   for key, rule in FIELD_RULES.items()})
+            probe = builtin_problem(cfg.problem, cfg.N, cfg.K)
         except ValueError as e:
             raise ConfigError(str(e)) from e
 
-        ref = self.reference
-        if ref is None:
-            ref = (ReferenceSpec("exact") if probe.exact is not None
-                   else ReferenceSpec("ewp", DESK_M_REF))
-        elif isinstance(ref, dict):
-            ref = ReferenceSpec(**ref)
+        ref = cfg.reference or (ReferenceSpec("exact") if probe.exact is not None
+                                else ReferenceSpec("ewp", DESK_M_REF))
         if ref.mode == "exact":
-            if ref.M is not None:
-                raise ConfigError("reference M=%r is only read in mode 'ewp';"
-                                  " an exact reference takes none" % (ref.M,))
             if probe.exact is None:
-                raise ConfigError("problem %r has no exact solution" % self.problem)
+                raise ConfigError("problem %r has no exact solution" % cfg.problem)
             if probe.qspec.K != 1:
                 raise ConfigError("exact reference needs a single noise mode")
-        elif ref.mode == "ewp":
-            M_ref = DESK_M_REF if ref.M is None else int(ref.M)
-            if M_ref < fine or M_ref % fine:
-                raise ConfigError(
-                    "reference M=%d must be a multiple of max(M_list)=%d"
-                    % (M_ref, fine)
-                )
-            ref = ReferenceSpec("ewp", M_ref)
-        else:
-            raise ConfigError("reference mode must be 'exact' or 'ewp'")
+        elif ref.M % cfg.M_list[-1]:
+            raise ConfigError("reference M=%d must be a multiple of max(M_list)=%d"
+                              % (ref.M, cfg.M_list[-1]))
+        cfg = replace(cfg, reference=ref)
 
-        schemes = tuple(self.schemes)
-        if not schemes:
-            raise ConfigError("schemes list is empty")
-        labels = []
-        for sel in schemes:
-            try:
-                labels.append(resolve_scheme(sel).label)
-            except ValueError as e:
-                raise ConfigError("bad scheme entry %r: %s" % (sel, e)) from e
-        if len(set(labels)) != len(labels):
-            raise ConfigError("scheme labels must be unique: %s" % (labels,))
-
-        cfg = replace(self, M_list=M_list, reference=ref, schemes=schemes,
-                      T=float(self.T))
-        if cfg.T / fine_steps(cfg) < sys.float_info.min:
+        fine = fine_steps(cfg)
+        fine_key = "reference" if ref.mode == "ewp" else "M_list"
+        for key, shape in (("realizations", (cfg.realizations, len(cfg.schemes), len(cfg.M_list))),
+                           (fine_key, (2, fine, probe.qspec.K))):
+            if 8 * math.prod(shape) > np.iinfo(np.intp).max:
+                raise ConfigError("%s is too large: a float64 array of shape %s is more than"
+                                  " numpy can address" % (key, shape))
+        if cfg.T / fine < sys.float_info.min:
             raise ConfigError("T=%r is too small: its fine step T/%d is below the"
-                              " smallest normal float" % (self.T, fine_steps(cfg)))
+                              " smallest normal float" % (cfg.T, fine))
         return cfg
 
 
@@ -403,10 +394,17 @@ _POOL_STATE = None
 
 def _pool_init(cfg):
     global _POOL_STATE
-    _POOL_STATE = _StudyState(cfg)
+    try:
+        _POOL_STATE = _StudyState(cfg)
+    except Exception as e:
+        # a pool replaces a worker whose initializer raises, forever: keep
+        # the error for _pool_task to raise in run_study, as on one worker
+        _POOL_STATE = e
 
 
 def _pool_task(r):
+    if isinstance(_POOL_STATE, Exception):
+        raise _POOL_STATE
     return _POOL_STATE.realization(r)
 
 

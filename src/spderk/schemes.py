@@ -50,14 +50,13 @@ own calls into StepContext.counters, so the ledger is the work done.
 """
 
 import math
-import numbers
 from dataclasses import astuple, dataclass
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapabilityError, DimensionError, DivergenceError, count, positive
+from .errors import CapabilityError, DimensionError, DivergenceError, count, is_real, positive
 from .nemytskii import eval_coeff
 from .qwiener import (
     CHUNK_STEPS,
@@ -538,8 +537,7 @@ def resolve_scheme(scheme):
 
     if name == "erkm15":
         c = params.pop("c", (1.0,) * 7)
-        if not (isinstance(c, (list, tuple)) and len(c) == 7 and all(
-                isinstance(x, numbers.Real) and not isinstance(x, bool) for x in c)):
+        if not (isinstance(c, (list, tuple)) and len(c) == 7 and all(map(is_real, c))):
             raise ValueError("erkm15 'c' must be a list of 7 numbers, got %r" % (c,))
         step, noise = partial(erkm_step, erkm15_tableau(c)), _theta_noise
     elif name == "ewp":

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from dataclasses import asdict, fields
@@ -37,6 +38,23 @@ def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     code = run_cli(argv, out=out, err=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def _run_process(argv, timeout=60):
+    """Exit status, stdout and stderr of `spderk argv`, run in a session
+    of its own, which is killed with any workers and fails the test if
+    it has not ended within timeout seconds."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "spderk.cli"] + argv,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("spderk %s did not end within %d s" % (" ".join(argv), timeout))
+    return proc.returncode, out.decode(), err.decode()
 
 
 def _power_table(scheme, gamma, M_values=(4, 8, 16)):
@@ -116,7 +134,7 @@ def test_config_diagnostics(tmp_path):
     bad.write_text('{\n  "schemes": [{"name": "exe", "label": "N"}],\n  "N": 3.7,\n'
                    '  "problem": "example1"\n}\n')
     code, _, err = _run(["study", str(bad)])
-    assert code == 1 and "line 3: key 'N' must be an integer" in err
+    assert code == 1 and "line 3: N must be an integer" in err
 
     bad.write_text('{"N": 8}')
     code, _, err = _run(["study", str(bad)])
@@ -151,27 +169,43 @@ def test_config_diagnostics(tmp_path):
         ("N", "abc", "integer"),
         ("N", 3.7, "integer"),
         ("realizations", True, "integer"),
-        ("T", "x", "number"),
+        ("T", "x", "finite and > 0"),
         ("M_list", [8, 16.5], "list of integers"),
         ("schemes", "exe", "list of scheme entries"),
         ("reference", {"mode": "ewp", "M": "big"}, "reference"),
         ("out_dir", 3, "string"),
+        # each field's rule checks the range with the type
+        ("N", 0, "N must be an integer >= 1, got 0"),
+        ("K", 0, "K must be an integer >= 1, got 0"),
+        ("T", 0, "T must be finite and > 0, got 0"),
+        ("realizations", 0, "realizations must be an integer >= 1, got 0"),
+        ("seed", -1, "seed must be an integer >= 0, got -1"),
+        ("M_list", [], "M_list must be a non-empty list of integers >= 1"),
+        ("M_list", [8, 8], "M_list entries must be distinct and each divide the largest"),
+        ("M_list", [8, 12], "M_list entries must be distinct and each divide the largest"),
+        ("schemes", [], "schemes must be a non-empty list of scheme entries"),
+        ("schemes", ["exe", "nope"], "schemes entry 'nope': unknown scheme 'nope'"),
+        ("schemes", ["exe", {"name": "lie", "label": "exe"}],
+         "schemes must have unique labels, got ['exe', 'exe']"),
+        ("problem", "nope", "problem must be one of example1, example2, example3"),
+        ("reference", {"mode": "x"}, "reference mode must be 'exact' or 'ewp', got 'x'"),
     ],
 )
 def test_config_type_errors(tmp_path, key, value, phrase):
+    # an error confined to one field names the file, the key's line and the key
     cfg_path = _write_config(tmp_path, **{key: value})
     text = cfg_path.read_text()
     line = text[:text.index('"%s"' % key)].count("\n") + 1
     with pytest.raises(ConfigError) as exc:
         load_config(str(cfg_path))
     msg = str(exc.value)
-    assert repr(key) in msg and phrase in msg and "line %d" % line in msg
-    code, _, err = _run(["study", str(cfg_path)])
-    assert code == 1 and err.startswith("config error:") and "Traceback" not in err
+    assert msg.startswith("%s: line %d: %s " % (cfg_path, line, key)) and phrase in msg
+    code, out, err = _run(["study", str(cfg_path)])
+    assert code == 1 and err == "config error: %s\n" % msg and out == ""
 
     # without the text the diagnostic still names the key
-    with pytest.raises(ConfigError, match=repr(key)):
-        config_from_dict(dict(problem="example1", **{key: value}))
+    with pytest.raises(ConfigError, match="^<config>: %s " % key):
+        config_from_dict({"problem": "example1", key: value})
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])
@@ -185,7 +219,7 @@ def test_study_rejects_bad_worker_counts(tmp_path, workers):
 @pytest.mark.parametrize(
     "overrides, phrase",
     [
-        (dict(K=-3), "K must be >= 1"),
+        (dict(K=-3), "K must be an integer >= 1"),
         (dict(reference={"mode": "exact", "M": 999}), "exact reference takes none"),
         (dict(schemes=[{"name": "erkm15", "c": ["0.5"] * 7}]), "'c' must be a list of 7"),
         (dict(T=10**400), "T must be finite and > 0"),
@@ -212,6 +246,50 @@ def test_study_rejects_bad_scheme_labels(tmp_path, label):
     code, out, err = _run(["study", str(cfg_path)])
     assert code == 1 and err.startswith("config error:") and "label must be" in err
     assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize(
+    "overrides, phrase",
+    [
+        (dict(realizations=10**20),
+         "realizations is too large: a float64 array of shape (100000000000000000000, 2, 3)"),
+        (dict(M_list=[8, 10**20]),
+         "M_list is too large: a float64 array of shape (2, 100000000000000000000, 1)"),
+    ],
+)
+def test_study_rejects_sizes_numpy_cannot_address(tmp_path, overrides, phrase, workers):
+    # in a process of its own: a pool used to hang on such a study
+    cfg_path = _write_config(tmp_path, **overrides)
+    code, out, err = _run_process(["study", str(cfg_path), "--workers", workers])
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith("config error: ") and phrase in err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_study_set_up_failure_ends_alike_for_any_worker_count(tmp_path, workers):
+    # a fine path of 2^58 steps takes 4 EiB, which no address space holds
+    # (16 TiB, at 2^40 steps, can be granted where memory is overcommitted),
+    # so every worker fails to set up its study; a pool used to replace
+    # such workers forever
+    cfg_path = _write_config(tmp_path, M_list=[8, 2**58], realizations=2, schemes=["lie"])
+    code, out, err = _run_process(["study", str(cfg_path), "--workers", workers])
+    assert code == 2 and out == ""
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["study", "path", "order"])
+def test_file_that_is_not_utf8_is_a_config_error(tmp_path, command):
+    # a UTF-16 byte-order mark is not UTF-8, the encoding of JSON
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"problem": "example1"}'.encode("utf-16-le"))
+    code, out, err = _run([command, str(path)])
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith("config error: %s: " % path) and "0xff" in err
+
+
+def test_every_field_has_one_rule():
+    assert list(experiments.FIELD_RULES) == [fld.name for fld in fields(StudyConfig)]
 
 
 def test_closed_pipe_exits_quietly(tmp_path):

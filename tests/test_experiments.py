@@ -273,6 +273,27 @@ def test_config_rejections(kw):
         dict(reference=ReferenceSpec("ewp", 16.5)),
         dict(problem=None),
         dict(reference={"mode": "ewp", "M": 16, "m": 8}),
+        # each field's rule checks the range with the type
+        dict(N=0),
+        dict(K=0),
+        dict(T=0),
+        dict(realizations=0),
+        dict(seed=-1),
+        dict(M_list=()),
+        dict(M_list=(8, 8)),
+        dict(M_list=(8, 12)),
+        dict(schemes=()),
+        dict(schemes=("exe", "nope")),
+        dict(schemes=("exe", "exe")),
+        dict(problem="nope"),
+        dict(reference={"mode": "x"}),
+        dict(reference={"mode": "exact", "M": 8}),
+        dict(out_dir=3),
+        # what an array of realizations x schemes x M_list entries, or a
+        # fine path of 2 x fine M x K, would take numpy cannot address
+        dict(realizations=10**20),
+        dict(M_list=(8, 10**20), reference={"mode": "exact"}),
+        dict(reference={"mode": "ewp", "M": 10**20}),
     ],
 )
 def test_config_type_rejections(kw):

@@ -63,8 +63,9 @@ def test_cholesky_factor_reproduces_covariance():
 
 
 def test_sample_step_rejects_bad_h():
-    # h <= 0 alone would let nan through, and nan or inf paths are not finite
-    for h in (0.0, -0.1, np.nan, np.inf):
+    # h <= 0 alone would let nan through, and nan or inf paths are not
+    # finite; a string is not compared with 0, it is rejected
+    for h in (0.0, -0.1, np.nan, np.inf, "0.1"):
         with pytest.raises(ValueError, match="^h must be finite and > 0"):
             sample_step(np.random.default_rng(0), scalar_q(), h=h)
         with pytest.raises(ValueError, match="^h must be finite and > 0"):

@@ -590,7 +590,7 @@ def test_context_guards():
     for bad in (2.5, True, 0):
         with pytest.raises(ValueError, match="^M must be an integer >= 1, got %r$" % bad):
             StepContext(p, 1.0, bad)
-    for bad in (0.0, -1.0, math.inf, math.nan):
+    for bad in (0.0, -1.0, math.inf, math.nan, "0.1", None):
         with pytest.raises(ValueError, match="^T must be finite and > 0"):
             StepContext(p, bad)
     # T and M that are each valid but whose step size underflows

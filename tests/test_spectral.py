@@ -189,12 +189,12 @@ def test_phi1_values():
 def test_bad_diagonal_arguments():
     op = LinearOperatorSpec(kappa=1.0, N=3)
     for kind in ("resolvent", "phi1"):
-        for bad in (None, 0.0, -1.0, math.nan, math.inf, True):
+        for bad in (None, 0.0, -1.0, math.nan, math.inf, True, "0.1"):
             with pytest.raises(ValueError, match="^h must be finite and > 0, got %r$" % bad):
                 diagonal_factor(kind, op, h=bad)
             with pytest.raises(ValueError, match="^h must be finite and > 0, got %r$" % bad):
                 apply_diagonal(kind, op, np.ones(3), h=bad)
-    for bad in (None, -1.0, math.nan, math.inf, True):
+    for bad in (None, -1.0, math.nan, math.inf, True, "0"):
         with pytest.raises(ValueError, match="^t must be finite and >= 0, got %r$" % bad):
             diagonal_factor("semigroup", op, t=bad)
         with pytest.raises(ValueError, match="^t must be finite and >= 0, got %r$" % bad):
