@@ -139,6 +139,13 @@ FIELD_RULES = {
 }
 
 
+def _addressable(key, *shape):
+    """A ConfigError naming key if numpy cannot address a float64 array of this shape."""
+    if 8 * math.prod(shape) > np.iinfo(np.intp).max:
+        raise ConfigError("%s is too large: a float64 array of shape %s is more than"
+                          " numpy can address" % (key, shape))
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     problem: str
@@ -158,6 +165,14 @@ class StudyConfig:
         try:
             cfg = replace(self, **{key: rule(key, getattr(self, key))
                                    for key, rule in FIELD_RULES.items()})
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
+        _addressable("realizations", cfg.realizations, len(cfg.schemes), len(cfg.M_list))
+        # the problem's (N, N) transforms and (N, K) noise matrix before it
+        # is built; a K of None is its default, at most N
+        _addressable("N", cfg.N, cfg.N)
+        _addressable("K", cfg.N, cfg.K or 1)
+        try:
             probe = builtin_problem(cfg.problem, cfg.N, cfg.K)
         except ValueError as e:
             raise ConfigError(str(e)) from e
@@ -175,15 +190,16 @@ class StudyConfig:
         cfg = replace(cfg, reference=ref)
 
         fine = fine_steps(cfg)
-        fine_key = "reference" if ref.mode == "ewp" else "M_list"
-        for key, shape in (("realizations", (cfg.realizations, len(cfg.schemes), len(cfg.M_list))),
-                           (fine_key, (2, fine, probe.qspec.K))):
-            if 8 * math.prod(shape) > np.iinfo(np.intp).max:
-                raise ConfigError("%s is too large: a float64 array of shape %s is more than"
-                                  " numpy can address" % (key, shape))
-        if cfg.T / fine < sys.float_info.min:
+        _addressable("reference" if ref.mode == "ewp" else "M_list", 2, fine, probe.qspec.K)
+        h = cfg.T / fine
+        if h < sys.float_info.min:
             raise ConfigError("T=%r is too small: its fine step T/%d is below the"
                               " smallest normal float" % (cfg.T, fine))
+        try:
+            h**1.5  # the scale of the mixed integrals sample_path draws
+        except OverflowError:
+            raise ConfigError("T=%r is too large: its fine step T/%d raised to the"
+                              " power 1.5 overflows" % (cfg.T, fine)) from None
         return cfg
 
 
@@ -359,7 +375,7 @@ class _StudyState:
         The fine path is sampled into the study's own arrays.  The
         reference and each scheme on each coarsened level run on that
         step count's context, and each solve streams its noise fields
-        through a buffer of its own (see schemes.solve).
+        one chunk of steps at a time (see schemes.solve).
         """
         cfg = self.cfg
         fine = sample_path(self.problem.qspec, self.fine_M, self.ctxs[self.fine_M].h,

@@ -18,14 +18,12 @@ same underlying Brownian data.
 
 On the grid a step's noise is two fields, the increment dW = G dB and
 its time integral Iw = G I (G[p, j] = sqrt(eta_j) e~_j(x_p)).  They are
-the only random data the steppers read.  One chunk size, CHUNK_STEPS,
+the only random data the steppers read; theta_weights(dB, I, G) builds
+them for one step or a chunk of steps.  One chunk size, CHUNK_STEPS,
 carries them from sampler to stepper: sample_path draws its normals
-CHUNK_STEPS steps at a time, and noise_fields fills a caller's buffer
-with the fields of at most CHUNK_STEPS consecutive steps, which
-schemes.solve steps through before it fills the next chunk.
-theta_weights(dB, I, G) builds the same two fields for one step, and
-sample_step draws one step's (dB, I); both are plain arrays, the
-per-step oracles of the chunked path.
+CHUNK_STEPS steps at a time, and schemes.solve builds the fields of at
+most CHUNK_STEPS steps at a time and steps through them.  sample_step
+draws one step's (dB, I), the per-step oracle of the chunked path.
 """
 
 from dataclasses import dataclass
@@ -43,14 +41,13 @@ __all__ = [
     "gsq_field",
     "noise_matrix",
     "theta_weights",
-    "noise_fields",
     "dump_path",
     "CHUNK_STEPS",
 ]
 
-# steps per chunk of normals drawn by sample_path and per noise-field
-# table filled by noise_fields; bounds their buffers for any path length
-# (a 64-node table of 64 steps is 32 KiB)
+# steps per chunk of normals drawn by sample_path and per pair of
+# noise-field tables schemes.solve builds with theta_weights; bounds
+# their arrays for any path length (a 64-node table of 64 steps is 32 KiB)
 CHUNK_STEPS = 64
 
 
@@ -117,7 +114,10 @@ class NoisePath:
 def _joint_pair(z, h, dB, I):
     # triangular factor of [[h, h^2/2], [h^2/2, h^3/3]] applied to the
     # normals z[..., 0:2], written into dB and I; z[..., 1] is overwritten
-    root = h**1.5
+    try:
+        root = h**1.5
+    except OverflowError:
+        raise ValueError("h=%r is too large: h**1.5 overflows" % (h,)) from None
     np.multiply(np.sqrt(h), z[..., 0], out=dB)
     np.multiply(root / 2.0, z[..., 0], out=I)
     z1 = z[..., 1]
@@ -128,7 +128,7 @@ def _joint_pair(z, h, dB, I):
 def sample_step(rng_stream, q, h):
     """Draw one step's per-mode (dB, I), two (K,) arrays, from an
     externally managed generator stream."""
-    positive("h", h)
+    h = positive("h", h)
     z = rng_stream.standard_normal((q.K, 2))
     dB, I = np.empty(q.K), np.empty(q.K)
     _joint_pair(z, h, dB, I)
@@ -225,46 +225,22 @@ def noise_matrix(q, grid):
 
 
 def theta_weights(dB, I, G):
-    """The noise fields (dW, Iw) of one step on the grid, from its
-    per-mode (dB, I) and the noise matrix G (noise_matrix; a problem's
-    is ProblemSpec.G):
+    """The noise fields dW(x) = sum_j sqrt(eta_j) dB_j e~_j(x) and Iw(x),
+    the same sum over the mixed integrals I_j, from the noise matrix G
+    (noise_matrix; a problem's is ProblemSpec.G) and one step's (K,)
+    vectors dB and I, or a chunk's (rows, K) tables, K = G.shape[1].
 
-        dW(x) = sum_j sqrt(eta_j) dB_j e~_j(x),   Iw(x) the same sum over
-        the mixed integrals I_j.
-
-    Every stepper reads these two fields together with the context's h
-    and gsq; a scheme's noise function turns them into the step's row
-    (see schemes.Scheme).  dB and I must be (K,) vectors, K = G.shape[1].
+    The fields have the leading shape of dB.  Each row is its own G @ dB
+    matrix-vector product, so a chunk's rows equal its steps' fields to
+    the bit (one matrix-matrix product would differ in the last bits).
+    It keeps its one-step name, under which bench/tracing.py traces it.
     """
     K = G.shape[1]
     dB, I = np.asarray(dB, dtype=float), np.asarray(I, dtype=float)
-    if dB.shape != (K,) or I.shape != (K,):
+    if dB.shape != I.shape or dB.ndim not in (1, 2) or dB.shape[-1] != K:
         raise DimensionError("step of shapes %r and %r, noise matrix has %d modes"
                              % (dB.shape, I.shape, K))
-    return G @ dB, G @ I
-
-
-def noise_fields(path, G, m0, out):
-    """(dW, Iw) tables of the steps m0 .. m1-1 of a path, where
-    m1 = min(m0 + CHUNK_STEPS, M); row i holds the fields of step m0 + i.
-
-    The tables are written into out, a (2, >= m1 - m0, n_nodes) array,
-    and returned as views of it.  Each table is one stacked product, a
-    G @ dB[m] matrix-vector product per row, so the rows equal
-    theta_weights' to the bit (one matrix-matrix product would differ in
-    the last bits).
-    """
-    if not 0 <= m0 < path.M:
-        raise ValueError("m0=%d is not a step of a %d-step path" % (m0, path.M))
-    m1 = min(m0 + CHUNK_STEPS, path.M)
-    n = m1 - m0
-    if out.ndim != 3 or out.shape[0] != 2 or out.shape[1] < n or out.shape[2] != G.shape[0]:
-        raise DimensionError("out must have shape (2, >=%d, %d), got %r"
-                             % (n, G.shape[0], out.shape))
-    dW, Iw = out[0, :n], out[1, :n]
-    np.matmul(G, path.dB[m0:m1, :, None], out=dW[:, :, None])
-    np.matmul(G, path.I[m0:m1, :, None], out=Iw[:, :, None])
-    return dW, Iw
+    return np.matmul(G, dB[..., None])[..., 0], np.matmul(G, I[..., None])[..., 0]
 
 
 def dump_path(path, fh):

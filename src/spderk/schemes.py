@@ -26,14 +26,14 @@ once when it is built -- y is the spectral state and row the step's row
 of noise factors.  The only random input of a step is the pair of noise
 fields (dW, Iw) on the grid, two bare arrays.  solve(ctx, scheme, path)
 streams them one chunk of at most qwiener.CHUNK_STEPS steps at a time:
-it fills its own buffer with the chunk's fields (qwiener.noise_fields),
-builds from them the factors the stepper reads that depend on the noise
-alone, one elementwise operation per factor -- dW^2, dW^3, h dW - Iw and
+it builds the chunk's (rows, n) field tables with theta_weights, builds
+from them the factors the stepper reads that depend on the noise alone,
+one elementwise operation per factor -- dW^2, dW^3, h dW - Iw and
 Iw - (h/2) dW for ewp, the theta weights for erkm_step (`theta_fields`),
 dW^2 - h gsq for the baselines -- and steps through the chunk's rows.
-The noise functions are elementwise, so each row equals the factors
-computed from its step's two 1-d fields alone, bit for bit, and a single
-step outside solve is
+theta_weights and the noise functions work row by row, so each row
+equals the factors computed from its step's (K,) vectors alone, bit for
+bit, and a single step outside solve is
 
     dW, Iw = theta_weights(path.dB[m], path.I[m], ctx.G)
     row = scheme.noise(ctx, dW, Iw)
@@ -58,11 +58,7 @@ import numpy as np
 
 from .errors import CapabilityError, DimensionError, DivergenceError, count, is_real, positive
 from .nemytskii import eval_coeff
-from .qwiener import (
-    CHUNK_STEPS,
-    noise_fields,
-    theta_weights,  # noqa: F401 - bench/tracing.py wraps it as schemes.theta_weights
-)
+from .qwiener import CHUNK_STEPS, theta_weights
 from .spectral import diagonal_factor, to_physical, to_spectral
 
 __all__ = [
@@ -214,8 +210,7 @@ class StepContext:
     ewp for a derivative map.  Each bound map adds 1 to its field of
     counters, an EvalCounters, per call and returns the map's array
     untouched.  A context holds only what (problem, T, M) fixes, and
-    those counters: the state and the noise are the stepper's y and row,
-    and solve owns its noise-field buffer.
+    those counters: the state and the noise are the stepper's y and row.
     """
 
     def __init__(self, problem, T, M=1):
@@ -564,12 +559,11 @@ def solve(ctx, scheme, path):
     it.  Any non-finite coefficient aborts with a DivergenceError naming
     the scheme, step and mode.
 
-    Only the current state and one chunk are held: the path's noise
-    fields are filled into this solve's own (2, min(M, CHUNK_STEPS),
-    n_nodes) buffer a chunk at a time (qwiener.noise_fields), the
-    factors the stepper reads besides dW and Iw are built from them, one
-    elementwise operation per factor, and the stepper runs through the
-    chunk's rows.  The path comes from the caller, so it is checked
+    Only the current state and one chunk are held: theta_weights builds
+    the noise fields of at most CHUNK_STEPS steps of the path at a time,
+    the factors the stepper reads besides dW and Iw are built from them,
+    one elementwise operation per factor, and the stepper runs through
+    the chunk's rows.  The path comes from the caller, so it is checked
     once, against the context (M, T and K).  After each step one dot
     product y.y tests the state; only a non-finite result (a non-finite
     entry, or finite entries whose squares overflow) scans the entries.
@@ -587,9 +581,9 @@ def solve(ctx, scheme, path):
     if K != path.K:
         raise DimensionError("path has %d noise modes, problem %d" % (path.K, K))
     y = ctx.problem.initial_coeffs
-    tables = np.empty((2, min(M, CHUNK_STEPS), ctx.grid.n_nodes))
     for m0 in range(0, M, CHUNK_STEPS):
-        rows = zip(*scheme.noise(ctx, *noise_fields(path, ctx.G, m0, tables)))
+        chunk = slice(m0, m0 + CHUNK_STEPS)
+        rows = zip(*scheme.noise(ctx, *theta_weights(path.dB[chunk], path.I[chunk], ctx.G)))
         for m, row in enumerate(rows, m0):
             y = scheme.step(ctx, y, row)
             if not math.isfinite(np.vdot(y, y)):

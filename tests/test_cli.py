@@ -256,6 +256,14 @@ def test_study_rejects_bad_scheme_labels(tmp_path, label):
          "realizations is too large: a float64 array of shape (100000000000000000000, 2, 3)"),
         (dict(M_list=[8, 10**20]),
          "M_list is too large: a float64 array of shape (2, 100000000000000000000, 1)"),
+        # the problem's own arrays, checked before it is built
+        (dict(N=10**20),
+         "N is too large: a float64 array of shape (100000000000000000000,"
+         " 100000000000000000000)"),
+        (dict(problem="example2", K=10**20, reference={"mode": "ewp", "M": 32}),
+         "K is too large: a float64 array of shape (8, 100000000000000000000)"),
+        (dict(problem="example2", K=2**62, reference={"mode": "ewp", "M": 32}),
+         "K is too large: a float64 array of shape (8, 4611686018427387904)"),
     ],
 )
 def test_study_rejects_sizes_numpy_cannot_address(tmp_path, overrides, phrase, workers):
@@ -264,6 +272,24 @@ def test_study_rejects_sizes_numpy_cannot_address(tmp_path, overrides, phrase, w
     code, out, err = _run_process(["study", str(cfg_path), "--workers", workers])
     assert code == 1 and out == "" and err.count("\n") == 1
     assert err.startswith("config error: ") and phrase in err
+
+
+@pytest.mark.parametrize("argv", [["study", "--workers", "1"], ["study", "--workers", "2"],
+                                  ["path"]])
+def test_huge_T_is_a_config_error(tmp_path, argv):
+    # the fine step's h**1.5, the scale of its mixed integrals, overflows;
+    # it used to end in an OverflowError traceback
+    cfg_path = _write_config(tmp_path, T=1e300, M_list=[8, 16, 32], realizations=2,
+                             schemes=["exe"])
+    code, out, err = _run_process(argv[:1] + [str(cfg_path)] + argv[1:])
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err == "config error: T=1e+300 is too large: its fine step T/32 raised to" \
+                  " the power 1.5 overflows\n"
+    # a T whose fine step's power is finite still runs
+    cfg_path = _write_config(tmp_path, T=1e150, M_list=[8, 16, 32], realizations=2,
+                             schemes=["exe"])
+    code, out, err = _run(argv[:1] + [str(cfg_path)] + argv[1:])
+    assert code == 0 and err == "", err
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

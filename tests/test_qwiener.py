@@ -15,7 +15,6 @@ from spderk.qwiener import (
     coarsen,
     dump_path,
     gsq_field,
-    noise_fields,
     noise_matrix,
     sample_path,
     sample_step,
@@ -70,6 +69,17 @@ def test_sample_step_rejects_bad_h():
             sample_step(np.random.default_rng(0), scalar_q(), h=h)
         with pytest.raises(ValueError, match="^h must be finite and > 0"):
             sample_path(scalar_q(), 4, h, 0)
+
+
+def test_sample_step_rejects_h_whose_power_overflows():
+    # I scales with h**1.5, which a float power raises on, not rounds to inf
+    for h in (1e300, 2**683):
+        with pytest.raises(ValueError, match="^h=.* is too large: h\\*\\*1.5 overflows"):
+            sample_step(np.random.default_rng(0), scalar_q(), h)
+        with pytest.raises(ValueError, match="^h=.* is too large: h\\*\\*1.5 overflows"):
+            sample_path(scalar_q(), 8, h, 0)
+    dB, I = sample_step(np.random.default_rng(0), scalar_q(), 1e150)
+    assert np.all(np.isfinite(I))
 
 
 def test_sample_path_is_reproducible():
@@ -307,54 +317,59 @@ def test_theta_identities_against_mode_sums(seed, K, N, h):
     assert np.all(np.abs(theta[5] - expect21) <= 1e-12 * scale21)
 
 
-def test_noise_fields_rows_equal_theta_weights():
-    # the tables of a path shorter than a chunk are bit-identical to
-    # per-step assembly; a buffer with spare rows leaves them unused
-    q = QSpec(5, [1.0, 0.5, 0.25, 0.125, 0.0625])
+@pytest.mark.parametrize("K", [1, 5])
+def test_theta_weights_chunk_rows_equal_single_steps(K):
+    # a chunk's rows are bit-identical to the single-step fields and to
+    # G @ dB[m], for a full chunk and a 3-row one
+    q = QSpec(K, 2.0 ** -np.arange(K))
     grid = SineBasisGrid(12)
     G = noise_matrix(q, grid)
-    path = sample_path(q, 16, 1 / 16, base_seed=3)
-    buf = np.full((2, 20, grid.n_nodes), np.nan)
-    dW, Iw = noise_fields(path, G, 0, buf)
-    assert dW.shape == Iw.shape == (16, grid.n_nodes)
-    assert np.all(np.isnan(buf[:, 16:]))
-    for m in range(path.M):
-        dW_m, Iw_m = theta_weights(path.dB[m], path.I[m], G)
-        assert np.array_equal(dW[m], dW_m) and np.array_equal(Iw[m], Iw_m)
+    path = sample_path(q, CHUNK_STEPS + 3, 1 / 16, base_seed=3)
+    for chunk in (slice(0, CHUNK_STEPS), slice(CHUNK_STEPS, None)):
+        dW, Iw = theta_weights(path.dB[chunk], path.I[chunk], G)
+        n = path.dB[chunk].shape[0]
+        assert dW.shape == Iw.shape == (n, grid.n_nodes) and n in (CHUNK_STEPS, 3)
+        for i, m in enumerate(range(path.M)[chunk]):
+            dW_m, Iw_m = theta_weights(path.dB[m], path.I[m], G)
+            assert dW_m.shape == Iw_m.shape == (grid.n_nodes,)
+            assert np.array_equal(dW[i], dW_m) and np.array_equal(Iw[i], Iw_m)
+            assert np.array_equal(dW_m, G @ path.dB[m]) and np.array_equal(Iw_m, G @ path.I[m])
 
 
-def test_noise_fields_chunks_cover_a_long_path():
-    # tables of at most CHUNK_STEPS steps, row i of the chunk at m0 being
-    # step m0 + i, bit-identical to per-step assembly, in a reused buffer
+def test_theta_weights_chunks_cover_a_long_path():
+    # chunks of at most CHUNK_STEPS steps, row i of the chunk at m0 being
+    # step m0 + i, bit-identical to per-step assembly
     q = QSpec(3, [1.0, 0.5, 0.25])
     grid = SineBasisGrid(6)
     G = noise_matrix(q, grid)
     M = 2 * CHUNK_STEPS + 3
     path = sample_path(q, M, 1.0 / M, base_seed=8)
-    buf = np.empty((2, CHUNK_STEPS, grid.n_nodes))
     for m0, n in ((0, CHUNK_STEPS), (CHUNK_STEPS, CHUNK_STEPS), (2 * CHUNK_STEPS, 3)):
-        dW, Iw = noise_fields(path, G, m0, buf)
+        chunk = slice(m0, m0 + CHUNK_STEPS)
+        dW, Iw = theta_weights(path.dB[chunk], path.I[chunk], G)
         assert dW.shape == Iw.shape == (n, grid.n_nodes)
-        assert np.shares_memory(dW, buf) and np.shares_memory(Iw, buf)
         for i in (0, n // 2, n - 1):
             dW_m, Iw_m = theta_weights(path.dB[m0 + i], path.I[m0 + i], G)
             assert np.array_equal(dW[i], dW_m) and np.array_equal(Iw[i], Iw_m)
-    with pytest.raises(ValueError, match="m0"):
-        noise_fields(path, G, M, buf)
-    with pytest.raises(DimensionError, match="out"):
-        noise_fields(path, G, 0, np.empty((2, 4, grid.n_nodes)))
-    with pytest.raises(TypeError):
-        noise_fields(path, G, 0)  # out is required
 
 
 def test_theta_mode_mismatch_rejected():
-    # K is read off G: a step of another mode count, or a mixed integral
-    # of another shape than its increment, is rejected
+    # K is read off G: a step or chunk of another mode count, a mixed
+    # integral of another shape than its increment, or an input of more
+    # than two dimensions is rejected
     G = noise_matrix(QSpec(2, [1.0, 1.0]), SineBasisGrid(5))
     with pytest.raises(DimensionError, match="noise matrix has 2 modes"):
         theta_weights(np.zeros(3), np.zeros(3), G)
+    with pytest.raises(DimensionError, match=r"shapes \(4, 3\) and \(4, 3\)"):
+        theta_weights(np.zeros((4, 3)), np.zeros((4, 3)), G)
     with pytest.raises(DimensionError, match=r"shapes \(2,\) and \(1,\)"):
         theta_weights(np.zeros(2), np.zeros(1), G)
+    with pytest.raises(DimensionError, match=r"shapes \(4, 2\) and \(3, 2\)"):
+        theta_weights(np.zeros((4, 2)), np.zeros((3, 2)), G)
+    with pytest.raises(DimensionError, match=r"shapes \(1, 4, 2\) and \(1, 4, 2\)"):
+        theta_weights(np.zeros((1, 4, 2)), np.zeros((1, 4, 2)), G)
+    with pytest.raises(DimensionError, match=r"shapes \(\) and \(\)"):
+        theta_weights(0.0, 0.0, G)
 
 
 def test_theta_monte_carlo_moments():

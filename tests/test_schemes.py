@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import spderk.schemes as schemes
 from spderk.errors import CapabilityError, DimensionError, DivergenceError
 from spderk.nemytskii import ProblemSpec, builtin_problem
 from spderk.qwiener import (
@@ -728,3 +729,23 @@ def test_solve_streams_chunks_like_stepping_by_hand(scheme):
         path = sample_path(p.qspec, M, 0.5 / M, 31, realization=M)
         y = solve(ctx, scheme, path)
         assert np.array_equal(y, _step_by_hand(p, scheme, path, ctx)), M
+
+
+def test_solve_takes_its_fields_from_theta_weights_per_chunk(monkeypatch):
+    # one call of schemes.theta_weights per chunk: 64, 64 and 3 rows at
+    # M = 2 CHUNK_STEPS + 3, and the same terminal state as unwrapped
+    p = builtin_problem("example3", 8)
+    M = 2 * CHUNK_STEPS + 3
+    ctx = StepContext(p, 0.5, M)
+    path = sample_path(p.qspec, M, 0.5 / M, 4)
+    expect = solve(ctx, "erkm15", path)
+    rows = []
+
+    def counting(dB, I, G):
+        rows.append(len(dB))
+        return theta_weights(dB, I, G)
+
+    monkeypatch.setattr(schemes, "theta_weights", counting)
+    y = solve(ctx, "erkm15", path)
+    assert rows == [CHUNK_STEPS, CHUNK_STEPS, 3]
+    assert np.array_equal(y, expect)
