@@ -3,12 +3,12 @@ semilinear SPDEs with multiplicative Nemytskii noise on (0, 1).
 
 The pieces, bottom up:
 
-* :mod:`spderk.spectral`   -- sine eigenbasis, transforms, diagonal operator actions
+* :mod:`spderk.spectral`   -- sine eigenbasis, transforms, diagonal operator factors
 * :mod:`spderk.qwiener`    -- Q-Wiener sampling, mixed integrals, coarsening, noise fields
 * :mod:`spderk.nemytskii`  -- problem definitions and pointwise f/b evaluation
-* :mod:`spderk.schemes`    -- one-step integrators (ERKM1.5, closed form, baselines)
+* :mod:`spderk.schemes`    -- one-step integrators (ERKM1.5, exponential Wagner-Platen, baselines)
 * :mod:`spderk.experiments`-- Monte-Carlo convergence studies and order fitting
-* :mod:`spderk.cli`        -- command-line front end (study / path / selftest / order)
+* :mod:`spderk.cli`        -- command-line front end (study / path / order)
 """
 
 from .errors import (
@@ -22,9 +22,7 @@ from .errors import (
 from .spectral import (
     LinearOperatorSpec,
     SineBasisGrid,
-    apply_diagonal,
     diagonal_factor,
-    h_r_norm,
     to_physical,
     to_spectral,
 )

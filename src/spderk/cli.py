@@ -7,7 +7,6 @@ Subcommands:
   local slopes between adjacent step sizes;
 * ``path <config>``   -- dump one realization's fine driving path (the one
   the study samples) as delimited text;
-* ``selftest``        -- run the per-module invariant checks;
 * ``order <table>``   -- refit convergence orders (and local slopes) from an
   existing table.
 
@@ -18,8 +17,9 @@ confined to one field are rejected with the file, the line and the key.
 SPDERK_SEED (ASCII digits only) and SPDERK_OUT_DIR override the config.
 
 Exit codes, the same for any --workers: 0 success, 1 usage/config error
-or output pipe closed by the reader, 2 study or check failure or out of
-memory.  A worker killed from outside (say by the OOM killer) is not handled.
+or output pipe closed by the reader, 2 study failure, fitted orders
+outside their bands under --assert-orders, or out of memory.  A worker
+killed from outside (say by the OOM killer) is not handled.
 """
 
 import argparse
@@ -48,7 +48,6 @@ from .experiments import (
 from .nemytskii import builtin_problem
 from .qwiener import dump_path, sample_path
 from .schemes import resolve_scheme
-from .selftest import run_selftests
 
 __all__ = ["load_config", "config_from_dict", "run_cli", "main"]
 
@@ -266,14 +265,6 @@ def _cmd_path(args, out, err):
     return 0
 
 
-def _cmd_selftest(args, out, err):
-    failed = run_selftests(write=lambda line: print(line, file=out))
-    if failed:
-        print("%d check(s) failed" % failed, file=err)
-        return 2
-    return 0
-
-
 def _cmd_order(args, out, err):
     try:
         with open(args.table) as fh:
@@ -310,8 +301,6 @@ def _build_parser():
     p_path.add_argument("config", help="JSON config file")
     p_path.add_argument("--realization", type=int, default=0)
 
-    sub.add_parser("selftest", help="run per-module invariant checks")
-
     p_order = sub.add_parser("order", help="refit orders from a table file")
     p_order.add_argument("table", help="CSV error table")
 
@@ -321,7 +310,6 @@ def _build_parser():
 _COMMANDS = {
     "study": _cmd_study,
     "path": _cmd_path,
-    "selftest": _cmd_selftest,
     "order": _cmd_order,
 }
 

@@ -22,8 +22,7 @@ the only random data the steppers read; theta_weights(dB, I, G) builds
 them for one step or a chunk of steps.  One chunk size, CHUNK_STEPS,
 carries them from sampler to stepper: sample_path draws its normals
 CHUNK_STEPS steps at a time, and schemes.solve builds the fields of at
-most CHUNK_STEPS steps at a time and steps through them.  sample_step
-draws one step's (dB, I), the per-step oracle of the chunked path.
+most CHUNK_STEPS steps at a time and steps through them.
 """
 
 from dataclasses import dataclass
@@ -35,7 +34,6 @@ from .errors import DimensionError, count, positive
 __all__ = [
     "QSpec",
     "NoisePath",
-    "sample_step",
     "sample_path",
     "coarsen",
     "gsq_field",
@@ -125,16 +123,6 @@ def _joint_pair(z, h, dB, I):
     I += z1
 
 
-def sample_step(rng_stream, q, h):
-    """Draw one step's per-mode (dB, I), two (K,) arrays, from an
-    externally managed generator stream."""
-    h = positive("h", h)
-    z = rng_stream.standard_normal((q.K, 2))
-    dB, I = np.empty(q.K), np.empty(q.K)
-    _joint_pair(z, h, dB, I)
-    return dB, I
-
-
 def sample_path(q, M, h, base_seed, realization=0, out=None):
     """Sample a full path of M steps.
 
@@ -144,7 +132,7 @@ def sample_path(q, M, h, base_seed, realization=0, out=None):
     workers run or in which order realizations complete.  The normals
     are drawn CHUNK_STEPS steps at a time and scaled in place into the
     path's arrays; chunked draws from the same stream produce the same
-    numbers as one draw (see sample_step).  out, a (2, M, K) float64
+    numbers as one draw.  out, a (2, M, K) float64
     array, receives dB and I in place of new arrays, so a study can
     reuse one pair of path arrays across its realizations; any other
     dtype is a ValueError, not a silent cast.

@@ -8,12 +8,7 @@ Contents:
 * the ERKM1.5 tableau family (`erkm15_tableau`), the paper's table as
   data, parametrized by seven nonzero reals c_1..c_7;
 * the exponential Wagner-Platen stepper (`ewp_step`), the derivative
-  based order-1.5 baseline, and the same step with difference quotients
-  for its derivative terms: ERKM1.5 in summed closed form
-  (`erkm15_closed_form_step`) with generalized, possibly h-dependent
-  coefficients c^_1..c^_8 -- not a study scheme, but an oracle for
-  erkm_step (`hatted_coefficients` gives the mapping under which both
-  agree);
+  based order-1.5 baseline;
 * linear-implicit Euler, exponential Euler and derivative-free Milstein
   baselines (`baseline_step`);
 * the one parser of scheme selectors (`resolve_scheme`) and a driver
@@ -50,7 +45,7 @@ own calls into StepContext.counters, so the ledger is the work done.
 """
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
@@ -67,8 +62,6 @@ __all__ = [
     "erkm15_tableau",
     "theta_fields",
     "erkm_step",
-    "erkm15_closed_form_step",
-    "hatted_coefficients",
     "ewp_step",
     "baseline_step",
     "Scheme",
@@ -90,16 +83,6 @@ class EvalCounters:
     f_yy: int = 0
     b_y: int = 0
     b_yy: int = 0
-
-    @property
-    def total(self):
-        return sum(astuple(self))
-
-    def copy(self):
-        return EvalCounters(*astuple(self))
-
-    def __sub__(self, other):
-        return EvalCounters(*(a - b for a, b in zip(astuple(self), astuple(other))))
 
 
 class ERKM15Tableau(NamedTuple):
@@ -123,16 +106,6 @@ class ERKM15Tableau(NamedTuple):
     gamma: np.ndarray
 
 
-def _coefficients(c, n, name):
-    """c as n floats, all finite and nonzero; else DimensionError or ValueError."""
-    c = np.asarray(c, dtype=float)
-    if c.shape != (n,):
-        raise DimensionError("%s must have %d entries" % (name, n))
-    if np.any(c == 0.0) or not np.all(np.isfinite(c)):
-        raise ValueError("%s must be finite and nonzero" % name)
-    return c
-
-
 def erkm15_tableau(c):
     """The six-stage ERKM1.5 tableau for coefficients c = (c_1..c_7).
 
@@ -146,7 +119,11 @@ def erkm15_tableau(c):
     1/(4 c_3) there, an erratum: that row sums to zero, as consistency
     requires, only at c_3 = 1.
     """
-    c = _coefficients(c, 7, "c")
+    c = np.asarray(c, dtype=float)
+    if c.shape != (7,):
+        raise DimensionError("c must have 7 entries")
+    if np.any(c == 0.0) or not np.all(np.isfinite(c)):
+        raise ValueError("c must be finite and nonzero")
     c1, c2, c3, c4, c5, c6, c7 = c
     s = 6
     A01, A11, B01, B02, B11, B12 = (np.zeros((s, s)) for _ in range(6))
@@ -352,22 +329,16 @@ def erkm_step(tab, ctx, y, noise):
     return ctx.E_h2 * (ctx.E_h2 * y + bracket)
 
 
-def hatted_coefficients(c, h):
-    """Map ERKM1.5 coefficients c_1..c_7 to the generalized c^_1..c^_8
-    under which the closed-form step is identical to erkm_step."""
-    c = np.asarray(c, dtype=float)
-    sqh = math.sqrt(h)
-    # c_6 gives both c^_6 and c^_7
-    return np.array([h, h, sqh, h, h, sqh, sqh, h]) * c[[0, 1, 2, 3, 4, 5, 5, 6]]
+def ewp_step(ctx, y, noise):
+    """One step of the exponential Wagner-Platen scheme.
 
-
-def _wagner_platen_step(ctx, y, noise, terms):
-    """The order-1.5 Wagner-Platen step of ewp_step and the closed form.
-
-    Evaluates f, b and D = A y + f(y) at the state y, asks terms(ctx, yp,
-    fY, bY, D) for seven (a, c) pairs whose products stand for f'D, f'b,
-    f''b^2, b'D, b'b, b''b^2 and b'^2 b, and sums the 12 terms left to
-    right; noise is a row of _wagner_platen_noise.
+    Needs the pointwise derivative maps f_y, f_yy, b_y, b_yy; at state
+    dimension 1 every operator derivative collapses to a pointwise
+    product, and the step costs 6 distinct function/derivative
+    evaluations.  Evaluates f, b and D = A y + f(y) at the state y, then
+    the four derivatives there, and sums the 12 terms of the order-1.5
+    expansion left to right; noise is the step's row of
+    _wagner_platen_noise.
     """
     dW, Iw, dW2, dW3, hdW_Iw, Iw_hdW = noise
     h = ctx.h
@@ -378,81 +349,29 @@ def _wagner_platen_step(ctx, y, noise, terms):
     fY = eval_coeff(ctx.f, yp, grid)
     bY = eval_coeff(ctx.b, yp, grid)
     D = to_physical(ctx.neg_lam * y, grid) + fY
-    ((a1, c1), (a2, c2), (a3, c3), (a4, c4), (a5, c5), (a6, c6),
-     (a7, c7)) = terms(ctx, yp, fY, bY, D)
-
-    S = (
-        h * fY
-        + 0.5 * h * h * a1 * c1
-        + a2 * c2 * Iw
-        + 0.25 * h * h * a3 * c3 * gsq
-        + bY * dW
-        + a4 * c4 * hdW_Iw
-        + 0.5 * a5 * c5 * dW2
-        + (1.0 / 6.0) * a6 * c6 * dW3
-        + (1.0 / 6.0) * a7 * c7 * dW3
-        - 0.5 * h * a5 * c5 * gsq
-        - 0.5 * a6 * c6 * gsq * Iw
-        - 0.5 * h * a7 * c7 * gsq * dW
-    )
-    bracket = to_spectral(S, grid) + ctx.neg_lam * to_spectral(bY * Iw_hdW, grid)
-    return ctx.E_h2 * (ctx.E_h2 * y + bracket)
-
-
-def erkm15_closed_form_step(chat, ctx, y, noise):
-    """One step of the summed scheme with generalized coefficients from
-    the state y; noise is a row of ewp's noise factors
-    (resolve_scheme("ewp").noise).
-
-    chat = (c^_1 .. c^_8), all nonzero, possibly h-dependent.  This is an
-    independent formulation used as an oracle for erkm_step; the
-    two coincide under hatted_coefficients(c, h).  It is ewp_step with
-    difference quotients for the derivative terms: 5 f- and 6
-    b-evaluations, 7 b-evaluations when c^_7 != c^_6.
-    """
-    g1, g2, g3, g4, g5, g6, g7, g8 = _coefficients(chat, 8, "chat")
-
-    def quotients(ctx, yp, fY, bY, D):
-        f, b, grid = ctx.f, ctx.b, ctx.grid
-        f_plus = eval_coeff(f, yp + g3 * bY, grid)
-        f_minus = eval_coeff(f, yp - g3 * bY, grid)
-        b_plus = eval_coeff(b, yp + g6 * bY, grid)
-        b_minus = eval_coeff(b, yp - g6 * bY, grid)
-        b_7 = b_plus if g7 == g6 else eval_coeff(b, yp + g7 * bY, grid)
-        return (
-            (eval_coeff(f, yp + g1 * D, grid) - fY, 1.0 / g1),
-            (eval_coeff(f, yp + g2 * bY, grid) - fY, 1.0 / g2),
-            (f_plus - 2.0 * fY + f_minus, 1.0 / g3**2),
-            (eval_coeff(b, yp + g4 * D, grid) - bY, 1.0 / g4),
-            (eval_coeff(b, yp + g5 * bY, grid) - bY, 1.0 / g5),
-            (b_plus - 2.0 * bY + b_minus, 1.0 / g6**2),
-            (eval_coeff(b, yp + (g8 / g7) * (b_7 - bY), grid) - bY, 1.0 / g8),
-        )
-
-    return _wagner_platen_step(ctx, y, noise, quotients)
-
-
-def _derivatives(ctx, yp, fY, bY, D):
-    """ewp's Taylor terms from the pointwise derivative maps."""
-    grid = ctx.grid
     f_y = eval_coeff(ctx.f_y, yp, grid)
     f_yy = eval_coeff(ctx.f_yy, yp, grid)
     b_y = eval_coeff(ctx.b_y, yp, grid)
     b_yy = eval_coeff(ctx.b_yy, yp, grid)
     bY2 = bY**2
-    return ((f_y, D), (f_y, bY), (f_yy, bY2), (b_y, D), (b_y, bY), (b_yy, bY2),
-            (b_y**2, bY))
+    b_y2 = b_y**2
 
-
-def ewp_step(ctx, y, noise):
-    """One step of the exponential Wagner-Platen scheme.
-
-    Needs the pointwise derivative maps f_y, f_yy, b_y, b_yy; at state
-    dimension 1 every operator derivative collapses to a pointwise
-    product, and the step costs 6 distinct function/derivative
-    evaluations.  noise is the step's row of _wagner_platen_noise.
-    """
-    return _wagner_platen_step(ctx, y, noise, _derivatives)
+    S = (
+        h * fY
+        + 0.5 * h * h * f_y * D
+        + f_y * bY * Iw
+        + 0.25 * h * h * f_yy * bY2 * gsq
+        + bY * dW
+        + b_y * D * hdW_Iw
+        + 0.5 * b_y * bY * dW2
+        + (1.0 / 6.0) * b_yy * bY2 * dW3
+        + (1.0 / 6.0) * b_y2 * bY * dW3
+        - 0.5 * h * b_y * bY * gsq
+        - 0.5 * b_yy * bY2 * gsq * Iw
+        - 0.5 * h * b_y2 * bY * gsq * dW
+    )
+    bracket = to_spectral(S, grid) + ctx.neg_lam * to_spectral(bY * Iw_hdW, grid)
+    return ctx.E_h2 * (ctx.E_h2 * y + bracket)
 
 
 def baseline_step(kind, ctx, y, noise):

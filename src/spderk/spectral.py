@@ -26,9 +26,7 @@ __all__ = [
     "LinearOperatorSpec",
     "to_physical",
     "to_spectral",
-    "apply_diagonal",
     "diagonal_factor",
-    "h_r_norm",
 ]
 
 
@@ -136,20 +134,3 @@ def diagonal_factor(kind, op, t=None, h=None):
         # -expm1(-z)/z is accurate down to z -> 0 (limit 1)
         return -np.expm1(-z) / z
     raise ValueError("unknown diagonal kind %r" % (kind,))
-
-
-def apply_diagonal(kind, op, field, t=None, h=None):
-    """Apply a diagonal function of A to a spectral field (see diagonal_factor)."""
-    field = _check_len(field, op.N, "apply_diagonal")
-    return diagonal_factor(kind, op, t=t, h=h) * field
-
-
-def h_r_norm(op, r, field):
-    """Interpolation-space norm ||(-A)^r v|| = (sum lambda_k^(2r) a_k^2)^(1/2).
-
-    r = 0 reduces to the H norm, which by Parseval is the plain l2 norm
-    of the coefficients (identical arithmetic, not just close).
-    """
-    field = _check_len(field, op.N, "h_r_norm")
-    w = op.eigenvalues ** float(r)
-    return float(np.sqrt(np.sum((w * field) ** 2)))

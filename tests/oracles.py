@@ -1,0 +1,107 @@
+"""Independent formulations the tests compare the library against.
+
+None of these is part of spderk: each restates a quantity the library
+computes another way, so a test that checks one against the other sees
+a fault in either.  Tests import this module as `import oracles`.
+
+* erkm15_closed_form_step -- the ERKM1.5 step in summed closed form:
+  ewp's order-1.5 sum with a difference quotient for every derivative
+  term, on generalized coefficients c^_1..c^_8; hatted_coefficients maps
+  the tableau's c_1..c_7 to the c^ under which it equals erkm_step;
+* apply_diagonal, h_r_norm -- a diagonal function of A applied to a
+  spectral field, and the interpolation-space norms;
+* sample_step -- one step's (dB, I) drawn from a generator, with the
+  triangular factor of the joint covariance written out.
+"""
+
+import math
+
+import numpy as np
+
+from spderk.nemytskii import eval_coeff
+from spderk.spectral import diagonal_factor, to_physical, to_spectral
+
+
+def hatted_coefficients(c, h):
+    """Map ERKM1.5 coefficients c_1..c_7 to the generalized c^_1..c^_8
+    under which the closed-form step is identical to erkm_step."""
+    c = np.asarray(c, dtype=float)
+    sqh = math.sqrt(h)
+    # c_6 gives both c^_6 and c^_7
+    return np.array([h, h, sqh, h, h, sqh, sqh, h]) * c[[0, 1, 2, 3, 4, 5, 5, 6]]
+
+
+def erkm15_closed_form_step(chat, ctx, y, noise):
+    """One step of the summed scheme with generalized coefficients chat =
+    (c^_1 .. c^_8), all nonzero, from the state y; noise is a row of
+    ewp's noise factors (resolve_scheme("ewp").noise).
+
+    Evaluates f, b and D = A y + f(y) at y, replaces ewp's seven
+    derivative products f'D, f'b, f''b^2, b'D, b'b, b''b^2 and b'^2 b by
+    difference quotients and sums the 12 terms left to right: 5 f- and
+    6 b-evaluations, 7 b-evaluations when c^_7 != c^_6.
+    """
+    g1, g2, g3, g4, g5, g6, g7, g8 = chat
+    dW, Iw, dW2, dW3, hdW_Iw, Iw_hdW = noise
+    h, grid, gsq, f, b = ctx.h, ctx.grid, ctx.gsq, ctx.f, ctx.b
+    yp = to_physical(y, grid)
+
+    fY = eval_coeff(f, yp, grid)
+    bY = eval_coeff(b, yp, grid)
+    D = to_physical(ctx.neg_lam * y, grid) + fY
+    f_plus = eval_coeff(f, yp + g3 * bY, grid)
+    f_minus = eval_coeff(f, yp - g3 * bY, grid)
+    b_plus = eval_coeff(b, yp + g6 * bY, grid)
+    b_minus = eval_coeff(b, yp - g6 * bY, grid)
+    b_7 = b_plus if g7 == g6 else eval_coeff(b, yp + g7 * bY, grid)
+    fD = (eval_coeff(f, yp + g1 * D, grid) - fY) / g1
+    fb = (eval_coeff(f, yp + g2 * bY, grid) - fY) / g2
+    fbb = (f_plus - 2.0 * fY + f_minus) / g3**2
+    bD = (eval_coeff(b, yp + g4 * D, grid) - bY) / g4
+    bb = (eval_coeff(b, yp + g5 * bY, grid) - bY) / g5
+    bbb = (b_plus - 2.0 * bY + b_minus) / g6**2
+    b2b = (eval_coeff(b, yp + (g8 / g7) * (b_7 - bY), grid) - bY) / g8
+
+    S = (
+        h * fY
+        + 0.5 * h * h * fD
+        + fb * Iw
+        + 0.25 * h * h * fbb * gsq
+        + bY * dW
+        + bD * hdW_Iw
+        + 0.5 * bb * dW2
+        + (1.0 / 6.0) * bbb * dW3
+        + (1.0 / 6.0) * b2b * dW3
+        - 0.5 * h * bb * gsq
+        - 0.5 * bbb * gsq * Iw
+        - 0.5 * h * b2b * gsq * dW
+    )
+    bracket = to_spectral(S, grid) + ctx.neg_lam * to_spectral(bY * Iw_hdW, grid)
+    return ctx.E_h2 * (ctx.E_h2 * y + bracket)
+
+
+def apply_diagonal(kind, op, field, t=None, h=None):
+    """A diagonal function of A (see spderk.spectral.diagonal_factor)
+    applied to a spectral field."""
+    return diagonal_factor(kind, op, t=t, h=h) * np.asarray(field, dtype=float)
+
+
+def h_r_norm(op, r, field):
+    """Interpolation-space norm ||(-A)^r v|| = (sum lambda_k^(2r) a_k^2)^(1/2).
+
+    r = 0 reduces to the H norm, which by Parseval is the plain l2 norm
+    of the coefficients (identical arithmetic, not just close).
+    """
+    w = op.eigenvalues ** float(r)
+    return float(np.sqrt(np.sum((w * np.asarray(field, dtype=float)) ** 2)))
+
+
+def sample_step(rng, q, h):
+    """One step's per-mode (dB, I), two (K,) arrays, from the (K, 2)
+    normals z the generator rng draws next:
+
+        dB = sqrt(h) z1,   I = h^1.5/2 z1 + h^1.5/(2 sqrt(3)) z2.
+    """
+    z = rng.standard_normal((q.K, 2))
+    root = h**1.5
+    return np.sqrt(h) * z[:, 0], (root / 2.0) * z[:, 0] + (root / (2.0 * np.sqrt(3.0))) * z[:, 1]

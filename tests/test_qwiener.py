@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from spderk.errors import DimensionError
 from spderk.qwiener import (
     CHUNK_STEPS,
@@ -17,7 +18,6 @@ from spderk.qwiener import (
     gsq_field,
     noise_matrix,
     sample_path,
-    sample_step,
     theta_weights,
 )
 from spderk.schemes import theta_fields
@@ -25,7 +25,9 @@ from spderk.spectral import SineBasisGrid
 
 
 class _FixedNormals:
-    """Stub generator feeding prescribed z values into sample_step."""
+    """Stub generator feeding prescribed z values into oracles.sample_step,
+    whose factor sample_path applies bit for bit (see
+    test_sample_path_equals_chunked_sample_step)."""
 
     def __init__(self, z):
         self.z = np.asarray(z, dtype=float)
@@ -41,11 +43,11 @@ def scalar_q():
 
 def test_cholesky_factor_frozen_examples():
     q = scalar_q()
-    dB, I = sample_step(_FixedNormals([[0.0, 0.0]]), q, h=1.0)
+    dB, I = oracles.sample_step(_FixedNormals([[0.0, 0.0]]), q, h=1.0)
     assert dB[0] == 0.0 and I[0] == 0.0
-    dB, I = sample_step(_FixedNormals([[1.0, 0.0]]), q, h=1.0)
+    dB, I = oracles.sample_step(_FixedNormals([[1.0, 0.0]]), q, h=1.0)
     assert np.isclose(dB[0], 1.0) and np.isclose(I[0], 0.5)
-    dB, I = sample_step(_FixedNormals([[0.0, 1.0]]), q, h=1.0)
+    dB, I = oracles.sample_step(_FixedNormals([[0.0, 1.0]]), q, h=1.0)
     assert dB[0] == 0.0 and np.isclose(I[0], 1.0 / (2.0 * np.sqrt(3.0)))
 
 
@@ -53,33 +55,29 @@ def test_cholesky_factor_reproduces_covariance():
     # the factor L must satisfy L L^T = [[h, h^2/2], [h^2/2, h^3/3]]
     h = 0.73
     q = scalar_q()
-    a_dB, a_I = sample_step(_FixedNormals([[1.0, 0.0]]), q, h)
-    b_dB, b_I = sample_step(_FixedNormals([[0.0, 1.0]]), q, h)
+    a_dB, a_I = oracles.sample_step(_FixedNormals([[1.0, 0.0]]), q, h)
+    b_dB, b_I = oracles.sample_step(_FixedNormals([[0.0, 1.0]]), q, h)
     L = np.array([[a_dB[0], b_dB[0]], [a_I[0], b_I[0]]])
     C = L @ L.T
     expect = np.array([[h, h**2 / 2.0], [h**2 / 2.0, h**3 / 3.0]])
     assert np.allclose(C, expect, rtol=1e-14)
 
 
-def test_sample_step_rejects_bad_h():
+def test_sample_path_rejects_bad_h():
     # h <= 0 alone would let nan through, and nan or inf paths are not
     # finite; a string is not compared with 0, it is rejected
     for h in (0.0, -0.1, np.nan, np.inf, "0.1"):
         with pytest.raises(ValueError, match="^h must be finite and > 0"):
-            sample_step(np.random.default_rng(0), scalar_q(), h=h)
-        with pytest.raises(ValueError, match="^h must be finite and > 0"):
             sample_path(scalar_q(), 4, h, 0)
 
 
-def test_sample_step_rejects_h_whose_power_overflows():
+def test_sample_path_rejects_h_whose_power_overflows():
     # I scales with h**1.5, which a float power raises on, not rounds to inf
     for h in (1e300, 2**683):
         with pytest.raises(ValueError, match="^h=.* is too large: h\\*\\*1.5 overflows"):
-            sample_step(np.random.default_rng(0), scalar_q(), h)
-        with pytest.raises(ValueError, match="^h=.* is too large: h\\*\\*1.5 overflows"):
             sample_path(scalar_q(), 8, h, 0)
-    dB, I = sample_step(np.random.default_rng(0), scalar_q(), 1e150)
-    assert np.all(np.isfinite(I))
+    path = sample_path(scalar_q(), 1, 1e150, 0)
+    assert np.all(np.isfinite(path.I))
 
 
 def test_sample_path_is_reproducible():
@@ -93,14 +91,15 @@ def test_sample_path_is_reproducible():
 
 def test_sample_path_equals_chunked_sample_step():
     # bulk (M, K, 2) draw and M successive (K, 2) draws consume the same
-    # stream, so the documented layout is an honest contract
+    # stream, so the documented layout is an honest contract; each step
+    # is scaled by the oracle's own triangular factor
     q = QSpec(3, [1.0, 0.5, 0.25])
     M, h = 8, 0.125
     path = sample_path(q, M, h, base_seed=7, realization=1)
     seq = np.random.SeedSequence([7, 1])
     rng = np.random.Generator(np.random.Philox(seq))
     for m in range(M):
-        dB, I = sample_step(rng, q, h)
+        dB, I = oracles.sample_step(rng, q, h)
         assert np.array_equal(dB, path.dB[m])
         assert np.array_equal(I, path.I[m])
 
@@ -302,7 +301,7 @@ def test_theta_identities_against_mode_sums(seed, K, N, h):
     eta = rng.uniform(0.0, 2.0, K)
     q = QSpec(K, eta)
     grid = SineBasisGrid(N)
-    dB, I = sample_step(rng, q, h)
+    dB, I = oracles.sample_step(rng, q, h)
     theta = theta_fields(*theta_weights(dB, I, noise_matrix(q, grid)), h, gsq_field(q, grid))
 
     modes = np.sqrt(2.0) * np.sin(np.pi * np.outer(grid.nodes, np.arange(1, K + 1)))

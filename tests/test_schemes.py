@@ -11,12 +11,13 @@ import json
 import math
 import os
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import oracles
 import spderk.schemes as schemes
 from spderk.errors import CapabilityError, DimensionError, DivergenceError
 from spderk.nemytskii import ProblemSpec, builtin_problem
@@ -32,11 +33,9 @@ from spderk.schemes import (
     SCHEME_NAMES,
     StepContext,
     baseline_step,
-    erkm15_closed_form_step,
     erkm15_tableau,
     erkm_step,
     ewp_step,
-    hatted_coefficients,
     resolve_scheme,
     solve,
 )
@@ -174,8 +173,8 @@ def test_tableau_matches_closed_form(data, seed):
     y = _decaying_state(16, seed + 1)
 
     via_tableau = erkm_step(erkm15_tableau(c), ctx, y, _row("erkm15", ctx, dW, Iw))
-    via_sum = erkm15_closed_form_step(hatted_coefficients(c, h), ctx, y,
-                                      _row("ewp", ctx, dW, Iw))
+    via_sum = oracles.erkm15_closed_form_step(oracles.hatted_coefficients(c, h), ctx, y,
+                                              _row("ewp", ctx, dW, Iw))
 
     scale = max(1.0, np.abs(via_tableau).max(), np.abs(via_sum).max())
     assert np.abs(via_tableau - via_sum).max() <= 1e-12 * scale
@@ -213,27 +212,24 @@ def test_erkm15_tends_to_ewp_as_c_shrinks():
 
 
 def test_eval_counts_table1():
+    # each step on a fresh context, whose ledger then holds that step's
+    # (f, b, f_y, f_yy, b_y, b_yy) evaluations alone
     p = builtin_problem("example3", 12)
     ctx, ((dW, Iw),) = _context_for(p, 0.2, seed=5)
     y = _decaying_state(12, 2)
     wp_row = _row("ewp", ctx, dW, Iw)
 
-    before = ctx.counters.copy()
     erkm_step(erkm15_tableau(np.full(7, 0.7)), ctx, y, _row("erkm15", ctx, dW, Iw))
-    d = ctx.counters - before
-    assert (d.f, d.b) == (5, 6)
-    assert d.total == 11
+    assert astuple(ctx.counters) == (5, 6, 0, 0, 0, 0)
 
-    before = ctx.counters.copy()
-    erkm15_closed_form_step(hatted_coefficients(np.full(7, 0.7), ctx.h), ctx, y, wp_row)
-    d = ctx.counters - before
-    assert (d.f, d.b) == (5, 6)
+    ctx = StepContext(p, 0.2)
+    oracles.erkm15_closed_form_step(oracles.hatted_coefficients(np.full(7, 0.7), ctx.h),
+                                    ctx, y, wp_row)
+    assert astuple(ctx.counters) == (5, 6, 0, 0, 0, 0)
 
-    before = ctx.counters.copy()
+    ctx = StepContext(p, 0.2)
     ewp_step(ctx, y, wp_row)
-    d = ctx.counters - before
-    assert (d.f, d.b, d.f_y, d.f_yy, d.b_y, d.b_yy) == (1, 1, 1, 1, 1, 1)
-    assert d.total == 6
+    assert astuple(ctx.counters) == (1, 1, 1, 1, 1, 1)
 
 
 # the A7 cost model: (f, b, f_y, f_yy, b_y, b_yy) evaluations per step
@@ -282,18 +278,17 @@ def test_deterministic_exactness():
             prefix = NoisePath(path.dB[:m], path.I[:m], h)
             y = solve(StepContext(p, m * h, m), scheme, prefix)
             np.testing.assert_allclose(y, expected[m], rtol=1e-12, atol=0.0)
-    # the closed form, stepped by hand: under hatted_coefficients
-    # (5 f + 6 b per step) and with c^_7 != c^_6 (a 7th b evaluation)
-    ctx = StepContext(p, h)
-    hatted = hatted_coefficients(np.ones(7), h)
+    # the closed form, stepped by hand on a fresh context per step: under
+    # hatted_coefficients (5 f + 6 b per step) and with c^_7 != c^_6 (a
+    # 7th b evaluation)
+    hatted = oracles.hatted_coefficients(np.ones(7), h)
     for chat, b_evals in ((hatted, 6), (np.r_[hatted[:6], 0.5, hatted[7]], 7)):
         y = p.initial_coeffs
         for m in range(M):
+            ctx = StepContext(p, h)
             dW, Iw = theta_weights(path.dB[m], path.I[m], ctx.G)
-            before = ctx.counters.copy()
-            y = erkm15_closed_form_step(chat, ctx, y, _row("ewp", ctx, dW, Iw))
-            d = ctx.counters - before
-            assert (d.f, d.b, d.total) == (5, b_evals, 5 + b_evals)
+            y = oracles.erkm15_closed_form_step(chat, ctx, y, _row("ewp", ctx, dW, Iw))
+            assert astuple(ctx.counters) == (5, b_evals, 0, 0, 0, 0)
             np.testing.assert_allclose(y, expected[m + 1], rtol=1e-12, atol=0.0)
 
 
@@ -341,6 +336,27 @@ def test_exe_constant_forcing_is_exact():
     assert np.abs(grouped - exact).max() > 1e-6
 
 
+def _one_plus_x(x, y):
+    return 1.0 + x
+
+
+@pytest.mark.parametrize("M", [1, 7, 64])
+def test_exe_is_exact_for_forcing_that_depends_on_x(M):
+    # f(x, y) = 1 + x, not symmetric about x = 1/2, and b = 0: exe is
+    # exact for the projected forcing F, mode by mode
+    #     Y_M = e^{-lambda T} Y_0 + (1 - e^{-lambda T}) / lambda F,
+    # so it sees the x that eval_coeff passes: the nodes in another
+    # order, or scaled to (0, 2), miss it
+    N, T = 16, 1.0
+    q = QSpec(1, np.array([1.0]), "scalar_constant")
+    p = ProblemSpec(0.1, _one_plus_x, _zero, _decaying_state(N, 4), q)
+    F = to_spectral(1.0 + p.grid.nodes, p.grid)
+    lam = LinearOperatorSpec(0.1, N).eigenvalues
+    exact = np.exp(-lam * T) * p.initial_coeffs + (-np.expm1(-lam * T)) / lam * F
+    y = solve(StepContext(p, T, M), "exe", sample_path(q, M, T / M, 0))
+    np.testing.assert_allclose(y, exact, rtol=1e-12, atol=0.0)
+
+
 def test_dfmm_difference_quotient_linear_noise():
     # for b(y) = y the shifted evaluation collapses to sqrt(h) * y, so the
     # correction is y (dW^2 - h gsq) / 2; assembled here independently
@@ -357,7 +373,8 @@ def test_dfmm_difference_quotient_linear_noise():
 
 
 def _closed_form(ctx, y, noise):
-    return erkm15_closed_form_step(hatted_coefficients(np.ones(7), ctx.h), ctx, y, noise)
+    return oracles.erkm15_closed_form_step(oracles.hatted_coefficients(np.ones(7), ctx.h),
+                                           ctx, y, noise)
 
 
 @pytest.mark.parametrize("scheme", ["ewp", "erkm15", "closed-form", "dfmm"])
