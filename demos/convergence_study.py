@@ -18,8 +18,6 @@ The same study is available from the command line:
 with the configuration echoed into <out_dir>/<problem>_meta.json.
 """
 
-import numpy as np
-
 from spderk import ReferenceSpec, StudyConfig, fit_order, run_study
 
 cfg = StudyConfig(

@@ -14,7 +14,8 @@ Configs are UTF-8 JSON objects whose keys are the fields of
 experiments.StudyConfig; missing keys fall back to its desk-scale
 defaults.  Unknown keys, keys given twice in one object and every error
 confined to one field are rejected with the file, the line and the key.
-SPDERK_SEED (ASCII digits only) and SPDERK_OUT_DIR override the config.
+The config file is a study's only input besides its flags.  The error
+table and the metadata file are written, and a table is read, as UTF-8.
 
 Exit codes, the same for any --workers: 0 success, 1 usage/config error
 or output pipe closed by the reader, 2 study failure, fitted orders
@@ -28,7 +29,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
@@ -162,19 +163,6 @@ def load_config(path):
     return config_from_dict(data, source=path, text=text)
 
 
-def _apply_env(cfg):
-    seed = os.environ.get("SPDERK_SEED")
-    if seed is not None:
-        # int() alone would also take " 3", "1_0", "+3" and non-ASCII digits
-        if not (seed.isascii() and seed.isdigit()):
-            raise ConfigError("SPDERK_SEED must be ASCII digits, got %r" % (seed,))
-        cfg = replace(cfg, seed=int(seed))
-    out_dir = os.environ.get("SPDERK_OUT_DIR")
-    if out_dir:
-        cfg = replace(cfg, out_dir=out_dir)
-    return cfg
-
-
 def check_order_bands(cfg, table):
     """Breach messages for every banded scheme whose fitted slope falls
     outside the acceptance window (or cannot be fitted)."""
@@ -209,7 +197,7 @@ def _print_orders(summary, table, out):
 
 
 def _cmd_study(args, out, err):
-    cfg = _apply_env(load_config(args.config)).validated()
+    cfg = load_config(args.config).validated()
     # a bad worker count or output directory fails before the study runs
     workers = worker_count(args.workers)
     out_dir = cfg.out_dir or "."
@@ -233,9 +221,9 @@ def _cmd_study(args, out, err):
         },
     }
     try:
-        with open(table_path, "w") as fh:
+        with open(table_path, "w", encoding="utf-8") as fh:
             table.write_csv(fh)
-        with open(meta_path, "w") as fh:
+        with open(meta_path, "w", encoding="utf-8") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
             fh.write("\n")
     except OSError as e:
@@ -257,7 +245,7 @@ def _cmd_study(args, out, err):
 def _cmd_path(args, out, err):
     if args.realization < 0:
         raise ConfigError("--realization must be >= 0, got %d" % args.realization)
-    cfg = _apply_env(load_config(args.config)).validated()
+    cfg = load_config(args.config).validated()
     M = fine_steps(cfg)
     problem = builtin_problem(cfg.problem, cfg.N, cfg.K)
     path = sample_path(problem.qspec, M, cfg.T / M, cfg.seed, args.realization)
@@ -267,7 +255,7 @@ def _cmd_path(args, out, err):
 
 def _cmd_order(args, out, err):
     try:
-        with open(args.table) as fh:
+        with open(args.table, encoding="utf-8") as fh:
             table = ErrorTable.read_csv(fh)
     except OSError as e:
         raise ConfigError(str(e)) from e

@@ -1,9 +1,8 @@
 """Command-line behavior: config parsing and diagnostics, exit codes,
-output files, environment overrides, order refitting."""
+output files and their encoding, order refitting."""
 
 import io
 import json
-import math
 import os
 import signal
 import subprocess
@@ -40,11 +39,13 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _run_process(argv, timeout=60):
-    """Exit status, stdout and stderr of `spderk argv`, run in a session
-    of its own, which is killed with any workers and fails the test if
-    it has not ended within timeout seconds."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+def _run_process(argv, timeout=60, **env_vars):
+    """Exit status, stdout and stderr of `spderk argv`, run with env_vars
+    added to the environment in a session of its own, which is killed
+    with any workers and fails the test if it has not ended within
+    timeout seconds."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)),
+               **env_vars)
     proc = subprocess.Popen([sys.executable, "-m", "spderk.cli"] + argv,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
                             start_new_session=True)
@@ -96,23 +97,37 @@ def test_study_end_to_end(tmp_path):
     assert (table_file.read_bytes(), meta_file.read_bytes()) == before
 
 
-def test_env_overrides(tmp_path, monkeypatch):
-    cfg_path = _write_config(tmp_path)
+def test_config_file_is_the_only_input_besides_the_flags(tmp_path, monkeypatch):
+    # no environment variable reaches a study: with these exported, the
+    # seed, the output directory and the sampled path are the config's
+    cfg_path = _write_config(tmp_path, M_list=[4], schemes=["exe"])
+    code, path_out, err = _run(["path", str(cfg_path)])
+    assert code == 0, err
     other = tmp_path / "elsewhere"
     monkeypatch.setenv("SPDERK_SEED", "9")
     monkeypatch.setenv("SPDERK_OUT_DIR", str(other))
     code, out, err = _run(["study", str(cfg_path)])
     assert code == 0, err
-    meta = json.loads((other / "example1_meta.json").read_text())
-    assert meta["seed"] == 9
-    # ASCII digits only: int() would take " 3", "1_0", "+3" and "\u0663" (3)
-    for bad in ("not-a-number", "", " 3", "3 ", "1_0", "+3", "-1", "\u0663", "3.0"):
-        monkeypatch.setenv("SPDERK_SEED", bad)
-        code, _, err = _run(["study", str(cfg_path)])
-        assert code == 1 and "SPDERK_SEED" in err and repr(bad) in err, bad
-    monkeypatch.setenv("SPDERK_SEED", "0042")
-    assert _run(["study", str(cfg_path)])[0] == 0
-    assert json.loads((other / "example1_meta.json").read_text())["seed"] == 42
+    meta = json.loads((tmp_path / "out" / "example1_meta.json").read_text())
+    assert meta["seed"] == meta["config"]["seed"] == 5
+    assert not other.exists()
+    assert _run(["path", str(cfg_path)]) == (0, path_out, "")
+
+
+def test_output_files_are_utf8_under_any_locale(tmp_path):
+    # an ASCII locale, with UTF-8 mode and locale coercion off; standard
+    # streams stay UTF-8, so only the encoding of the files is tested
+    ascii_locale = dict(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                        PYTHONIOENCODING="utf-8")
+    cfg_path = _write_config(tmp_path, realizations=2,
+                             schemes=[{"name": "erkm15", "label": "erkm-\u00e9"}])
+    code, out, err = _run_process(["study", str(cfg_path), "--workers", "1"], **ascii_locale)
+    assert code == 0 and "Traceback" not in err, err
+    table_path = tmp_path / "out" / "example1_errors.csv"
+    assert "\nerkm-\u00e9,4," in table_path.read_text(encoding="utf-8")
+    code, out, err = _run_process(["order", str(table_path)], **ascii_locale)
+    assert code == 0 and err == "", err
+    assert out.startswith("erkm-\u00e9: fitted order ")
 
 
 def test_config_diagnostics(tmp_path):
@@ -345,9 +360,9 @@ def test_study_checks_out_dir_before_running(tmp_path, monkeypatch):
     code, out, err = _run(["study", str(cfg_path)])
     assert code == 1 and err.startswith("config error:") and str(blocker) in err
     assert "Traceback" not in err and out == ""
-    # SPDERK_OUT_DIR names a directory under that file
-    monkeypatch.setenv("SPDERK_OUT_DIR", str(blocker / "out"))
-    code, out, err = _run(["study", str(_write_config(tmp_path))])
+    # out_dir names a directory under that file
+    cfg_path = _write_config(tmp_path, out_dir=str(blocker / "out"))
+    code, out, err = _run(["study", str(cfg_path)])
     assert code == 1 and err.startswith("config error:") and str(blocker / "out") in err
     assert out == ""
 
