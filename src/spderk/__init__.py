@@ -3,9 +3,9 @@ semilinear SPDEs with multiplicative Nemytskii noise on (0, 1).
 
 The pieces, bottom up:
 
-* :mod:`spderk.spectral`   -- sine eigenbasis, transforms, diagonal operator factors
+* :mod:`spderk.spectral`   -- sine eigenbasis and transforms
 * :mod:`spderk.qwiener`    -- Q-Wiener sampling, mixed integrals, coarsening, noise fields
-* :mod:`spderk.nemytskii`  -- problem definitions and pointwise f/b evaluation
+* :mod:`spderk.nemytskii`  -- problem definitions, operator eigenvalues, pointwise f/b evaluation
 * :mod:`spderk.schemes`    -- one-step integrators (ERKM1.5, exponential Wagner-Platen, baselines)
 * :mod:`spderk.experiments`-- Monte-Carlo convergence studies and order fitting
 * :mod:`spderk.cli`        -- command-line front end (study / path / order)
@@ -19,13 +19,7 @@ from .errors import (
     SpderkError,
     StudyError,
 )
-from .spectral import (
-    LinearOperatorSpec,
-    SineBasisGrid,
-    diagonal_factor,
-    to_physical,
-    to_spectral,
-)
+from .spectral import SineBasisGrid, to_physical, to_spectral
 from .qwiener import (
     NoisePath,
     QSpec,

@@ -1,7 +1,7 @@
 """Exception types shared across the package, and the argument rules
-every module applies: a count is an integer, a span a finite real > 0
-(a time a finite real >= 0).  Each rule raises a ValueError naming the
-argument, whatever the type of the value it is given."""
+every module applies: a count is an integer, a span a finite real > 0.
+Each rule raises a ValueError naming the argument, whatever the type of
+the value it is given."""
 
 import numbers
 import sys
@@ -68,11 +68,4 @@ def positive(name, value):
     Compared, not converted: float() of a huge integer overflows."""
     if not is_real(value) or not 0 < value <= sys.float_info.max:
         raise ValueError("%s must be finite and > 0, got %r" % (name, value))
-    return float(value)
-
-
-def nonnegative(name, value):
-    """value as a float if a finite real >= 0 and not a bool, else a ValueError."""
-    if not is_real(value) or not 0 <= value <= sys.float_info.max:
-        raise ValueError("%s must be finite and >= 0, got %r" % (name, value))
     return float(value)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import count, positive
 from .qwiener import QSpec, gsq_field, noise_matrix
-from .spectral import LinearOperatorSpec, SineBasisGrid
+from .spectral import SineBasisGrid
 
 __all__ = [
     "ProblemSpec",
@@ -46,7 +46,8 @@ class ProblemSpec:
 
     Parameters
     ----------
-    kappa : diffusion constant of the linear part, finite and > 0.
+    kappa : diffusion constant of the linear part, finite and > 0, with
+        kappa pi^2 N^2 finite.
     f, b : pointwise drift / diffusion maps (x, y) -> real.
     initial_coeffs : spectral coefficients of the projected initial value,
         a nonempty 1-d vector of finite reals; its length is N.
@@ -60,10 +61,10 @@ class ProblemSpec:
     A problem is a value, checked once when it is built: its fields
     cannot be assigned, and initial_coeffs is its own read-only float
     copy, so the caller's array may change afterwards.  grid (the
-    SineBasisGrid of the N modes), op (the LinearOperatorSpec of kappa *
-    Laplace on them), G and gsq (the noise matrix and gsq field on the
-    grid) are built on first use from those fields and shared by every
-    StepContext of the problem, so their arrays are read-only too.
+    SineBasisGrid of the N modes), eigenvalues (lambda_k = kappa pi^2 k^2
+    of -A = -kappa * Laplace on them), G and gsq (the noise matrix and gsq
+    field on the grid) are built on first use from those fields and shared
+    by every StepContext of the problem, so their arrays are read-only too.
     """
 
     kappa: float
@@ -88,6 +89,10 @@ class ProblemSpec:
             raise ValueError("initial_coeffs must be finite")
         init.flags.writeable = False
         object.__setattr__(self, "initial_coeffs", init)
+        # the largest eigenvalue, in Python floats: they overflow silently
+        if not np.isfinite(self.kappa * np.pi**2 * float(self.N)**2):
+            raise ValueError("kappa=%r with N=%d: the largest eigenvalue kappa pi^2 N^2"
+                             " overflows" % (self.kappa, self.N))
         if not isinstance(self.qspec, QSpec):
             raise TypeError("qspec must be a QSpec")
         if self.exact is not None:
@@ -104,8 +109,11 @@ class ProblemSpec:
         return SineBasisGrid(self.N)
 
     @cached_property
-    def op(self):
-        return LinearOperatorSpec(self.kappa, self.N)
+    def eigenvalues(self):
+        k = np.arange(1, self.N + 1, dtype=float)
+        lam = self.kappa * np.pi**2 * k**2
+        lam.flags.writeable = False
+        return lam
 
     @cached_property
     def G(self):

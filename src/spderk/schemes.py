@@ -54,7 +54,7 @@ import numpy as np
 from .errors import CapabilityError, DimensionError, DivergenceError, count, is_real, positive
 from .nemytskii import eval_coeff
 from .qwiener import CHUNK_STEPS, theta_weights
-from .spectral import diagonal_factor, to_physical, to_spectral
+from .spectral import to_physical, to_spectral
 
 __all__ = [
     "EvalCounters",
@@ -178,13 +178,15 @@ class StepContext:
     h = T / M is derived here and nowhere else, and solve() matches a
     context to a path by the integer step count; with M=1, T is the step
     size.  grid, G and gsq are the problem's own, shared by all its
-    contexts; the context adds neg_lam and what depends on h: sqh, h_gsq
-    and the factors E_h, E_h2, resolvent and phi1 of problem.op, all
-    read-only, as the problem's own arrays are, since every solve of a
-    study's step count shares them.  It binds the problem's six pointwise
-    maps once, as f, b, f_y, f_yy, b_y and b_yy; a map the problem leaves
-    None raises a CapabilityError when a stepper first calls it, naming
-    ewp for a derivative map.  Each bound map adds 1 to its field of
+    contexts.  From problem.eigenvalues lambda_k it builds neg_lam =
+    -lambda_k and what depends on h: sqh, h_gsq, E_h = exp(-lambda_k h),
+    E_h2 = exp(-lambda_k h/2), resolvent = (1 + h lambda_k)^-1 and phi1 =
+    (1 - exp(-h lambda_k)) / (h lambda_k).  All are read-only, as the
+    problem's own arrays are, since every solve of a study's step count
+    shares them.  It binds the problem's six pointwise maps once, as f,
+    b, f_y, f_yy, b_y and b_yy; a map the problem leaves None raises a
+    CapabilityError when a stepper first calls it, naming ewp for a
+    derivative map.  Each bound map adds 1 to its field of
     counters, an EvalCounters, per call and returns the map's array
     untouched.  A context holds only what (problem, T, M) fixes, and
     those counters: the state and the noise are the stepper's y and row.
@@ -193,18 +195,20 @@ class StepContext:
     def __init__(self, problem, T, M=1):
         self.problem = problem
         self.T, self.M = positive("T", T), count("M", M)
-        self.grid, self.G, self.gsq, op = problem.grid, problem.G, problem.gsq, problem.op
+        self.grid, self.G, self.gsq = problem.grid, problem.G, problem.gsq
         self.h = h = self.T / self.M
         if h == 0.0:
             raise ValueError("T=%r over M=%d steps: the step size T / M underflows to 0"
                              % (self.T, self.M))
         self.sqh = math.sqrt(h)
         self.h_gsq = h * self.gsq
-        self.E_h = diagonal_factor("semigroup", op, t=h)
-        self.E_h2 = diagonal_factor("semigroup", op, t=h / 2.0)
-        self.neg_lam = diagonal_factor("generator", op)
-        self.resolvent = diagonal_factor("resolvent", op, h=h)
-        self.phi1 = diagonal_factor("phi1", op, h=h)
+        lam = problem.eigenvalues
+        self.E_h = np.exp(-lam * h)
+        self.E_h2 = np.exp(-lam * (h / 2.0))
+        self.neg_lam = -lam
+        self.resolvent = 1.0 / (1.0 + h * lam)
+        z = h * lam
+        self.phi1 = -np.expm1(-z) / z  # accurate down to z -> 0 (limit 1)
         for a in (self.h_gsq, self.E_h, self.E_h2, self.neg_lam, self.resolvent, self.phi1):
             a.flags.writeable = False
         self.counters = EvalCounters()

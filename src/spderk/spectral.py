@@ -9,24 +9,23 @@ Solver states live in two equivalent representations:
 
 Pointwise (Nemytskii) operations act in physical space; the linear
 operator A = kappa*Laplace and every function of it are diagonal in
-spectral space.  With these nodes the discrete sine transform of type I
-is exactly invertible for N modes, so switching representations adds no
-quadrature error.  Transforms are dense O(N^2) matrix products, which is
-plenty for the mode counts used here (N <= 256).
+spectral space, -A e_k = lambda_k e_k (ProblemSpec.eigenvalues).  With
+these nodes the discrete sine transform of type I is exactly invertible
+for N modes, so switching representations adds no quadrature error.
+Transforms are dense O(N^2) matrix products, which is plenty for the
+mode counts used here (N <= 256).
 
 Both representations are plain 1-d float arrays; nothing is wrapped.
 """
 
 import numpy as np
 
-from .errors import DimensionError, count, nonnegative, positive
+from .errors import DimensionError, count
 
 __all__ = [
     "SineBasisGrid",
-    "LinearOperatorSpec",
     "to_physical",
     "to_spectral",
-    "diagonal_factor",
 ]
 
 
@@ -62,25 +61,6 @@ class SineBasisGrid:
         return "SineBasisGrid(N=%d)" % self.N
 
 
-class LinearOperatorSpec:
-    """The diagonal model of A = kappa * Laplacian with Dirichlet conditions.
-
-    Eigenpairs are -A e_k = lambda_k e_k with lambda_k = kappa pi^2 k^2,
-    so the spectrum is strictly positive and increasing, and powers of
-    -A need no shift.  eigenvalues is read-only.
-    """
-
-    def __init__(self, kappa, N):
-        self.kappa = positive("kappa", kappa)
-        self.N = count("N", N)
-        k = np.arange(1, self.N + 1, dtype=float)
-        self.eigenvalues = self.kappa * np.pi**2 * k**2
-        self.eigenvalues.flags.writeable = False
-
-    def __repr__(self):
-        return "LinearOperatorSpec(kappa=%g, N=%d)" % (self.kappa, self.N)
-
-
 def _check_len(field, expect, what):
     field = np.asarray(field, dtype=float)
     if field.shape != (expect,):
@@ -108,29 +88,3 @@ def to_spectral(field, grid):
     """
     field = _check_len(field, grid.n_nodes, "to_spectral")
     return grid._anal @ field
-
-
-def diagonal_factor(kind, op, t=None, h=None):
-    """Per-mode multiplier array for a diagonal function of A.
-
-    kind is one of 'semigroup' (needs a finite t >= 0), 'generator',
-    'resolvent' or 'phi1' (each needs a finite h > 0); a missing, nan or
-    infinite t or h raises a ValueError naming it.  Factors:
-
-        semigroup        exp(-lambda_k t)
-        generator        -lambda_k
-        resolvent        (1 + h lambda_k)^(-1)      i.e. (I - hA)^(-1)
-        phi1             (1 - exp(-h lambda_k)) / (h lambda_k)
-    """
-    lam = op.eigenvalues
-    if kind == "semigroup":
-        return np.exp(-lam * nonnegative("t", t))
-    if kind == "generator":
-        return -lam
-    if kind == "resolvent":
-        return 1.0 / (1.0 + positive("h", h) * lam)
-    if kind == "phi1":
-        z = positive("h", h) * lam
-        # -expm1(-z)/z is accurate down to z -> 0 (limit 1)
-        return -np.expm1(-z) / z
-    raise ValueError("unknown diagonal kind %r" % (kind,))

@@ -9,7 +9,8 @@ a fault in either.  Tests import this module as `import oracles`.
   term, on generalized coefficients c^_1..c^_8; hatted_coefficients maps
   the tableau's c_1..c_7 to the c^ under which it equals erkm_step;
 * apply_diagonal, h_r_norm -- a diagonal function of A applied to a
-  spectral field, and the interpolation-space norms;
+  spectral field, and the interpolation-space norms, both from the
+  eigenvalues lambda_k of -A;
 * sample_step -- one step's (dB, I) drawn from a generator, with the
   triangular factor of the joint covariance written out.
 """
@@ -19,7 +20,7 @@ import math
 import numpy as np
 
 from spderk.nemytskii import eval_coeff
-from spderk.spectral import diagonal_factor, to_physical, to_spectral
+from spderk.spectral import to_physical, to_spectral
 
 
 def hatted_coefficients(c, h):
@@ -80,19 +81,37 @@ def erkm15_closed_form_step(chat, ctx, y, noise):
     return ctx.E_h2 * (ctx.E_h2 * y + bracket)
 
 
-def apply_diagonal(kind, op, field, t=None, h=None):
-    """A diagonal function of A (see spderk.spectral.diagonal_factor)
-    applied to a spectral field."""
-    return diagonal_factor(kind, op, t=t, h=h) * np.asarray(field, dtype=float)
+def apply_diagonal(kind, lam, field, t=None, h=None):
+    """A diagonal function of A, given by the eigenvalues lam of -A,
+    applied to a spectral field.  The factors, each with StepContext's
+    order of operations, so that the two agree bit for bit:
+
+        semigroup        exp(-lambda_k t)
+        generator        -lambda_k
+        resolvent        (1 + h lambda_k)^(-1)      i.e. (I - hA)^(-1)
+        phi1             (1 - exp(-h lambda_k)) / (h lambda_k)
+    """
+    if kind == "semigroup":
+        factor = np.exp(-lam * t)
+    elif kind == "generator":
+        factor = -lam
+    elif kind == "resolvent":
+        factor = 1.0 / (1.0 + h * lam)
+    elif kind == "phi1":
+        z = h * lam
+        factor = -np.expm1(-z) / z
+    else:
+        raise ValueError("unknown diagonal kind %r" % (kind,))
+    return factor * np.asarray(field, dtype=float)
 
 
-def h_r_norm(op, r, field):
+def h_r_norm(lam, r, field):
     """Interpolation-space norm ||(-A)^r v|| = (sum lambda_k^(2r) a_k^2)^(1/2).
 
     r = 0 reduces to the H norm, which by Parseval is the plain l2 norm
     of the coefficients (identical arithmetic, not just close).
     """
-    w = op.eigenvalues ** float(r)
+    w = lam ** float(r)
     return float(np.sqrt(np.sum((w * np.asarray(field, dtype=float)) ** 2)))
 
 

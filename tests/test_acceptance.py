@@ -18,6 +18,7 @@ import numpy as np
 import conftest
 import oracles
 
+from spderk.cli import ORDER_BANDS
 from spderk.experiments import (
     ReferenceSpec,
     StudyConfig,
@@ -35,12 +36,7 @@ from spderk.schemes import (
     resolve_scheme,
     solve,
 )
-from spderk.spectral import (
-    LinearOperatorSpec,
-    SineBasisGrid,
-    to_physical,
-    to_spectral,
-)
+from spderk.spectral import SineBasisGrid, to_physical, to_spectral
 
 
 def _report(name, ok, detail=""):
@@ -66,8 +62,7 @@ def _slope_detail(slopes, bands, elapsed):
 
 
 def test_a1_example1_order_reproduction():
-    bands = {"lie": (0.35, 0.65), "exe": (0.35, 0.65), "dfmm": (0.85, 1.15),
-             "ewp": (1.3, 1.7), "erkm15": (1.3, 1.7)}
+    bands = ORDER_BANDS["example1"]
     cfg = StudyConfig(
         "example1", N=64, K=1, T=1.0,
         M_list=(8, 16, 32, 64, 128, 256, 512), realizations=200,
@@ -84,8 +79,7 @@ def test_a1_example1_order_reproduction():
 
 
 def test_a2_example2_order_reproduction():
-    bands = {"erkm15": (1.25, 1.75), "ewp": (1.25, 1.75), "dfmm": (0.8, 1.2),
-             "exe": (0.35, 0.65), "lie": (0.35, 0.65)}
+    bands = ORDER_BANDS["example2"]
     cfg = StudyConfig(
         "example2", N=64, K=64, T=1.0,
         M_list=(8, 16, 32, 64, 128, 256), realizations=100,
@@ -180,8 +174,7 @@ def test_a6_deterministic_exactness():
         p = ProblemSpec(kappa, _zero, _zero, y0, q,
                         f_y=_zero, f_yy=_zero, b_y=_zero, b_yy=_zero)
         path = sample_path(q, M, 1.0 / M, 606)
-        lam = LinearOperatorSpec(kappa, N).eigenvalues
-        exact = np.exp(-lam) * y0
+        exact = np.exp(-p.eigenvalues) * y0
         for scheme in ("erkm15", "ewp", "exe", "dfmm"):
             got = solve(StepContext(p, 1.0, M), scheme, path)
             worst = max(worst, (np.abs(got - exact) / exact).max())
@@ -233,14 +226,14 @@ def test_a8_transform_and_norm_suite():
     back = to_spectral(to_physical(a, grid), grid)
     round_trip = np.abs(back - a).max() / max(1.0, np.abs(a).max())
 
-    op = LinearOperatorSpec(1.0, 64)
-    parseval_exact = oracles.h_r_norm(op, 0.0, a) == float(np.sqrt(np.sum(a * a)))
+    lam = builtin_problem("example1", 64).eigenvalues  # kappa = 1
+    parseval_exact = oracles.h_r_norm(lam, 0.0, a) == float(np.sqrt(np.sum(a * a)))
 
-    op2 = LinearOperatorSpec(0.1, 12)
+    lam2 = builtin_problem("example2", 12).eigenvalues  # kappa = 0.1
     v = rng.standard_normal(12)
-    one = oracles.apply_diagonal("semigroup", op2,
-                                 oracles.apply_diagonal("semigroup", op2, v, t=0.4), t=0.6)
-    two = oracles.apply_diagonal("semigroup", op2, v, t=1.0)
+    one = oracles.apply_diagonal("semigroup", lam2,
+                                 oracles.apply_diagonal("semigroup", lam2, v, t=0.4), t=0.6)
+    two = oracles.apply_diagonal("semigroup", lam2, v, t=1.0)
     semi = np.abs(one - two).max() / np.abs(two).max()
 
     ok = round_trip <= 1e-12 and parseval_exact and semi <= 1e-13
@@ -265,8 +258,8 @@ def test_a9_example3_robustness():
     elapsed = time.time() - t0
     flags = sum(r.flagged for r in table.rows)
     slopes = {s: fit_order(table, s)[0] for s in ("erkm15", "ewp", "dfmm")}
-    bands = {"erkm15": (1.25, math.inf), "ewp": (-math.inf, math.inf),
-             "dfmm": (-math.inf, math.inf)}  # only erkm15 is binding
-    ok = flags == 0 and slopes["erkm15"] >= 1.25
+    # only erkm15 is binding
+    bands = {s: ORDER_BANDS["example3"].get(s, (-math.inf, math.inf)) for s in slopes}
+    ok = flags == 0 and _in_band(slopes["erkm15"], ORDER_BANDS["example3"]["erkm15"])
     _report("A9 example3 robustness", ok,
             _slope_detail(slopes, bands, elapsed) + ", flagged=%d" % flags)

@@ -1,6 +1,8 @@
-"""The package's public names, and no import that nothing reads."""
+"""The package's public names, no import that nothing reads, and no
+definition that nothing refers to."""
 
 import ast
+import collections
 import importlib
 import pathlib
 
@@ -39,3 +41,33 @@ def test_no_unused_module_level_import(path):
              for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
              for alias in node.names if alias.name != "*"]
     assert [name for name in bound if name not in used] == []
+
+
+def _references(tree):
+    """Each name a tree reads, imports or reaches as an attribute, with
+    its count of occurrences."""
+    found = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.name.split(".")[-1]] += 1
+    return found
+
+
+def test_no_unreferenced_top_level_definition():
+    # every top-level def or class of the package is referred to somewhere
+    # in the repository's code outside its own definition
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"))
+             for pattern in ("src/**/*.py", "tests/**/*.py", "demos/**/*.py", "bench/**/*.py")
+             for p in _ROOT.glob(pattern)}
+    everywhere = sum((_references(tree) for tree in trees.values()), collections.Counter())
+    unreferenced = [
+        "%s:%s" % (path.name, node.name)
+        for path in sorted(_ROOT.glob("src/spderk/*.py")) for node in trees[path].body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and everywhere[node.name] == _references(node)[node.name]
+    ]
+    assert unreferenced == []

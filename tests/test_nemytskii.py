@@ -1,6 +1,7 @@
 """Problem definitions, pointwise evaluation, derivative maps."""
 
 import re
+import warnings
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -169,7 +170,7 @@ def test_custom_derivative_against_fd():
 
 def test_exact_must_match_initial():
     q = QSpec(1, [1.0], mode_kind="scalar_constant")
-    for kappa in (0.0, np.inf, np.nan):
+    for kappa in (0.0, np.inf, np.nan, True):
         with pytest.raises(ValueError, match="^kappa must be finite and > 0"):
             ProblemSpec(kappa, lambda x, y: y, lambda x, y: y, np.ones(3), q)
     with pytest.raises(ValueError):
@@ -183,20 +184,41 @@ def test_exact_must_match_initial():
         )
 
 
+@pytest.mark.parametrize("kappa, N, finite", [(1e306, 64, 1e303), (1e305, 256, 1e302),
+                                               (1.7e308, 1, 1e307)])
+def test_kappa_whose_eigenvalues_overflow_is_rejected(kappa, N, finite):
+    # kappa is finite, but kappa pi^2 N^2 is not: no problem is built, and
+    # no overflow warning is emitted on the way to saying so
+    q = QSpec(1, [1.0], mode_kind="scalar_constant")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^%s$" % re.escape(
+                "kappa=%r with N=%d: the largest eigenvalue kappa pi^2 N^2 overflows"
+                % (kappa, N))):
+            ProblemSpec(kappa, lambda x, y: y, lambda x, y: y, np.ones(N), q)
+        # a smaller kappa leaves every eigenvalue and every factor of a
+        # context finite
+        p = ProblemSpec(finite, lambda x, y: y, lambda x, y: y, np.ones(N), q)
+        ctx = StepContext(p, 1e-300)
+        for a in (p.eigenvalues, ctx.neg_lam, ctx.E_h, ctx.resolvent, ctx.phi1):
+            assert np.all(np.isfinite(a))
+
+
 @pytest.mark.parametrize(
     "record, name",
     [("problem", f.name) for f in fields(ProblemSpec)]
     + [("qspec", f.name) for f in fields(QSpec)],
 )
 def test_problem_and_qspec_fields_cannot_be_assigned(record, name):
-    # a problem is a value: its cached grid, op, G and gsq cannot go stale
+    # a problem is a value: its cached grid, eigenvalues, G and gsq cannot
+    # go stale
     p = builtin_problem("example3", 8)
     target = p if record == "problem" else p.qspec
     with pytest.raises(FrozenInstanceError):
         setattr(target, name, getattr(target, name))
     with pytest.raises(FrozenInstanceError):
         delattr(target, name)
-    assert p.op.kappa == p.kappa == 0.01
+    assert p.kappa == 0.01 and p.eigenvalues[0] == 0.01 * np.pi**2
 
 
 def test_problem_and_qspec_own_read_only_copies_of_their_arrays():
@@ -217,14 +239,14 @@ def test_problem_and_qspec_own_read_only_copies_of_their_arrays():
 
 @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
 def test_cached_arrays_of_a_problem_are_read_only(name):
-    # every context of a problem shares its grid, op, G and gsq, so none
-    # of their arrays can be written through one of them
+    # every context of a problem shares its grid, eigenvalues, G and gsq,
+    # so none of their arrays can be written through one of them
     p = builtin_problem(name, 6)
     first = StepContext(p, 0.1)
-    for a in (p.grid.nodes, p.grid._synth, p.grid._anal, p.op.eigenvalues, p.G, p.gsq):
+    for a in (p.grid.nodes, p.grid._synth, p.grid._anal, p.eigenvalues, p.G, p.gsq):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1.0
-    # so op.eigenvalues[0] = 1.0 cannot reach a later context's neg_lam
+    # so eigenvalues[0] = 1.0 cannot reach a later context's neg_lam
     assert StepContext(p, 0.1).neg_lam.tobytes() == first.neg_lam.tobytes()
     assert first.neg_lam[0] == -p.kappa * np.pi**2
 

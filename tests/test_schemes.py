@@ -39,13 +39,7 @@ from spderk.schemes import (
     resolve_scheme,
     solve,
 )
-from spderk.spectral import (
-    LinearOperatorSpec,
-    SineBasisGrid,
-    diagonal_factor,
-    to_physical,
-    to_spectral,
-)
+from spderk.spectral import SineBasisGrid, to_physical, to_spectral
 
 
 def _zero(x, y):
@@ -269,7 +263,7 @@ def test_deterministic_exactness():
     N, h, M = 6, 0.0625, 8
     p = _silent_problem(N)
     path = sample_path(p.qspec, M, h, 0)
-    lam = LinearOperatorSpec(p.kappa, N).eigenvalues
+    lam = p.eigenvalues
     times = h * np.arange(M + 1)
     expected = np.exp(-np.outer(times, lam)) * p.initial_coeffs
     for scheme in ("erkm15", "ewp", "exe", "dfmm"):
@@ -296,7 +290,7 @@ def test_lie_resolvent_pin():
     N, h = 5, 0.3
     p = _silent_problem(N, kappa=0.9, with_derivs=False)
     path = sample_path(p.qspec, 1, h, 0)
-    lam = LinearOperatorSpec(p.kappa, N).eigenvalues
+    lam = p.eigenvalues
     y = solve(StepContext(p, h), "lie", path)
     np.testing.assert_allclose(y, p.initial_coeffs / (1.0 + h * lam), rtol=1e-15)
 
@@ -309,7 +303,7 @@ def test_lie_one_step_formula():
     path = sample_path(q, 1, h, 4)
     dB = float(path.dB[0, 0])
     grid = SineBasisGrid(N)
-    lam = LinearOperatorSpec(0.9, N).eigenvalues
+    lam = p.eigenvalues
     F = to_spectral(np.ones(grid.n_nodes), grid)
     y0 = p.initial_coeffs
     expected = (y0 + h * F + dB * y0) / (1.0 + h * lam)
@@ -325,7 +319,7 @@ def test_exe_constant_forcing_is_exact():
     p = ProblemSpec(0.8, _one, _zero, _decaying_state(N, 4), q)
     path = sample_path(q, 1, h, 0)
     grid = SineBasisGrid(N)
-    lam = LinearOperatorSpec(0.8, N).eigenvalues
+    lam = p.eigenvalues
     F = to_spectral(np.ones(grid.n_nodes), grid)
     exact = np.exp(-lam * h) * p.initial_coeffs + (-np.expm1(-lam * h)) / lam * F
 
@@ -351,7 +345,7 @@ def test_exe_is_exact_for_forcing_that_depends_on_x(M):
     q = QSpec(1, np.array([1.0]), "scalar_constant")
     p = ProblemSpec(0.1, _one_plus_x, _zero, _decaying_state(N, 4), q)
     F = to_spectral(1.0 + p.grid.nodes, p.grid)
-    lam = LinearOperatorSpec(0.1, N).eigenvalues
+    lam = p.eigenvalues
     exact = np.exp(-lam * T) * p.initial_coeffs + (-np.expm1(-lam * T)) / lam * F
     y = solve(StepContext(p, T, M), "exe", sample_path(q, M, T / M, 0))
     np.testing.assert_allclose(y, exact, rtol=1e-12, atol=0.0)
@@ -482,7 +476,7 @@ def test_solve_runs_on_when_only_the_squared_norm_overflows():
     with np.errstate(over="ignore"):
         assert not math.isfinite(p.initial_coeffs @ p.initial_coeffs)
     path = sample_path(p.qspec, M, T / M, 0)
-    exact = np.exp(-LinearOperatorSpec(p.kappa, N).eigenvalues * T) * p.initial_coeffs
+    exact = np.exp(-p.eigenvalues * T) * p.initial_coeffs
     for scheme in ("erkm15", "ewp", "exe", "dfmm"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -656,25 +650,62 @@ def test_context_arrays_are_read_only():
     assert solve(ctx, "exe", path).tobytes() == first.tobytes()
 
 
+def _oracle_factors(ctx):
+    """The context's diagonal factors, from the oracle's own formulas."""
+    lam, h, one = ctx.problem.eigenvalues, ctx.h, np.ones(ctx.problem.N)
+    return {
+        "neg_lam": oracles.apply_diagonal("generator", lam, one),
+        "E_h": oracles.apply_diagonal("semigroup", lam, one, t=h),
+        "E_h2": oracles.apply_diagonal("semigroup", lam, one, t=h / 2.0),
+        "resolvent": oracles.apply_diagonal("resolvent", lam, one, h=h),
+        "phi1": oracles.apply_diagonal("phi1", lam, one, h=h),
+    }
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+def test_context_factors_match_the_oracle_formulas(name):
+    # byte for byte, from h lambda near 0 to h lambda near 1e305, and
+    # without a warning at either end
+    p = builtin_problem(name, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tiny, one, half, huge = (StepContext(p, T, M)
+                                 for T, M in ((1e-14, 1), (1.0, 7), (1.0, 14), (1e300, 1)))
+    for ctx in (tiny, one, half, huge):
+        for which, factor in _oracle_factors(ctx).items():
+            assert getattr(ctx, which).tobytes() == factor.tobytes(), which
+    # phi1 -> 1 (as do E_h and the resolvent) as h lambda -> 0
+    for factor in (tiny.phi1, tiny.E_h, tiny.resolvent):
+        np.testing.assert_allclose(factor, 1.0, rtol=1e-9)
+    # E_h, resolvent and phi1 -> 0 as h lambda -> inf
+    assert huge.E_h.max() == huge.E_h2.max() == 0.0
+    assert huge.resolvent.max() < 1e-297 and huge.phi1.max() < 1e-297
+    # the semigroup property across two contexts: half a step of one is a
+    # whole step of the other, exactly, since h / 2 is exact; two steps
+    # of the other compose to one of the first
+    assert one.E_h2.tobytes() == half.E_h.tobytes()
+    np.testing.assert_allclose(half.E_h * half.E_h, one.E_h, rtol=1e-12, atol=1e-280)
+
+
 @pytest.mark.parametrize("name", ["example1", "example2", "example3", "custom"])
 def test_context_operator_data_is_the_problems_own(name):
     # a context reads grid, operator and noise matrix from its problem, so
     # one with another problem's kappa (1.0 for example3's 0.01) cannot be
-    # written: the old form StepContext(problem, grid, opspec, T, M) is gone
+    # written: the old form StepContext(problem, grid, operator, T, M) is gone
     if name == "custom":
         p = ProblemSpec(0.9, _one, _identity, _decaying_state(8, 3),
                         QSpec(3, [1.0, 0.5, 0.25]))
     else:
         p = builtin_problem(name, 8)
     with pytest.raises(TypeError):
-        StepContext(p, SineBasisGrid(8), LinearOperatorSpec(1.0, 8), 0.5, 4)
-    own = LinearOperatorSpec(p.kappa, p.N)
-    assert p.op.kappa == p.kappa and p.op.eigenvalues.tobytes() == own.eigenvalues.tobytes()
+        StepContext(p, SineBasisGrid(8), builtin_problem("example1", 8).eigenvalues, 0.5, 4)
+    k = np.arange(1, p.N + 1, dtype=float)
+    assert p.eigenvalues.tobytes() == (p.kappa * np.pi**2 * k**2).tobytes()
     ctxs = [StepContext(p, 0.5, M) for M in (1, 4, 64)]
     for ctx in ctxs:
-        for mine, factor in ((ctx.neg_lam, diagonal_factor("generator", p.op)),
-                             (ctx.E_h, diagonal_factor("semigroup", p.op, t=ctx.h))):
-            assert mine.tobytes() == factor.tobytes()
+        oracle = _oracle_factors(ctx)
+        for which in ("neg_lam", "E_h"):
+            assert getattr(ctx, which).tobytes() == oracle[which].tobytes()
         assert ctx.G is p.G and ctx.gsq is p.gsq and ctx.grid is ctxs[0].grid is p.grid
 
 

@@ -1,7 +1,5 @@
-"""Transforms, diagonal operator factors, and H_r norms (through the
-test oracles apply_diagonal and h_r_norm)."""
-
-import math
+"""Transforms, the operator's eigenvalues, and diagonal factors and H_r
+norms (through the test oracles apply_diagonal and h_r_norm)."""
 
 import numpy as np
 import pytest
@@ -10,13 +8,20 @@ from hypothesis import strategies as st
 
 from oracles import apply_diagonal, h_r_norm
 from spderk.errors import DimensionError
-from spderk.spectral import (
-    LinearOperatorSpec,
-    SineBasisGrid,
-    diagonal_factor,
-    to_physical,
-    to_spectral,
-)
+from spderk.nemytskii import ProblemSpec
+from spderk.qwiener import QSpec
+from spderk.schemes import StepContext
+from spderk.spectral import SineBasisGrid, to_physical, to_spectral
+
+
+def _identity(x, y):
+    return y
+
+
+def _problem(kappa, N):
+    """A problem of kappa * Laplace on N modes; its eigenvalues are the operator."""
+    return ProblemSpec(kappa, _identity, _identity, np.ones(N),
+                       QSpec(1, [1.0], mode_kind="scalar_constant"))
 
 
 def dense_synthesis(coeffs, nodes):
@@ -84,22 +89,10 @@ def test_length_mismatch_rejected():
 
 
 def test_eigenvalues():
-    op = LinearOperatorSpec(kappa=0.1, N=6)
+    lam = _problem(0.1, 6).eigenvalues
     k = np.arange(1, 7)
-    assert np.allclose(op.eigenvalues, 0.1 * np.pi**2 * k**2)
-    assert np.all(np.diff(op.eigenvalues) > 0) and op.eigenvalues[0] > 0
-
-
-def test_operator_spec_validation():
-    with pytest.raises(ValueError):
-        LinearOperatorSpec(kappa=0.0, N=4)
-    # an infinite kappa gives non-finite eigenvalues
-    for kappa in (np.inf, np.nan, True):
-        with pytest.raises(ValueError, match="^kappa must be finite and > 0"):
-            LinearOperatorSpec(kappa=kappa, N=4)
-    for N in (4.0, True, 0):
-        with pytest.raises(ValueError, match="^N must be an integer >= 1"):
-            LinearOperatorSpec(kappa=1.0, N=N)
+    assert np.allclose(lam, 0.1 * np.pi**2 * k**2)
+    assert np.all(np.diff(lam) > 0) and lam[0] > 0
 
 
 def test_grid_takes_an_integer_mode_count():
@@ -110,26 +103,26 @@ def test_grid_takes_an_integer_mode_count():
 
 
 def test_semigroup_single_mode_frozen():
-    op = LinearOperatorSpec(kappa=1.0, N=4)
+    lam = _problem(1.0, 4).eigenvalues
     e = np.array([1.0, 0.0, 0.0, 0.0])
-    out = apply_diagonal("semigroup", op, e, t=1.0)
+    out = apply_diagonal("semigroup", lam, e, t=1.0)
     assert np.isclose(out[0], np.exp(-np.pi**2), rtol=1e-14)
     assert np.all(out[1:] == 0.0)
 
 
 def test_generator_on_zero():
-    op = LinearOperatorSpec(kappa=1.0, N=4)
-    assert np.all(apply_diagonal("generator", op, np.zeros(4)) == 0.0)
+    lam = _problem(1.0, 4).eigenvalues
+    assert np.all(apply_diagonal("generator", lam, np.zeros(4)) == 0.0)
 
 
 def test_resolvent_inverts_i_minus_ha():
     # (I - hA)^(-1) (I - hA) = I per mode; A acts as -lambda_k
     rng = np.random.default_rng(11)
-    op = LinearOperatorSpec(kappa=2.0, N=40)
+    lam = _problem(2.0, 40).eigenvalues
     a = rng.standard_normal(40)
     h = 0.37
-    forward = (1.0 + h * op.eigenvalues) * a
-    back = apply_diagonal("resolvent", op, forward, h=h)
+    forward = (1.0 + h * lam) * a
+    back = apply_diagonal("resolvent", lam, forward, h=h)
     assert np.allclose(back, a, rtol=1e-13)
 
 
@@ -137,30 +130,30 @@ def test_semigroup_property():
     # relative form; exp argument rounding grows like lambda*(s+t)*eps, so
     # the 1e-13 band is checked on a spectrum whose factors stay normal
     rng = np.random.default_rng(5)
-    op = LinearOperatorSpec(kappa=0.1, N=12)
+    lam = _problem(0.1, 12).eigenvalues
     a = rng.standard_normal(12)
     for _ in range(20):
         s, t = rng.uniform(0.0, 1.0, size=2) + 1e-12
-        both = apply_diagonal("semigroup", op, a, t=s + t)
+        both = apply_diagonal("semigroup", lam, a, t=s + t)
         composed = apply_diagonal(
-            "semigroup", op, apply_diagonal("semigroup", op, a, t=t), t=s
+            "semigroup", lam, apply_diagonal("semigroup", lam, a, t=t), t=s
         )
         assert np.allclose(both, composed, rtol=1e-13, atol=0.0)
 
 
 def test_semigroup_property_stiff_tail_absolute():
     # for large lambda*t both sides are indistinguishable from zero
-    op = LinearOperatorSpec(kappa=1.0, N=64)
+    lam = _problem(1.0, 64).eigenvalues
     a = np.ones(64)
-    both = apply_diagonal("semigroup", op, a, t=1.7)
+    both = apply_diagonal("semigroup", lam, a, t=1.7)
     composed = apply_diagonal(
-        "semigroup", op, apply_diagonal("semigroup", op, a, t=0.9), t=0.8
+        "semigroup", lam, apply_diagonal("semigroup", lam, a, t=0.9), t=0.8
     )
     assert np.allclose(both, composed, rtol=1e-12, atol=1e-280)
 
 
 def test_diagonality_one_hot():
-    op = LinearOperatorSpec(kappa=1.0, N=9)
+    lam = _problem(1.0, 9).eigenvalues
     for kind, kw in [
         ("semigroup", {"t": 0.3}),
         ("generator", {}),
@@ -169,63 +162,50 @@ def test_diagonality_one_hot():
     ]:
         e = np.zeros(9)
         e[4] = 1.0
-        out = apply_diagonal(kind, op, e, **kw)
+        out = apply_diagonal(kind, lam, e, **kw)
         mask = np.ones(9, dtype=bool)
         mask[4] = False
         assert np.all(out[mask] == 0.0) and out[4] != 0.0
 
 
 def test_phi1_values():
-    op = LinearOperatorSpec(kappa=1.0, N=3)
+    # a context's phi1 against the textbook form, which cancels as z -> 0
+    p = _problem(1.0, 3)
     h = 0.25
-    z = h * op.eigenvalues
+    z = h * p.eigenvalues
     expect = (1.0 - np.exp(-z)) / z
-    assert np.allclose(diagonal_factor("phi1", op, h=h), expect, rtol=1e-13)
+    assert np.allclose(StepContext(p, h).phi1, expect, rtol=1e-13)
     # phi1 -> 1 as h -> 0
-    tiny = diagonal_factor("phi1", op, h=1e-14)
+    tiny = StepContext(p, 1e-14).phi1
     assert np.allclose(tiny, 1.0, rtol=1e-9)
 
 
-def test_bad_diagonal_arguments():
-    op = LinearOperatorSpec(kappa=1.0, N=3)
-    for kind in ("resolvent", "phi1"):
-        for bad in (None, 0.0, -1.0, math.nan, math.inf, True, "0.1"):
-            with pytest.raises(ValueError, match="^h must be finite and > 0, got %r$" % bad):
-                diagonal_factor(kind, op, h=bad)
-    for bad in (None, -1.0, math.nan, math.inf, True, "0"):
-        with pytest.raises(ValueError, match="^t must be finite and >= 0, got %r$" % bad):
-            diagonal_factor("semigroup", op, t=bad)
-    assert np.all(diagonal_factor("semigroup", op, t=0.0) == 1.0)
-    with pytest.raises(ValueError):
-        diagonal_factor("no_such_kind", op)
-
-
 def test_h_norm_parseval_frozen():
-    op = LinearOperatorSpec(kappa=1.0, N=2)
-    assert h_r_norm(op, 0.0, np.array([3.0, 4.0])) == 5.0
+    lam = _problem(1.0, 2).eigenvalues
+    assert h_r_norm(lam, 0.0, np.array([3.0, 4.0])) == 5.0
 
 
 def test_h_norm_parseval_same_arithmetic():
     rng = np.random.default_rng(2)
-    op = LinearOperatorSpec(kappa=3.0, N=50)
+    lam = _problem(3.0, 50).eigenvalues
     v = rng.standard_normal(50)
-    assert h_r_norm(op, 0.0, v) == float(np.sqrt(np.sum(v**2)))
+    assert h_r_norm(lam, 0.0, v) == float(np.sqrt(np.sum(v**2)))
 
 
 def test_h1_norm_single_mode_frozen():
-    op = LinearOperatorSpec(kappa=1.0, N=5)
+    lam = _problem(1.0, 5).eigenvalues
     e = np.zeros(5)
     e[0] = 1.0
-    assert np.isclose(h_r_norm(op, 1.0, e), np.pi**2, rtol=1e-14)
+    assert np.isclose(h_r_norm(lam, 1.0, e), np.pi**2, rtol=1e-14)
 
 
 def test_h_half_norm_direct_sum_oracle():
     rng = np.random.default_rng(9)
-    op = LinearOperatorSpec(kappa=0.7, N=30)
+    lam = _problem(0.7, 30).eigenvalues
     v = rng.standard_normal(30)
-    direct = np.sqrt(sum(lam * a * a for lam, a in zip(op.eigenvalues, v)))
-    assert np.isclose(h_r_norm(op, 0.5, v), direct, rtol=1e-12)
+    direct = np.sqrt(sum(lam_k * a * a for lam_k, a in zip(lam, v)))
+    assert np.isclose(h_r_norm(lam, 0.5, v), direct, rtol=1e-12)
     # interpolation consistency: ||v||_{1/2}^2 <= ||v||_0 ||v||_1 (Cauchy-Schwarz)
-    assert h_r_norm(op, 0.5, v) ** 2 <= h_r_norm(op, 0.0, v) * h_r_norm(op, 1.0, v) * (
+    assert h_r_norm(lam, 0.5, v) ** 2 <= h_r_norm(lam, 0.0, v) * h_r_norm(lam, 1.0, v) * (
         1 + 1e-12
     )
