@@ -18,6 +18,7 @@ import contextlib
 import math
 import multiprocessing
 import os
+import re
 import sys
 import warnings
 from dataclasses import asdict, dataclass, replace
@@ -182,8 +183,6 @@ class StudyConfig:
         if ref.mode == "exact":
             if probe.exact is None:
                 raise ConfigError("problem %r has no exact solution" % cfg.problem)
-            if probe.qspec.K != 1:
-                raise ConfigError("exact reference needs a single noise mode")
         elif ref.M % cfg.M_list[-1]:
             raise ConfigError("reference M=%d must be a multiple of max(M_list)=%d"
                               % (ref.M, cfg.M_list[-1]))
@@ -265,7 +264,12 @@ class ErrorTable:
         rows = []
         for ln in lines[1:]:
             parts = ln.split(",")
-            if len(parts) != 6:
+            # each number only as write_csv writes it: int() and float()
+            # would also take "1_6", outer whitespace and non-ASCII digits
+            if (len(parts) != 6
+                    or not all(re.fullmatch("-?[0-9]+", p) for p in (parts[1], parts[5]))
+                    or not all(p.isascii() and "_" not in p and p == p.strip()
+                               for p in parts[2:5])):
                 raise ValueError("malformed row: %r" % ln)
             rows.append(ErrorRow(parts[0], int(parts[1]), float(parts[2]),
                                  float(parts[3]), float(parts[4]), int(parts[5])))

@@ -4,9 +4,10 @@ Contents:
 
 * the ERKM1.5 step (`erkm_step`), an exponential stochastic Runge-Kutta
   method with two stage families and random weights theta, run as one
-  fixed sequence of array operations over the six-stage tableau;
+  fixed sequence of array operations over the coefficients of a
+  six-stage tableau;
 * the ERKM1.5 tableau family (`erkm15_tableau`), the paper's table as
-  data, parametrized by seven nonzero reals c_1..c_7;
+  its 28 coefficients, parametrized by seven nonzero reals c_1..c_7;
 * the exponential Wagner-Platen stepper (`ewp_step`), the derivative
   based order-1.5 baseline;
 * linear-implicit Euler, exponential Euler and derivative-free Milstein
@@ -86,38 +87,35 @@ class EvalCounters:
 
 
 class ERKM15Tableau(NamedTuple):
-    """The arrays of the ERKM1.5 tableau, a plain record.
+    """The coefficients of an ERKM1.5 tableau that erkm_step reads, a
+    plain record; by the paper's (stage, column) indices:
 
-    A01, A11 (6, 6) weight the drift term h (A K_j^0 + f(K_j^0)) in the
-    two stage families; B01/B02 (resp. B11/B12) weight the h and sqrt(h)
-    multiples of b(K_j^1).  alpha has 3 weight rows (paired with
-    theta^0_k), beta 5 rows (theta^1_k), gamma one row (theta^2_1).
-    erkm_step reads each at the fixed positions of the family.
+    stages: A01[1,0], A11[1,0], B01[2,0], B11[2,0], B02[3,0], B12[3,0],
+        B02[4,0], B12[4,0], B12[5,0], B12[5,4], in evaluation order;
+    alpha: rows alpha^(1..3) on columns (0, 1), (0, 2) and (0, 3, 4);
+    beta: rows beta^(1..5) on columns (0, 1), (0, 1), (0, 2), (0, 3, 4), (0, 5).
+
+    Every other entry is 0, and for every member the theta^2_1 row
+    weights b_0 by 1 alone, so erkm_step takes b_0 as it is.
     """
 
-    A01: np.ndarray
-    A11: np.ndarray
-    B01: np.ndarray
-    B02: np.ndarray
-    B11: np.ndarray
-    B12: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
+    stages: tuple
+    alpha: tuple
+    beta: tuple
 
 
 def erkm15_tableau(c):
     """The six-stage ERKM1.5 tableau for coefficients c = (c_1..c_7).
 
-    c must be finite and nonzero, and so must every entry of the table
-    but 1 - 1/(2 c_1) and 1 - 1/c_4 after rounding: a c whose tableau
-    overflows or rounds an entry to 0 (1/c_6^2 at c_6 = 1e200) raises a
-    ValueError naming c.  The alpha^(3) stage-4/5 entries are 1/(4 c_3^2):
-    the consistency of the second-difference drift term forces the square
-    (its stage-1 entry is -1/(2 c_3^2), and the term must assemble to a
-    clean second difference for every c_3).  The published table prints
-    1/(4 c_3) there, an erratum: that row sums to zero, as consistency
-    requires, only at c_3 = 1.
+    c must be finite and nonzero, and so must every coefficient after
+    rounding but 1 - 1/(2 c_1) and 1 - 1/c_4: a c whose tableau overflows
+    or rounds one to 0 (1/c_6^2 at c_6 = 1e200) raises a ValueError naming
+    c.  The alpha^(3) stage-4/5 entries are 1/(4 c_3^2): the consistency
+    of the second-difference drift term forces the square (its stage-1
+    entry is -1/(2 c_3^2), and the term must assemble to a clean second
+    difference for every c_3).  The published table prints 1/(4 c_3)
+    there, an erratum: that row sums to zero, as consistency requires,
+    only at c_3 = 1.
     """
     c = np.asarray(c, dtype=float)
     if c.shape != (7,):
@@ -125,46 +123,22 @@ def erkm15_tableau(c):
     if np.any(c == 0.0) or not np.all(np.isfinite(c)):
         raise ValueError("c must be finite and nonzero")
     c1, c2, c3, c4, c5, c6, c7 = c
-    s = 6
-    A01, A11, B01, B02, B11, B12 = (np.zeros((s, s)) for _ in range(6))
-    alpha, beta, gamma = np.zeros((3, s)), np.zeros((5, s)), np.zeros(s)
-    with np.errstate(all="ignore"):  # overflow and underflow are checked below
-        A01[1, 0] = c1
-        B01[2, 0] = c2
-        B02[3, 0] = c3
-        B02[4, 0] = -c3
-        A11[1, 0] = c4
-        B11[2, 0] = c5
-        B12[3, 0] = -c6
-        B12[4, 0] = c6
-        B12[5, 0] = -c7 / c6
-        B12[5, 4] = c7 / c6
-
-        alpha[0, 0] = 1.0 - 1.0 / (2.0 * c1)
-        alpha[0, 1] = 1.0 / (2.0 * c1)
-        alpha[1, 0] = -1.0 / c2
-        alpha[1, 2] = 1.0 / c2
-        alpha[2, 0] = -1.0 / (2.0 * c3**2)
-        alpha[2, 3] = 1.0 / (4.0 * c3**2)
-        alpha[2, 4] = 1.0 / (4.0 * c3**2)
-
-        beta[0, 0] = 1.0 - 1.0 / c4
-        beta[0, 1] = 1.0 / c4
-        beta[1, 0] = 1.0 / c4
-        beta[1, 1] = -1.0 / c4
-        beta[2, 0] = 1.0 / (2.0 * c5)
-        beta[2, 2] = -1.0 / (2.0 * c5)
-        beta[3, 0] = 1.0 / c6**2
-        beta[3, 3] = -1.0 / (2.0 * c6**2)
-        beta[3, 4] = -1.0 / (2.0 * c6**2)
-        beta[4, 0] = 1.0 / (2.0 * c7)
-        beta[4, 5] = -1.0 / (2.0 * c7)
-    gamma[0] = 1.0
-    tab = ERKM15Tableau(A01, A11, B01, B02, B11, B12, alpha, beta, gamma)
-    # 29 entries are nonzero for a generic c; alpha[0, 0], beta[0, 0] may vanish
-    vanished = int(alpha[0, 0] == 0) + int(beta[0, 0] == 0)
-    if (sum(np.count_nonzero(a) for a in tab) + vanished != 29
-            or not all(np.isfinite(a).all() for a in tab)):
+    # numpy scalars give inf or 0 (rejected below) where floats would raise
+    with np.errstate(all="ignore"):
+        tab = ERKM15Tableau(
+            stages=(c1, c4, c2, c5, c3, -c6, -c3, c6, -c7 / c6, c7 / c6),
+            alpha=((1.0 - 1.0 / (2.0 * c1), 1.0 / (2.0 * c1)),
+                   (-1.0 / c2, 1.0 / c2),
+                   (-1.0 / (2.0 * c3**2), 1.0 / (4.0 * c3**2), 1.0 / (4.0 * c3**2))),
+            beta=((1.0 - 1.0 / c4, 1.0 / c4),
+                  (1.0 / c4, -1.0 / c4),
+                  (1.0 / (2.0 * c5), -1.0 / (2.0 * c5)),
+                  (1.0 / c6**2, -1.0 / (2.0 * c6**2), -1.0 / (2.0 * c6**2)),
+                  (1.0 / (2.0 * c7), -1.0 / (2.0 * c7))))
+    # alpha[0][0] and beta[0][0] may be 0, and are finite when the rest is
+    a, be = tab.alpha, tab.beta
+    rest = (*tab.stages, a[0][1], *a[1], *a[2], be[0][1], *be[1], *be[2], *be[3], *be[4])
+    if not (all(map(math.isfinite, rest)) and all(rest)):
         raise ValueError("c = %s leaves the ERKM1.5 family: its tableau has a"
                          " non-finite entry or one that rounds to 0" % c.tolist())
     return tab
@@ -203,12 +177,14 @@ class StepContext:
         self.sqh = math.sqrt(h)
         self.h_gsq = h * self.gsq
         lam = problem.eigenvalues
-        self.E_h = np.exp(-lam * h)
-        self.E_h2 = np.exp(-lam * (h / 2.0))
         self.neg_lam = -lam
-        self.resolvent = 1.0 / (1.0 + h * lam)
-        z = h * lam
-        self.phi1 = -np.expm1(-z) / z  # accurate down to z -> 0 (limit 1)
+        # an h lambda_k that overflows gives each factor its limit, 0
+        with np.errstate(over="ignore"):
+            self.E_h = np.exp(-lam * h)
+            self.E_h2 = np.exp(-lam * (h / 2.0))
+            self.resolvent = 1.0 / (1.0 + h * lam)
+            z = h * lam
+            self.phi1 = -np.expm1(-z) / z  # accurate down to z -> 0 (limit 1)
         for a in (self.h_gsq, self.E_h, self.E_h2, self.neg_lam, self.resolvent, self.phi1):
             a.flags.writeable = False
         self.counters = EvalCounters()
@@ -290,46 +266,45 @@ def erkm_step(tab, ctx, y, noise):
     """One ERKM1.5 step with the coefficients of the tableau tab.
 
     Stage 0 is the state y: f_0, b_0 and the drift D_0 = A y + f_0 there.
-    Stages 1-4 each take one f and one b evaluation, at y plus a
-    multiple of D_0 (stage 1, through A01/A11 times h) or of b_0 (stage
-    2 through B01/B11 times h, stages 3-4 through B02/B12 times sqrt(h));
-    stage 5 one b evaluation, at y + B12[5, 0] sqrt(h) b_0 + B12[5, 4]
-    sqrt(h) b_4.  That is 5 f- and 6 b-evaluations, all through the
-    context's bound maps, which count them.  The increment sums
-    the alpha rows against theta^0 = (h, Iw/h, h gsq), the beta rows
-    against theta^1 and gamma against theta^2_1; noise is the step's
+    Stages 1-4 each take one f and one b evaluation, at y plus k h D_0
+    (stage 1), k h b_0 (stage 2) or k sqrt(h) b_0 (stages 3-4), k the
+    stage's entry of tab.stages; stage 5 one b evaluation, at y +
+    sqrt(h) (k b_0 + k' b_4).  That is 5 f- and 6 b-evaluations, all
+    through the context's bound maps, which count them.  The increment
+    sums the alpha rows against theta^0 = (h, Iw/h, h gsq), the beta
+    rows against theta^1 and b_0 against theta^2_1; noise is the step's
     row of theta1_1..theta1_5, theta2_1 (theta_fields on the context's h
     and gsq).
     """
     grid, h, sqh = ctx.grid, ctx.h, ctx.sqh
     f, b = ctx.f, ctx.b
-    A01, A11, B01, B02, B11, B12, a, be, g = tab
+    k, a, be = tab
     yp = to_physical(y, grid)
     f0 = eval_coeff(f, yp, grid)
     D0 = to_physical(ctx.neg_lam * y, grid) + f0
     b0 = eval_coeff(b, yp, grid)
-    f1 = eval_coeff(f, yp + (A01[1, 0] * h) * D0, grid)
-    b1 = eval_coeff(b, yp + (A11[1, 0] * h) * D0, grid)
-    f2 = eval_coeff(f, yp + (B01[2, 0] * h) * b0, grid)
-    b2 = eval_coeff(b, yp + (B11[2, 0] * h) * b0, grid)
-    f3 = eval_coeff(f, yp + (B02[3, 0] * sqh) * b0, grid)
-    b3 = eval_coeff(b, yp + (B12[3, 0] * sqh) * b0, grid)
-    f4 = eval_coeff(f, yp + (B02[4, 0] * sqh) * b0, grid)
-    b4 = eval_coeff(b, yp + (B12[4, 0] * sqh) * b0, grid)
-    b5 = eval_coeff(b, yp + (B12[5, 0] * sqh) * b0 + (B12[5, 4] * sqh) * b4, grid)
+    f1 = eval_coeff(f, yp + (k[0] * h) * D0, grid)
+    b1 = eval_coeff(b, yp + (k[1] * h) * D0, grid)
+    f2 = eval_coeff(f, yp + (k[2] * h) * b0, grid)
+    b2 = eval_coeff(b, yp + (k[3] * h) * b0, grid)
+    f3 = eval_coeff(f, yp + (k[4] * sqh) * b0, grid)
+    b3 = eval_coeff(b, yp + (k[5] * sqh) * b0, grid)
+    f4 = eval_coeff(f, yp + (k[6] * sqh) * b0, grid)
+    b4 = eval_coeff(b, yp + (k[7] * sqh) * b0, grid)
+    b5 = eval_coeff(b, yp + (k[8] * sqh) * b0 + (k[9] * sqh) * b4, grid)
 
     # summed from +0 in row order: a term that is a zero of either sign
     # then leaves P as it is
     P = (0.0
-         + (a[0, 0] * f0 + a[0, 1] * f1) * h
-         + (a[1, 0] * f0 + a[1, 2] * f2) * noise[1]
-         + (a[2, 0] * f0 + a[2, 3] * f3 + a[2, 4] * f4) * ctx.h_gsq
-         + (be[0, 0] * b0 + be[0, 1] * b1) * noise[0]
-         + (be[1, 0] * b0 + be[1, 1] * b1) * noise[1]
-         + (be[2, 0] * b0 + be[2, 2] * b2) * noise[2]
-         + (be[3, 0] * b0 + be[3, 3] * b3 + be[3, 4] * b4) * noise[3]
-         + (be[4, 0] * b0 + be[4, 5] * b5) * noise[4])
-    bracket = to_spectral(P, grid) + ctx.neg_lam * to_spectral(g[0] * b0 * noise[5], grid)
+         + (a[0][0] * f0 + a[0][1] * f1) * h
+         + (a[1][0] * f0 + a[1][1] * f2) * noise[1]
+         + (a[2][0] * f0 + a[2][1] * f3 + a[2][2] * f4) * ctx.h_gsq
+         + (be[0][0] * b0 + be[0][1] * b1) * noise[0]
+         + (be[1][0] * b0 + be[1][1] * b1) * noise[1]
+         + (be[2][0] * b0 + be[2][1] * b2) * noise[2]
+         + (be[3][0] * b0 + be[3][1] * b3 + be[3][2] * b4) * noise[3]
+         + (be[4][0] * b0 + be[4][1] * b5) * noise[4])
+    bracket = to_spectral(P, grid) + ctx.neg_lam * to_spectral(b0 * noise[5], grid)
     return ctx.E_h2 * (ctx.E_h2 * y + bracket)
 
 

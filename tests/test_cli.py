@@ -422,6 +422,12 @@ def test_order_subcommand(tmp_path):
     code, _, err = _run(["order", str(table_path)])
     assert code == 1 and "header" in err
 
+    # a readable table with no scheme at 3 usable rows
+    with open(table_path, "w") as fh:
+        _power_table("erkm15", 1.5, M_values=(4, 8)).write_csv(fh)
+    code, out, err = _run(["order", str(table_path)])
+    assert (code, out, err) == (1, "", "no scheme has enough rows to fit an order\n")
+
 
 _VALID_ROWS = ("exe,4,0.25,1.0,0.0,0", "exe,8,0.125,0.5,0.0,0",
                "exe,16,0.0625,0.125,0.0,0")
@@ -436,12 +442,26 @@ _VALID_ROWS = ("exe,4,0.25,1.0,0.0,0", "exe,8,0.125,0.5,0.0,0",
         ("exe,16,nan,0.125,0.0,0", "h must be finite and > 0"),
         ("exe,0,0.0625,0.125,0.0,0", "M must be >= 1"),
         ("exe,16,0.0625,0.125,0.0,-1", "flagged must be >= 0"),
+        # each number only in the form write_csv writes it: int() and
+        # float() would read these as the valid M = 16, h = 0.0625 or
+        # flagged = 0
+        ("exe,1_6,0.0625,0.125,0.0,0", "malformed row"),
+        ("exe, 16,0.0625,0.125,0.0,0", "malformed row"),
+        ("exe,16 ,0.0625,0.125,0.0,0", "malformed row"),
+        ("exe,\u0661\u0666,0.0625,0.125,0.0,0", "malformed row"),
+        ("exe,16,0.0625,0.125,0.0,0_0", "malformed row"),
+        ("exe,16,0.0625,0.125,0.0, 0", "malformed row"),
+        ("exe,16,0.06_25,0.125,0.0,0", "malformed row"),
+        ("exe,16, 0.0625,0.125,0.0,0", "malformed row"),
+        ("exe,16,0.0625,0.125 ,0.0,0", "malformed row"),
+        ("exe,16,0.0625,0.125,0_0.0,0", "malformed row"),
     ],
 )
 def test_order_rejects_impossible_tables(tmp_path, row, phrase):
     # each table replaces the last of three valid rows
     table_path = tmp_path / "t.csv"
-    table_path.write_text("\n".join((experiments.CSV_HEADER,) + _VALID_ROWS[:2] + (row,)))
+    table_path.write_text("\n".join((experiments.CSV_HEADER,) + _VALID_ROWS[:2] + (row,)),
+                          encoding="utf-8")
     code, out, err = _run(["order", str(table_path)])
     assert code == 1 and out == ""
     assert err.startswith("config error: %s: " % table_path) and phrase in err

@@ -249,6 +249,8 @@ def test_config_defaults():
         # finite, nonzero c whose tableau overflows or rounds an entry to 0
         dict(schemes=({"name": "erkm15", "c": [1, 1, 1e-160, 1, 1, 1, 1]},)),
         dict(schemes=({"name": "erkm15", "c": [1, 1, 1, 1, 1, 1e200, 1]},)),
+        # example3's initial value sin(2 pi x) / 2 is the second mode
+        dict(problem="example3", N=1),
     ],
 )
 def test_config_rejections(kw):
@@ -257,6 +259,16 @@ def test_config_rejections(kw):
     base.update(kw)
     with pytest.raises(ConfigError):
         StudyConfig(**base).validated()
+
+
+@pytest.mark.parametrize("N", [2, 64])
+def test_exact_solutions_have_a_single_noise_mode(N):
+    # an exact reference is fed the fine path's one Brownian value, and
+    # StudyConfig.validated() takes it without checking K: every builtin
+    # problem with an exact solution has one noise mode
+    problems = [builtin_problem(name, N) for name in BUILTIN_PROBLEMS]
+    exact = [p for p in problems if p.exact is not None]
+    assert exact and all(p.qspec.K == 1 for p in exact)
 
 
 @pytest.mark.parametrize(

@@ -81,37 +81,22 @@ def _row(scheme, ctx, dW, Iw):
 
 def test_tableau_frozen_entries():
     tab = erkm15_tableau(np.ones(7))
-    assert tab.A01[1, 0] == 1.0
-    assert tab.B01[2, 0] == 1.0
-    assert tab.B02[3, 0] == 1.0 and tab.B02[4, 0] == -1.0
-    assert tab.A11[1, 0] == 1.0
-    assert tab.B11[2, 0] == 1.0
-    assert tab.B12[3, 0] == -1.0 and tab.B12[4, 0] == 1.0
-    assert tab.B12[5, 0] == -1.0 and tab.B12[5, 4] == 1.0
-    np.testing.assert_array_equal(tab.alpha[0], [0.5, 0.5, 0, 0, 0, 0])
-    np.testing.assert_array_equal(tab.alpha[1], [-1, 0, 1, 0, 0, 0])
-    np.testing.assert_array_equal(tab.alpha[2], [-0.5, 0, 0, 0.25, 0.25, 0])
-    np.testing.assert_array_equal(tab.beta[0], [0, 1, 0, 0, 0, 0])
-    np.testing.assert_array_equal(tab.beta[1], [1, -1, 0, 0, 0, 0])
-    np.testing.assert_array_equal(tab.beta[2], [0.5, 0, -0.5, 0, 0, 0])
-    np.testing.assert_array_equal(tab.beta[3], [1, 0, 0, -0.5, -0.5, 0])
-    np.testing.assert_array_equal(tab.beta[4], [0.5, 0, 0, 0, 0, -0.5])
-    np.testing.assert_array_equal(tab.gamma, [1, 0, 0, 0, 0, 0])
+    assert tab.stages == (1, 1, 1, 1, 1, -1, -1, 1, -1, 1)
+    assert tab.alpha == ((0.5, 0.5), (-1, 1), (-0.5, 0.25, 0.25))
+    assert tab.beta == ((0, 1), (1, -1), (0.5, -0.5), (1, -0.5, -0.5), (0.5, -0.5))
 
 
 def test_tableau_row_sums():
-    # consistency: the theta^0_1/theta^1_1/theta^2_1 rows sum to 1 (they
-    # reproduce f, b and A b at the base point), all other rows to 0.
+    # consistency: the theta^0_1 and theta^1_1 rows sum to 1 (they
+    # reproduce f and b at the base point), all other rows to 0; the
+    # theta^2_1 weight of b_0 is 1 in erkm_step itself, and A3 checks the
+    # step against the closed form
     rng = np.random.default_rng(3)
     for _ in range(20):
         c = rng.uniform(0.2, 2.0, 7) * rng.choice([-1.0, 1.0], 7)
         tab = erkm15_tableau(c)
-        sums = np.array(
-            [tab.alpha[0].sum(), tab.beta[0].sum(), tab.gamma.sum()]
-        )
-        np.testing.assert_allclose(sums, 1.0, rtol=1e-13)
-        zeros = [tab.alpha[1].sum(), tab.alpha[2].sum(), tab.beta[1].sum(),
-                 tab.beta[2].sum(), tab.beta[3].sum(), tab.beta[4].sum()]
+        np.testing.assert_allclose([sum(tab.alpha[0]), sum(tab.beta[0])], 1.0, rtol=1e-13)
+        zeros = [sum(row) for row in tab.alpha[1:] + tab.beta[1:]]
         np.testing.assert_allclose(zeros, 0.0, atol=1e-13)
 
 
@@ -120,14 +105,13 @@ def test_strict_table_variant_breaks_second_difference_row():
     # 1/(4 c3); that row sums to zero only at c3 = 1, which is why
     # erkm15_tableau uses 1/(4 c3^2)
     def published_row(c3):
-        return np.array([-1.0 / (2.0 * c3**2), 0, 0, 1.0 / (4.0 * c3),
-                         1.0 / (4.0 * c3), 0])
+        return (-1.0 / (2.0 * c3**2), 1.0 / (4.0 * c3), 1.0 / (4.0 * c3))
 
     c = np.ones(7)
     c[2] = 1.6
-    assert abs(published_row(1.6).sum()) > 0.05
-    assert abs(erkm15_tableau(c).alpha[2].sum()) < 1e-15
-    np.testing.assert_array_equal(published_row(1.0), erkm15_tableau(np.ones(7)).alpha[2])
+    assert abs(sum(published_row(1.6))) > 0.05
+    assert abs(sum(erkm15_tableau(c).alpha[2])) < 1e-15
+    assert published_row(1.0) == erkm15_tableau(np.ones(7)).alpha[2]
 
 
 def test_tableau_validation():
@@ -145,7 +129,7 @@ def test_tableau_validation():
                 erkm15_tableau(c)
     # 1 - 1/(2 c_1) and 1 - 1/c_4 vanish at c_1 = 1/2, c_4 = 1 in the family
     tab = erkm15_tableau([0.5, 1, 1, 1, 1, 1, 1])
-    assert tab.alpha[0, 0] == 0.0 and tab.beta[0, 0] == 0.0
+    assert tab.alpha[0][0] == 0.0 and tab.beta[0][0] == 0.0
 
 
 @settings(max_examples=25, deadline=None)
@@ -542,25 +526,32 @@ def test_erkm15_family_terminal_states_pinned(M):
         assert got == pins["states"]["%s@%d" % (name, M)], name
 
 
+def _with(t, i, value):
+    """The tuple t with its entry i replaced by value."""
+    return t[:i] + (value,) + t[i + 1:]
+
+
 def test_erkm_step_reads_every_nonzero_tableau_entry():
-    # erkm_step reads the tableau at the family's fixed positions; an
-    # entry it did not read would be silently ignored, so scaling any
-    # nonzero entry must move the step
+    # a coefficient erkm_step did not read would be silently ignored, so
+    # scaling any one of the record's 28 coefficients must move the step
     p = builtin_problem("example3", 16)
     rng = np.random.default_rng(11)
     ctx, fields = _context_for(p, 0.1, seed=4)
-    row = _row("erkm15", ctx, *fields[0])
+    noise = _row("erkm15", ctx, *fields[0])
     y = _decaying_state(16, 5)
     for _ in range(3):
         c = rng.uniform(0.3, 2.0, 7) * rng.choice([-1.0, 1.0], 7)
         tab = erkm15_tableau(c)
-        base = erkm_step(tab, ctx, y, row)
-        for name, arr in tab._asdict().items():
-            for idx in zip(*np.nonzero(arr)):
-                bumped = arr.copy()
-                bumped[idx] *= 1.25
-                moved = erkm_step(tab._replace(**{name: bumped}), ctx, y, row)
-                assert not np.array_equal(moved, base), (name, idx)
+        base = erkm_step(tab, ctx, y, noise)
+        bumped = [tab._replace(stages=_with(tab.stages, i, 1.25 * k))
+                  for i, k in enumerate(tab.stages)]
+        for name in ("alpha", "beta"):
+            rows = getattr(tab, name)
+            bumped += [tab._replace(**{name: _with(rows, r, _with(row, j, 1.25 * w))})
+                       for r, row in enumerate(rows) for j, w in enumerate(row)]
+        assert len(bumped) == 28
+        for t in bumped:
+            assert not np.array_equal(erkm_step(t, ctx, y, noise), base), t
 
 
 def test_resolve_scheme_forms():
@@ -664,22 +655,27 @@ def _oracle_factors(ctx):
 
 @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
 def test_context_factors_match_the_oracle_formulas(name):
-    # byte for byte, from h lambda near 0 to h lambda near 1e305, and
-    # without a warning at either end
+    # byte for byte, from h lambda near 0 to h lambda near 1e305 and, at
+    # T = 1e306, past the largest float for the top modes, and without a
+    # warning anywhere
     p = builtin_problem(name, 64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tiny, one, half, huge = (StepContext(p, T, M)
-                                 for T, M in ((1e-14, 1), (1.0, 7), (1.0, 14), (1e300, 1)))
-    for ctx in (tiny, one, half, huge):
-        for which, factor in _oracle_factors(ctx).items():
+        tiny, one, half, huge, over = (StepContext(p, T, M) for T, M in (
+            (1e-14, 1), (1.0, 7), (1.0, 14), (1e300, 1), (1e306, 1)))
+    for ctx in (tiny, one, half, huge, over):
+        with np.errstate(over="ignore"):  # the oracle's h lambda overflows at T = 1e306
+            oracle = _oracle_factors(ctx)
+        for which, factor in oracle.items():
             assert getattr(ctx, which).tobytes() == factor.tobytes(), which
     # phi1 -> 1 (as do E_h and the resolvent) as h lambda -> 0
     for factor in (tiny.phi1, tiny.E_h, tiny.resolvent):
         np.testing.assert_allclose(factor, 1.0, rtol=1e-9)
     # E_h, resolvent and phi1 -> 0 as h lambda -> inf
-    assert huge.E_h.max() == huge.E_h2.max() == 0.0
-    assert huge.resolvent.max() < 1e-297 and huge.phi1.max() < 1e-297
+    for ctx in (huge, over):
+        assert ctx.E_h.max() == ctx.E_h2.max() == 0.0
+        assert ctx.resolvent.max() < 1e-297 and ctx.phi1.max() < 1e-297
+    assert over.resolvent[-1] == over.phi1[-1] == 0.0
     # the semigroup property across two contexts: half a step of one is a
     # whole step of the other, exactly, since h / 2 is exact; two steps
     # of the other compose to one of the first
