@@ -56,6 +56,13 @@ def is_real(v):
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
+def is_label(v):
+    """A scheme label, as one field of an error-table CSV row holds it: a
+    non-empty str without commas, line breaks or outer whitespace."""
+    return (isinstance(v, str) and v != "" and v == v.strip()
+            and not any(c in v for c in ",\r\n"))
+
+
 def count(name, value, minimum=1):
     """value as an int if is_int(value) and value >= minimum, else a ValueError."""
     if not is_int(value) or value < minimum:

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, StudyError, count, is_int, positive
+from .errors import ConfigError, DivergenceError, StudyError, count, is_int, is_label, positive
 from .nemytskii import BUILTIN_PROBLEMS, builtin_problem
 from .qwiener import coarsen, sample_path
 from .schemes import StepContext, resolve_scheme, solve
@@ -226,8 +226,10 @@ class ErrorTable:
             if not 0 < r.h <= sys.float_info.max:
                 raise ValueError("%s at M=%d: h must be finite and > 0, got %r"
                                  % (r.scheme, r.M, r.h))
-            if r.rms_error < 0:
-                raise ValueError("rms_error must be nonnegative")
+            for name in ("rms_error", "std_error"):
+                if getattr(r, name) < 0:
+                    raise ValueError("%s at M=%d: %s must be nonnegative, got %r"
+                                     % (r.scheme, r.M, name, getattr(r, name)))
             if r.flagged < 0:
                 raise ValueError("%s at M=%d: flagged must be >= 0, got %d"
                                  % (r.scheme, r.M, r.flagged))
@@ -264,9 +266,10 @@ class ErrorTable:
         rows = []
         for ln in lines[1:]:
             parts = ln.split(",")
-            # each number only as write_csv writes it: int() and float()
-            # would also take "1_6", outer whitespace and non-ASCII digits
-            if (len(parts) != 6
+            # the label as resolve_scheme takes it, and each number only
+            # as write_csv writes it: int() and float() would also take
+            # "1_6", outer whitespace and non-ASCII digits
+            if (len(parts) != 6 or not is_label(parts[0])
                     or not all(re.fullmatch("-?[0-9]+", p) for p in (parts[1], parts[5]))
                     or not all(p.isascii() and "_" not in p and p == p.strip()
                                for p in parts[2:5])):
@@ -355,16 +358,14 @@ def fine_steps(cfg):
 
 
 class _StudyState:
-    """Per-worker study machinery: the problem, one StepContext per step
-    count (all share the problem's grid, operator and noise matrix), and
-    the (2, fine_M, K) arrays every realization samples its fine path
-    into."""
+    """Per-worker study machinery: the problem and one StepContext per
+    step count (all share the problem's grid, eigenvalues and noise
+    matrix)."""
 
     def __init__(self, cfg):
         self.cfg = cfg
         self.problem = builtin_problem(cfg.problem, cfg.N, cfg.K)
         self.fine_M = fine_steps(cfg)
-        self.fine_arrays = np.empty((2, self.fine_M, self.problem.qspec.K))
         self.ctxs = {
             M: StepContext(self.problem, cfg.T, M)
             for M in set(cfg.M_list) | {self.fine_M}
@@ -376,14 +377,14 @@ class _StudyState:
         cell as (r, scheme label or "reference", M, step, mode); a
         diverged reference flags every cell with one entry.
 
-        The fine path is sampled into the study's own arrays.  The
+        The fine path is sampled anew for each realization.  The
         reference and each scheme on each coarsened level run on that
         step count's context, and each solve streams its noise fields
         one chunk of steps at a time (see schemes.solve).
         """
         cfg = self.cfg
         fine = sample_path(self.problem.qspec, self.fine_M, self.ctxs[self.fine_M].h,
-                           cfg.seed, r, out=self.fine_arrays)
+                           cfg.seed, r)
         out = np.full((len(cfg.schemes), len(cfg.M_list)), np.nan)
         try:
             if cfg.reference.mode == "exact":

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import count, positive
+from .errors import CapabilityError, count, positive
 from .qwiener import QSpec, gsq_field, noise_matrix
 from .spectral import SineBasisGrid
 
@@ -131,14 +131,23 @@ class ProblemSpec:
         return "ProblemSpec(%r, kappa=%g, N=%d)" % (self.name, self.kappa, self.N)
 
 
-def eval_coeff(fn, v, grid):
-    """Pointwise composition field fn(x_p, v(x_p)) on the grid's nodes,
-    for a pointwise map fn (every stepper passes one its StepContext
-    bound) and a float field v on the nodes.  A result that is not a
-    float field of the grid's shape (a scalar, say) is broadcast to one.
+def eval_coeff(ctx, which, v):
+    """The field fn(x_p, v(x_p)) on the nodes x_p of ctx.grid, for the map
+    fn = ctx.problem.<which> (f, b, f_y, f_yy, b_y or b_yy) and a float
+    field v on the nodes; the one place a map is evaluated.  Adds 1 to
+    ctx.counters.<which> once fn returns.  A map the problem leaves None
+    raises a CapabilityError, naming ewp for a derivative map.  A result
+    that is not a float field of the grid's shape (a scalar, say) is
+    broadcast to one.
     """
-    x = grid.nodes
+    fn = getattr(ctx.problem, which)
+    if fn is None:
+        who = "" if which in ("f", "b") else " (required by ewp)"
+        raise CapabilityError("problem %r does not provide the %s map%s"
+                              % (ctx.problem.name, which, who))
+    x = ctx.grid.nodes
     out = fn(x, v)
+    setattr(ctx.counters, which, getattr(ctx.counters, which) + 1)
     if type(out) is not np.ndarray or out.dtype is not _FLOAT or out.shape != x.shape:
         out = np.broadcast_to(np.asarray(out, dtype=float), x.shape).astype(float)
     return out

@@ -123,8 +123,8 @@ def _joint_pair(z, h, dB, I):
     I += z1
 
 
-def sample_path(q, M, h, base_seed, realization=0, out=None):
-    """Sample a full path of M steps.
+def sample_path(q, M, h, base_seed, realization=0):
+    """Sample a full path of M steps into new arrays.
 
     Randomness is keyed by (base_seed, realization) into a counter-based
     Philox stream, and all (step, mode) normals are drawn in one fixed
@@ -132,21 +132,11 @@ def sample_path(q, M, h, base_seed, realization=0, out=None):
     workers run or in which order realizations complete.  The normals
     are drawn CHUNK_STEPS steps at a time and scaled in place into the
     path's arrays; chunked draws from the same stream produce the same
-    numbers as one draw.  out, a (2, M, K) float64
-    array, receives dB and I in place of new arrays, so a study can
-    reuse one pair of path arrays across its realizations; any other
-    dtype is a ValueError, not a silent cast.
+    numbers as one draw.
     """
     M, h = count("M", M), positive("h", h)
     base_seed, realization = count("base_seed", base_seed, 0), count("realization", realization, 0)
-    if out is None:
-        out = np.empty((2, M, q.K))
-    elif out.shape != (2, M, q.K):
-        raise DimensionError("out must have shape (2, %d, %d), got %r"
-                             % (M, q.K, out.shape))
-    elif out.dtype != np.float64:
-        raise ValueError("out must be a float64 array, got dtype %s" % out.dtype)
-    dB, I = out
+    dB, I = np.empty((2, M, q.K))
     seq = np.random.SeedSequence([base_seed, realization])
     rng = np.random.Generator(np.random.Philox(seq))
     z = np.empty((min(M, CHUNK_STEPS), q.K, 2))
@@ -170,10 +160,9 @@ def coarsen(path, factor):
     whole remaining time t_b - t_{i+1}.  Exact in the sense that no new
     randomness is introduced: the coarse path's dB and I are functions
     of the fine path's, which is what couples a study's step sizes.
+    The result owns new arrays; at factor 1 they equal the path's.
     """
-    if count("factor", factor) == 1:
-        return path
-    if path.M % factor:
+    if path.M % count("factor", factor):
         raise ValueError(
             "factor %d does not divide step count %d" % (factor, path.M)
         )
@@ -186,20 +175,19 @@ def coarsen(path, factor):
     return NoisePath(dBc, Ic, path.h * factor)
 
 
-def _sine_modes(q, grid):
-    """The (n_nodes, K) matrix of e~_j(x_p) = sqrt(2) sin(j pi x_p)."""
+def _modes(q, grid):
+    """The (n_nodes, K) matrix of the modes e~_j(x_p): sqrt(2) sin(j pi x_p)
+    for sine_basis, ones for scalar_constant."""
+    if q.mode_kind == "scalar_constant":
+        return np.ones((grid.n_nodes, 1))
     return np.sqrt(2.0) * np.sin(np.outer(grid.nodes, np.arange(1, q.K + 1)) * np.pi)
 
 
 def gsq_field(q, grid):
-    """The field sum_j g_j(x_p)^2 on the collocation nodes.
-
-    For sine_basis modes this is sum_j eta_j * 2 sin^2(j pi x_p); for
-    scalar_constant it is the constant eta_1 (a problem's: ProblemSpec.gsq).
-    """
-    if q.mode_kind == "scalar_constant":
-        return np.full(grid.n_nodes, q.mode_eigenvalues[0])
-    return _sine_modes(q, grid)**2 @ q.mode_eigenvalues
+    """The field sum_j g_j(x_p)^2 = sum_j eta_j e~_j(x_p)^2 on the
+    collocation nodes (a problem's: ProblemSpec.gsq); the constant eta_1
+    for scalar_constant noise."""
+    return _modes(q, grid)**2 @ q.mode_eigenvalues
 
 
 def noise_matrix(q, grid):
@@ -207,9 +195,7 @@ def noise_matrix(q, grid):
 
     G @ dB and G @ I assemble the noise fields on the grid.
     """
-    if q.mode_kind == "scalar_constant":
-        return np.full((grid.n_nodes, 1), np.sqrt(q.mode_eigenvalues[0]))
-    return _sine_modes(q, grid) * np.sqrt(q.mode_eigenvalues)
+    return _modes(q, grid) * np.sqrt(q.mode_eigenvalues)
 
 
 def theta_weights(dB, I, G):

@@ -16,11 +16,11 @@ Contents:
   (`solve`) running a scheme along a NoisePath to its terminal state.
 
 Steppers are plain functions, called one way only, as step(ctx, y, row):
-the StepContext holds what is fixed for a step size -- diagonal operator
-factors, the problem's grid and gsq, and its six pointwise maps, bound
-once when it is built -- y is the spectral state and row the step's row
-of noise factors.  The only random input of a step is the pair of noise
-fields (dW, Iw) on the grid, two bare arrays.  solve(ctx, scheme, path)
+the StepContext holds what is fixed for a step size -- the problem,
+diagonal operator factors and the problem's grid and gsq -- y is the
+spectral state and row the step's row of noise factors.  The only
+random input of a step is the pair of noise fields (dW, Iw) on the
+grid, two bare arrays.  solve(ctx, scheme, path)
 streams them one chunk of at most qwiener.CHUNK_STEPS steps at a time:
 it builds the chunk's (rows, n) field tables with theta_weights, builds
 from them the factors the stepper reads that depend on the noise alone,
@@ -41,8 +41,10 @@ Every stepper advances Y via the split form
 
 (for the exponential schemes), evaluates f and b pointwise in physical
 space, and applies all operator actions diagonally in spectral space.
-No stepper counts its evaluations: the context's bound maps count their
-own calls into StepContext.counters, so the ledger is the work done.
+Every map evaluation is one call eval_coeff(ctx, which, v), made
+through this module's global name eval_coeff (bench/tracing.py wraps
+that name), and eval_coeff counts it into StepContext.counters, so the
+ledger is the work done.
 """
 
 import math
@@ -52,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapabilityError, DimensionError, DivergenceError, count, is_real, positive
+from .errors import DimensionError, DivergenceError, count, is_label, is_real, positive
 from .nemytskii import eval_coeff
 from .qwiener import CHUNK_STEPS, theta_weights
 from .spectral import to_physical, to_spectral
@@ -157,13 +159,11 @@ class StepContext:
     E_h2 = exp(-lambda_k h/2), resolvent = (1 + h lambda_k)^-1 and phi1 =
     (1 - exp(-h lambda_k)) / (h lambda_k).  All are read-only, as the
     problem's own arrays are, since every solve of a study's step count
-    shares them.  It binds the problem's six pointwise maps once, as f,
-    b, f_y, f_yy, b_y and b_yy; a map the problem leaves None raises a
-    CapabilityError when a stepper first calls it, naming ewp for a
-    derivative map.  Each bound map adds 1 to its field of
-    counters, an EvalCounters, per call and returns the map's array
-    untouched.  A context holds only what (problem, T, M) fixes, and
-    those counters: the state and the noise are the stepper's y and row.
+    shares them.  A stepper evaluates the problem's maps through
+    nemytskii.eval_coeff(ctx, which, v), which adds 1 to the which field
+    of counters, an EvalCounters, per evaluation.  A context holds only
+    what (problem, T, M) fixes, and those counters: the state and the
+    noise are the stepper's y and row.
     """
 
     def __init__(self, problem, T, M=1):
@@ -188,31 +188,6 @@ class StepContext:
         for a in (self.h_gsq, self.E_h, self.E_h2, self.neg_lam, self.resolvent, self.phi1):
             a.flags.writeable = False
         self.counters = EvalCounters()
-        for which in ("f", "b", "f_y", "f_yy", "b_y", "b_yy"):
-            fn = getattr(problem, which)
-            if fn is None:
-                fn = _missing(problem, which)
-            setattr(self, which, _counting(fn, self.counters, which))
-
-
-def _missing(problem, which):
-    """A stand-in for a map the problem leaves None: it raises when called."""
-    who = "" if which in ("f", "b") else " (required by ewp)"
-    message = "problem %r does not provide the %s map%s" % (problem.name, which, who)
-
-    def missing(x, y):
-        raise CapabilityError(message)
-
-    return missing
-
-
-def _counting(fn, counters, which):
-    """fn, adding 1 to counters.<which> each time it returns."""
-    def counted(x, y):
-        out = fn(x, y)
-        setattr(counters, which, getattr(counters, which) + 1)
-        return out
-    return counted
 
 
 def theta_fields(dW, Iw, h, gsq):
@@ -270,28 +245,27 @@ def erkm_step(tab, ctx, y, noise):
     (stage 1), k h b_0 (stage 2) or k sqrt(h) b_0 (stages 3-4), k the
     stage's entry of tab.stages; stage 5 one b evaluation, at y +
     sqrt(h) (k b_0 + k' b_4).  That is 5 f- and 6 b-evaluations, all
-    through the context's bound maps, which count them.  The increment
-    sums the alpha rows against theta^0 = (h, Iw/h, h gsq), the beta
-    rows against theta^1 and b_0 against theta^2_1; noise is the step's
-    row of theta1_1..theta1_5, theta2_1 (theta_fields on the context's h
-    and gsq).
+    through eval_coeff, which counts them.  The increment sums the alpha
+    rows against theta^0 = (h, Iw/h, h gsq), the beta rows against
+    theta^1 and b_0 against theta^2_1; noise is the step's row of
+    theta1_1..theta1_5, theta2_1 (theta_fields on the context's h and
+    gsq).
     """
     grid, h, sqh = ctx.grid, ctx.h, ctx.sqh
-    f, b = ctx.f, ctx.b
     k, a, be = tab
     yp = to_physical(y, grid)
-    f0 = eval_coeff(f, yp, grid)
+    f0 = eval_coeff(ctx, "f", yp)
     D0 = to_physical(ctx.neg_lam * y, grid) + f0
-    b0 = eval_coeff(b, yp, grid)
-    f1 = eval_coeff(f, yp + (k[0] * h) * D0, grid)
-    b1 = eval_coeff(b, yp + (k[1] * h) * D0, grid)
-    f2 = eval_coeff(f, yp + (k[2] * h) * b0, grid)
-    b2 = eval_coeff(b, yp + (k[3] * h) * b0, grid)
-    f3 = eval_coeff(f, yp + (k[4] * sqh) * b0, grid)
-    b3 = eval_coeff(b, yp + (k[5] * sqh) * b0, grid)
-    f4 = eval_coeff(f, yp + (k[6] * sqh) * b0, grid)
-    b4 = eval_coeff(b, yp + (k[7] * sqh) * b0, grid)
-    b5 = eval_coeff(b, yp + (k[8] * sqh) * b0 + (k[9] * sqh) * b4, grid)
+    b0 = eval_coeff(ctx, "b", yp)
+    f1 = eval_coeff(ctx, "f", yp + (k[0] * h) * D0)
+    b1 = eval_coeff(ctx, "b", yp + (k[1] * h) * D0)
+    f2 = eval_coeff(ctx, "f", yp + (k[2] * h) * b0)
+    b2 = eval_coeff(ctx, "b", yp + (k[3] * h) * b0)
+    f3 = eval_coeff(ctx, "f", yp + (k[4] * sqh) * b0)
+    b3 = eval_coeff(ctx, "b", yp + (k[5] * sqh) * b0)
+    f4 = eval_coeff(ctx, "f", yp + (k[6] * sqh) * b0)
+    b4 = eval_coeff(ctx, "b", yp + (k[7] * sqh) * b0)
+    b5 = eval_coeff(ctx, "b", yp + (k[8] * sqh) * b0 + (k[9] * sqh) * b4)
 
     # summed from +0 in row order: a term that is a zero of either sign
     # then leaves P as it is
@@ -325,13 +299,13 @@ def ewp_step(ctx, y, noise):
     yp = to_physical(y, grid)
     gsq = ctx.gsq
 
-    fY = eval_coeff(ctx.f, yp, grid)
-    bY = eval_coeff(ctx.b, yp, grid)
+    fY = eval_coeff(ctx, "f", yp)
+    bY = eval_coeff(ctx, "b", yp)
     D = to_physical(ctx.neg_lam * y, grid) + fY
-    f_y = eval_coeff(ctx.f_y, yp, grid)
-    f_yy = eval_coeff(ctx.f_yy, yp, grid)
-    b_y = eval_coeff(ctx.b_y, yp, grid)
-    b_yy = eval_coeff(ctx.b_yy, yp, grid)
+    f_y = eval_coeff(ctx, "f_y", yp)
+    f_yy = eval_coeff(ctx, "f_yy", yp)
+    b_y = eval_coeff(ctx, "b_y", yp)
+    b_yy = eval_coeff(ctx, "b_yy", yp)
     bY2 = bY**2
     b_y2 = b_y**2
 
@@ -370,8 +344,8 @@ def baseline_step(kind, ctx, y, noise):
     grid = ctx.grid
     yp = to_physical(y, grid)
     dW = noise[0]
-    fY = eval_coeff(ctx.f, yp, grid)
-    bY = eval_coeff(ctx.b, yp, grid)
+    fY = eval_coeff(ctx, "f", yp)
+    bY = eval_coeff(ctx, "b", yp)
     if kind == "lie":
         incr = to_spectral(h * fY + bY * dW, grid)
         return ctx.resolvent * (y + incr)
@@ -383,7 +357,7 @@ def baseline_step(kind, ctx, y, noise):
         )
     if kind == "dfmm":
         sqh = ctx.sqh
-        b_shift = eval_coeff(ctx.b, yp + sqh * bY, grid)
+        b_shift = eval_coeff(ctx, "b", yp + sqh * bY)
         corr = (b_shift - bY) * noise[1] / (2.0 * sqh)
         return ctx.E_h * (y + to_spectral(h * fY + bY * dW + corr, grid))
     raise ValueError("unknown baseline kind %r" % (kind,))
@@ -441,10 +415,7 @@ def resolve_scheme(scheme):
         raise ValueError("unknown scheme %r (have: %s)" % (name, ", ".join(SCHEME_NAMES)))
     if params:
         raise ValueError("unused scheme parameters: %s" % ", ".join(sorted(params)))
-    # a label is one field of an error-table CSV row, which
-    # ErrorTable.read_csv splits at commas and strips of outer whitespace
-    if (not isinstance(label, str) or not label or label != label.strip()
-            or any(c in label for c in ",\r\n")):
+    if not is_label(label):
         raise ValueError("label must be a non-empty string without commas, line"
                          " breaks or outer whitespace, got %r" % (label,))
     return Scheme(name, label, step, noise)

@@ -44,24 +44,24 @@ def erkm15_closed_form_step(chat, ctx, y, noise):
     """
     g1, g2, g3, g4, g5, g6, g7, g8 = chat
     dW, Iw, dW2, dW3, hdW_Iw, Iw_hdW = noise
-    h, grid, gsq, f, b = ctx.h, ctx.grid, ctx.gsq, ctx.f, ctx.b
+    h, grid, gsq = ctx.h, ctx.grid, ctx.gsq
     yp = to_physical(y, grid)
 
-    fY = eval_coeff(f, yp, grid)
-    bY = eval_coeff(b, yp, grid)
+    fY = eval_coeff(ctx, "f", yp)
+    bY = eval_coeff(ctx, "b", yp)
     D = to_physical(ctx.neg_lam * y, grid) + fY
-    f_plus = eval_coeff(f, yp + g3 * bY, grid)
-    f_minus = eval_coeff(f, yp - g3 * bY, grid)
-    b_plus = eval_coeff(b, yp + g6 * bY, grid)
-    b_minus = eval_coeff(b, yp - g6 * bY, grid)
-    b_7 = b_plus if g7 == g6 else eval_coeff(b, yp + g7 * bY, grid)
-    fD = (eval_coeff(f, yp + g1 * D, grid) - fY) / g1
-    fb = (eval_coeff(f, yp + g2 * bY, grid) - fY) / g2
+    f_plus = eval_coeff(ctx, "f", yp + g3 * bY)
+    f_minus = eval_coeff(ctx, "f", yp - g3 * bY)
+    b_plus = eval_coeff(ctx, "b", yp + g6 * bY)
+    b_minus = eval_coeff(ctx, "b", yp - g6 * bY)
+    b_7 = b_plus if g7 == g6 else eval_coeff(ctx, "b", yp + g7 * bY)
+    fD = (eval_coeff(ctx, "f", yp + g1 * D) - fY) / g1
+    fb = (eval_coeff(ctx, "f", yp + g2 * bY) - fY) / g2
     fbb = (f_plus - 2.0 * fY + f_minus) / g3**2
-    bD = (eval_coeff(b, yp + g4 * D, grid) - bY) / g4
-    bb = (eval_coeff(b, yp + g5 * bY, grid) - bY) / g5
+    bD = (eval_coeff(ctx, "b", yp + g4 * D) - bY) / g4
+    bb = (eval_coeff(ctx, "b", yp + g5 * bY) - bY) / g5
     bbb = (b_plus - 2.0 * bY + b_minus) / g6**2
-    b2b = (eval_coeff(b, yp + (g8 / g7) * (b_7 - bY), grid) - bY) / g8
+    b2b = (eval_coeff(ctx, "b", yp + (g8 / g7) * (b_7 - bY)) - bY) / g8
 
     S = (
         h * fY

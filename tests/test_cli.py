@@ -442,6 +442,11 @@ _VALID_ROWS = ("exe,4,0.25,1.0,0.0,0", "exe,8,0.125,0.5,0.0,0",
         ("exe,16,nan,0.125,0.0,0", "h must be finite and > 0"),
         ("exe,0,0.0625,0.125,0.0,0", "M must be >= 1"),
         ("exe,16,0.0625,0.125,0.0,-1", "flagged must be >= 0"),
+        ("exe,16,0.0625,-0.125,0.0,0", "exe at M=16: rms_error must be nonnegative"),
+        ("exe,16,0.0625,0.125,-1.0,0", "exe at M=16: std_error must be nonnegative"),
+        # a label only as resolve_scheme takes it, so write_csv writes it
+        ("exe ,16,0.0625,0.125,0.0,0", "malformed row"),
+        (",16,0.0625,0.125,0.0,0", "malformed row"),
         # each number only in the form write_csv writes it: int() and
         # float() would read these as the valid M = 16, h = 0.0625 or
         # flagged = 0

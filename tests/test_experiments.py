@@ -408,9 +408,9 @@ def test_study_error_names_first_divergences(monkeypatch, workers):
     real_sample, real_solve = experiments.sample_path, experiments.solve
     current = {}
 
-    def sample(q, M, h, seed, r, out=None):
+    def sample(q, M, h, seed, r):
         current["r"] = r
-        return real_sample(q, M, h, seed, r, out=out)
+        return real_sample(q, M, h, seed, r)
 
     def solve(ctx, scheme, path):
         if current["r"] == 1 and scheme == "exe" and path.M == 8:

@@ -77,61 +77,65 @@ def test_unknown_problem():
 
 
 def test_eval_f_example3_at_zero():
-    p = builtin_problem("example3", N=8)
-    grid = SineBasisGrid(8)
-    assert np.all(eval_coeff(p.f, np.zeros(8), grid) == 0.0)
+    ctx = StepContext(builtin_problem("example3", N=8), 0.1)
+    assert np.all(eval_coeff(ctx, "f", np.zeros(8)) == 0.0)
+    assert ctx.counters == EvalCounters(f=1)
 
 
 def test_eval_b_example1_is_identity():
-    p = builtin_problem("example1", N=6)
-    grid = SineBasisGrid(6)
+    ctx = StepContext(builtin_problem("example1", N=6), 0.1)
     v = np.random.default_rng(0).standard_normal(6)
-    assert np.array_equal(eval_coeff(p.b, v, grid), v)
+    assert np.array_equal(eval_coeff(ctx, "b", v), v)
+    assert ctx.counters == EvalCounters(b=1)
+
+
+def _custom(f, b=lambda x, y: y, N=4, **derivs):
+    q = QSpec(1, [1.0], mode_kind="scalar_constant")
+    return ProblemSpec(kappa=1.0, f=f, b=b, initial_coeffs=np.zeros(N), qspec=q, **derivs)
 
 
 def test_eval_scalar_result_broadcasts():
-    q = QSpec(1, [1.0], mode_kind="scalar_constant")
-    p = ProblemSpec(
-        kappa=1.0,
-        f=lambda x, y: 3.0,
-        b=lambda x, y: y,
-        initial_coeffs=np.zeros(4),
-        qspec=q,
-    )
-    grid = SineBasisGrid(4)
-    out = eval_coeff(p.f, np.zeros(4), grid)
+    ctx = StepContext(_custom(lambda x, y: 3.0), 0.1)
+    out = eval_coeff(ctx, "f", np.zeros(4))
     assert out.shape == (4,) and np.all(out == 3.0)
 
 
+def test_eval_passes_the_nodes_and_counts_after_the_map_returns():
+    seen = []
+
+    def f(x, y):
+        seen.append(x)
+        raise RuntimeError("map failed")
+
+    ctx = StepContext(_custom(f), 0.1)
+    with pytest.raises(RuntimeError, match="map failed"):
+        eval_coeff(ctx, "f", np.zeros(4))
+    assert seen[0] is ctx.grid.nodes
+    assert ctx.counters == EvalCounters()
+
+
 def test_missing_derivative_names_requester():
-    # a context binds a map the problem leaves None; calling it raises,
-    # naming ewp for a derivative map and no requester for f or b
-    q = QSpec(1, [1.0], mode_kind="scalar_constant")
-    p = ProblemSpec(
-        kappa=1.0,
-        f=lambda x, y: np.zeros_like(y),
-        b=lambda x, y: y,
-        initial_coeffs=np.zeros(4),
-        qspec=q,
-    )
-    grid = p.grid
+    # eval_coeff looks each map up on the problem; one it leaves None
+    # raises, naming ewp for a derivative map and no requester for f or b,
+    # and is not counted
+    p = _custom(lambda x, y: np.zeros_like(y))
     ctx = StepContext(p, 0.1)
     with pytest.raises(CapabilityError, match=r"^problem 'custom' does not provide the"
                                               r" b_yy map \(required by ewp\)$"):
-        eval_coeff(ctx.b_yy, np.zeros(4), grid)
+        eval_coeff(ctx, "b_yy", np.zeros(4))
     assert ctx.counters == EvalCounters()
     no_f = StepContext(replace(p, f=None), 0.1)
     with pytest.raises(CapabilityError, match=r"^problem 'custom' does not provide the f map$"):
-        eval_coeff(no_f.f, np.zeros(4), grid)
+        eval_coeff(no_f, "f", np.zeros(4))
 
 
 def test_eval_converts_non_float_results():
     # an integer field of the grid's shape comes back as floats
-    p = builtin_problem("example1", N=4)
-    grid = SineBasisGrid(4)
-    out = eval_coeff(lambda x, y: np.arange(4), np.zeros(4), grid)
+    ctx = StepContext(_custom(lambda x, y: np.arange(4)), 0.1)
+    out = eval_coeff(ctx, "f", np.zeros(4))
     assert out.dtype == float and np.array_equal(out, [0.0, 1.0, 2.0, 3.0])
-    assert eval_coeff(p.b, np.ones(4), grid).dtype == float
+    ctx = StepContext(builtin_problem("example1", N=4), 0.1)
+    assert eval_coeff(ctx, "b", np.ones(4)).dtype == float
 
 
 def central_difference(fn, x, y, delta=1e-5):
@@ -153,19 +157,10 @@ def test_derivative_maps_match_finite_differences(name):
 
 def test_custom_derivative_against_fd():
     # f(x, y) = y^2 with hand-coded f_y = 2y
-    q = QSpec(1, [1.0], mode_kind="scalar_constant")
-    p = ProblemSpec(
-        kappa=1.0,
-        f=lambda x, y: y**2,
-        f_y=lambda x, y: 2.0 * y,
-        b=lambda x, y: y,
-        initial_coeffs=np.zeros(8),
-        qspec=q,
-    )
-    grid = SineBasisGrid(8)
+    p = _custom(lambda x, y: y**2, N=8, f_y=lambda x, y: 2.0 * y)
     y = np.random.default_rng(1).uniform(-2, 2, size=8)
-    fd = central_difference(p.f, grid.nodes, y)
-    assert np.allclose(fd, eval_coeff(p.f_y, y, grid), rtol=1e-8, atol=1e-8)
+    fd = central_difference(p.f, p.grid.nodes, y)
+    assert np.allclose(fd, eval_coeff(StepContext(p, 0.1), "f_y", y), rtol=1e-8, atol=1e-8)
 
 
 def test_exact_must_match_initial():

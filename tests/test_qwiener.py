@@ -119,27 +119,16 @@ def test_sample_path_chunked_draw_equals_one_draw():
     assert np.array_equal(path.dB, dB) and np.array_equal(path.I, I)
 
 
-def test_sample_path_into_reused_arrays():
+def test_sample_path_allocates_its_own_arrays():
+    # each call owns new arrays: two draws of one key are equal and share
+    # no memory, so a caller may keep or change one path freely
     q = QSpec(2, [1.0, 0.5])
-    out = np.full((2, 40, 2), np.nan)
-    fresh = sample_path(q, 40, 0.025, base_seed=9, realization=1)
-    again = sample_path(q, 40, 0.025, base_seed=9, realization=1, out=out)
-    assert np.shares_memory(again.dB, out) and np.shares_memory(again.I, out)
-    assert np.array_equal(again.dB, fresh.dB) and np.array_equal(again.I, fresh.I)
-    with pytest.raises(DimensionError, match="out"):
-        sample_path(q, 41, 0.025, base_seed=9, out=out)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.int64])
-def test_sample_path_rejects_out_of_another_dtype(dtype):
-    # a float32 out would hold normals rounded to float32, an int64 one
-    # fails inside numpy: both are named as out
-    q = QSpec(2, [1.0, 0.5])
-    out = np.zeros((2, 40, 2), dtype=dtype)
-    with pytest.raises(ValueError, match="^out must be a float64 array, got dtype %s$"
-                       % np.dtype(dtype)):
-        sample_path(q, 40, 0.025, base_seed=9, out=out)
-    assert not out.any()
+    first = sample_path(q, 40, 0.025, base_seed=9, realization=1)
+    again = sample_path(q, 40, 0.025, base_seed=9, realization=1)
+    assert np.array_equal(again.dB, first.dB) and np.array_equal(again.I, first.I)
+    assert not np.shares_memory(again.dB, first.dB)
+    assert not np.shares_memory(again.I, first.I)
+    assert not np.shares_memory(again.dB, again.I)
 
 
 def test_coarsen_two_substeps_frozen():
@@ -152,8 +141,13 @@ def test_coarsen_two_substeps_frozen():
 
 
 def test_coarsen_factor_one_is_identity():
-    p = sample_path(scalar_q(), 4, 0.25, base_seed=1)
-    assert coarsen(p, 1) is p
+    # the general formula at factor 1: the same bits, in new arrays
+    for K, r in ((K, r) for K in (1, 3, 64) for r in range(5)):
+        p = sample_path(QSpec(K, np.ones(K)), 70, 1.0 / 70, base_seed=1, realization=r)
+        c = coarsen(p, 1)
+        assert (c.M, c.K, c.h) == (p.M, p.K, p.h)
+        assert c.dB.tobytes() == p.dB.tobytes() and c.I.tobytes() == p.I.tobytes()
+        assert not np.shares_memory(c.dB, p.dB) and not np.shares_memory(c.I, p.I)
 
 
 def test_coarsen_rejects_bad_factor():
@@ -234,6 +228,11 @@ def test_qspec_validation():
 def test_gsq_scalar_constant():
     grid = SineBasisGrid(10)
     assert np.all(gsq_field(scalar_q(), grid) == 1.0)
+    # the ones basis gives gsq = eta_1 at every node, to the bit
+    for eta in (0.0, 1e-300, 0.3, 7.5e12):
+        q = QSpec(1, [eta], mode_kind="scalar_constant")
+        for n in (1, 5, 64):
+            assert gsq_field(q, SineBasisGrid(n)).tobytes() == np.full(n, eta).tobytes()
 
 
 def test_gsq_single_sine_mode():
@@ -262,6 +261,12 @@ def test_noise_matrix_scalar_is_ones():
     grid = SineBasisGrid(6)
     G = noise_matrix(scalar_q(), grid)
     assert G.shape == (6, 1) and np.all(G == 1.0)
+    # and sqrt(eta_1) at every node, to the bit
+    for eta in (0.0, 1e-300, 0.3, 7.5e12):
+        q = QSpec(1, [eta], mode_kind="scalar_constant")
+        for n in (1, 5, 64):
+            G = noise_matrix(q, SineBasisGrid(n))
+            assert G.tobytes() == np.full((n, 1), np.sqrt(eta)).tobytes()
 
 
 def test_theta_zero_noise():

@@ -219,7 +219,7 @@ A7_EVALS = dict(erkm15=(5, 6, 0, 0, 0, 0), ewp=(1, 1, 1, 1, 1, 1), dfmm=(1, 2, 0
 def test_solve_eval_counts_match_the_model(scheme):
     # M = 65 crosses the 64-step chunk edge.  The context's ledger must
     # equal the model times M, and a count taken by maps wrapped on the
-    # problem before the context binds them.
+    # problem before the context is built.
     M = 65
     base = builtin_problem("example3", 8)
     maps = ("f", "b", "f_y", "f_yy", "b_y", "b_yy")
