@@ -29,7 +29,6 @@ from .qwiener import (
 )
 from .nemytskii import ProblemSpec, builtin_problem, eval_coeff
 from .schemes import (
-    EvalCounters,
     StepContext,
     erkm15_tableau,
     resolve_scheme,

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapabilityError, count, positive
+from .errors import CapabilityError, DimensionError, count, positive
 from .qwiener import QSpec, gsq_field, noise_matrix
 from .spectral import SineBasisGrid
 
@@ -134,11 +134,13 @@ class ProblemSpec:
 def eval_coeff(ctx, which, v):
     """The field fn(x_p, v(x_p)) on the nodes x_p of ctx.grid, for the map
     fn = ctx.problem.<which> (f, b, f_y, f_yy, b_y or b_yy) and a float
-    field v on the nodes; the one place a map is evaluated.  Adds 1 to
-    ctx.counters.<which> once fn returns.  A map the problem leaves None
-    raises a CapabilityError, naming ewp for a derivative map.  A result
-    that is not a float field of the grid's shape (a scalar, say) is
-    broadcast to one.
+    field v on the nodes; the one place a map is evaluated.  A map the
+    problem leaves None raises a CapabilityError, naming ewp for a
+    derivative map.  A real result that is not a float field of the
+    nodes' shape (a scalar or an int field, say) is broadcast to one as
+    floats; a result that is not real (None, complex, bool or a string)
+    raises a TypeError, and one that does not broadcast to the nodes'
+    shape a DimensionError, each naming the problem and the map.
     """
     fn = getattr(ctx.problem, which)
     if fn is None:
@@ -146,10 +148,20 @@ def eval_coeff(ctx, which, v):
         raise CapabilityError("problem %r does not provide the %s map%s"
                               % (ctx.problem.name, which, who))
     x = ctx.grid.nodes
+    shape = x.shape
     out = fn(x, v)
-    setattr(ctx.counters, which, getattr(ctx.counters, which) + 1)
-    if type(out) is not np.ndarray or out.dtype is not _FLOAT or out.shape != x.shape:
-        out = np.broadcast_to(np.asarray(out, dtype=float), x.shape).astype(float)
+    if type(out) is not np.ndarray or out.dtype is not _FLOAT or out.shape != shape:
+        got = np.asarray(out)
+        if got.dtype.kind not in "iuf":
+            raise TypeError("problem %r: the %s map returned %s of dtype %s, not real"
+                            " numbers" % (ctx.problem.name, which, type(out).__name__,
+                                          got.dtype))
+        try:
+            out = np.broadcast_to(got, shape).astype(float)
+        except ValueError:
+            raise DimensionError("problem %r: the %s map returned shape %r, which does not"
+                                 " broadcast to the nodes' shape %r"
+                                 % (ctx.problem.name, which, got.shape, shape)) from None
     return out
 
 

@@ -42,13 +42,12 @@ Every stepper advances Y via the split form
 (for the exponential schemes), evaluates f and b pointwise in physical
 space, and applies all operator actions diagonally in spectral space.
 Every map evaluation is one call eval_coeff(ctx, which, v), made
-through this module's global name eval_coeff (bench/tracing.py wraps
-that name), and eval_coeff counts it into StepContext.counters, so the
-ledger is the work done.
+through this module's global name eval_coeff, so wrapping that name
+sees every evaluation; no stepper evaluates a map on a branch that
+depends on the data, so each scheme's count per step is fixed.
 """
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
@@ -60,7 +59,6 @@ from .qwiener import CHUNK_STEPS, theta_weights
 from .spectral import to_physical, to_spectral
 
 __all__ = [
-    "EvalCounters",
     "StepContext",
     "erkm15_tableau",
     "theta_fields",
@@ -74,18 +72,6 @@ __all__ = [
 ]
 
 SCHEME_NAMES = ("erkm15", "ewp", "exe", "lie", "dfmm")
-
-
-@dataclass
-class EvalCounters:
-    """Distinct grid-wide evaluations of the pointwise maps."""
-
-    f: int = 0
-    b: int = 0
-    f_y: int = 0
-    f_yy: int = 0
-    b_y: int = 0
-    b_yy: int = 0
 
 
 class ERKM15Tableau(NamedTuple):
@@ -151,19 +137,19 @@ class StepContext:
     by one worker: StepContext(problem, T, M=1), for M uniform steps over
     a span T (an integer M >= 1, a finite T > 0).
 
-    h = T / M is derived here and nowhere else, and solve() matches a
-    context to a path by the integer step count; with M=1, T is the step
-    size.  grid, G and gsq are the problem's own, shared by all its
-    contexts.  From problem.eigenvalues lambda_k it builds neg_lam =
-    -lambda_k and what depends on h: sqh, h_gsq, E_h = exp(-lambda_k h),
-    E_h2 = exp(-lambda_k h/2), resolvent = (1 + h lambda_k)^-1 and phi1 =
-    (1 - exp(-h lambda_k)) / (h lambda_k).  All are read-only, as the
-    problem's own arrays are, since every solve of a study's step count
-    shares them.  A stepper evaluates the problem's maps through
-    nemytskii.eval_coeff(ctx, which, v), which adds 1 to the which field
-    of counters, an EvalCounters, per evaluation.  A context holds only
-    what (problem, T, M) fixes, and those counters: the state and the
-    noise are the stepper's y and row.
+    h = T / M is the step size every stepper reads.  StudyConfig.validated
+    (T over the finest step count), run_study's ErrorRow and the CLI's
+    path command also divide T by a step count, with the same float
+    arithmetic, so their h has the same bits.  solve() matches a context
+    to a path by the integer step count; with M=1, T is the step size.
+    grid, G and gsq are the problem's own, shared by all its contexts.
+    From problem.eigenvalues lambda_k it builds neg_lam = -lambda_k and
+    what depends on h: sqh, h_gsq, E_h = exp(-lambda_k h), E_h2 =
+    exp(-lambda_k h/2), resolvent = (1 + h lambda_k)^-1 and phi1 =
+    (1 - exp(-h lambda_k)) / (h lambda_k).  A context is a value: it
+    holds only what (problem, T, M) fixes, all of it numbers, read-only
+    arrays or the problem's own objects, so any number of solves may
+    share it; the state and the noise are the stepper's y and row.
     """
 
     def __init__(self, problem, T, M=1):
@@ -187,7 +173,6 @@ class StepContext:
             self.phi1 = -np.expm1(-z) / z  # accurate down to z -> 0 (limit 1)
         for a in (self.h_gsq, self.E_h, self.E_h2, self.neg_lam, self.resolvent, self.phi1):
             a.flags.writeable = False
-        self.counters = EvalCounters()
 
 
 def theta_fields(dW, Iw, h, gsq):
@@ -245,7 +230,7 @@ def erkm_step(tab, ctx, y, noise):
     (stage 1), k h b_0 (stage 2) or k sqrt(h) b_0 (stages 3-4), k the
     stage's entry of tab.stages; stage 5 one b evaluation, at y +
     sqrt(h) (k b_0 + k' b_4).  That is 5 f- and 6 b-evaluations, all
-    through eval_coeff, which counts them.  The increment sums the alpha
+    through eval_coeff.  The increment sums the alpha
     rows against theta^0 = (h, Iw/h, h gsq), the beta rows against
     theta^1 and b_0 against theta^2_1; noise is the step's row of
     theta1_1..theta1_5, theta2_1 (theta_fields on the context's h and

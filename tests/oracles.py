@@ -12,15 +12,27 @@ a fault in either.  Tests import this module as `import oracles`.
   spectral field, and the interpolation-space norms, both from the
   eigenvalues lambda_k of -A;
 * sample_step -- one step's (dB, I) drawn from a generator, with the
-  triangular factor of the joint covariance written out.
+  triangular factor of the joint covariance written out;
+* counting, spent -- evaluation counts taken by the problem's own maps,
+  wrapped before a context is built, and A7_EVALS, the per-step cost
+  model (acceptance criterion A7) they are checked against;
+* noise_row -- a scheme's noise row for one step's fields.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from spderk.nemytskii import eval_coeff
+from spderk.schemes import resolve_scheme
 from spderk.spectral import to_physical, to_spectral
+
+MAPS = ("f", "b", "f_y", "f_yy", "b_y", "b_yy")
+
+# the A7 cost model: (f, b, f_y, f_yy, b_y, b_yy) evaluations per step
+A7_EVALS = dict(erkm15=(5, 6, 0, 0, 0, 0), ewp=(1, 1, 1, 1, 1, 1), dfmm=(1, 2, 0, 0, 0, 0),
+                lie=(1, 1, 0, 0, 0, 0), exe=(1, 1, 0, 0, 0, 0))
 
 
 def hatted_coefficients(c, h):
@@ -124,3 +136,33 @@ def sample_step(rng, q, h):
     z = rng.standard_normal((q.K, 2))
     root = h**1.5
     return np.sqrt(h) * z[:, 0], (root / 2.0) * z[:, 0] + (root / (2.0 * np.sqrt(3.0))) * z[:, 1]
+
+
+def counting(problem):
+    """(problem with each of its maps wrapped, calls): calls is a dict
+    from f, b, f_y, f_yy, b_y and b_yy, in that order, to the number of
+    calls of that map so far.  A map the problem leaves None stays None."""
+    calls = dict.fromkeys(MAPS, 0)
+
+    def counted(which, fn):
+        def call(x, v):
+            calls[which] += 1
+            return fn(x, v)
+        return call
+
+    wrapped = {which: counted(which, getattr(problem, which)) for which in MAPS
+               if getattr(problem, which) is not None}
+    return replace(problem, **wrapped), calls
+
+
+def spent(calls):
+    """The counts of calls as a tuple in MAPS order, which then restart
+    at 0: the evaluations made since the last call."""
+    counts = tuple(calls.values())
+    calls.update(dict.fromkeys(MAPS, 0))
+    return counts
+
+
+def noise_row(scheme, ctx, dW, Iw):
+    """The scheme's noise row for one step's fields."""
+    return resolve_scheme(scheme).noise(ctx, dW, Iw)

@@ -11,7 +11,6 @@ and take a couple of minutes combined; everything else is fast.
 import math
 import sys
 import time
-from dataclasses import astuple, replace
 
 import numpy as np
 
@@ -28,12 +27,10 @@ from spderk.experiments import (
 from spderk.nemytskii import ProblemSpec, builtin_problem
 from spderk.qwiener import QSpec, coarsen, sample_path, theta_weights
 from spderk.schemes import (
-    EvalCounters,
     StepContext,
     erkm15_tableau,
     erkm_step,
     ewp_step,
-    resolve_scheme,
     solve,
 )
 from spderk.spectral import SineBasisGrid, to_physical, to_spectral
@@ -95,11 +92,6 @@ def test_a2_example2_order_reproduction():
             _slope_detail(slopes, bands, elapsed))
 
 
-def _row(scheme, ctx, dW, Iw):
-    """The scheme's noise row for one step's fields."""
-    return resolve_scheme(scheme).noise(ctx, dW, Iw)
-
-
 def test_a3_tableau_closed_form_equivalence():
     p = builtin_problem("example3", 16)
     rng = np.random.default_rng(33)
@@ -113,9 +105,9 @@ def test_a3_tableau_closed_form_equivalence():
         path = sample_path(p.qspec, 1, h, 7000, realization=trial)
         dW, Iw = theta_weights(path.dB[0], path.I[0], p.G)
         y = rng.standard_normal(16) / (1.0 + np.arange(16.0)) ** 2
-        a = erkm_step(erkm15_tableau(c), ctx, y, _row("erkm15", ctx, dW, Iw))
+        a = erkm_step(erkm15_tableau(c), ctx, y, oracles.noise_row("erkm15", ctx, dW, Iw))
         b = oracles.erkm15_closed_form_step(oracles.hatted_coefficients(c, h), ctx, y,
-                                            _row("ewp", ctx, dW, Iw))
+                                            oracles.noise_row("ewp", ctx, dW, Iw))
         rel = np.abs(a - b).max() / max(1.0, np.abs(a).max(), np.abs(b).max())
         worst = max(worst, rel)
     _report("A3 tableau = closed form (50 tuples)", worst <= 1e-12,
@@ -183,41 +175,21 @@ def test_a6_deterministic_exactness():
 
 
 def test_a7_evaluation_counts():
-    # eval_coeff keeps the context's ledger; the problem's own maps,
-    # wrapped before the context is built, count the same calls
-    # independently
-    base = builtin_problem("example3", 12)
-    maps = ("f", "b", "f_y", "f_yy", "b_y", "b_yy")
-    calls = EvalCounters()
-
-    def counted(which):
-        fn = getattr(base, which)
-
-        def call(x, v):
-            setattr(calls, which, getattr(calls, which) + 1)
-            return fn(x, v)
-        return call
-
-    p = replace(base, **{which: counted(which) for which in maps})
+    # the problem's own maps, wrapped before the context is built, count
+    # each step's (f, b, f_y, f_yy, b_y, b_yy) evaluations
+    p, calls = oracles.counting(builtin_problem("example3", 12))
     ctx = StepContext(p, 0.1)
     path = sample_path(p.qspec, 3, 0.1, 707)
     tab = erkm15_tableau(np.ones(7))
-
-    def spent(before):
-        # the (f, b, f_y, f_yy, b_y, b_yy) evaluations since the snapshot
-        return tuple(a - b for a, b in zip(astuple(ctx.counters), before))
 
     ok = True
     y = p.initial_coeffs
     for m in range(3):
         dW, Iw = theta_weights(path.dB[m], path.I[m], p.G)
-        before = astuple(ctx.counters)
-        y = erkm_step(tab, ctx, y, _row("erkm15", ctx, dW, Iw))
-        ok = ok and spent(before) == (5, 6, 0, 0, 0, 0)
-    before = astuple(ctx.counters)
-    ewp_step(ctx, p.initial_coeffs, _row("ewp", ctx, dW, Iw))
-    ok = ok and spent(before) == (1, 1, 1, 1, 1, 1)
-    ok = ok and calls == ctx.counters
+        y = erkm_step(tab, ctx, y, oracles.noise_row("erkm15", ctx, dW, Iw))
+        ok = ok and oracles.spent(calls) == oracles.A7_EVALS["erkm15"]
+    ewp_step(ctx, p.initial_coeffs, oracles.noise_row("ewp", ctx, dW, Iw))
+    ok = ok and oracles.spent(calls) == oracles.A7_EVALS["ewp"]
     _report("A7 cost accounting (5f+6b per RK step, 6 per WP step)", ok)
 
 

@@ -7,14 +7,15 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 
-from spderk.errors import CapabilityError
+import oracles
+from spderk.errors import CapabilityError, DimensionError
 from spderk.nemytskii import (
     ProblemSpec,
     builtin_problem,
     eval_coeff,
 )
-from spderk.qwiener import QSpec, noise_matrix
-from spderk.schemes import EvalCounters, StepContext
+from spderk.qwiener import QSpec, noise_matrix, sample_path
+from spderk.schemes import StepContext, solve
 from spderk.spectral import SineBasisGrid
 
 
@@ -77,16 +78,18 @@ def test_unknown_problem():
 
 
 def test_eval_f_example3_at_zero():
-    ctx = StepContext(builtin_problem("example3", N=8), 0.1)
+    p, calls = oracles.counting(builtin_problem("example3", N=8))
+    ctx = StepContext(p, 0.1)
     assert np.all(eval_coeff(ctx, "f", np.zeros(8)) == 0.0)
-    assert ctx.counters == EvalCounters(f=1)
+    assert oracles.spent(calls) == (1, 0, 0, 0, 0, 0)
 
 
 def test_eval_b_example1_is_identity():
-    ctx = StepContext(builtin_problem("example1", N=6), 0.1)
+    p, calls = oracles.counting(builtin_problem("example1", N=6))
+    ctx = StepContext(p, 0.1)
     v = np.random.default_rng(0).standard_normal(6)
     assert np.array_equal(eval_coeff(ctx, "b", v), v)
-    assert ctx.counters == EvalCounters(b=1)
+    assert oracles.spent(calls) == (0, 1, 0, 0, 0, 0)
 
 
 def _custom(f, b=lambda x, y: y, N=4, **derivs):
@@ -100,7 +103,7 @@ def test_eval_scalar_result_broadcasts():
     assert out.shape == (4,) and np.all(out == 3.0)
 
 
-def test_eval_passes_the_nodes_and_counts_after_the_map_returns():
+def test_eval_passes_the_nodes_to_the_map():
     seen = []
 
     def f(x, y):
@@ -111,19 +114,16 @@ def test_eval_passes_the_nodes_and_counts_after_the_map_returns():
     with pytest.raises(RuntimeError, match="map failed"):
         eval_coeff(ctx, "f", np.zeros(4))
     assert seen[0] is ctx.grid.nodes
-    assert ctx.counters == EvalCounters()
 
 
 def test_missing_derivative_names_requester():
     # eval_coeff looks each map up on the problem; one it leaves None
-    # raises, naming ewp for a derivative map and no requester for f or b,
-    # and is not counted
+    # raises, naming ewp for a derivative map and no requester for f or b
     p = _custom(lambda x, y: np.zeros_like(y))
     ctx = StepContext(p, 0.1)
     with pytest.raises(CapabilityError, match=r"^problem 'custom' does not provide the"
                                               r" b_yy map \(required by ewp\)$"):
         eval_coeff(ctx, "b_yy", np.zeros(4))
-    assert ctx.counters == EvalCounters()
     no_f = StepContext(replace(p, f=None), 0.1)
     with pytest.raises(CapabilityError, match=r"^problem 'custom' does not provide the f map$"):
         eval_coeff(no_f, "f", np.zeros(4))
@@ -136,6 +136,28 @@ def test_eval_converts_non_float_results():
     assert out.dtype == float and np.array_equal(out, [0.0, 1.0, 2.0, 3.0])
     ctx = StepContext(builtin_problem("example1", N=4), 0.1)
     assert eval_coeff(ctx, "b", np.ones(4)).dtype == float
+
+
+@pytest.mark.parametrize("result, error, got", [
+    (lambda y: None, TypeError, "NoneType of dtype object, not real numbers"),
+    (lambda y: 1j + y, TypeError, "ndarray of dtype complex128, not real numbers"),
+    (lambda y: True, TypeError, "bool of dtype bool, not real numbers"),
+    (lambda y: "a", TypeError, "str of dtype <U1, not real numbers"),
+    (lambda y: np.zeros(5), DimensionError,
+     "shape (5,), which does not broadcast to the nodes' shape (4,)"),
+], ids=["None", "complex", "bool", "str", "shape"])
+def test_eval_rejects_results_that_are_not_real_fields(result, error, got):
+    # such a result is not coerced (None to nan, complex to its real part,
+    # True to 1.0): eval_coeff raises, naming the problem and the map, so
+    # solve does not blame the scheme for it
+    p = _custom(lambda x, y: result(y))
+    msg = "^%s$" % re.escape("problem 'custom': the f map returned " + got)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=msg):
+            eval_coeff(StepContext(p, 0.1), "f", np.zeros(4))
+        with pytest.raises(error, match=msg):
+            solve(StepContext(p, 0.1), "lie", sample_path(p.qspec, 1, 0.1, 0))
 
 
 def central_difference(fn, x, y, delta=1e-5):

@@ -11,7 +11,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,11 +72,6 @@ def _context_for(p, h, seed=0, realization=0, M=1):
     path = sample_path(p.qspec, M, h, seed, realization)
     fields = [theta_weights(path.dB[m], path.I[m], p.G) for m in range(M)]
     return ctx, fields
-
-
-def _row(scheme, ctx, dW, Iw):
-    """The scheme's noise row for one step's fields."""
-    return resolve_scheme(scheme).noise(ctx, dW, Iw)
 
 
 def test_tableau_frozen_entries():
@@ -150,9 +145,9 @@ def test_tableau_matches_closed_form(data, seed):
     ctx, ((dW, Iw),) = _context_for(p, h, seed=seed)
     y = _decaying_state(16, seed + 1)
 
-    via_tableau = erkm_step(erkm15_tableau(c), ctx, y, _row("erkm15", ctx, dW, Iw))
+    via_tableau = erkm_step(erkm15_tableau(c), ctx, y, oracles.noise_row("erkm15", ctx, dW, Iw))
     via_sum = oracles.erkm15_closed_form_step(oracles.hatted_coefficients(c, h), ctx, y,
-                                              _row("ewp", ctx, dW, Iw))
+                                              oracles.noise_row("ewp", ctx, dW, Iw))
 
     scale = max(1.0, np.abs(via_tableau).max(), np.abs(via_sum).max())
     assert np.abs(via_tableau - via_sum).max() <= 1e-12 * scale
@@ -181,8 +176,8 @@ def test_erkm15_tends_to_ewp_as_c_shrinks():
     for seed in range(5):
         ctx, ((dW, Iw),) = _context_for(p, 0.1, seed=seed)
         y = p.initial_coeffs
-        wp = ewp_step(ctx, y, _row("ewp", ctx, dW, Iw))
-        rk_row = _row("erkm15", ctx, dW, Iw)
+        wp = ewp_step(ctx, y, oracles.noise_row("ewp", ctx, dW, Iw))
+        rk_row = oracles.noise_row("erkm15", ctx, dW, Iw)
         gaps = [np.abs(erkm_step(erkm15_tableau(np.full(7, c)), ctx, y, rk_row) - wp).max()
                 for c in (1.0, 1e-1, 1e-2, 1e-3)]
         ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
@@ -190,56 +185,56 @@ def test_erkm15_tends_to_ewp_as_c_shrinks():
 
 
 def test_eval_counts_table1():
-    # each step on a fresh context, whose ledger then holds that step's
-    # (f, b, f_y, f_yy, b_y, b_yy) evaluations alone
-    p = builtin_problem("example3", 12)
+    # one context for the three steps; the problem's wrapped maps count
+    # each step's (f, b, f_y, f_yy, b_y, b_yy) evaluations
+    p, calls = oracles.counting(builtin_problem("example3", 12))
     ctx, ((dW, Iw),) = _context_for(p, 0.2, seed=5)
     y = _decaying_state(12, 2)
-    wp_row = _row("ewp", ctx, dW, Iw)
+    wp_row = oracles.noise_row("ewp", ctx, dW, Iw)
 
-    erkm_step(erkm15_tableau(np.full(7, 0.7)), ctx, y, _row("erkm15", ctx, dW, Iw))
-    assert astuple(ctx.counters) == (5, 6, 0, 0, 0, 0)
+    erkm_step(erkm15_tableau(np.full(7, 0.7)), ctx, y, oracles.noise_row("erkm15", ctx, dW, Iw))
+    assert oracles.spent(calls) == oracles.A7_EVALS["erkm15"]
 
-    ctx = StepContext(p, 0.2)
     oracles.erkm15_closed_form_step(oracles.hatted_coefficients(np.full(7, 0.7), ctx.h),
                                     ctx, y, wp_row)
-    assert astuple(ctx.counters) == (5, 6, 0, 0, 0, 0)
+    assert oracles.spent(calls) == oracles.A7_EVALS["erkm15"]
 
-    ctx = StepContext(p, 0.2)
     ewp_step(ctx, y, wp_row)
-    assert astuple(ctx.counters) == (1, 1, 1, 1, 1, 1)
-
-
-# the A7 cost model: (f, b, f_y, f_yy, b_y, b_yy) evaluations per step
-A7_EVALS = dict(erkm15=(5, 6, 0, 0, 0, 0), ewp=(1, 1, 1, 1, 1, 1), dfmm=(1, 2, 0, 0, 0, 0),
-                lie=(1, 1, 0, 0, 0, 0), exe=(1, 1, 0, 0, 0, 0))
+    assert oracles.spent(calls) == oracles.A7_EVALS["ewp"]
 
 
 @pytest.mark.parametrize("scheme", SCHEME_NAMES)
 def test_solve_eval_counts_match_the_model(scheme):
-    # M = 65 crosses the 64-step chunk edge.  The context's ledger must
-    # equal the model times M, and a count taken by maps wrapped on the
-    # problem before the context is built.
+    # M = 65 crosses the 64-step chunk edge.  The problem's maps, wrapped
+    # before the context is built, count the model times M.
     M = 65
-    base = builtin_problem("example3", 8)
-    maps = ("f", "b", "f_y", "f_yy", "b_y", "b_yy")
-    calls = dict.fromkeys(maps, 0)
-
-    def counted(which):
-        fn = getattr(base, which)
-
-        def call(x, y):
-            calls[which] += 1
-            return fn(x, y)
-        return call
-
-    p = ProblemSpec(base.kappa, counted("f"), counted("b"), base.initial_coeffs,
-                    base.qspec, **{which: counted(which) for which in maps[2:]})
+    p, calls = oracles.counting(builtin_problem("example3", 8))
     ctx = StepContext(p, 0.5, M)
     solve(ctx, scheme, sample_path(p.qspec, M, 0.5 / M, 3))
-    ledger = tuple(getattr(ctx.counters, which) for which in maps)
-    assert ledger == tuple(M * n for n in A7_EVALS[scheme])
-    assert ledger == tuple(calls[which] for which in maps)
+    assert oracles.spent(calls) == tuple(M * n for n in oracles.A7_EVALS[scheme])
+
+
+def test_a_context_is_a_value():
+    # every solve of a study's step count shares one context: after all
+    # five study schemes and a mixed-c erkm15 have run on it, it has the
+    # same attributes, its arrays are read-only and unchanged, and the
+    # rest are numbers or the problem's own objects
+    M = 65
+    p = builtin_problem("example3", 8)
+    ctx = StepContext(p, 0.5, M)
+    keys = set(vars(ctx))
+    arrays = {k: (a.dtype, a.shape, a.tobytes()) for k, a in vars(ctx).items()
+              if isinstance(a, np.ndarray)}
+    path = sample_path(p.qspec, M, 0.5 / M, 11)
+    mixed = {"name": "erkm15", "c": [0.5, -1.5, 2.0, -0.7, 1.2, -0.9, 1.1]}
+    for scheme in (*SCHEME_NAMES, mixed):
+        solve(ctx, scheme, path)
+    assert set(vars(ctx)) == keys
+    for k, v in vars(ctx).items():
+        if isinstance(v, np.ndarray):
+            assert not v.flags.writeable and (v.dtype, v.shape, v.tobytes()) == arrays[k], k
+        else:
+            assert type(v) in (int, float) or v is p or v is getattr(p, k, None), k
 
 
 def test_deterministic_exactness():
@@ -256,17 +251,18 @@ def test_deterministic_exactness():
             prefix = NoisePath(path.dB[:m], path.I[:m], h)
             y = solve(StepContext(p, m * h, m), scheme, prefix)
             np.testing.assert_allclose(y, expected[m], rtol=1e-12, atol=0.0)
-    # the closed form, stepped by hand on a fresh context per step: under
-    # hatted_coefficients (5 f + 6 b per step) and with c^_7 != c^_6 (a
-    # 7th b evaluation)
+    # the closed form, stepped by hand: under hatted_coefficients (5 f +
+    # 6 b per step) and with c^_7 != c^_6 (a 7th b evaluation)
     hatted = oracles.hatted_coefficients(np.ones(7), h)
+    counted, calls = oracles.counting(p)
+    ctx = StepContext(counted, h)
     for chat, b_evals in ((hatted, 6), (np.r_[hatted[:6], 0.5, hatted[7]], 7)):
         y = p.initial_coeffs
         for m in range(M):
-            ctx = StepContext(p, h)
             dW, Iw = theta_weights(path.dB[m], path.I[m], ctx.G)
-            y = oracles.erkm15_closed_form_step(chat, ctx, y, _row("ewp", ctx, dW, Iw))
-            assert astuple(ctx.counters) == (5, b_evals, 0, 0, 0, 0)
+            row = oracles.noise_row("ewp", ctx, dW, Iw)
+            y = oracles.erkm15_closed_form_step(chat, ctx, y, row)
+            assert oracles.spent(calls) == (5, b_evals, 0, 0, 0, 0)
             np.testing.assert_allclose(y, expected[m + 1], rtol=1e-12, atol=0.0)
 
 
@@ -342,7 +338,7 @@ def test_dfmm_difference_quotient_linear_noise():
     h = 0.2
     ctx, ((dW, Iw),) = _context_for(p, h, seed=9)
     y = _decaying_state(8, 3)
-    got = baseline_step("dfmm", ctx, y, _row("dfmm", ctx, dW, Iw))
+    got = baseline_step("dfmm", ctx, y, oracles.noise_row("dfmm", ctx, dW, Iw))
 
     yp = to_physical(y, ctx.grid)
     incr = yp * dW + 0.5 * yp * (dW**2 - h * ctx.gsq)
@@ -373,7 +369,7 @@ def test_scalar_ito_taylor_oracle(scheme):
     for trial in range(5):
         h = rng.uniform(0.05, 0.5)
         ctx, ((dW, Iw),) = _context_for(p, h, seed=trial, M=1)
-        got = sel(ctx, np.array([0.7]), _row(noise, ctx, dW, Iw))
+        got = sel(ctx, np.array([0.7]), oracles.noise_row(noise, ctx, dW, Iw))
         dW = float(dW[0])
         factor = 1.0 + dW + 0.5 * (dW**2 - h)
         if scheme != "dfmm":
@@ -398,12 +394,12 @@ def test_zero_noise_degeneracy_linear_b():
 
     rng = np.random.default_rng(8)
     c = rng.uniform(0.2, 2.0, 7)
-    got_rk = erkm_step(erkm15_tableau(c), ctx, y, _row("erkm15", ctx, dW, Iw))
-    got_wp = ewp_step(ctx, y, _row("ewp", ctx, dW, Iw))
+    got_rk = erkm_step(erkm15_tableau(c), ctx, y, oracles.noise_row("erkm15", ctx, dW, Iw))
+    got_wp = ewp_step(ctx, y, oracles.noise_row("ewp", ctx, dW, Iw))
     np.testing.assert_allclose(got_rk, expected, rtol=1e-12, atol=1e-17)
     np.testing.assert_allclose(got_wp, expected, rtol=1e-12, atol=1e-17)
 
-    got_mm = baseline_step("dfmm", ctx, y, _row("dfmm", ctx, dW, Iw))
+    got_mm = baseline_step("dfmm", ctx, y, oracles.noise_row("dfmm", ctx, dW, Iw))
     expected_mm = ctx.E_h * (y + to_spectral(-0.5 * h * to_physical(y, grid) * ctx.gsq, grid))
     np.testing.assert_allclose(got_mm, expected_mm, rtol=1e-12, atol=1e-17)
 
@@ -414,7 +410,7 @@ def test_ewp_requires_derivative_maps():
     p = ProblemSpec(1.0, _zero, _identity, _decaying_state(N, 1), q)
     ctx, ((dW, Iw),) = _context_for(p, 0.1)
     with pytest.raises(CapabilityError, match="ewp"):
-        ewp_step(ctx, _decaying_state(N, 1), _row("ewp", ctx, dW, Iw))
+        ewp_step(ctx, _decaying_state(N, 1), oracles.noise_row("ewp", ctx, dW, Iw))
 
 
 def test_solve_determinism_and_layout():
@@ -431,7 +427,7 @@ def test_solve_determinism_and_layout():
     ctx, ((dW, Iw),) = _context_for(p, path.h, seed=42, realization=3)
     first = solve(ctx, "erkm15", NoisePath(path.dB[:1], path.I[:1], path.h))
     np.testing.assert_array_equal(
-        first, resolve_scheme("erkm15").step(ctx, y0, _row("erkm15", ctx, dW, Iw)))
+        first, resolve_scheme("erkm15").step(ctx, y0, oracles.noise_row("erkm15", ctx, dW, Iw)))
     assert np.all(np.isfinite(a))
 
 
@@ -537,7 +533,7 @@ def test_erkm_step_reads_every_nonzero_tableau_entry():
     p = builtin_problem("example3", 16)
     rng = np.random.default_rng(11)
     ctx, fields = _context_for(p, 0.1, seed=4)
-    noise = _row("erkm15", ctx, *fields[0])
+    noise = oracles.noise_row("erkm15", ctx, *fields[0])
     y = _decaying_state(16, 5)
     for _ in range(3):
         c = rng.uniform(0.3, 2.0, 7) * rng.choice([-1.0, 1.0], 7)
