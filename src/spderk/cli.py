@@ -39,15 +39,14 @@ from .experiments import (
     FIELD_RULES,
     ErrorTable,
     StudyConfig,
-    fine_steps,
+    _StudyState,
     fit_order,
     local_slopes,
     order_summary,
     run_study,
     worker_count,
 )
-from .nemytskii import builtin_problem
-from .qwiener import dump_path, sample_path
+from .qwiener import dump_path
 from .schemes import resolve_scheme
 
 __all__ = ["load_config", "config_from_dict", "run_cli", "main"]
@@ -246,10 +245,7 @@ def _cmd_path(args, out, err):
     if args.realization < 0:
         raise ConfigError("--realization must be >= 0, got %d" % args.realization)
     cfg = load_config(args.config).validated()
-    M = fine_steps(cfg)
-    problem = builtin_problem(cfg.problem, cfg.N, cfg.K)
-    path = sample_path(problem.qspec, M, cfg.T / M, cfg.seed, args.realization)
-    dump_path(path, out)
+    dump_path(_StudyState(cfg).fine_path(args.realization), out)
     return 0
 
 

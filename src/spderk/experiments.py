@@ -18,7 +18,6 @@ import contextlib
 import math
 import multiprocessing
 import os
-import re
 import sys
 import warnings
 from dataclasses import asdict, dataclass, replace
@@ -255,28 +254,35 @@ class ErrorTable:
     def write_csv(self, fh):
         fh.write(CSV_HEADER + "\n")
         for r in self.rows:
-            fh.write("%s,%d,%r,%r,%r,%d\n"
-                     % (r.scheme, r.M, r.h, r.rms_error, r.std_error, r.flagged))
+            fh.write(_csv_row(r) + "\n")
 
     @classmethod
     def read_csv(cls, fh):
+        """The table of a CSV text, blank lines and outer whitespace of a
+        line aside.  A row is read only in the form write_csv writes it:
+        its six fields parse, write_csv would write that row back as the
+        same line, and the label is one resolve_scheme takes.  So "016",
+        "-0", "1_6", "+0.5", ".5", "1E-1", "Infinity" and non-ASCII digits
+        are malformed; ErrorTable then checks the rows' values."""
         lines = [ln.strip() for ln in fh if ln.strip()]
         if not lines or lines[0] != CSV_HEADER:
             raise ValueError("expected header %r" % CSV_HEADER)
         rows = []
         for ln in lines[1:]:
-            parts = ln.split(",")
-            # the label as resolve_scheme takes it, and each number only
-            # as write_csv writes it: int() and float() would also take
-            # "1_6", outer whitespace and non-ASCII digits
-            if (len(parts) != 6 or not is_label(parts[0])
-                    or not all(re.fullmatch("-?[0-9]+", p) for p in (parts[1], parts[5]))
-                    or not all(p.isascii() and "_" not in p and p == p.strip()
-                               for p in parts[2:5])):
+            try:
+                scheme, M, h, rms, se, flagged = ln.split(",")
+                row = ErrorRow(scheme, int(M), float(h), float(rms), float(se), int(flagged))
+            except ValueError:
+                row = None
+            if row is None or _csv_row(row) != ln or not is_label(row.scheme):
                 raise ValueError("malformed row: %r" % ln)
-            rows.append(ErrorRow(parts[0], int(parts[1]), float(parts[2]),
-                                 float(parts[3]), float(parts[4]), int(parts[5])))
+            rows.append(row)
         return cls(tuple(rows))
+
+
+def _csv_row(r):
+    """An ErrorRow as the line of its table's CSV, without the newline."""
+    return "%s,%d,%r,%r,%r,%d" % (r.scheme, r.M, r.h, r.rms_error, r.std_error, r.flagged)
 
 
 def _reduce_squared(sq, R_total):
@@ -371,6 +377,13 @@ class _StudyState:
             for M in set(cfg.M_list) | {self.fine_M}
         }
 
+    def fine_path(self, r):
+        """Realization r's fine driving path, keyed by (cfg.seed, r): the
+        one its reference and every coarsened level share, and the one
+        spderk path dumps."""
+        return sample_path(self.problem.qspec, self.fine_M, self.ctxs[self.fine_M].h,
+                           self.cfg.seed, r)
+
     def realization(self, r):
         """Squared terminal errors, shape (schemes, M_list), with NaN for
         a flagged cell, and the first DivergenceError of each flagged
@@ -383,8 +396,7 @@ class _StudyState:
         one chunk of steps at a time (see schemes.solve).
         """
         cfg = self.cfg
-        fine = sample_path(self.problem.qspec, self.fine_M, self.ctxs[self.fine_M].h,
-                           cfg.seed, r)
+        fine = self.fine_path(r)
         out = np.full((len(cfg.schemes), len(cfg.M_list)), np.nan)
         try:
             if cfg.reference.mode == "exact":

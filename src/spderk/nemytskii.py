@@ -193,6 +193,10 @@ def _cos(x, y):
     return np.cos(y)
 
 
+# the maps of example1 and example2: no drift, and the linear noise b = y
+_LINEAR_NOISE = dict(f=_zero, b=_identity, f_y=_zero, f_yy=_zero, b_y=_one, b_yy=_zero)
+
+
 def _example1(N, K):
     if K not in (None, 1):
         raise ValueError("example1 uses scalar noise, K must be 1")
@@ -205,12 +209,7 @@ def _example1(N, K):
 
     return ProblemSpec(
         kappa=1.0,
-        f=_zero,
-        b=_identity,
-        f_y=_zero,
-        f_yy=_zero,
-        b_y=_one,
-        b_yy=_zero,
+        **_LINEAR_NOISE,
         initial_coeffs=init,
         qspec=QSpec(1, [1.0], mode_kind="scalar_constant"),
         exact=exact,
@@ -227,12 +226,7 @@ def _example2(N, K):
     init[0] = 1.0 / np.sqrt(2.0)  # X_0 = sin(pi x) = e_1 / sqrt(2)
     return ProblemSpec(
         kappa=kappa,
-        f=_zero,
-        b=_identity,
-        f_y=_zero,
-        f_yy=_zero,
-        b_y=_one,
-        b_yy=_zero,
+        **_LINEAR_NOISE,
         initial_coeffs=init,
         qspec=QSpec(K, eta),
         name="example2",

@@ -22,7 +22,9 @@ the only random data the steppers read; theta_weights(dB, I, G) builds
 them for one step or a chunk of steps.  One chunk size, CHUNK_STEPS,
 carries them from sampler to stepper: sample_path draws its normals
 CHUNK_STEPS steps at a time, and schemes.solve builds the fields of at
-most CHUNK_STEPS steps at a time and steps through them.
+most CHUNK_STEPS steps at a time, turns them into a scheme's per-step
+factors with its noise function noise(ctx, dW, Iw) (ERKM1.5's is
+schemes.theta_fields) and steps through them.
 """
 
 from dataclasses import dataclass
@@ -109,20 +111,6 @@ class NoisePath:
         return self.dB.shape[1]
 
 
-def _joint_pair(z, h, dB, I):
-    # triangular factor of [[h, h^2/2], [h^2/2, h^3/3]] applied to the
-    # normals z[..., 0:2], written into dB and I; z[..., 1] is overwritten
-    try:
-        root = h**1.5
-    except OverflowError:
-        raise ValueError("h=%r is too large: h**1.5 overflows" % (h,)) from None
-    np.multiply(np.sqrt(h), z[..., 0], out=dB)
-    np.multiply(root / 2.0, z[..., 0], out=I)
-    z1 = z[..., 1]
-    np.multiply(root / (2.0 * np.sqrt(3.0)), z1, out=z1)
-    I += z1
-
-
 def sample_path(q, M, h, base_seed, realization=0):
     """Sample a full path of M steps into new arrays.
 
@@ -130,21 +118,25 @@ def sample_path(q, M, h, base_seed, realization=0):
     Philox stream, and all (step, mode) normals are drawn in one fixed
     C-order layout, so the result is bit-identical no matter how many
     workers run or in which order realizations complete.  The normals
-    are drawn CHUNK_STEPS steps at a time and scaled in place into the
-    path's arrays; chunked draws from the same stream produce the same
-    numbers as one draw.
+    are drawn CHUNK_STEPS steps at a time and scaled into the path's
+    arrays; chunked draws from the same stream produce the same numbers
+    as one draw.  An h whose h**1.5 overflows raises a ValueError.
     """
     M, h = count("M", M), positive("h", h)
     base_seed, realization = count("base_seed", base_seed, 0), count("realization", realization, 0)
+    try:
+        root = h**1.5
+    except OverflowError:
+        raise ValueError("h=%r is too large: h**1.5 overflows" % (h,)) from None
     dB, I = np.empty((2, M, q.K))
     seq = np.random.SeedSequence([base_seed, realization])
     rng = np.random.Generator(np.random.Philox(seq))
-    z = np.empty((min(M, CHUNK_STEPS), q.K, 2))
     for m0 in range(0, M, CHUNK_STEPS):
         m1 = min(m0 + CHUNK_STEPS, M)
-        zc = z[:m1 - m0]
-        rng.standard_normal(out=zc)
-        _joint_pair(zc, h, dB[m0:m1], I[m0:m1])
+        # the triangular factor of [[h, h^2/2], [h^2/2, h^3/3]]
+        z = rng.standard_normal((m1 - m0, q.K, 2))
+        dB[m0:m1] = np.sqrt(h) * z[..., 0]
+        I[m0:m1] = root / 2.0 * z[..., 0] + root / (2.0 * np.sqrt(3.0)) * z[..., 1]
     return NoisePath(dB, I, h)
 
 

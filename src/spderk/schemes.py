@@ -23,8 +23,9 @@ random input of a step is the pair of noise fields (dW, Iw) on the
 grid, two bare arrays.  solve(ctx, scheme, path)
 streams them one chunk of at most qwiener.CHUNK_STEPS steps at a time:
 it builds the chunk's (rows, n) field tables with theta_weights, builds
-from them the factors the stepper reads that depend on the noise alone,
-one elementwise operation per factor -- dW^2, dW^3, h dW - Iw and
+from them, with the scheme's noise function noise(ctx, dW, Iw), the
+factors the stepper reads that depend on the noise alone, one
+elementwise operation per factor -- dW^2, dW^3, h dW - Iw and
 Iw - (h/2) dW for ewp, the theta weights for erkm_step (`theta_fields`),
 dW^2 - h gsq for the baselines -- and steps through the chunk's rows.
 theta_weights and the noise functions work row by row, so each row
@@ -137,11 +138,12 @@ class StepContext:
     by one worker: StepContext(problem, T, M=1), for M uniform steps over
     a span T (an integer M >= 1, a finite T > 0).
 
-    h = T / M is the step size every stepper reads.  StudyConfig.validated
-    (T over the finest step count), run_study's ErrorRow and the CLI's
-    path command also divide T by a step count, with the same float
-    arithmetic, so their h has the same bits.  solve() matches a context
-    to a path by the integer step count; with M=1, T is the step size.
+    h = T / M is the step size every stepper reads, and the one a
+    study's fine path is sampled with.  StudyConfig.validated (T over the
+    finest step count) and run_study's ErrorRow also divide T by a step
+    count, with the same float arithmetic, so their h has the same bits.
+    solve() matches a context to a path by the integer step count; with
+    M=1, T is the step size.
     grid, G and gsq are the problem's own, shared by all its contexts.
     From problem.eigenvalues lambda_k it builds neg_lam = -lambda_k and
     what depends on h: sqh, h_gsq, E_h = exp(-lambda_k h), E_h2 =
@@ -175,8 +177,13 @@ class StepContext:
             a.flags.writeable = False
 
 
-def theta_fields(dW, Iw, h, gsq):
-    """ERKM1.5's random weights, from one step's noise fields:
+# Noise functions: (ctx, dW, Iw) -> the tables a stepper reads per step,
+# built from a chunk's (rows, n) noise-field tables in one elementwise
+# pass each, so every row equals its step's own factors to the bit.
+
+def theta_fields(ctx, dW, Iw):
+    """ERKM1.5's random weights, from one step's noise fields and the
+    context's h and gsq; its noise function:
 
         theta0_1 = h                 theta1_1 = dW
         theta0_2 = Iw / h            theta1_2 = Iw / h
@@ -187,9 +194,8 @@ def theta_fields(dW, Iw, h, gsq):
     Returns the six tables erkm_step reads, theta1_1..theta1_5 and
     theta2_1.  theta0 is not built: erkm_step takes theta0_1 and theta0_3
     from its context (ctx.h, ctx.h_gsq) and theta0_2 as theta1_2.
-    Elementwise, so dW and Iw may be the (rows, n) tables of a chunk of
-    steps: each row then equals that step's weights to the bit.
     """
+    h, gsq = ctx.h, ctx.gsq
     Iw_h = Iw / h
     dW3 = dW**3
     return (
@@ -200,15 +206,6 @@ def theta_fields(dW, Iw, h, gsq):
         dW * gsq - dW3 / (3.0 * h),
         Iw - (h / 2.0) * dW,
     )
-
-
-# Noise functions: (ctx, dW, Iw) -> the tables a stepper reads per step,
-# built from a chunk's (rows, n) noise-field tables in one elementwise
-# pass each, so every row equals its step's own factors to the bit.
-
-def _theta_noise(ctx, dW, Iw):
-    """theta_fields on the context's h and gsq."""
-    return theta_fields(dW, Iw, ctx.h, ctx.gsq)
 
 
 def _wagner_platen_noise(ctx, dW, Iw):
@@ -233,8 +230,7 @@ def erkm_step(tab, ctx, y, noise):
     through eval_coeff.  The increment sums the alpha
     rows against theta^0 = (h, Iw/h, h gsq), the beta rows against
     theta^1 and b_0 against theta^2_1; noise is the step's row of
-    theta1_1..theta1_5, theta2_1 (theta_fields on the context's h and
-    gsq).
+    theta1_1..theta1_5, theta2_1 (theta_fields).
     """
     grid, h, sqh = ctx.grid, ctx.h, ctx.sqh
     k, a, be = tab
@@ -353,7 +349,8 @@ class Scheme(NamedTuple):
     tables), step, called as step(ctx, y, row), and noise, called as
     noise(ctx, dW, Iw): on one step's (n,) noise fields it returns that
     step's row, and on a chunk's (rows, n) tables the factors whose
-    zipped rows are the steps' rows."""
+    zipped rows are the steps' rows.  erkm15's noise is theta_fields
+    itself; ewp's and the baselines' are private to this module."""
 
     name: str
     label: str
@@ -391,7 +388,7 @@ def resolve_scheme(scheme):
         c = params.pop("c", (1.0,) * 7)
         if not (isinstance(c, (list, tuple)) and len(c) == 7 and all(map(is_real, c))):
             raise ValueError("erkm15 'c' must be a list of 7 numbers, got %r" % (c,))
-        step, noise = partial(erkm_step, erkm15_tableau(c)), _theta_noise
+        step, noise = partial(erkm_step, erkm15_tableau(c)), theta_fields
     elif name == "ewp":
         step, noise = ewp_step, _wagner_platen_noise
     elif name in ("exe", "lie", "dfmm"):

@@ -11,8 +11,10 @@ a fault in either.  Tests import this module as `import oracles`.
 * apply_diagonal, h_r_norm -- a diagonal function of A applied to a
   spectral field, and the interpolation-space norms, both from the
   eigenvalues lambda_k of -A;
-* sample_step -- one step's (dB, I) drawn from a generator, with the
-  triangular factor of the joint covariance written out;
+* joint_pair, sample_step, gauss_hermite_pairs -- the triangular
+  factor of one step's joint (dB, I) covariance written out, one step's
+  (dB, I) drawn from a generator with it, and the 10 x 10 Gauss-Hermite
+  rule it maps to (dB, I) nodes for scalar noise;
 * counting, spent -- evaluation counts taken by the problem's own maps,
   wrapped before a context is built, and A7_EVALS, the per-step cost
   model (acceptance criterion A7) they are checked against;
@@ -127,15 +129,32 @@ def h_r_norm(lam, r, field):
     return float(np.sqrt(np.sum((w * np.asarray(field, dtype=float)) ** 2)))
 
 
-def sample_step(rng, q, h):
-    """One step's per-mode (dB, I), two (K,) arrays, from the (K, 2)
-    normals z the generator rng draws next:
+def joint_pair(z1, z2, h):
+    """(dB, I) of a step of h from independent standard normals z1, z2,
+    by the triangular factor of their covariance [[h, h^2/2], [h^2/2, h^3/3]]:
 
         dB = sqrt(h) z1,   I = h^1.5/2 z1 + h^1.5/(2 sqrt(3)) z2.
     """
-    z = rng.standard_normal((q.K, 2))
     root = h**1.5
-    return np.sqrt(h) * z[:, 0], (root / 2.0) * z[:, 0] + (root / (2.0 * np.sqrt(3.0))) * z[:, 1]
+    return np.sqrt(h) * z1, (root / 2.0) * z1 + (root / (2.0 * np.sqrt(3.0))) * z2
+
+
+def sample_step(rng, q, h):
+    """One step's per-mode (dB, I), two (K,) arrays, from the (K, 2)
+    normals z the generator rng draws next (joint_pair)."""
+    z = rng.standard_normal((q.K, 2))
+    return joint_pair(z[:, 0], z[:, 1], h)
+
+
+def gauss_hermite_pairs(h):
+    """(dB, I, w): the 100 nodes of the 10 x 10 Gauss-Hermite rule in
+    (z1, z2), mapped to one step's scalar (dB, I) by joint_pair, and
+    their probability weights.  E p(dB, I) = w @ p(dB, I) exactly for a
+    polynomial p of degree at most 19 in each normal."""
+    z, w = np.polynomial.hermite_e.hermegauss(10)
+    w = w / w.sum()
+    z1, z2 = np.meshgrid(z, z, indexing="ij")
+    return (*joint_pair(z1.ravel(), z2.ravel(), h), np.outer(w, w).ravel())
 
 
 def counting(problem):

@@ -437,7 +437,7 @@ _VALID_ROWS = ("exe,4,0.25,1.0,0.0,0", "exe,8,0.125,0.5,0.0,0",
     "row, phrase",
     [
         ("exe,16,0.125,0.125,0.0,0", "h must decrease as M grows"),
-        ("exe,16,0,0.125,0.0,0", "h must be finite and > 0"),
+        ("exe,16,0.0,0.125,0.0,0", "h must be finite and > 0"),
         ("exe,16,-0.125,0.125,0.0,0", "h must be finite and > 0"),
         ("exe,16,nan,0.125,0.0,0", "h must be finite and > 0"),
         ("exe,0,0.0625,0.125,0.0,0", "M must be >= 1"),
@@ -460,6 +460,16 @@ _VALID_ROWS = ("exe,4,0.25,1.0,0.0,0", "exe,8,0.125,0.5,0.0,0",
         ("exe,16, 0.0625,0.125,0.0,0", "malformed row"),
         ("exe,16,0.0625,0.125 ,0.0,0", "malformed row"),
         ("exe,16,0.0625,0.125,0_0.0,0", "malformed row"),
+        # nor other spellings of a valid number, which write_csv would
+        # write back in another form
+        ("exe,16,0.0625,0.125,0.0,008", "malformed row"),
+        ("exe,16,0.0625,0.125,0.0,-0", "malformed row"),
+        ("exe,16,+0.0625,0.125,0.0,0", "malformed row"),
+        ("exe,16,.0625,0.125,0.0,0", "malformed row"),
+        ("exe,16,0.0625,1.25E-1,0.0,0", "malformed row"),
+        ("exe,16,0.0625,Infinity,0.0,0", "malformed row"),
+        ("exe,16,0.0625,0.125,NaN,0", "malformed row"),
+        ("exe,16,0,0.125,0.0,0", "malformed row"),
     ],
 )
 def test_order_rejects_impossible_tables(tmp_path, row, phrase):

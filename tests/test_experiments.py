@@ -4,6 +4,7 @@ small end-to-end runs exercising the coupled-path protocol."""
 import io
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spderk.experiments as experiments
-from spderk.errors import ConfigError, DivergenceError, StudyError
+from spderk.errors import ConfigError, DivergenceError, StudyError, is_label
 from spderk.experiments import (
     CSV_HEADER,
     _StudyState,
@@ -187,6 +188,37 @@ def test_table_csv_round_trip():
     assert again == table
     assert again.schemes() == ["erkm15", "ewp"]
     assert len(again.rows_for("ewp")) == 1
+
+
+_ERRORS = st.floats(min_value=0.0, allow_nan=False)
+
+
+@st.composite
+def _tables(draw):
+    """An ErrorTable of valid rows: each scheme's h decreases as its M grows."""
+    rows = []
+    for scheme in draw(st.lists(st.text(min_size=1, max_size=8).filter(is_label),
+                                min_size=1, max_size=3, unique=True)):
+        Ms = draw(st.lists(st.integers(1, 2**62), min_size=1, max_size=4, unique=True))
+        hs = draw(st.lists(st.floats(min_value=5e-324, max_value=sys.float_info.max),
+                           min_size=len(Ms), max_size=len(Ms), unique=True))
+        rows += [ErrorRow(scheme, M, h, draw(_ERRORS), draw(_ERRORS), draw(st.integers(0, 2**62)))
+                 for M, h in zip(sorted(Ms), sorted(hs, reverse=True))]
+    return ErrorTable(tuple(draw(st.permutations(rows))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=_tables())
+def test_table_csv_round_trip_property(table):
+    # read_csv takes back every table write_csv writes, and the table it
+    # reads writes the same text again
+    buf = io.StringIO()
+    table.write_csv(buf)
+    again = ErrorTable.read_csv(io.StringIO(buf.getvalue()))
+    assert again == table
+    rewritten = io.StringIO()
+    again.write_csv(rewritten)
+    assert rewritten.getvalue() == buf.getvalue()
 
 
 def test_table_validation():

@@ -20,7 +20,8 @@ from spderk.qwiener import (
     sample_path,
     theta_weights,
 )
-from spderk.schemes import theta_fields
+from spderk.nemytskii import ProblemSpec
+from spderk.schemes import StepContext, theta_fields
 from spderk.spectral import SineBasisGrid
 
 
@@ -269,13 +270,19 @@ def test_noise_matrix_scalar_is_ones():
             assert G.tobytes() == np.full((n, 1), np.sqrt(eta)).tobytes()
 
 
+def step_context(q, N, h):
+    """The one-step context of h for noise q on N modes: theta_fields
+    reads its h and gsq alone, so the problem has no maps."""
+    return StepContext(ProblemSpec(1.0, None, None, np.zeros(N), q), h)
+
+
 def test_theta_zero_noise():
     grid = SineBasisGrid(8)
     q = QSpec(2, [0.5, 0.25])
     gsq = gsq_field(q, grid)
     dW, Iw = theta_weights(np.zeros(2), np.zeros(2), noise_matrix(q, grid))
     assert np.all(dW == 0.0) and np.all(Iw == 0.0)
-    theta = theta_fields(dW, Iw, 0.5, gsq)
+    theta = theta_fields(step_context(q, 8, 0.5), dW, Iw)
     assert len(theta) == 6
     assert np.all(theta[0] == 0.0)
     assert np.array_equal(theta[2], gsq)
@@ -287,7 +294,7 @@ def test_theta2_vanishes_for_balanced_sample():
     grid = SineBasisGrid(5)
     q = scalar_q()
     dW, Iw = theta_weights(np.array([1.0]), np.array([0.5]), noise_matrix(q, grid))
-    theta2_1 = theta_fields(dW, Iw, 1.0, gsq_field(q, grid))[5]
+    theta2_1 = theta_fields(step_context(q, 5, 1.0), dW, Iw)[5]
     assert np.all(theta2_1 == 0.0)
     assert np.all(dW == 1.0)
 
@@ -307,7 +314,7 @@ def test_theta_identities_against_mode_sums(seed, K, N, h):
     q = QSpec(K, eta)
     grid = SineBasisGrid(N)
     dB, I = oracles.sample_step(rng, q, h)
-    theta = theta_fields(*theta_weights(dB, I, noise_matrix(q, grid)), h, gsq_field(q, grid))
+    theta = theta_fields(step_context(q, N, h), *theta_weights(dB, I, noise_matrix(q, grid)))
 
     modes = np.sqrt(2.0) * np.sin(np.pi * np.outer(grid.nodes, np.arange(1, K + 1)))
     dW = sum(np.sqrt(eta[j]) * dB[j] * modes[:, j] for j in range(K))

@@ -12,6 +12,7 @@ import math
 import os
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -520,6 +521,75 @@ def test_erkm15_family_terminal_states_pinned(M):
     for name, c in pins["c"].items():
         got = [float(v).hex() for v in solve(ctx, {"name": "erkm15", "c": c}, path)]
         assert got == pins["states"]["%s@%d" % (name, M)], name
+
+
+# ------------------------------------------ local orders by quadrature
+
+_LOCAL_H = 2.0 ** -np.arange(3, 9)
+
+
+def _local_slopes(scheme):
+    """The slopes in h, over h = 2^-3..2^-8, of the RMS and of the mean
+    of the distance from one step of the Scheme record scheme to one step
+    of ewp, both from example3's initial state at N = 64 and K = 1.  Each
+    step is a polynomial of degree at most 3 in the step's (dB, I), so
+    oracles.gauss_hermite_pairs gives both moments exactly."""
+    p = builtin_problem("example3", 64, 1)
+    y, ewp = p.initial_coeffs, resolve_scheme("ewp")
+    rms, mean = [], []
+    for h in _LOCAL_H:
+        ctx = StepContext(p, h)
+        dB, I, w = oracles.gauss_hermite_pairs(h)
+        fields = theta_weights(dB[:, None], I[:, None], ctx.G)
+        d = np.array([scheme.step(ctx, y, row) - ewp.step(ctx, y, ewp_row) for row, ewp_row
+                      in zip(zip(*scheme.noise(ctx, *fields)), zip(*ewp.noise(ctx, *fields)))])
+        rms.append(math.sqrt(w @ np.sum(d * d, axis=1)))
+        mean.append(np.linalg.norm(w @ d))
+    log_h = np.diff(np.log(_LOCAL_H))
+    return np.diff(np.log(rms)) / log_h, np.diff(np.log(mean)) / log_h
+
+
+def _family_members():
+    """(label, c) of each erkm15 member of the family pins and the family demo."""
+    with open(_FAMILY_PINS) as fh:
+        members = list(json.load(fh)["c"].items())
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "demos", "erkm15_family",
+                           "config.json")) as fh:
+        members += [(s["label"], s["c"]) for s in json.load(fh)["schemes"]
+                    if isinstance(s, dict) and s["name"] == "erkm15"]
+    return members
+
+
+@pytest.mark.parametrize("c", [pytest.param(c, id=label) for label, c in _family_members()])
+def test_erkm15_family_local_order_by_quadrature(c):
+    # by Milstein's fundamental theorem a local error of RMS O(h^2) and
+    # mean O(h^(5/2)) gives global order 3/2: every member sits that
+    # close to ewp (measured: RMS 1.99 -> 2.00, mean 2.90 -> 3.00)
+    rms, mean = _local_slopes(resolve_scheme({"name": "erkm15", "c": c}))
+    assert np.all((1.9 <= rms) & (rms <= 2.1)), rms
+    assert np.all(mean >= 2.5), mean
+
+
+def test_baseline_local_orders_by_quadrature():
+    # dfmm sits O(h^(3/2)) from ewp, order 1 (measured 1.49 -> 1.50); exe
+    # and lie O(h), order 1/2, once the slope settles (1.19 -> 1.02)
+    rms, _ = _local_slopes(resolve_scheme("dfmm"))
+    assert np.all((1.4 <= rms) & (rms <= 1.6)), rms
+    for name in ("exe", "lie"):
+        rms, _ = _local_slopes(resolve_scheme(name))
+        assert 0.9 <= rms[-1] <= 1.1, (name, rms)
+
+
+def test_printed_erratum_fails_the_local_order_check():
+    # the published 1/(4 c_3) in alpha^(3)'s stage-4 and stage-5 entries
+    # (see erkm15_tableau) at c_3 = 1/2: the row no longer sums to zero and
+    # the step falls to O(h) from ewp, order 1/2 (measured 0.97 -> 1.00)
+    c3 = 0.5
+    tab = erkm15_tableau((1.0, 1.0, c3, 1.0, 1.0, 1.0, 1.0))
+    a1, a2, a3 = tab.alpha
+    printed = tab._replace(alpha=(a1, a2, (a3[0], 1.0 / (4.0 * c3), 1.0 / (4.0 * c3))))
+    rms, _ = _local_slopes(resolve_scheme("erkm15")._replace(step=partial(erkm_step, printed)))
+    assert np.all((0.9 <= rms) & (rms <= 1.1)), rms
 
 
 def _with(t, i, value):
