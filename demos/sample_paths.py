@@ -13,7 +13,7 @@ import numpy as np
 
 from spderk import QSpec, coarsen, sample_path
 
-q = QSpec(4, [1.0, 0.5, 0.25, 0.125])
+q = QSpec([1.0, 0.5, 0.25, 0.125])
 
 # one path: 16 steps of size 1/16, realization 0 of seed 42
 path = sample_path(q, 16, 1.0 / 16, 42, realization=0)

@@ -177,8 +177,8 @@ class StudyConfig:
         except ValueError as e:
             raise ConfigError(str(e)) from e
 
-        ref = cfg.reference or (ReferenceSpec("exact") if probe.exact is not None
-                                else ReferenceSpec("ewp", DESK_M_REF))
+        ref = cfg.reference or _reference(
+            "reference", {"mode": "ewp" if probe.exact is None else "exact"})
         if ref.mode == "exact":
             if probe.exact is None:
                 raise ConfigError("problem %r has no exact solution" % cfg.problem)
@@ -285,13 +285,13 @@ def _csv_row(r):
     return "%s,%d,%r,%r,%r,%d" % (r.scheme, r.M, r.h, r.rms_error, r.std_error, r.flagged)
 
 
-def _reduce_squared(sq, R_total):
-    """(rms, standard error, flagged count) from squared errors with NaN
-    marking flagged realizations; the standard error of the RMS comes
-    from the delta method: std(squared errors) / (2 rms sqrt(R))."""
+def _reduce_squared(sq):
+    """(rms, standard error, flagged count) of a cell's squared errors, one
+    per realization, NaN marking a flagged one; R valid errors give the
+    RMS's delta-method standard error std(squared errors) / (2 rms sqrt(R))."""
     sq = np.asarray(sq, dtype=float)
     valid = sq[~np.isnan(sq)]
-    flagged = R_total - valid.size
+    flagged = sq.size - valid.size
     if valid.size == 0:
         return float("nan"), float("nan"), flagged
     rms = math.sqrt(float(valid.mean()))
@@ -403,8 +403,7 @@ class _StudyState:
                 beta_T = float(fine.dB.sum())
                 truth = self.problem.exact(cfg.T, beta_T)
             else:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    truth = solve(self.ctxs[self.fine_M], "ewp", fine)
+                truth = solve(self.ctxs[self.fine_M], "ewp", fine)
         except DivergenceError as e:
             return out, [(r, "reference", self.fine_M, e.step, e.mode)]
         diverged = []
@@ -412,8 +411,7 @@ class _StudyState:
             path = coarsen(fine, self.fine_M // M)
             for iS, sel in enumerate(cfg.schemes):
                 try:
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        approx = solve(self.ctxs[M], sel, path)
+                    approx = solve(self.ctxs[M], sel, path)
                 except DivergenceError as e:
                     diverged.append((r, e.scheme, M, e.step, e.mode))
                     continue
@@ -486,7 +484,7 @@ def run_study(cfg, workers=1):
     bad = []
     for iS, label in enumerate(labels):
         for jM, M in enumerate(cfg.M_list):
-            rms, se, flagged = _reduce_squared(sq[:, iS, jM], R)
+            rms, se, flagged = _reduce_squared(sq[:, iS, jM])
             rows.append(ErrorRow(label, M, cfg.T / M, rms, se, flagged))
             if flagged > 0.01 * R:
                 bad.append((label, M, flagged))

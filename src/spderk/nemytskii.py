@@ -211,7 +211,7 @@ def _example1(N, K):
         kappa=1.0,
         **_LINEAR_NOISE,
         initial_coeffs=init,
-        qspec=QSpec(1, [1.0], mode_kind="scalar_constant"),
+        qspec=QSpec([1.0], mode_kind="scalar_constant"),
         exact=exact,
         name="example1",
     )
@@ -228,7 +228,7 @@ def _example2(N, K):
         kappa=kappa,
         **_LINEAR_NOISE,
         initial_coeffs=init,
-        qspec=QSpec(K, eta),
+        qspec=QSpec(eta),
         name="example2",
     )
 
@@ -249,7 +249,7 @@ def _example3(N, K):
         b_y=_neg_sin,
         b_yy=_neg_cos,
         initial_coeffs=init,
-        qspec=QSpec(K, j**-3.0),
+        qspec=QSpec(j**-3.0),
         name="example3",
     )
 

@@ -53,37 +53,37 @@ CHUNK_STEPS = 64
 
 @dataclass(frozen=True, eq=False)
 class QSpec:
-    """Covariance model of the driving noise.
-
-    mode_kind is 'sine_basis' (eigenfunctions e~_j(x) = sqrt(2) sin(j pi x))
-    or 'scalar_constant' (K = 1 and g_1 = sqrt(eta_1) * 1, i.e. space-constant
-    scalar noise).  mode_eigenvalues are the eta_j >= 0; their sum must be
-    finite, which for a concrete K-vector just means all entries finite.
+    """Covariance model of the driving noise, QSpec(mode_eigenvalues,
+    mode_kind="sine_basis"): the eta_j >= 0 of the K noise modes, a
+    nonempty 1-d vector of finite reals of length K (any other shape is a
+    DimensionError), and 'sine_basis' (e~_j(x) = sqrt(2) sin(j pi x)) or
+    'scalar_constant' (K = 1, g_1 = sqrt(eta_1) * 1: space-constant noise).
 
     A QSpec is a value, checked once when it is built: its fields cannot
     be assigned, and mode_eigenvalues is its own read-only float copy.
     """
 
-    K: int
     mode_eigenvalues: np.ndarray
     mode_kind: str = "sine_basis"
 
     def __post_init__(self):
-        if self.mode_kind not in ("sine_basis", "scalar_constant"):
+        if not (isinstance(self.mode_kind, str)
+                and self.mode_kind in ("sine_basis", "scalar_constant")):
             raise ValueError("unknown mode_kind %r" % (self.mode_kind,))
-        K = count("K", self.K)
         eta = np.array(self.mode_eigenvalues, dtype=float)
-        if eta.shape != (K,):
-            raise DimensionError(
-                "mode_eigenvalues: expected shape (%d,), got %r" % (K, eta.shape)
-            )
-        if self.mode_kind == "scalar_constant" and K != 1:
+        if eta.ndim != 1 or not eta.size:
+            raise DimensionError("mode_eigenvalues must be a nonempty 1-d vector, got"
+                                 " shape %r" % (eta.shape,))
+        if self.mode_kind == "scalar_constant" and eta.size != 1:
             raise ValueError("scalar_constant noise implies K = 1")
         if np.any(eta < 0) or not np.all(np.isfinite(eta)):
             raise ValueError("mode_eigenvalues must be finite and nonnegative")
         eta.flags.writeable = False
-        object.__setattr__(self, "K", K)
         object.__setattr__(self, "mode_eigenvalues", eta)
+
+    @property
+    def K(self):
+        return len(self.mode_eigenvalues)
 
     def __repr__(self):
         return "QSpec(K=%d, mode_kind=%r)" % (self.K, self.mode_kind)

@@ -216,7 +216,7 @@ def _wagner_platen_noise(ctx, dW, Iw):
 
 def _baseline_noise(ctx, dW, Iw):
     """dW and dW^2 - h gsq (the second read by dfmm only)."""
-    return dW, dW**2 - ctx.h * ctx.gsq
+    return dW, dW**2 - ctx.h_gsq
 
 
 def erkm_step(tab, ctx, y, noise):
@@ -408,7 +408,8 @@ def solve(ctx, scheme, path):
     ctx.problem; returns the terminal state.  ctx is the StepContext of
     the path's span and step count, and any number of solves may share
     it.  Any non-finite coefficient aborts with a DivergenceError naming
-    the scheme, step and mode.
+    the scheme, step and mode, under any warning filter: overflow,
+    division by zero and invalid operations are silenced in its steps.
 
     Only the current state and one chunk are held: theta_weights builds
     the noise fields of at most CHUNK_STEPS steps of the path at a time,
@@ -432,13 +433,14 @@ def solve(ctx, scheme, path):
     if K != path.K:
         raise DimensionError("path has %d noise modes, problem %d" % (path.K, K))
     y = ctx.problem.initial_coeffs
-    for m0 in range(0, M, CHUNK_STEPS):
-        chunk = slice(m0, m0 + CHUNK_STEPS)
-        rows = zip(*scheme.noise(ctx, *theta_weights(path.dB[chunk], path.I[chunk], ctx.G)))
-        for m, row in enumerate(rows, m0):
-            y = scheme.step(ctx, y, row)
-            if not math.isfinite(np.vdot(y, y)):
-                bad = ~np.isfinite(y)
-                if bad.any():
-                    raise DivergenceError(scheme.label, m, int(np.nonzero(bad)[0][0]))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for m0 in range(0, M, CHUNK_STEPS):
+            chunk = slice(m0, m0 + CHUNK_STEPS)
+            rows = zip(*scheme.noise(ctx, *theta_weights(path.dB[chunk], path.I[chunk], ctx.G)))
+            for m, row in enumerate(rows, m0):
+                y = scheme.step(ctx, y, row)
+                if not math.isfinite(np.vdot(y, y)):
+                    bad = ~np.isfinite(y)
+                    if bad.any():
+                        raise DivergenceError(scheme.label, m, int(np.nonzero(bad)[0][0]))
     return y

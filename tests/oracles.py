@@ -13,14 +13,15 @@ a fault in either.  Tests import this module as `import oracles`.
   eigenvalues lambda_k of -A;
 * joint_pair, sample_step, gauss_hermite_pairs -- the triangular
   factor of one step's joint (dB, I) covariance written out, one step's
-  (dB, I) drawn from a generator with it, and the 10 x 10 Gauss-Hermite
-  rule it maps to (dB, I) nodes for scalar noise;
+  (dB, I) drawn from a generator with it, and the tensor Gauss-Hermite
+  rule in the step's 2K normals it maps to (dB, I) nodes;
 * counting, spent -- evaluation counts taken by the problem's own maps,
   wrapped before a context is built, and A7_EVALS, the per-step cost
   model (acceptance criterion A7) they are checked against;
 * noise_row -- a scheme's noise row for one step's fields.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -146,15 +147,17 @@ def sample_step(rng, q, h):
     return joint_pair(z[:, 0], z[:, 1], h)
 
 
-def gauss_hermite_pairs(h):
-    """(dB, I, w): the 100 nodes of the 10 x 10 Gauss-Hermite rule in
-    (z1, z2), mapped to one step's scalar (dB, I) by joint_pair, and
-    their probability weights.  E p(dB, I) = w @ p(dB, I) exactly for a
-    polynomial p of degree at most 19 in each normal."""
-    z, w = np.polynomial.hermite_e.hermegauss(10)
+def gauss_hermite_pairs(h, K, n):
+    """(dB, I, w): the n^(2K) nodes of the tensor Gauss-Hermite rule of n
+    nodes in each of the 2K normals of a step of K modes, (z1, z2) per
+    mode, mapped to the step's (n^(2K), K) tables of dB and I by
+    joint_pair, and their probability weights.  E p(dB, I) = w @ p(dB, I)
+    exactly for a polynomial p of degree at most 2n - 1 in each normal."""
+    z, w = np.polynomial.hermite_e.hermegauss(n)
     w = w / w.sum()
-    z1, z2 = np.meshgrid(z, z, indexing="ij")
-    return (*joint_pair(z1.ravel(), z2.ravel(), h), np.outer(w, w).ravel())
+    idx = np.array(list(itertools.product(range(n), repeat=2 * K)))
+    zk = z[idx].reshape(-1, K, 2)
+    return (*joint_pair(zk[..., 0], zk[..., 1], h), w[idx].prod(axis=1))
 
 
 def counting(problem):

@@ -117,7 +117,7 @@ def test_a3_tableau_closed_form_equivalence():
 def test_a4_joint_increment_covariance():
     h, n = 0.37, 100_000
     eta = np.array([1.0, 0.5, 0.25, 0.125])
-    q = QSpec(4, eta)
+    q = QSpec(eta)
     path = sample_path(q, n, h, 404)
     target = np.array([[h, h * h / 2.0], [h * h / 2.0, h**3 / 3.0]])
     # standard errors of sample (co)variances of a bivariate Gaussian
@@ -142,7 +142,7 @@ def test_a4_joint_increment_covariance():
 
 
 def test_a5_coarsening_identity():
-    q = QSpec(3, np.array([1.0, 0.5, 0.25]))
+    q = QSpec(np.array([1.0, 0.5, 0.25]))
     worst = 0.0
     for r in range(100):
         path = sample_path(q, 16, 1.0 / 16.0, 505, realization=r)
@@ -161,7 +161,7 @@ def test_a6_deterministic_exactness():
     worst = 0.0
     cases = [(0.01, 64, 4), (0.01, 64, 32), (1.0, 8, 16)]
     for kappa, N, M in cases:
-        q = QSpec(1, np.array([0.0]), "scalar_constant")
+        q = QSpec(np.array([0.0]), "scalar_constant")
         y0 = 1.0 / (1.0 + np.arange(N, dtype=float)) ** 2
         p = ProblemSpec(kappa, _zero, _zero, y0, q,
                         f_y=_zero, f_yy=_zero, b_y=_zero, b_yy=_zero)

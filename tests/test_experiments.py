@@ -43,7 +43,7 @@ def _blowup_slope(x, y):
 
 
 def _blowup_builder(N, K):
-    q = QSpec(1, np.array([0.0]), "scalar_constant")
+    q = QSpec(np.array([0.0]), "scalar_constant")
     return ProblemSpec(0.1, _blowup, _zero, np.full(N, 0.5), q,
                        f_y=_blowup_slope, f_yy=_zero, b_y=_zero, b_yy=_zero)
 
@@ -73,7 +73,7 @@ def test_exact_solution_matches_builtin_closure():
 
 
 def test_terminal_beta_is_cumulative_sum():
-    q = QSpec(1, np.array([1.0]), "scalar_constant")
+    q = QSpec(np.array([1.0]), "scalar_constant")
     path = sample_path(q, 64, 1.0 / 64.0, 5)
     total = float(path.dB.sum())
     running = float(np.cumsum(path.dB[:, 0])[-1])
@@ -84,12 +84,12 @@ def test_terminal_beta_is_cumulative_sum():
 
 
 def test_rms_error_trivia():
-    assert _reduce_squared([0.0] * 4, 4) == (0.0, 0.0, 0)
+    assert _reduce_squared([0.0] * 4) == (0.0, 0.0, 0)
     # three unit squared errors
-    assert _reduce_squared([1.0] * 3, 3) == (1.0, 0.0, 0)
+    assert _reduce_squared([1.0] * 3) == (1.0, 0.0, 0)
     # NaN marks a flagged realization; a cell of flagged ones has no rms
-    assert _reduce_squared([1.0, math.nan, 1.0], 3) == (1.0, 0.0, 1)
-    rms, se, flagged = _reduce_squared([math.nan, math.nan], 2)
+    assert _reduce_squared([1.0, math.nan, 1.0]) == (1.0, 0.0, 1)
+    rms, se, flagged = _reduce_squared([math.nan, math.nan])
     assert math.isnan(rms) and math.isnan(se) and flagged == 2
 
 
@@ -99,7 +99,7 @@ def test_rms_error_moment_oracle():
     rng = np.random.default_rng(123)
     sigma, R = 0.7, 10_000
     sq = [(sigma * z) ** 2 for z in rng.standard_normal(R)]
-    rms, se, flagged = _reduce_squared(sq, R)
+    rms, se, flagged = _reduce_squared(sq)
     assert abs(rms - sigma) <= 3.0 * se and flagged == 0
     assert se == pytest.approx(sigma / math.sqrt(2 * R), rel=0.1)
 

@@ -93,7 +93,7 @@ def test_eval_b_example1_is_identity():
 
 
 def _custom(f, b=lambda x, y: y, N=4, **derivs):
-    q = QSpec(1, [1.0], mode_kind="scalar_constant")
+    q = QSpec([1.0], mode_kind="scalar_constant")
     return ProblemSpec(kappa=1.0, f=f, b=b, initial_coeffs=np.zeros(N), qspec=q, **derivs)
 
 
@@ -186,7 +186,7 @@ def test_custom_derivative_against_fd():
 
 
 def test_exact_must_match_initial():
-    q = QSpec(1, [1.0], mode_kind="scalar_constant")
+    q = QSpec([1.0], mode_kind="scalar_constant")
     for kappa in (0.0, np.inf, np.nan, True):
         with pytest.raises(ValueError, match="^kappa must be finite and > 0"):
             ProblemSpec(kappa, lambda x, y: y, lambda x, y: y, np.ones(3), q)
@@ -206,7 +206,7 @@ def test_exact_must_match_initial():
 def test_kappa_whose_eigenvalues_overflow_is_rejected(kappa, N, finite):
     # kappa is finite, but kappa pi^2 N^2 is not: no problem is built, and
     # no overflow warning is emitted on the way to saying so
-    q = QSpec(1, [1.0], mode_kind="scalar_constant")
+    q = QSpec([1.0], mode_kind="scalar_constant")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^%s$" % re.escape(
@@ -224,11 +224,12 @@ def test_kappa_whose_eigenvalues_overflow_is_rejected(kappa, N, finite):
 @pytest.mark.parametrize(
     "record, name",
     [("problem", f.name) for f in fields(ProblemSpec)]
-    + [("qspec", f.name) for f in fields(QSpec)],
+    + [("qspec", name) for name in ("K", *(f.name for f in fields(QSpec)))],
 )
 def test_problem_and_qspec_fields_cannot_be_assigned(record, name):
     # a problem is a value: its cached grid, eigenvalues, G and gsq cannot
-    # go stale
+    # go stale.  A QSpec's K is no field but the length of its eigenvalues,
+    # and a frozen record refuses it too
     p = builtin_problem("example3", 8)
     target = p if record == "problem" else p.qspec
     with pytest.raises(FrozenInstanceError):
@@ -238,15 +239,20 @@ def test_problem_and_qspec_fields_cannot_be_assigned(record, name):
     assert p.kappa == 0.01 and p.eigenvalues[0] == 0.01 * np.pi**2
 
 
+def test_problem_takes_a_qspec():
+    with pytest.raises(TypeError, match="^qspec must be a QSpec$"):
+        ProblemSpec(1.0, lambda x, y: y, lambda x, y: y, np.ones(3), object())
+
+
 def test_problem_and_qspec_own_read_only_copies_of_their_arrays():
     init, eta = np.array([0.0, 0.5, 0.25]), np.array([1.0, 0.5])
-    q = QSpec(2, eta)
+    q = QSpec(eta)
     p = ProblemSpec(1.0, lambda x, y: y, lambda x, y: y, init, q)
     # the caller's arrays may change after construction ...
     init[0], eta[1] = 7.0, -3.0
     assert p.initial_coeffs.tolist() == [0.0, 0.5, 0.25]
     assert q.mode_eigenvalues.tolist() == [1.0, 0.5]
-    assert np.array_equal(p.G, noise_matrix(QSpec(2, [1.0, 0.5]), p.grid))
+    assert np.array_equal(p.G, noise_matrix(QSpec([1.0, 0.5]), p.grid))
     # ... and the record's own cannot
     with pytest.raises(ValueError, match="read-only"):
         p.initial_coeffs[0] = 7.0
@@ -270,7 +276,7 @@ def test_cached_arrays_of_a_problem_are_read_only(name):
 
 @pytest.mark.parametrize("init", [np.ones((3, 3)), np.ones((1, 4)), np.zeros(0), [], 1.0])
 def test_initial_coeffs_must_be_a_nonempty_vector(init):
-    q = QSpec(1, [1.0], mode_kind="scalar_constant")
+    q = QSpec([1.0], mode_kind="scalar_constant")
     with pytest.raises(ValueError, match=r"^initial_coeffs must be a nonempty 1-d vector, got shape"
                        r" %s$" % re.escape(repr(np.shape(init)))):
         ProblemSpec(1.0, lambda x, y: y, lambda x, y: y, init, q)

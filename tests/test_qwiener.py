@@ -1,6 +1,7 @@
 """Noise sampling, coarsening, and random-weight assembly."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ class _FixedNormals:
 
 
 def scalar_q():
-    return QSpec(1, [1.0], mode_kind="scalar_constant")
+    return QSpec([1.0], mode_kind="scalar_constant")
 
 
 def test_cholesky_factor_frozen_examples():
@@ -82,7 +83,7 @@ def test_sample_path_rejects_h_whose_power_overflows():
 
 
 def test_sample_path_is_reproducible():
-    q = QSpec(5, np.ones(5) * 0.3)
+    q = QSpec(np.ones(5) * 0.3)
     p1 = sample_path(q, M=16, h=1 / 16, base_seed=42, realization=3)
     p2 = sample_path(q, M=16, h=1 / 16, base_seed=42, realization=3)
     assert np.array_equal(p1.dB, p2.dB) and np.array_equal(p1.I, p2.I)
@@ -94,7 +95,7 @@ def test_sample_path_equals_chunked_sample_step():
     # bulk (M, K, 2) draw and M successive (K, 2) draws consume the same
     # stream, so the documented layout is an honest contract; each step
     # is scaled by the oracle's own triangular factor
-    q = QSpec(3, [1.0, 0.5, 0.25])
+    q = QSpec([1.0, 0.5, 0.25])
     M, h = 8, 0.125
     path = sample_path(q, M, h, base_seed=7, realization=1)
     seq = np.random.SeedSequence([7, 1])
@@ -107,7 +108,7 @@ def test_sample_path_equals_chunked_sample_step():
 
 def test_sample_path_chunked_draw_equals_one_draw():
     # M is not a multiple of the draw chunk: the last chunk is partial
-    q = QSpec(3, [1.0, 0.5, 0.25])
+    q = QSpec([1.0, 0.5, 0.25])
     M = 2 * CHUNK_STEPS + 37
     h = 1.0 / M
     path = sample_path(q, M, h, base_seed=5, realization=2)
@@ -123,7 +124,7 @@ def test_sample_path_chunked_draw_equals_one_draw():
 def test_sample_path_allocates_its_own_arrays():
     # each call owns new arrays: two draws of one key are equal and share
     # no memory, so a caller may keep or change one path freely
-    q = QSpec(2, [1.0, 0.5])
+    q = QSpec([1.0, 0.5])
     first = sample_path(q, 40, 0.025, base_seed=9, realization=1)
     again = sample_path(q, 40, 0.025, base_seed=9, realization=1)
     assert np.array_equal(again.dB, first.dB) and np.array_equal(again.I, first.I)
@@ -144,7 +145,7 @@ def test_coarsen_two_substeps_frozen():
 def test_coarsen_factor_one_is_identity():
     # the general formula at factor 1: the same bits, in new arrays
     for K, r in ((K, r) for K in (1, 3, 64) for r in range(5)):
-        p = sample_path(QSpec(K, np.ones(K)), 70, 1.0 / 70, base_seed=1, realization=r)
+        p = sample_path(QSpec(np.ones(K)), 70, 1.0 / 70, base_seed=1, realization=r)
         c = coarsen(p, 1)
         assert (c.M, c.K, c.h) == (p.M, p.K, p.h)
         assert c.dB.tobytes() == p.dB.tobytes() and c.I.tobytes() == p.I.tobytes()
@@ -182,7 +183,7 @@ def coarse_mixed_integral_oracle(dB, I, h):
 
 
 def test_coarsen_matches_direct_recomputation():
-    q = QSpec(4, [1.0, 0.3, 0.1, 0.03])
+    q = QSpec([1.0, 0.3, 0.1, 0.03])
     p = sample_path(q, 24, 1 / 24, base_seed=11)
     c = coarsen(p, 24)
     assert np.allclose(
@@ -194,7 +195,7 @@ def test_coarsen_matches_direct_recomputation():
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31))
 def test_coarsen_composition(seed):
-    q = QSpec(2, [1.0, 0.5])
+    q = QSpec([1.0, 0.5])
     p = sample_path(q, 32, 1 / 32, base_seed=seed)
     two_level = coarsen(coarsen(p, 2), 2)
     one_level = coarsen(p, 4)
@@ -209,21 +210,36 @@ def test_coarsen_composition(seed):
 
 
 def test_qspec_validation():
-    with pytest.raises(ValueError):
-        QSpec(2, [1.0, 1.0], mode_kind="scalar_constant")
+    with pytest.raises(ValueError, match="^scalar_constant noise implies K = 1$"):
+        QSpec([1.0, 1.0], mode_kind="scalar_constant")
     for bad in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="^mode_eigenvalues must be finite and nonnegative$"):
-            QSpec(2, [1.0, bad])
-    with pytest.raises(DimensionError):
-        QSpec(3, [1.0, 1.0])
-    with pytest.raises(ValueError, match="K must be an integer >= 1"):
-        QSpec(-3, [])
-    # a K that is not an integer is named, not reported as a shape mismatch
-    for bad in (2.5, True, np.float64(2.0)):
-        with pytest.raises(ValueError, match="^K must be an integer >= 1, got "):
-            QSpec(bad, [1.0, 1.0])
-    with pytest.raises(ValueError):
-        QSpec(1, [1.0], mode_kind="white")
+            QSpec([1.0, bad])
+    with pytest.raises(ValueError, match="^unknown mode_kind 'white'$"):
+        QSpec([1.0], mode_kind="white")
+
+
+@pytest.mark.parametrize("eta", [[0.0], [1.0, 0.5, 0.25], np.ones(64)])
+def test_qspec_K_is_the_number_of_eigenvalues(eta):
+    q = QSpec(eta)
+    assert q.K == len(eta) == q.mode_eigenvalues.size
+    assert repr(q) == "QSpec(K=%d, mode_kind='sine_basis')" % len(eta)
+
+
+@pytest.mark.parametrize("eta", [[], np.zeros(0), np.ones((2, 2)), [[1.0, 0.5]], 1.0])
+def test_qspec_eigenvalues_must_be_a_nonempty_vector(eta):
+    with pytest.raises(DimensionError, match="^mode_eigenvalues must be a nonempty 1-d vector,"
+                       " got shape %s$" % re.escape(repr(np.shape(eta)))):
+        QSpec(eta)
+
+
+@pytest.mark.parametrize("args", [(2, [1.0, 1.0]), (2, np.ones(2))], ids=["list", "array"])
+def test_qspec_takes_no_count_of_modes(args):
+    # a call in the old K-first form passes the eigenvalues as mode_kind,
+    # which is named as an unknown mode_kind whatever its type, an array
+    # included
+    with pytest.raises(ValueError, match="^unknown mode_kind "):
+        QSpec(*args)
 
 
 def test_gsq_scalar_constant():
@@ -231,14 +247,14 @@ def test_gsq_scalar_constant():
     assert np.all(gsq_field(scalar_q(), grid) == 1.0)
     # the ones basis gives gsq = eta_1 at every node, to the bit
     for eta in (0.0, 1e-300, 0.3, 7.5e12):
-        q = QSpec(1, [eta], mode_kind="scalar_constant")
+        q = QSpec([eta], mode_kind="scalar_constant")
         for n in (1, 5, 64):
             assert gsq_field(q, SineBasisGrid(n)).tobytes() == np.full(n, eta).tobytes()
 
 
 def test_gsq_single_sine_mode():
     grid = SineBasisGrid(16)
-    q = QSpec(3, [1.0, 0.0, 0.0])
+    q = QSpec([1.0, 0.0, 0.0])
     expect = 2.0 * np.sin(np.pi * grid.nodes) ** 2
     assert np.allclose(gsq_field(q, grid), expect, rtol=1e-13)
 
@@ -248,7 +264,7 @@ def test_gsq_matches_brute_force_sum():
     grid = SineBasisGrid(32)
     K = 256
     eta = np.arange(1, K + 1, dtype=float) ** -3.0
-    q = QSpec(K, eta)
+    q = QSpec(eta)
     brute = np.zeros(grid.n_nodes)
     for p, x in enumerate(grid.nodes):
         s = 0.0
@@ -264,7 +280,7 @@ def test_noise_matrix_scalar_is_ones():
     assert G.shape == (6, 1) and np.all(G == 1.0)
     # and sqrt(eta_1) at every node, to the bit
     for eta in (0.0, 1e-300, 0.3, 7.5e12):
-        q = QSpec(1, [eta], mode_kind="scalar_constant")
+        q = QSpec([eta], mode_kind="scalar_constant")
         for n in (1, 5, 64):
             G = noise_matrix(q, SineBasisGrid(n))
             assert G.tobytes() == np.full((n, 1), np.sqrt(eta)).tobytes()
@@ -278,7 +294,7 @@ def step_context(q, N, h):
 
 def test_theta_zero_noise():
     grid = SineBasisGrid(8)
-    q = QSpec(2, [0.5, 0.25])
+    q = QSpec([0.5, 0.25])
     gsq = gsq_field(q, grid)
     dW, Iw = theta_weights(np.zeros(2), np.zeros(2), noise_matrix(q, grid))
     assert np.all(dW == 0.0) and np.all(Iw == 0.0)
@@ -311,7 +327,7 @@ def test_theta_identities_against_mode_sums(seed, K, N, h):
     # fields, against the same quantities summed mode by mode
     rng = np.random.default_rng(seed)
     eta = rng.uniform(0.0, 2.0, K)
-    q = QSpec(K, eta)
+    q = QSpec(eta)
     grid = SineBasisGrid(N)
     dB, I = oracles.sample_step(rng, q, h)
     theta = theta_fields(step_context(q, N, h), *theta_weights(dB, I, noise_matrix(q, grid)))
@@ -332,7 +348,7 @@ def test_theta_identities_against_mode_sums(seed, K, N, h):
 def test_theta_weights_chunk_rows_equal_single_steps(K):
     # a chunk's rows are bit-identical to the single-step fields and to
     # G @ dB[m], for a full chunk and a 3-row one
-    q = QSpec(K, 2.0 ** -np.arange(K))
+    q = QSpec(2.0 ** -np.arange(K))
     grid = SineBasisGrid(12)
     G = noise_matrix(q, grid)
     path = sample_path(q, CHUNK_STEPS + 3, 1 / 16, base_seed=3)
@@ -350,7 +366,7 @@ def test_theta_weights_chunk_rows_equal_single_steps(K):
 def test_theta_weights_chunks_cover_a_long_path():
     # chunks of at most CHUNK_STEPS steps, row i of the chunk at m0 being
     # step m0 + i, bit-identical to per-step assembly
-    q = QSpec(3, [1.0, 0.5, 0.25])
+    q = QSpec([1.0, 0.5, 0.25])
     grid = SineBasisGrid(6)
     G = noise_matrix(q, grid)
     M = 2 * CHUNK_STEPS + 3
@@ -368,7 +384,7 @@ def test_theta_mode_mismatch_rejected():
     # K is read off G: a step or chunk of another mode count, a mixed
     # integral of another shape than its increment, or an input of more
     # than two dimensions is rejected
-    G = noise_matrix(QSpec(2, [1.0, 1.0]), SineBasisGrid(5))
+    G = noise_matrix(QSpec([1.0, 1.0]), SineBasisGrid(5))
     with pytest.raises(DimensionError, match="noise matrix has 2 modes"):
         theta_weights(np.zeros(3), np.zeros(3), G)
     with pytest.raises(DimensionError, match=r"shapes \(4, 3\) and \(4, 3\)"):
@@ -420,7 +436,7 @@ def test_covariance_quick_monte_carlo():
 
 
 def test_dump_path_format():
-    p = sample_path(QSpec(2, [1.0, 0.5]), 3, 0.25, base_seed=5)
+    p = sample_path(QSpec([1.0, 0.5]), 3, 0.25, base_seed=5)
     buf = io.StringIO()
     dump_path(p, buf)
     lines = buf.getvalue().strip().split("\n")

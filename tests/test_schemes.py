@@ -62,7 +62,7 @@ def _decaying_state(N, seed):
 
 def _silent_problem(N, kappa=0.5, with_derivs=True):
     """f = b = 0 with a single zero-variance noise mode."""
-    q = QSpec(1, np.array([0.0]), "scalar_constant")
+    q = QSpec(np.array([0.0]), "scalar_constant")
     derivs = dict(f_y=_zero, f_yy=_zero, b_y=_zero, b_yy=_zero) if with_derivs else {}
     return ProblemSpec(kappa, _zero, _zero, _decaying_state(N, 7), q, **derivs)
 
@@ -279,7 +279,7 @@ def test_lie_resolvent_pin():
 def test_lie_one_step_formula():
     # recompute (I - hA)^{-1}(Y + h f + b dW) by hand for f = 1, b = y
     N, h = 5, 0.3
-    q = QSpec(1, np.array([1.0]), "scalar_constant")
+    q = QSpec(np.array([1.0]), "scalar_constant")
     p = ProblemSpec(0.9, _one, _identity, _decaying_state(N, 2), q)
     path = sample_path(q, 1, h, 4)
     dB = float(path.dB[0, 0])
@@ -296,7 +296,7 @@ def test_exe_constant_forcing_is_exact():
     # with b = 0 and constant f the mild solution is available in closed
     # form, and the phi1 weighting of the drift reproduces it
     N, h = 12, 0.3
-    q = QSpec(1, np.array([0.0]), "scalar_constant")
+    q = QSpec(np.array([0.0]), "scalar_constant")
     p = ProblemSpec(0.8, _one, _zero, _decaying_state(N, 4), q)
     path = sample_path(q, 1, h, 0)
     grid = SineBasisGrid(N)
@@ -323,7 +323,7 @@ def test_exe_is_exact_for_forcing_that_depends_on_x(M):
     # so it sees the x that eval_coeff passes: the nodes in another
     # order, or scaled to (0, 2), miss it
     N, T = 16, 1.0
-    q = QSpec(1, np.array([1.0]), "scalar_constant")
+    q = QSpec(np.array([1.0]), "scalar_constant")
     p = ProblemSpec(0.1, _one_plus_x, _zero, _decaying_state(N, 4), q)
     F = to_spectral(1.0 + p.grid.nodes, p.grid)
     lam = p.eigenvalues
@@ -358,7 +358,7 @@ def test_scalar_ito_taylor_oracle(scheme):
     # one-dimensional SDE integrator for dX = X dW; orders 1.5 match the
     # classical expansion X+ = X (1 + dW + (dW^2 - h)/2 + (dW^3 - 3h dW)/6),
     # order 1.0 (dfmm) drops the last bracket.
-    q = QSpec(1, np.array([1.0]), "scalar_constant")
+    q = QSpec(np.array([1.0]), "scalar_constant")
     p = ProblemSpec(
         1e-12, _zero, _identity, np.array([0.7]), q,
         f_y=_zero, f_yy=_zero, b_y=_one, b_yy=_zero,
@@ -407,7 +407,7 @@ def test_zero_noise_degeneracy_linear_b():
 
 def test_ewp_requires_derivative_maps():
     N = 4
-    q = QSpec(1, np.array([1.0]), "scalar_constant")
+    q = QSpec(np.array([1.0]), "scalar_constant")
     p = ProblemSpec(1.0, _zero, _identity, _decaying_state(N, 1), q)
     ctx, ((dW, Iw),) = _context_for(p, 0.1)
     with pytest.raises(CapabilityError, match="ewp"):
@@ -432,20 +432,37 @@ def test_solve_determinism_and_layout():
     assert np.all(np.isfinite(a))
 
 
-def test_solve_divergence_error():
-    def blowup(x, y):
-        return y * 1e200
+def _blowup(x, y):
+    return y * 1e200
 
+
+def _divide_by_zero(x, y):
+    return y / (x - x)
+
+
+@pytest.mark.parametrize("scheme, f, step", [
+    # erkm15's first stage evaluates f at y + h D_0, which overflows at step 0
+    pytest.param("erkm15", _blowup, 0, id="erkm15"),
+    *(pytest.param(name, _blowup, 1, id=name) for name in ("ewp", "exe", "lie", "dfmm")),
+    pytest.param({"name": "exe", "label": "exe-divides"}, _divide_by_zero, 0, id="divide"),
+])
+def test_solve_divergence_error(scheme, f, step):
+    # solve owns its floating-point policy: the overflow of a drift of
+    # 1e200 y, or a drift that divides by zero, ends the run as a
+    # DivergenceError naming the label, step and mode, with no caller's
+    # np.errstate and under pytest's warnings-as-errors
     N = 4
-    q = QSpec(1, np.array([0.0]), "scalar_constant")
-    p = ProblemSpec(0.1, blowup, _zero, np.full(N, 0.5), q)
+    q = QSpec(np.array([0.0]), "scalar_constant")
+    p = ProblemSpec(0.1, f, _zero, np.full(N, 0.5), q,
+                    f_y=_zero, f_yy=_zero, b_y=_zero, b_yy=_zero)
     path = sample_path(q, 4, 0.5, 0)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as exc:
-        solve(StepContext(p, 2.0, 4), "exe", path)
-    assert exc.value.scheme == "exe"
-    assert exc.value.step == 1
+    label = resolve_scheme(scheme).label
+    with pytest.raises(DivergenceError) as exc:
+        solve(StepContext(p, 2.0, 4), scheme, path)
+    assert exc.value.scheme == label
+    assert exc.value.step == step
     assert 0 <= exc.value.mode < N
-    assert "exe" in str(exc.value)
+    assert repr(label) in str(exc.value)
 
 
 def test_solve_runs_on_when_only_the_squared_norm_overflows():
@@ -527,20 +544,25 @@ def test_erkm15_family_terminal_states_pinned(M):
 
 _LOCAL_H = 2.0 ** -np.arange(3, 9)
 
+# nodes per normal of the quadrature with K noise modes: the squared
+# distance has degree at most 6 in each normal, so 4 nodes are exact and
+# K = 2 takes 4^4 = 256; K = 1 keeps its 10 x 10 rule
+_NODES = {1: 10, 2: 4}
 
-def _local_slopes(scheme):
+
+def _local_slopes(scheme, K):
     """The slopes in h, over h = 2^-3..2^-8, of the RMS and of the mean
     of the distance from one step of the Scheme record scheme to one step
-    of ewp, both from example3's initial state at N = 64 and K = 1.  Each
-    step is a polynomial of degree at most 3 in the step's (dB, I), so
-    oracles.gauss_hermite_pairs gives both moments exactly."""
-    p = builtin_problem("example3", 64, 1)
+    of ewp, both from example3's initial state at N = 64 and K noise
+    modes.  Each step is a polynomial of degree at most 3 in the step's
+    (dB, I), so oracles.gauss_hermite_pairs gives both moments exactly."""
+    p = builtin_problem("example3", 64, K)
     y, ewp = p.initial_coeffs, resolve_scheme("ewp")
     rms, mean = [], []
     for h in _LOCAL_H:
         ctx = StepContext(p, h)
-        dB, I, w = oracles.gauss_hermite_pairs(h)
-        fields = theta_weights(dB[:, None], I[:, None], ctx.G)
+        dB, I, w = oracles.gauss_hermite_pairs(h, K, _NODES[K])
+        fields = theta_weights(dB, I, ctx.G)
         d = np.array([scheme.step(ctx, y, row) - ewp.step(ctx, y, ewp_row) for row, ewp_row
                       in zip(zip(*scheme.noise(ctx, *fields)), zip(*ewp.noise(ctx, *fields)))])
         rms.append(math.sqrt(w @ np.sum(d * d, axis=1)))
@@ -560,36 +582,71 @@ def _family_members():
     return members
 
 
-@pytest.mark.parametrize("c", [pytest.param(c, id=label) for label, c in _family_members()])
-def test_erkm15_family_local_order_by_quadrature(c):
+def _check_family_order(c, K):
     # by Milstein's fundamental theorem a local error of RMS O(h^2) and
-    # mean O(h^(5/2)) gives global order 3/2: every member sits that
-    # close to ewp (measured: RMS 1.99 -> 2.00, mean 2.90 -> 3.00)
-    rms, mean = _local_slopes(resolve_scheme({"name": "erkm15", "c": c}))
+    # mean O(h^(5/2)) gives global order 3/2
+    rms, mean = _local_slopes(resolve_scheme({"name": "erkm15", "c": c}), K)
     assert np.all((1.9 <= rms) & (rms <= 2.1)), rms
     assert np.all(mean >= 2.5), mean
 
 
-def test_baseline_local_orders_by_quadrature():
-    # dfmm sits O(h^(3/2)) from ewp, order 1 (measured 1.49 -> 1.50); exe
-    # and lie O(h), order 1/2, once the slope settles (1.19 -> 1.02)
-    rms, _ = _local_slopes(resolve_scheme("dfmm"))
+def _check_baseline_orders(K):
+    # dfmm sits O(h^(3/2)) from ewp, order 1; exe and lie O(h), order
+    # 1/2, once the slope settles
+    rms, _ = _local_slopes(resolve_scheme("dfmm"), K)
     assert np.all((1.4 <= rms) & (rms <= 1.6)), rms
     for name in ("exe", "lie"):
-        rms, _ = _local_slopes(resolve_scheme(name))
+        rms, _ = _local_slopes(resolve_scheme(name), K)
         assert 0.9 <= rms[-1] <= 1.1, (name, rms)
 
 
-def test_printed_erratum_fails_the_local_order_check():
+def _check_printed_erratum(K):
     # the published 1/(4 c_3) in alpha^(3)'s stage-4 and stage-5 entries
     # (see erkm15_tableau) at c_3 = 1/2: the row no longer sums to zero and
-    # the step falls to O(h) from ewp, order 1/2 (measured 0.97 -> 1.00)
+    # the step falls to O(h) from ewp, order 1/2, outside erkm15's band
     c3 = 0.5
     tab = erkm15_tableau((1.0, 1.0, c3, 1.0, 1.0, 1.0, 1.0))
     a1, a2, a3 = tab.alpha
     printed = tab._replace(alpha=(a1, a2, (a3[0], 1.0 / (4.0 * c3), 1.0 / (4.0 * c3))))
-    rms, _ = _local_slopes(resolve_scheme("erkm15")._replace(step=partial(erkm_step, printed)))
+    rms, _ = _local_slopes(resolve_scheme("erkm15")._replace(step=partial(erkm_step, printed)),
+                           K)
     assert np.all((0.9 <= rms) & (rms <= 1.1)), rms
+
+
+@pytest.mark.parametrize("c", [pytest.param(c, id=label) for label, c in _family_members()])
+def test_erkm15_family_local_order_by_quadrature(c):
+    # every member sits O(h^2) from ewp (measured: RMS 1.99 -> 2.00, mean
+    # 2.90 -> 3.00)
+    _check_family_order(c, K=1)
+
+
+def test_baseline_local_orders_by_quadrature():
+    # measured: dfmm 1.49 -> 1.50, exe and lie 1.19 -> 1.02
+    _check_baseline_orders(K=1)
+
+
+def test_printed_erratum_fails_the_local_order_check():
+    # measured 0.97 -> 1.00
+    _check_printed_erratum(K=1)
+
+
+@pytest.mark.parametrize("c", [pytest.param(c, id=label) for label, c in _family_members()
+                               if label in ("ones", "erkm15-mixed")])
+def test_erkm15_local_order_by_quadrature_with_two_modes(c):
+    # with K = 2 the modes mix in Iw and in gsq, which K = 1 cannot show:
+    # a gsq built from mode 1 alone leaves the RMS slopes at 2 but drops
+    # the mean slopes to 2 (measured: RMS 1.99 -> 2.00, mean 2.90 -> 3.00)
+    _check_family_order(c, K=2)
+
+
+def test_baseline_local_orders_by_quadrature_with_two_modes():
+    # measured: dfmm 1.49 -> 1.50, exe and lie 1.17 -> 1.02
+    _check_baseline_orders(K=2)
+
+
+def test_printed_erratum_fails_the_local_order_check_with_two_modes():
+    # measured 0.97 -> 1.00
+    _check_printed_erratum(K=2)
 
 
 def _with(t, i, value):
@@ -756,7 +813,7 @@ def test_context_operator_data_is_the_problems_own(name):
     # written: the old form StepContext(problem, grid, operator, T, M) is gone
     if name == "custom":
         p = ProblemSpec(0.9, _one, _identity, _decaying_state(8, 3),
-                        QSpec(3, [1.0, 0.5, 0.25]))
+                        QSpec([1.0, 0.5, 0.25]))
     else:
         p = builtin_problem(name, 8)
     with pytest.raises(TypeError):

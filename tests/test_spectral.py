@@ -21,7 +21,7 @@ def _identity(x, y):
 def _problem(kappa, N):
     """A problem of kappa * Laplace on N modes; its eigenvalues are the operator."""
     return ProblemSpec(kappa, _identity, _identity, np.ones(N),
-                       QSpec(1, [1.0], mode_kind="scalar_constant"))
+                       QSpec([1.0], mode_kind="scalar_constant"))
 
 
 def dense_synthesis(coeffs, nodes):
