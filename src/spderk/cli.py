@@ -69,10 +69,10 @@ ORDER_BANDS = {
 _JSON_KEY_OR_BRACE = re.compile(r'("(?:[^"\\]|\\.)*")(\s*:)?|[{}]')
 
 
-def _key_lines(text):
+def _key_offsets(text):
     """Each object of a valid JSON text, in the order the objects close
-    (the order json.loads calls its hook in), as (depth, {key: the lines
-    key appears on}); the top-level object has depth 1."""
+    (the order json.loads builds them in), as (depth, {key: the offsets
+    of its occurrences}); the top-level object has depth 1."""
     open_objects, closed = [], []
     for m in _JSON_KEY_OR_BRACE.finditer(text):
         if m.group() == "{":
@@ -80,20 +80,13 @@ def _key_lines(text):
         elif m.group() == "}":
             closed.append((len(open_objects), open_objects.pop()))
         elif m.group(2):
-            line = text.count("\n", 0, m.start()) + 1
-            open_objects[-1].setdefault(json.loads(m.group(1)), []).append(line)
+            open_objects[-1].setdefault(json.loads(m.group(1)), []).append(m.start())
     return closed
 
 
-def _where(source, text, key):
-    """source, with the line of the top-level key when text is known: a
-    string matching key as a value, or as a key of a nested object, is
-    passed over."""
-    if text is not None:
-        for depth, lines in _key_lines(text):
-            if depth == 1 and key in lines:
-                return "%s: line %d" % (source, lines[key][0])
-    return source
+def _where(source, text, offset):
+    """source, with the line of text that offset falls on."""
+    return "%s: line %d" % (source, text.count("\n", 0, offset) + 1)
 
 
 def config_from_dict(data, source="<config>", text=None):
@@ -101,16 +94,21 @@ def config_from_dict(data, source="<config>", text=None):
 
     Unknown keys, and every value its field's rule in FIELD_RULES
     rejects, raise a ConfigError naming the key; when the original text
-    is supplied the diagnostic carries the line of the top-level key.  A
-    null value takes the field's default.  No value is coerced (3.7 is
-    not a count, "exe" is not a list of schemes).
+    is supplied the diagnostic carries the line of the top-level key (a
+    string matching the key as a value, or as a key of a nested object,
+    is passed over).  A null value takes the field's default.  No value
+    is coerced (3.7 is not a count, "exe" is not a list of schemes).
     """
+    def where(key):
+        top = next((keys for depth, keys in _key_offsets(text or "") if depth == 1), {})
+        return _where(source, text, top[key][0]) if key in top else source
+
     if not isinstance(data, dict):
         raise ConfigError("%s: top level must be an object" % source)
     for key in data:
         if key not in FIELD_RULES:
             raise ConfigError("%s: unknown key %r (allowed: %s)"
-                              % (_where(source, text, key), key, ", ".join(FIELD_RULES)))
+                              % (where(key), key, ", ".join(FIELD_RULES)))
 
     kwargs = {}
     for key, rule in FIELD_RULES.items():
@@ -120,33 +118,19 @@ def config_from_dict(data, source="<config>", text=None):
         try:
             kwargs[key] = rule(key, value)
         except ValueError as e:
-            raise ConfigError("%s: %s" % (_where(source, text, key), e)) from e
+            raise ConfigError("%s: %s" % (where(key), e)) from e
     return StudyConfig(**kwargs)
-
-
-class _DuplicateKey(Exception):
-    """A key given twice in one JSON object; args: the key."""
-
-
-def _unique_keys(pairs):
-    """object_pairs_hook for json.loads: a dict, or _DuplicateKey naming
-    the first key an object holds twice."""
-    data = {}
-    for key, value in pairs:
-        if key in data:
-            raise _DuplicateKey(key)
-        data[key] = value
-    return data
 
 
 def load_config(path):
     """A StudyConfig from a JSON file; raises ConfigError for a file it
     cannot read or that is not UTF-8, malformed JSON, a key given twice
-    in one object, or anything config_from_dict rejects."""
+    in one object, or anything config_from_dict rejects.  A text that is
+    both malformed and holds a key twice is reported as malformed."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-        data = json.loads(text, object_pairs_hook=_unique_keys)
+        data = json.loads(text)
     except OSError as e:
         raise ConfigError(str(e)) from e
     except UnicodeDecodeError as e:
@@ -154,11 +138,12 @@ def load_config(path):
     except json.JSONDecodeError as e:
         raise ConfigError("%s: line %d column %d: %s"
                           % (path, e.lineno, e.colno, e.msg)) from e
-    except _DuplicateKey as e:
-        # the rejected object is the first to close holding key twice
-        (key,) = e.args
-        line = next(lines[key][1] for _, lines in _key_lines(text) if len(lines.get(key, ())) > 1)
-        raise ConfigError("%s: line %d: duplicate key %r" % (path, line, key)) from None
+    # the first object to close that holds a key twice, at its first repeat
+    for _, keys in _key_offsets(text):
+        repeats = [(offsets[1], key) for key, offsets in keys.items() if len(offsets) > 1]
+        if repeats:
+            offset, key = min(repeats)
+            raise ConfigError("%s: duplicate key %r" % (_where(path, text, offset), key))
     return config_from_dict(data, source=path, text=text)
 
 
@@ -276,7 +261,7 @@ def _build_parser():
     p_study = sub.add_parser("study", help="run a convergence study")
     p_study.add_argument("config", help="JSON config file")
     p_study.add_argument("--workers", type=int, default=None,
-                         help="worker processes, at least 1 (default: available cores)")
+                         help="worker processes, at least 1 (default: cores this process may use)")
     p_study.add_argument("--assert-orders", action="store_true",
                          help="fail (exit 2) if fitted orders leave the "
                               "acceptance bands")

@@ -12,7 +12,9 @@ class SpderkError(Exception):
 
 
 class DimensionError(SpderkError):
-    """A field's length does not match the grid or operator it is used with."""
+    """An array of the wrong shape: a problem map's result, a step's noise
+    tables, a path, a QSpec's eigenvalues or an erkm15 c vector.  The sine
+    transforms raise none; numpy rejects a wrong length with a ValueError."""
 
 
 class CapabilityError(SpderkError):

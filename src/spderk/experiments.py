@@ -39,7 +39,6 @@ __all__ = [
     "fit_order",
     "local_slopes",
     "order_summary",
-    "fine_steps",
     "worker_count",
     "run_study",
 ]
@@ -187,7 +186,7 @@ class StudyConfig:
                               % (ref.M, cfg.M_list[-1]))
         cfg = replace(cfg, reference=ref)
 
-        fine = fine_steps(cfg)
+        fine = _fine_steps(cfg)
         _addressable("reference" if ref.mode == "ewp" else "M_list", 2, fine, probe.qspec.K)
         h = cfg.T / fine
         if h < sys.float_info.min:
@@ -355,7 +354,7 @@ def order_summary(table):
     return out
 
 
-def fine_steps(cfg):
+def _fine_steps(cfg):
     """Step count of a validated study's fine path, the one every
     realization samples: the ewp reference's M, or max(M_list) under an
     exact reference."""
@@ -371,7 +370,7 @@ class _StudyState:
     def __init__(self, cfg):
         self.cfg = cfg
         self.problem = builtin_problem(cfg.problem, cfg.N, cfg.K)
-        self.fine_M = fine_steps(cfg)
+        self.fine_M = _fine_steps(cfg)
         self.ctxs = {
             M: StepContext(self.problem, cfg.T, M)
             for M in set(cfg.M_list) | {self.fine_M}
@@ -441,8 +440,10 @@ def _pool_task(r):
 
 def worker_count(workers):
     """The process count workers asks for: itself if a positive integer,
-    all cores if None; anything else raises a ConfigError."""
+    the cores this process may use if None; else a ConfigError."""
     if workers is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if not is_int(workers) or workers < 1:
         raise ConfigError("workers must be a positive integer or None, got %r"
@@ -453,7 +454,7 @@ def worker_count(workers):
 def run_study(cfg, workers=1):
     """Run the configured study; returns an ErrorTable.
 
-    workers is a positive count of processes, or None for all cores.
+    workers is a positive count of processes, or None for the cores it may use.
     One loop collects the realizations in index order, whether one
     _StudyState or a pool ran them, so results are bit-identical for any
     worker count.  Raises ConfigError for a bad config or worker count,

@@ -15,12 +15,14 @@ for N modes, so switching representations adds no quadrature error.
 Transforms are dense O(N^2) matrix products, which is plenty for the
 mode counts used here (N <= 256).
 
-Both representations are plain 1-d float arrays; nothing is wrapped.
+Both representations are plain 1-d float arrays; nothing is wrapped or
+re-checked: a state has N entries by construction, and numpy's matmul
+rejects a 1-d input of another length with a ValueError.
 """
 
 import numpy as np
 
-from .errors import DimensionError, count
+from .errors import count
 
 __all__ = [
     "SineBasisGrid",
@@ -61,21 +63,11 @@ class SineBasisGrid:
         return "SineBasisGrid(N=%d)" % self.N
 
 
-def _check_len(field, expect, what):
-    field = np.asarray(field, dtype=float)
-    if field.shape != (expect,):
-        raise DimensionError(
-            "%s: expected shape (%d,), got %r" % (what, expect, field.shape)
-        )
-    return field
-
-
 def to_physical(field, grid):
     """Evaluate a coefficient vector on the collocation nodes.
 
     values(x_p) = sum_k a_k sqrt(2) sin(k pi x_p).
     """
-    field = _check_len(field, grid.N, "to_physical")
     return grid._synth @ field
 
 
@@ -86,5 +78,4 @@ def to_spectral(field, grid):
     projection onto span(e_1..e_N) in the discrete inner product, which
     is how the pseudo-spectral nonlinearity handling is meant to work.
     """
-    field = _check_len(field, grid.n_nodes, "to_spectral")
     return grid._anal @ field

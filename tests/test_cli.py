@@ -170,6 +170,14 @@ def test_config_diagnostics(tmp_path):
                    ' "name": 1, "name": 2}')
     with pytest.raises(ConfigError, match=r"line 2: duplicate key 'name'"):
         load_config(str(bad))
+    # two keys repeated in one object: the first repeat in the text is named
+    bad.write_text('[{"name": "exe", "label": "a", "label": "b", "name": "lie"}]')
+    with pytest.raises(ConfigError, match=r"line 1: duplicate key 'label'$"):
+        load_config(str(bad))
+    # a text both malformed and holding a key twice is reported as malformed
+    bad.write_text('{"reference": {"mode": "ewp", "mode": "exact"},\n "N": 8,,\n}')
+    with pytest.raises(ConfigError, match=r"line 2 column 9: Expecting property name"):
+        load_config(str(bad))
 
     code, _, err = _run(["study", str(tmp_path / "missing.json")])
     assert code == 1

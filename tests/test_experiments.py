@@ -361,6 +361,17 @@ def test_run_study_workers_none_means_all_cores():
     assert run_study(cfg, workers=None) == run_study(cfg, workers=1)
 
 
+def test_worker_count_none_counts_the_cores_this_process_may_use(monkeypatch):
+    # under taskset -c 0 on a 2-core machine os.cpu_count() is 2; the
+    # affinity mask, one CPU, is the count
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert experiments.worker_count(None) == 1
+    # where the platform has no affinity mask: the core count, else 1
+    monkeypatch.delattr(experiments.os, "sched_getaffinity")
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    assert experiments.worker_count(None) == 1
+
+
 def test_config_reference_dict_coercion():
     cfg = StudyConfig("example2", N=8, M_list=(4,), realizations=1,
                       schemes=("exe",), reference={"mode": "ewp", "M": 8})
