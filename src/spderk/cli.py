@@ -12,8 +12,10 @@ Subcommands:
 
 Configs are UTF-8 JSON objects whose keys are the fields of
 experiments.StudyConfig; missing keys fall back to its desk-scale
-defaults.  Unknown keys, keys given twice in one object and every error
-confined to one field are rejected with the file, the line and the key.
+defaults.  load_config returns a StudyConfig, which checks itself when
+built.  Unknown keys, keys given twice in one object and every value the
+StudyConfig rejects are reported with the file and the line of the key
+to blame, or the file alone when it does not hold that key.
 The config file is a study's only input besides its flags.  The error
 table and the metadata file are written, and a table is read, as UTF-8.
 
@@ -92,9 +94,9 @@ def _where(source, text, offset):
 def config_from_dict(data, source="<config>", text=None):
     """Build a StudyConfig from a parsed JSON object.
 
-    Unknown keys, and every value its field's rule in FIELD_RULES
-    rejects, raise a ConfigError naming the key; when the original text
-    is supplied the diagnostic carries the line of the top-level key (a
+    Unknown keys raise a ConfigError naming the key, and every ConfigError
+    StudyConfig raises is prefixed with source; when the original text is
+    supplied, both carry the line of the top-level key they blame (a
     string matching the key as a value, or as a key of a nested object,
     is passed over).  A null value takes the field's default.  No value
     is coerced (3.7 is not a count, "exe" is not a list of schemes).
@@ -109,17 +111,12 @@ def config_from_dict(data, source="<config>", text=None):
         if key not in FIELD_RULES:
             raise ConfigError("%s: unknown key %r (allowed: %s)"
                               % (where(key), key, ", ".join(FIELD_RULES)))
-
-    kwargs = {}
-    for key, rule in FIELD_RULES.items():
-        value = data.get(key)
-        if value is None and key != "problem":
-            continue
-        try:
-            kwargs[key] = rule(key, value)
-        except ValueError as e:
-            raise ConfigError("%s: %s" % (where(key), e)) from e
-    return StudyConfig(**kwargs)
+    try:
+        return StudyConfig(problem=data.get("problem"),
+                           **{key: value for key, value in data.items()
+                              if key != "problem" and value is not None})
+    except ConfigError as e:
+        raise ConfigError("%s: %s" % (where(e.key), e), e.key) from e
 
 
 def load_config(path):
@@ -181,7 +178,7 @@ def _print_orders(summary, table, out):
 
 
 def _cmd_study(args, out, err):
-    cfg = load_config(args.config).validated()
+    cfg = load_config(args.config)
     # a bad worker count or output directory fails before the study runs
     workers = worker_count(args.workers)
     out_dir = cfg.out_dir or "."
@@ -229,7 +226,7 @@ def _cmd_study(args, out, err):
 def _cmd_path(args, out, err):
     if args.realization < 0:
         raise ConfigError("--realization must be >= 0, got %d" % args.realization)
-    cfg = load_config(args.config).validated()
+    cfg = load_config(args.config)
     dump_path(_StudyState(cfg).fine_path(args.realization), out)
     return 0
 

@@ -13,8 +13,9 @@ class SpderkError(Exception):
 
 class DimensionError(SpderkError):
     """An array of the wrong shape: a problem map's result, a step's noise
-    tables, a path, a QSpec's eigenvalues or an erkm15 c vector.  The sine
-    transforms raise none; numpy rejects a wrong length with a ValueError."""
+    tables, a path, a QSpec's eigenvalues, an erkm15 c vector or a sine
+    transform's input that is not 1-d.  A 1-d transform input of the wrong
+    length is numpy's ValueError."""
 
 
 class CapabilityError(SpderkError):
@@ -41,7 +42,14 @@ class DivergenceError(SpderkError):
 
 
 class ConfigError(SpderkError):
-    """A configuration file could not be parsed or validated."""
+    """A config file could not be parsed, or a StudyConfig could not be
+    built.  key is the StudyConfig field the error blames, or None (say,
+    when the problem's factory rejects the problem); the command line
+    names that key's line of the config file."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class StudyError(SpderkError):

@@ -20,7 +20,7 @@ import multiprocessing
 import os
 import sys
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -115,15 +115,16 @@ def _reference(name, value):
 
 
 def _out_dir(name, value):
-    if not (value is None or isinstance(value, str)):
-        raise ValueError("%s must be a string or null, got %r" % (name, value))
+    if not (value is None or isinstance(value, str) and "\0" not in value):
+        raise ValueError("%s must be a string without a NUL character, or null, got %r"
+                         % (name, value))
     return value
 
 
 # Each StudyConfig field's one rule, rule(name, value): the value with its
 # type and range checked and made canonical, or a ValueError whose message
-# starts with name; nothing is coerced.  StudyConfig.validated() and the
-# command line, which adds a JSON key's file and line, call it.
+# starts with name; nothing is coerced.  StudyConfig.__post_init__ runs
+# them in this order, before the checks that combine fields.
 FIELD_RULES = {
     "problem": _problem,
     "N": count,
@@ -142,11 +143,17 @@ def _addressable(key, *shape):
     """A ConfigError naming key if numpy cannot address a float64 array of this shape."""
     if 8 * math.prod(shape) > np.iinfo(np.intp).max:
         raise ConfigError("%s is too large: a float64 array of shape %s is more than"
-                          " numpy can address" % (key, shape))
+                          " numpy can address" % (key, shape), key)
 
 
 @dataclass(frozen=True)
 class StudyConfig:
+    """A study's settings, checked when built: by its constructor and by
+    dataclasses.replace.  Each field holds its rule's canonical value and
+    reference its default resolved; a value that fails raises a
+    ConfigError whose key is the field it blames (None when the problem
+    factory rejects the problem)."""
+
     problem: str
     N: int = 64
     K: int = None             # None: problem default (1 for example1, else N)
@@ -158,46 +165,50 @@ class StudyConfig:
     seed: int = 0
     out_dir: str = None
 
-    def validated(self):
-        """Canonical copy with defaults resolved; raises ConfigError."""
+    def __post_init__(self):
         # each field's own rule, then the checks that combine fields
-        try:
-            cfg = replace(self, **{key: rule(key, getattr(self, key))
-                                   for key, rule in FIELD_RULES.items()})
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-        _addressable("realizations", cfg.realizations, len(cfg.schemes), len(cfg.M_list))
+        for key, rule in FIELD_RULES.items():
+            try:
+                object.__setattr__(self, key, rule(key, getattr(self, key)))
+            except ValueError as e:
+                raise ConfigError(str(e), key) from e
+        _addressable("realizations", self.realizations, len(self.schemes), len(self.M_list))
         # the problem's (N, N) transforms and (N, K) noise matrix before it
         # is built; a K of None is its default, at most N
-        _addressable("N", cfg.N, cfg.N)
-        _addressable("K", cfg.N, cfg.K or 1)
+        _addressable("N", self.N, self.N)
+        _addressable("K", self.N, self.K or 1)
         try:
-            probe = builtin_problem(cfg.problem, cfg.N, cfg.K)
+            probe = builtin_problem(self.problem, self.N, self.K)
         except ValueError as e:
             raise ConfigError(str(e)) from e
 
-        ref = cfg.reference or _reference(
+        ref = self.reference or _reference(
             "reference", {"mode": "ewp" if probe.exact is None else "exact"})
         if ref.mode == "exact":
             if probe.exact is None:
-                raise ConfigError("problem %r has no exact solution" % cfg.problem)
-        elif ref.M % cfg.M_list[-1]:
+                raise ConfigError("problem %r has no exact solution" % self.problem,
+                                  "reference")
+        elif ref.M % self.M_list[-1]:
             raise ConfigError("reference M=%d must be a multiple of max(M_list)=%d"
-                              % (ref.M, cfg.M_list[-1]))
-        cfg = replace(cfg, reference=ref)
+                              % (ref.M, self.M_list[-1]), "reference")
+        object.__setattr__(self, "reference", ref)
 
-        fine = _fine_steps(cfg)
+        fine = _fine_steps(self)
         _addressable("reference" if ref.mode == "ewp" else "M_list", 2, fine, probe.qspec.K)
-        h = cfg.T / fine
+        h = self.T / fine
         if h < sys.float_info.min:
             raise ConfigError("T=%r is too small: its fine step T/%d is below the"
-                              " smallest normal float" % (cfg.T, fine))
+                              " smallest normal float" % (self.T, fine), "T")
         try:
             h**1.5  # the scale of the mixed integrals sample_path draws
         except OverflowError:
             raise ConfigError("T=%r is too large: its fine step T/%d raised to the"
-                              " power 1.5 overflows" % (cfg.T, fine)) from None
-        return cfg
+                              " power 1.5 overflows" % (self.T, fine), "T") from None
+
+    def validated(self):
+        """self, which was checked when built; kept only because the
+        benchmark's bench/child.py calls it."""
+        return self
 
 
 @dataclass(frozen=True)
@@ -355,9 +366,9 @@ def order_summary(table):
 
 
 def _fine_steps(cfg):
-    """Step count of a validated study's fine path, the one every
-    realization samples: the ewp reference's M, or max(M_list) under an
-    exact reference."""
+    """Step count of a study's fine path, the one every realization
+    samples: the ewp reference's M, or max(M_list) under an exact
+    reference."""
     ref = cfg.reference
     return ref.M if ref.mode == "ewp" else max(cfg.M_list)
 
@@ -457,12 +468,12 @@ def run_study(cfg, workers=1):
     workers is a positive count of processes, or None for the cores it may use.
     One loop collects the realizations in index order, whether one
     _StudyState or a pool ran them, so results are bit-identical for any
-    worker count.  Raises ConfigError for a bad config or worker count,
-    and StudyError if more than 1% of the realizations of any (scheme, M)
-    cell were flagged (reference or scheme divergence).
+    worker count.  cfg was checked when it was built.  Raises ConfigError
+    for a bad worker count, and StudyError if more than 1% of the
+    realizations of any (scheme, M) cell were flagged (reference or
+    scheme divergence).
     """
     workers = worker_count(workers)
-    cfg = cfg.validated()
     R = cfg.realizations
     workers = min(workers, R)
 

@@ -139,9 +139,10 @@ class StepContext:
     a span T (an integer M >= 1, a finite T > 0).
 
     h = T / M is the step size every stepper reads, and the one a
-    study's fine path is sampled with.  StudyConfig.validated (T over the
-    finest step count) and run_study's ErrorRow also divide T by a step
-    count, with the same float arithmetic, so their h has the same bits.
+    study's fine path is sampled with.  A StudyConfig's checks when it
+    is built (T over the finest step count) and run_study's ErrorRow
+    also divide T by a step count, with the same float arithmetic, so
+    their h has the same bits.
     solve() matches a context to a path by the integer step count; with
     M=1, T is the step size.
     grid, G and gsq are the problem's own, shared by all its contexts.

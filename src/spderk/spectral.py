@@ -15,14 +15,15 @@ for N modes, so switching representations adds no quadrature error.
 Transforms are dense O(N^2) matrix products, which is plenty for the
 mode counts used here (N <= 256).
 
-Both representations are plain 1-d float arrays; nothing is wrapped or
-re-checked: a state has N entries by construction, and numpy's matmul
+Both representations are plain 1-d float arrays, and a transform checks
+only that: S @ Y would transform a 2-d Y along its first axis without an
+error.  A state has N entries by construction, and numpy's matmul
 rejects a 1-d input of another length with a ValueError.
 """
 
 import numpy as np
 
-from .errors import count
+from .errors import DimensionError, count
 
 __all__ = [
     "SineBasisGrid",
@@ -68,6 +69,8 @@ def to_physical(field, grid):
 
     values(x_p) = sum_k a_k sqrt(2) sin(k pi x_p).
     """
+    if field.ndim != 1:
+        raise DimensionError("to_physical takes a 1-d field, got shape %s" % (field.shape,))
     return grid._synth @ field
 
 
@@ -78,4 +81,6 @@ def to_spectral(field, grid):
     projection onto span(e_1..e_N) in the discrete inner product, which
     is how the pseudo-spectral nonlinearity handling is meant to work.
     """
+    if field.ndim != 1:
+        raise DimensionError("to_spectral takes a 1-d field, got shape %s" % (field.shape,))
     return grid._anal @ field

@@ -1,10 +1,11 @@
-"""The package's public names, no import that nothing reads, and no
-definition that nothing refers to."""
+"""The package's public names, no import that nothing reads or that CI
+does not install, and no definition that nothing refers to."""
 
 import ast
 import collections
 import importlib
 import pathlib
+import sys
 
 import pytest
 
@@ -41,6 +42,28 @@ def test_no_unused_module_level_import(path):
              for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
              for alias in node.names if alias.name != "*"]
     assert [name for name in bound if name not in used] == []
+
+
+def test_every_import_is_installed_in_ci():
+    # CI installs numpy, pytest and hypothesis beside the standard library
+    # (sys.stdlib_module_names, Python 3.10+); a package that is merely
+    # present on a development machine, such as scipy, fails there
+    own = {"spderk"} | {p.stem for pattern in ("tests/*.py", "demos/*.py")
+                        for p in _ROOT.glob(pattern)}
+    allowed = set(sys.stdlib_module_names) | {"numpy", "pytest", "hypothesis"} | own
+    outside = []
+    for path in sorted(p for pattern in ("src/**/*.py", "tests/**/*.py", "demos/**/*.py")
+                       for p in _ROOT.glob(pattern)):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += ["%s: %s" % (path.relative_to(_ROOT), name) for name in names
+                        if name.split(".")[0] not in allowed]
+    assert outside == []
 
 
 def _references(tree):

@@ -33,6 +33,12 @@ def _write_config(tmp_path, name="study.json", **overrides):
     return path
 
 
+def _key_line(path, key):
+    """The line of a config file that holds key's first occurrence."""
+    text = path.read_text()
+    return text[:text.index('"%s"' % key)].count("\n") + 1
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     code = run_cli(argv, out=out, err=err)
@@ -83,8 +89,8 @@ def test_study_end_to_end(tmp_path):
 
     # the metadata echo re-parses to an equivalent config
     meta = json.loads(meta_file.read_text())
-    echoed = config_from_dict(meta["config"]).validated()
-    assert echoed == load_config(str(cfg_path)).validated()
+    echoed = config_from_dict(meta["config"])
+    assert echoed == load_config(str(cfg_path))
     assert set(meta) == {"config", "seed", "versions"}
     assert list(meta["config"]) == sorted(fld.name for fld in fields(StudyConfig))
     assert meta["seed"] == 5
@@ -217,8 +223,7 @@ def test_config_diagnostics(tmp_path):
 def test_config_type_errors(tmp_path, key, value, phrase):
     # an error confined to one field names the file, the key's line and the key
     cfg_path = _write_config(tmp_path, **{key: value})
-    text = cfg_path.read_text()
-    line = text[:text.index('"%s"' % key)].count("\n") + 1
+    line = _key_line(cfg_path, key)
     with pytest.raises(ConfigError) as exc:
         load_config(str(cfg_path))
     msg = str(exc.value)
@@ -306,13 +311,57 @@ def test_huge_T_is_a_config_error(tmp_path, argv):
                              schemes=["exe"])
     code, out, err = _run_process(argv[:1] + [str(cfg_path)] + argv[1:])
     assert code == 1 and out == "" and err.count("\n") == 1
-    assert err == "config error: T=1e+300 is too large: its fine step T/32 raised to" \
-                  " the power 1.5 overflows\n"
+    assert err == "config error: %s: line %d: T=1e+300 is too large: its fine step T/32" \
+                  " raised to the power 1.5 overflows\n" % (cfg_path, _key_line(cfg_path, "T"))
     # a T whose fine step's power is finite still runs
     cfg_path = _write_config(tmp_path, T=1e150, M_list=[8, 16, 32], realizations=2,
                              schemes=["exe"])
     code, out, err = _run(argv[:1] + [str(cfg_path)] + argv[1:])
     assert code == 0 and err == "", err
+
+
+@pytest.mark.parametrize("command", ["study", "path"])
+@pytest.mark.parametrize(
+    "overrides, key, message",
+    [
+        (dict(problem="example2", reference={"mode": "exact"}), "reference",
+         "problem 'example2' has no exact solution"),
+        (dict(M_list=[8, 16], reference={"mode": "ewp", "M": 24}), "reference",
+         "reference M=24 must be a multiple of max(M_list)=16"),
+        (dict(T=1e-320, M_list=[8, 16]), "T",
+         "T=1e-320 is too small: its fine step T/16 is below the smallest normal float"),
+    ],
+)
+def test_errors_that_combine_fields_name_the_blamed_keys_line(tmp_path, command, overrides,
+                                                               key, message):
+    cfg_path = _write_config(tmp_path, **overrides)
+    code, out, err = _run([command, str(cfg_path)])
+    assert (code, out) == (1, "")
+    assert err == "config error: %s: line %d: %s\n" % (cfg_path, _key_line(cfg_path, key),
+                                                        message)
+
+
+def test_errors_name_the_file_alone_when_it_lacks_the_blamed_key(tmp_path):
+    # the default reference, a fine ewp run at M=4096, blames reference
+    cfg_path = _write_config(tmp_path, problem="example2", M_list=[8, 8192])
+    code, out, err = _run(["study", str(cfg_path)])
+    assert (code, out) == (1, "")
+    assert err == "config error: %s: reference M=4096 must be a multiple of" \
+                  " max(M_list)=8192\n" % cfg_path
+    # a problem its factory rejects blames no key
+    cfg_path = _write_config(tmp_path, K=4)
+    code, out, err = _run(["path", str(cfg_path)])
+    assert (code, out) == (1, "")
+    assert err == "config error: %s: example1 uses scalar noise, K must be 1\n" % cfg_path
+
+
+def test_nul_in_out_dir_is_a_config_error(tmp_path):
+    # os.makedirs used to end in a ValueError traceback
+    cfg_path = _write_config(tmp_path, out_dir="a\0b")
+    code, out, err = _run_process(["study", str(cfg_path)])
+    assert code == 1 and out == "" and "Traceback" not in err, err
+    assert err.startswith("config error: %s: line %d: out_dir must be a string without a"
+                          " NUL character" % (cfg_path, _key_line(cfg_path, "out_dir")))
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -412,9 +461,9 @@ def test_usage_errors():
 def test_config_round_trip_helpers():
     cfg = StudyConfig("example2", N=8, M_list=(4, 8), realizations=2,
                       schemes=({"name": "erkm15", "c": [1.0] * 7}, "ewp"),
-                      reference={"mode": "ewp", "M": 16}, seed=3).validated()
+                      reference={"mode": "ewp", "M": 16}, seed=3)
     # the study's metadata echoes its config as asdict(cfg)
-    again = config_from_dict(asdict(cfg)).validated()
+    again = config_from_dict(asdict(cfg))
     assert again == cfg
 
 
@@ -560,7 +609,7 @@ def test_path_dumps_the_studys_fine_path(tmp_path, monkeypatch):
     # realization
     cfg_path = _write_config(tmp_path, problem="example3", N=4, K=2, M_list=[4, 8],
                              schemes=["exe"], reference={"mode": "ewp", "M": 32})
-    cfg = load_config(str(cfg_path)).validated()
+    cfg = load_config(str(cfg_path))
     sampled = []
 
     def sample(*args, **kwargs):
@@ -594,7 +643,7 @@ def test_assert_orders(tmp_path, monkeypatch):
 
 def test_check_order_bands_details():
     cfg = StudyConfig("example1", N=8, M_list=(4, 8, 16), realizations=2,
-                      schemes=("erkm15", "lie")).validated()
+                      schemes=("erkm15", "lie"))
     table = _power_table("erkm15", 1.5)
     breaches = check_order_bands(cfg, table)
     # erkm15 fits inside its band; lie has no rows at all
@@ -602,13 +651,13 @@ def test_check_order_bands_details():
 
     cfg3 = StudyConfig("example3", N=8, M_list=(4, 8, 16), realizations=2,
                        schemes=("erkm15", "lie"),
-                       reference={"mode": "ewp", "M": 16}).validated()
+                       reference={"mode": "ewp", "M": 16})
     # example3 only bands the 1.5-order schemes; lie is not asserted
     assert check_order_bands(cfg3, _power_table("erkm15", 1.6)) == []
 
     # a labelled erkm15 gets erkm15's band, looked up under its label
     cfg_rk = StudyConfig("example1", N=8, M_list=(4, 8, 16), realizations=2,
-                         schemes=({"name": "erkm15", "label": "rk"},)).validated()
+                         schemes=({"name": "erkm15", "label": "rk"},))
     assert check_order_bands(cfg_rk, _power_table("rk", 1.5)) == []
     (breach,) = check_order_bands(cfg_rk, _power_table("rk", 1.0))
     assert breach == "rk: fitted order 1.000 outside [1.30, 1.70]"

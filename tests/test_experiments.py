@@ -3,9 +3,11 @@ small end-to-end runs exercising the coupled-path protocol."""
 
 import io
 import math
+import pickle
 import re
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -237,12 +239,12 @@ def test_table_validation():
 
 
 def test_config_defaults():
-    cfg = StudyConfig("example1", realizations=10).validated()
+    cfg = StudyConfig("example1", realizations=10)
     assert cfg.reference == ReferenceSpec("exact", None)
     assert cfg.M_list == (8, 16, 32, 64, 128, 256, 512)
     assert (cfg.N, cfg.T, cfg.seed) == (64, 1.0, 0)
     assert cfg.schemes == ("lie", "exe", "dfmm", "ewp", "erkm15")
-    cfg2 = StudyConfig("example2", realizations=10).validated()
+    cfg2 = StudyConfig("example2", realizations=10)
     assert cfg2.reference == ReferenceSpec("ewp", 4096)
 
 
@@ -288,15 +290,18 @@ def test_config_defaults():
 def test_config_rejections(kw):
     base = dict(problem="example1", N=8, M_list=(4, 8), realizations=2,
                 schemes=("exe",), reference=None, seed=0)
-    base.update(kw)
+    valid = StudyConfig(**base)
     with pytest.raises(ConfigError):
-        StudyConfig(**base).validated()
+        StudyConfig(**dict(base, **kw))
+    # dataclasses.replace builds a new config, which checks itself
+    with pytest.raises(ConfigError):
+        replace(valid, **kw)
 
 
 @pytest.mark.parametrize("N", [2, 64])
 def test_exact_solutions_have_a_single_noise_mode(N):
     # an exact reference is fed the fine path's one Brownian value, and
-    # StudyConfig.validated() takes it without checking K: every builtin
+    # a StudyConfig takes it without checking K: every builtin
     # problem with an exact solution has one noise mode
     problems = [builtin_problem(name, N) for name in BUILTIN_PROBLEMS]
     exact = [p for p in problems if p.exact is not None]
@@ -338,6 +343,7 @@ def test_exact_solutions_have_a_single_noise_mode(N):
         dict(realizations=10**20),
         dict(M_list=(8, 10**20), reference={"mode": "exact"}),
         dict(reference={"mode": "ewp", "M": 10**20}),
+        dict(out_dir="a\0b"),
     ],
 )
 def test_config_type_rejections(kw):
@@ -345,8 +351,22 @@ def test_config_type_rejections(kw):
                 schemes=("exe",), reference=None, seed=0)
     base.update(kw)
     key = next(iter(kw))
-    with pytest.raises(ConfigError, match="^%s " % key):
-        StudyConfig(**base).validated()
+    with pytest.raises(ConfigError, match="^%s " % key) as exc:
+        StudyConfig(**base)
+    assert exc.value.key == key
+
+
+def test_a_config_is_checked_when_built():
+    with pytest.raises(ConfigError, match="^N must be an integer >= 1, got 0$") as exc:
+        StudyConfig("example1", N=0)
+    assert exc.value.key == "N"
+    cfg = StudyConfig("example2", N=8, M_list=(8, 16), realizations=2, schemes=("exe",))
+    with pytest.raises(ConfigError) as exc:
+        replace(cfg, N=0)
+    assert exc.value.key == "N"
+    # a worker receives its config by pickle, as the parent holds it
+    assert pickle.loads(pickle.dumps(cfg)) == cfg
+    assert replace(cfg) == cfg and cfg.reference == ReferenceSpec("ewp", 4096)
 
 
 @pytest.mark.parametrize("workers", [0, -2, 1.5, True])
@@ -375,7 +395,7 @@ def test_worker_count_none_counts_the_cores_this_process_may_use(monkeypatch):
 def test_config_reference_dict_coercion():
     cfg = StudyConfig("example2", N=8, M_list=(4,), realizations=1,
                       schemes=("exe",), reference={"mode": "ewp", "M": 8})
-    assert cfg.validated().reference == ReferenceSpec("ewp", 8)
+    assert cfg.reference == ReferenceSpec("ewp", 8)
 
 
 # ---------------------------------------------------------- run_study
@@ -490,7 +510,7 @@ def test_realization_memory_is_bounded_by_the_fine_path():
     fine_bytes = 2 * 4096 * 64 * 8
     tracemalloc.start()
     try:
-        state = _StudyState(cfg.validated())
+        state = _StudyState(cfg)
         sq, diverged = state.realization(0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

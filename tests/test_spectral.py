@@ -1,12 +1,15 @@
 """Transforms, the operator's eigenvalues, and diagonal factors and H_r
 norms (through the test oracles apply_diagonal and h_r_norm)."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import apply_diagonal, h_r_norm
+from spderk.errors import DimensionError
 from spderk.nemytskii import ProblemSpec
 from spderk.qwiener import QSpec
 from spderk.schemes import StepContext
@@ -86,6 +89,15 @@ def test_length_mismatch_rejected():
         to_physical(np.zeros(6), g)
     with pytest.raises(ValueError):
         to_spectral(np.zeros(4), g)
+
+
+@pytest.mark.parametrize("transform", [to_physical, to_spectral])
+@pytest.mark.parametrize("shape", [(5, 5), (2, 5), (5, 2), (), (1, 1, 5)])
+def test_field_that_is_not_1d_rejected(transform, shape):
+    # a bare product would transform a (5, 5) field along the wrong axis
+    with pytest.raises(DimensionError, match=r"takes a 1-d field, got shape %s$"
+                       % re.escape(str(shape))):
+        transform(np.ones(shape), SineBasisGrid(5))
 
 
 def test_eigenvalues():
